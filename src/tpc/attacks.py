@@ -1,17 +1,23 @@
-"""End-to-end attack pipelines and report packaging.
+"""One attack pipeline and its report packaging.
 
-Each pipeline compares the best honest guessing probability against the
-success probability of a measurement on the states produced by a superposed
-(or, for one-sided functions, honest) input, and packages the gap together
-with the certifying measurement's residuals.
+Every attack follows one recipe.  An entry point lists candidates: a state
+family the cheater may hold after a superposed (or, for one-sided functions,
+honest) input, the prior over the guessed party's inputs, the honest
+guessing probability to beat, and the input used.  :func:`_select` scores
+each candidate by the Helstrom value of its two states, without building a
+measurement, and keeps the largest advantage, the first on a tie; the 3x3
+and oblivious-transfer attacks have one candidate and skip it.
+:func:`_measure` then builds the measurement for that candidate alone
+(Helstrom for two states, else the pretty-good measurement, optionally
+polished by the fixed-point search), certifies it once and packages the
+report.  Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +82,68 @@ def _rational_id(f: FunctionSpec) -> str:
     return ",".join(cells)
 
 
+class _Candidate(NamedTuple):
+    family: blackbox.StateFamily
+    prior: tuple[float, ...]
+    p_honest: float
+    input_used: tuple[complex, ...] | int
+
+
+def _score(c: _Candidate) -> float:
+    """Helstrom value ``(1 + tr|q0 rho0 - q1 rho1|) / 2`` as a plain number:
+    no measurement is built and no certificate is run."""
+    rho0, rho1 = c.family.states
+    delta = c.prior[0] * rho0.matrix - c.prior[1] * rho1.matrix
+    return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(delta)).sum()))
+
+
+def _select(candidates: Sequence[_Candidate]) -> tuple[_Candidate, list[float]]:
+    """Score every candidate and keep the largest advantage, the first on a
+    tie; the scores are returned for the caller's notes and oracles."""
+    scores = [_score(c) for c in candidates]
+    advantages = [s - c.p_honest for s, c in zip(scores, candidates)]
+    return candidates[advantages.index(max(advantages))], scores
+
+
+def _measure(
+    function_id: str,
+    scenario: str,
+    c: _Candidate,
+    notes: Sequence[str],
+    optimize: bool = False,
+) -> AttackReport:
+    """Build, evaluate and certify the measurement for one candidate."""
+    notes = list(notes)
+    states = c.family.states
+    if len(states) == 2:
+        result = discrim.helstrom(states[0], states[1], c.prior[0])
+        p_attack = result.success_probability
+        certified, residuals = result.certified_optimal, result.residuals
+    else:
+        povm = discrim.square_root_measurement(c.family, c.prior)
+        p_attack = discrim.povm_success(c.family, c.prior, povm)
+        certified, residuals = discrim.certify_optimal(c.family, c.prior, povm)
+        if optimize:
+            refined = discrim.optimize_povm(c.family, c.prior, seed_povm=povm)
+            notes.append(
+                "fixed-point optimum p={:.17g} certified={}".format(
+                    refined.success_probability, refined.certified_optimal
+                )
+            )
+    return AttackReport(
+        function_id=function_id,
+        scenario=scenario,
+        prior=c.prior,
+        input_used=c.input_used,
+        p_honest=c.p_honest,
+        p_attack=p_attack,
+        advantage=p_attack - c.p_honest,
+        certified=certified,
+        residuals=residuals,
+        notes="; ".join(notes),
+    )
+
+
 def attack_deterministic_3x3(
     f: FunctionSpec,
     superposition: Sequence[complex] | None = None,
@@ -84,45 +152,29 @@ def attack_deterministic_3x3(
 ) -> AttackReport:
     """Pretty-good-measurement attack on a valid 3x3 deterministic function.
 
-    The function is first reduced to canonical form; the cheater inputs the
-    uniform three-term superposition and measures with the pretty-good
-    measurement under a uniform prior.  ``optimize=True`` additionally runs
-    the fixed-point search and reports its value in the notes; the headline
-    attack number stays the pretty-good-measurement success.
+    The cheater inputs the uniform three-term superposition (or
+    ``superposition``) and measures with the pretty-good measurement under a
+    uniform prior (or ``prior``); both index the rows and columns of ``f``
+    as given.  The canonical form only names the class (``function_id``)
+    and its ``a``/``b`` labels in the notes.  ``optimize=True`` additionally
+    runs the fixed-point search and reports its value in the notes; the
+    headline attack number stays the pretty-good-measurement success.
     """
     canon = funcspec.canonicalize_3x3(f)
-    base = canon.base
     amps = (
         blackbox.uniform_superposition(3)
         if superposition is None
         else blackbox.amplitude_vector(superposition, 3)
     )
-    q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
-    family = blackbox.output_family(base, amps)
-    povm = discrim.square_root_measurement(family, q)
-    p_attack = discrim.povm_success(family, q, povm)
-    p_honest = discrim.honest_probability(base, q)
-    certified, residuals = discrim.certify_optimal(family, q, povm)
-    notes = [f"canonical labels a={canon.a} b={canon.b}"]
-    if optimize:
-        refined = discrim.optimize_povm(family, q, seed_povm=povm)
-        notes.append(
-            "fixed-point optimum p={:.17g} certified={}".format(
-                refined.success_probability, refined.certified_optimal
-            )
-        )
-    return AttackReport(
-        function_id=det3x3_function_id(canon),
-        scenario="deterministic-3x3",
-        prior=tuple(q),
-        input_used=tuple(complex(x) for x in amps),
-        p_honest=p_honest,
-        p_attack=p_attack,
-        advantage=p_attack - p_honest,
-        certified=certified,
-        residuals=residuals,
-        notes="; ".join(notes),
+    q = tuple(funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3))
+    candidate = _Candidate(
+        blackbox.output_family(f, amps),
+        q,
+        discrim.honest_probability(f, q),
+        tuple(complex(x) for x in amps),
     )
+    notes = [f"canonical labels a={canon.a} b={canon.b}"]
+    return _measure(det3x3_function_id(canon), "deterministic-3x3", candidate, notes, optimize)
 
 
 def _two_sided_exception(f: FunctionSpec) -> bool:
@@ -182,38 +234,26 @@ def attack_nondet_two_sided(
         if superposition is None
         else blackbox.amplitude_vector(superposition, 2)
     )
-    default_input = superposition is None
-    best = None
+    family = blackbox.output_family(f, amps)
+    inputs = tuple(complex(x) for x in amps)
+    candidates = [
+        _Candidate(family, (q0, 1.0 - q0), discrim.honest_probability(f, (q0, 1.0 - q0)), inputs)
+        for q0 in sweep
+    ]
+    best, scores = _select(candidates)
     lines = []
-    for q0 in sweep:
-        family = blackbox.output_family(f, amps)
-        result = discrim.helstrom(family.states[0], family.states[1], q0)
-        p_honest = discrim.honest_probability(f, (q0, 1.0 - q0))
-        if default_input:
+    for c, score in zip(candidates, scores):
+        q0 = c.prior[0]
+        if superposition is None:
             ev = discrim.weighted_difference_eigenvalues(f, q0)
             closed = 0.5 * (1.0 + ev.lam_plus - ev.lam_minus + ev.mu_plus - ev.mu_minus)
-            gap = abs(closed - result.success_probability)
+            gap = abs(closed - score)
             if gap > 1e-10:
                 raise ArithmeticError(
                     f"closed-form and spectral success disagree by {gap:.3g} at q0={q0}"
                 )
-        advantage = result.success_probability - p_honest
-        lines.append(f"q0={q0:.17g} advantage={advantage:.17g}")
-        if best is None or advantage > best[0]:
-            best = (advantage, q0, p_honest, result)
-    advantage, q0, p_honest, result = best
-    return AttackReport(
-        function_id=function_id,
-        scenario="nondet-two-sided",
-        prior=(q0, 1.0 - q0),
-        input_used=tuple(complex(x) for x in amps),
-        p_honest=p_honest,
-        p_attack=result.success_probability,
-        advantage=advantage,
-        certified=result.certified_optimal,
-        residuals=result.residuals,
-        notes="; ".join(lines),
-    )
+        lines.append(f"q0={q0:.17g} advantage={score - c.p_honest:.17g}")
+    return _measure(function_id, "nondet-two-sided", best, lines)
 
 
 def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
@@ -228,32 +268,18 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
     prior = (q0, 1.0 - q0)
     p_honest = discrim.honest_probability(f, prior)
-    best = None
-    lines = []
-    for i in range(f.alice_arity):
-        family = blackbox.output_family(f, i)
-        result = discrim.helstrom(family.states[0], family.states[1], q0)
-        basis_rate = discrim.per_input_basis_rate(f, i, prior)
-        stationary = discrim.basis_measurement_optimal(f, i, q0)
-        lines.append(
-            f"i={i} basis_rate={basis_rate:.17g} optimal={result.success_probability:.17g}"
-            f" basis_measurement_optimal={stationary}"
-        )
-        if best is None or result.success_probability > best[1].success_probability:
-            best = (i, result)
-    i, result = best
-    return AttackReport(
-        function_id=f"nondet1sided:{_rational_id(f)}",
-        scenario="nondet-one-sided",
-        prior=prior,
-        input_used=i,
-        p_honest=p_honest,
-        p_attack=result.success_probability,
-        advantage=result.success_probability - p_honest,
-        certified=result.certified_optimal,
-        residuals=result.residuals,
-        notes="; ".join(lines),
-    )
+    candidates = [
+        _Candidate(blackbox.output_family(f, i), prior, p_honest, i)
+        for i in range(f.alice_arity)
+    ]
+    best, scores = _select(candidates)
+    lines = [
+        f"i={i} basis_rate={discrim.per_input_basis_rate(f, i, prior):.17g}"
+        f" optimal={score:.17g}"
+        f" basis_measurement_optimal={discrim.basis_measurement_optimal(f, i, q0)}"
+        for i, score in enumerate(scores)
+    ]
+    return _measure(f"nondet1sided:{_rational_id(f)}", "nondet-one-sided", best, lines)
 
 
 def ot_explicit_povm() -> discrim.Povm:
@@ -285,13 +311,13 @@ def attack_oblivious_transfer() -> AttackReport:
     prior = (0.5, 0.5)
     family = blackbox.output_family(f, 0, role="bob")
     p_honest = discrim.honest_probability(funcspec.transpose(f), prior)
-    result = discrim.helstrom(family.states[0], family.states[1], 0.5)
+    report = _measure("ot", "oblivious-transfer", _Candidate(family, prior, p_honest, 0), [])
     explicit = ot_explicit_povm()
     explicit_success = discrim.povm_success(family, prior, explicit)
-    if abs(explicit_success - result.success_probability) > 1e-10:
+    if abs(explicit_success - report.p_attack) > 1e-10:
         raise ArithmeticError(
             "closed-form measurement success "
-            f"{explicit_success:.17g} != spectral optimum {result.success_probability:.17g}"
+            f"{explicit_success:.17g} != spectral optimum {report.p_attack:.17g}"
         )
     explicit_ok, explicit_res = discrim.certify_optimal(family, prior, explicit)
     notes = (
@@ -300,18 +326,7 @@ def attack_oblivious_transfer() -> AttackReport:
         f" residuals=({explicit_res.pairwise_max:.3g},"
         f" {explicit_res.min_eigenvalue:.3g}, {explicit_res.anti_hermitian_max:.3g})"
     )
-    return AttackReport(
-        function_id="ot",
-        scenario="oblivious-transfer",
-        prior=prior,
-        input_used=0,
-        p_honest=p_honest,
-        p_attack=result.success_probability,
-        advantage=result.success_probability - p_honest,
-        certified=result.certified_optimal and explicit_ok,
-        residuals=result.residuals,
-        notes=notes,
-    )
+    return replace(report, certified=report.certified and explicit_ok, notes=notes)
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
@@ -338,69 +353,51 @@ def verify_counterexample(grid_points: int = 2001) -> AttackReport:
     built-in counterexample table at the balanced prior.
 
     The input ``(cos t, sin t)`` is swept over a grid on [0, pi] and the
-    best point refined by golden-section search; the maximum certified
-    advantage must not exceed the minimum-gain threshold.  Complex input
-    phases are outside the box's amplitude convention and are not explored.
+    best point refined by golden-section search, both scored without
+    building a measurement; only the best point is measured and certified,
+    and its advantage must not exceed the minimum-gain threshold.  Complex
+    input phases are outside the box's amplitude convention and are not
+    explored.
     """
     f = funcspec.builtin("counterexample")
-    q0 = 0.5
-    prior = (q0, 1.0 - q0)
+    prior = (0.5, 0.5)
     p_honest = discrim.honest_probability(f, prior)
 
-    def attack_value(theta: float) -> float:
+    def candidate(theta: float) -> _Candidate:
         amps = (math.cos(theta), math.sin(theta))
         family = blackbox.output_family(f, amps)
-        delta = q0 * family.states[0].matrix - (1.0 - q0) * family.states[1].matrix
-        return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(delta)).sum()))
+        return _Candidate(family, prior, p_honest, tuple(complex(x) for x in amps))
 
     thetas = np.linspace(0.0, math.pi, grid_points)
-    values = np.array([attack_value(t) for t in thetas])
+    values = np.array([_score(candidate(t)) for t in thetas])
     idx = int(values.argmax())
-    best_theta, best_value = thetas[idx], float(values[idx])
+    best_theta = thetas[idx]
     lo = thetas[max(idx - 1, 0)]
     hi = thetas[min(idx + 1, grid_points - 1)]
-    refined_theta, refined_value = _golden_max(attack_value, lo, hi)
-    if refined_value > best_value:
-        best_theta, best_value = refined_theta, refined_value
-    amps = (math.cos(best_theta), math.sin(best_theta))
-    family = blackbox.output_family(f, amps)
-    result = discrim.helstrom(family.states[0], family.states[1], q0)
-    advantage = result.success_probability - p_honest
-    if advantage > active().adv_min:
-        raise ArithmeticError(
-            f"counterexample admits advantage {advantage:.3g} at theta={best_theta:.12g}"
-        )
+    refined_theta, refined_value = _golden_max(lambda t: _score(candidate(t)), lo, hi)
+    if refined_value > values[idx]:
+        best_theta = refined_theta
     notes = (
         f"max over {grid_points}-point grid plus golden-section refinement;"
         f" best theta={best_theta:.17g}; real amplitudes only"
     )
-    return AttackReport(
-        function_id="counterexample",
-        scenario="counterexample",
-        prior=prior,
-        input_used=tuple(complex(x) for x in amps),
-        p_honest=p_honest,
-        p_attack=result.success_probability,
-        advantage=advantage,
-        certified=result.certified_optimal,
-        residuals=result.residuals,
-        notes=notes,
-    )
+    report = _measure("counterexample", "counterexample", candidate(best_theta), [notes])
+    if report.advantage > active().adv_min:
+        raise ArithmeticError(
+            f"counterexample admits advantage {report.advantage:.3g} at theta={best_theta:.12g}"
+        )
+    return report
 
 
 def sweep_all_3x3(workers: int | None = None) -> list[AttackReport]:
     """Run the deterministic attack over every valid 3x3 equivalence class.
 
-    Results are sorted by canonical identifier, so the report list is
-    independent of worker count.  A non-positive advantage anywhere raises
-    :class:`SweepFailure` with the offending tables.
+    Results are sorted by canonical identifier.  ``workers`` is accepted and
+    ignored: the sweep runs serially, which measured faster than a thread
+    pool on these small numpy calls.  A non-positive advantage anywhere
+    raises :class:`SweepFailure` with the offending tables.
     """
-    functions = funcspec.enumerate_valid_3x3()
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(attack_deterministic_3x3, functions))
-    else:
-        reports = [attack_deterministic_3x3(f) for f in functions]
+    reports = [attack_deterministic_3x3(f) for f in funcspec.enumerate_valid_3x3()]
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

@@ -5,7 +5,7 @@ Subcommands::
     tpc analyze <file|@name> [--prior q0,q1,...] [--superposition a0,a1,...]
                 [--q0-sweep v1,v2,...] [--q0 v] [--role alice|bob]
                 [--optimize] [--out <path>]
-    tpc sweep3x3 [--workers N] [--out <path>]
+    tpc sweep3x3 [--out <path>]          (--workers N is accepted and ignored)
     tpc ot-demo
     tpc certify <file|@name> --povm <path> [--prior q0,q1,...] [--out <path>]
 
@@ -63,6 +63,10 @@ def _fmt_input(value) -> str:
     if isinstance(value, int):
         return f"honest:{value}"
     return "amps:" + ",".join(_fmt_complex(complex(z)) for z in value)
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(","))
 
 
 def _parse_input(text: str):
@@ -124,45 +128,59 @@ def render_report_document(reports: Sequence[AttackReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report_document(text: str) -> ReportDocument:
-    lines = text.splitlines()
+_REPORT_FIELDS = (
+    ("function_id", str),
+    ("scenario", str),
+    ("prior", _parse_floats),
+    ("input_used", _parse_input),
+    ("p_honest", float),
+    ("p_attack", float),
+    ("advantage", float),
+    ("certified", lambda t: t == "true"),
+    ("residuals", lambda t: None if t == "-" else CertificateResiduals(*_parse_floats(t))),
+    ("notes", _unescape),
+)
 
-    def field(line: str, key: str) -> str:
+
+def parse_report_document(text: str) -> ReportDocument:
+    """Inverse of :func:`render_report_document`.  A malformed or truncated
+    document raises :class:`FunctionFileError` naming the offending line."""
+    lines = text.splitlines()
+    pos = 0
+
+    def take(what: str) -> str:
+        nonlocal pos
+        pos += 1
+        if pos > len(lines):
+            raise FunctionFileError(pos, f"document ends before the {what} line")
+        return lines[pos - 1]
+
+    def field(key: str, convert=str):
+        line = take(f"'{key}:'")
         name, sep, value = line.partition(":")
         if not sep or name.strip() != key:
-            raise ValueError(f"expected '{key}:' line, got {line!r}")
-        return value.strip()
+            raise FunctionFileError(pos, f"expected '{key}:' line, got {line!r}")
+        try:
+            return convert(value.strip())
+        except (TypeError, ValueError) as exc:
+            raise FunctionFileError(pos, f"bad {key} field: {exc}") from None
 
-    version = int(field(lines[0], "schema_version"))
-    environment = field(lines[1], "environment")
-    count = int(field(lines[2], "report_count"))
+    version = field("schema_version", int)
+    environment = field("environment")
+    count = field("report_count", int)
     reports = []
-    pos = 3
     for _ in range(count):
-        if lines[pos] != "---":
-            raise ValueError(f"expected report separator, got {lines[pos]!r}")
-        pos += 1
-        block = lines[pos : pos + 10]
-        pos += 10
-        residual_text = field(block[8], "residuals")
-        residuals = None
-        if residual_text != "-":
-            parts = [float(x) for x in residual_text.split(",")]
-            residuals = CertificateResiduals(*parts)
-        reports.append(
-            AttackReport(
-                function_id=field(block[0], "function_id"),
-                scenario=field(block[1], "scenario"),
-                prior=tuple(float(x) for x in field(block[2], "prior").split(",")),
-                input_used=_parse_input(field(block[3], "input_used")),
-                p_honest=float(field(block[4], "p_honest")),
-                p_attack=float(field(block[5], "p_attack")),
-                advantage=float(field(block[6], "advantage")),
-                certified=field(block[7], "certified") == "true",
-                residuals=residuals,
-                notes=_unescape(field(block[9], "notes")),
-            )
-        )
+        line = take("report separator")
+        if line != "---":
+            raise FunctionFileError(pos, f"expected report separator, got {line!r}")
+        start = pos
+        values = {key: field(key, convert) for key, convert in _REPORT_FIELDS}
+        try:
+            reports.append(AttackReport(**values))
+        except ValueError as exc:
+            raise FunctionFileError(start, f"invalid report: {exc}") from None
+    if pos < len(lines):
+        raise FunctionFileError(pos + 1, f"content after the last of {count} reports")
     return ReportDocument(version, environment, tuple(reports))
 
 
@@ -182,9 +200,9 @@ def parse_povm_file(text: str) -> discrim.Povm:
     name, sep, value = s.partition(":")
     if not sep or name.strip() != "dim":
         raise FunctionFileError(ln, f"expected 'dim: <d>' header, got {s!r}")
-    if not value.strip().isdigit():
-        raise FunctionFileError(ln, f"dimension must be an integer, got {value!r}")
-    dim = int(value.strip())
+    dim = int(value) if value.strip().isdecimal() else 0
+    if dim < 1:
+        raise FunctionFileError(ln, f"dimension must be a positive integer, got {value!r}")
     body = rows[1:]
     if not body or len(body) % dim != 0:
         raise FunctionFileError(
@@ -232,10 +250,6 @@ def _load_spec(ref: str) -> FunctionSpec:
     return funcspec.parse_function_file(path.read_text())
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
-
-
 def _parse_amplitudes(text: str) -> tuple[complex, ...]:
     return tuple(complex(t) for t in text.split(","))
 
@@ -265,34 +279,12 @@ def _write_out(path: str | None, reports: Sequence[AttackReport]) -> None:
         Path(path).write_text(render_report_document(reports))
 
 
-def _is_ot_table(f: FunctionSpec) -> bool:
-    ot = funcspec.builtin("ot")
-    return (
-        f.kind == ot.kind
-        and f.sided == ot.sided
-        and (f.alice_arity, f.bob_arity, f.outcome_count)
-        == (ot.alice_arity, ot.bob_arity, ot.outcome_count)
-        and f.prob_table == ot.prob_table
-    )
-
-
-def _is_counterexample_table(f: FunctionSpec) -> bool:
-    cx = funcspec.builtin("counterexample")
-    return (
-        f.kind == cx.kind
-        and f.sided == cx.sided
-        and (f.alice_arity, f.bob_arity, f.outcome_count)
-        == (cx.alice_arity, cx.bob_arity, cx.outcome_count)
-        and f.prob_table == cx.prob_table
-    )
-
-
 # --- subcommands ------------------------------------------------------------
 
 def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if args.role not in ("alice", "bob"):
         raise FunctionFileError(1, f"role must be alice or bob, got {args.role!r}")
-    if _is_ot_table(f):
+    if f == funcspec.builtin("ot"):
         return attacks.attack_oblivious_transfer()
     if args.role == "bob":
         f = funcspec.transpose(f)
@@ -333,7 +325,7 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
                 "only 2x2 binary two-sided tables are implemented; larger "
                 "alphabets: conjectured insecure, not verified"
             )
-        if _is_counterexample_table(f) and q0 == 0.5:
+        if f == funcspec.builtin("counterexample") and q0 == 0.5:
             return attacks.verify_counterexample()
         sweep = _parse_floats(args.q0_sweep) if args.q0_sweep else None
         if q0 is not None:
@@ -367,7 +359,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep3x3(args) -> int:
     try:
-        reports = attacks.sweep_all_3x3(workers=args.workers)
+        reports = attacks.sweep_all_3x3()
     except SweepFailure as exc:
         print(f"sweep failure: {exc}", file=sys.stderr)
         for r in exc.reports:
@@ -401,7 +393,7 @@ def cmd_ot_demo(args) -> int:
 def _certify_family(f: FunctionSpec):
     """Default state family used by `certify`: the function as given, probed
     with the uniform superposition (two-sided) or honest input 0 (one-sided)."""
-    if _is_ot_table(f):
+    if f == funcspec.builtin("ot"):
         return blackbox.output_family(f, 0, role="bob")
     if f.sided == "two":
         return blackbox.output_family(f, blackbox.uniform_superposition(f.alice_arity))
@@ -459,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep3x3", help="attack every valid 3x3 deterministic function")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers")
+    p.add_argument("--workers", type=int, default=None, help="accepted and ignored; the sweep is serial")
     p.add_argument("--out", help="write a machine-readable report document")
     p.set_defaults(func=cmd_sweep3x3)
 

@@ -193,25 +193,20 @@ def helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float) -> Dis
     return DiscriminationResult(success, povm, ok, residuals)
 
 
-def square_root_measurement(family, prior: Sequence[float], weighted: bool = False) -> Povm:
+def square_root_measurement(family, prior: Sequence[float]) -> Povm:
     """Pretty-good measurement ``S^-1/2 sigma_j S^-1/2`` with the unweighted
     sum ``S = sum_j sigma_j``.
 
-    ``weighted=True`` switches to the prior-weighted sum for exploration;
-    verification runs always use the unweighted form.  Any kernel of S is
-    absorbed into the element of the highest-prior state (ties broken by
-    lowest index), where the states have no support.
+    Any kernel of S is absorbed into the element of the highest-prior state
+    (ties broken by lowest index), where the states have no support.
     """
     states = _family_states(family)
     q = validate_prior(prior, len(states))
     if len(states) < 2:
         raise ValueError("need at least two states to discriminate")
-    if weighted:
-        scaled = [w * s.matrix for w, s in zip(q, states)]
-    else:
-        scaled = [s.matrix for s in states]
-    root = qmat.inv_sqrt_on_support(sum(scaled))
-    elements = [root @ m @ root for m in scaled]
+    matrices = [s.matrix for s in states]
+    root = qmat.inv_sqrt_on_support(sum(matrices))
+    elements = [root @ m @ root for m in matrices]
     kernel = np.eye(states[0].dim, dtype=complex) - sum(elements)
     elements[int(np.argmax(q))] += kernel
     elements = [(e + qmat.dagger(e)) / 2 for e in elements]

@@ -9,6 +9,7 @@ never masquerade as an attack advantage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -592,8 +593,12 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTIN_TEXT))
 
 
+@functools.cache
 def builtin(name: str) -> FunctionSpec:
-    """Embedded tables addressable as ``@ot``, ``@counterexample``, ``@neq3``."""
+    """Embedded tables addressable as ``@ot``, ``@counterexample``, ``@neq3``.
+
+    Parsed once per name; sharing the result is safe because
+    :class:`FunctionSpec` is frozen."""
     key = name.lstrip("@")
     if key not in _BUILTIN_TEXT:
         raise KeyError(f"unknown built-in function {name!r}; have {builtin_names()}")

@@ -66,11 +66,6 @@ def active() -> Tolerances:
     return _ACTIVE
 
 
-def set_active(tol: Tolerances) -> None:
-    global _ACTIVE
-    _ACTIVE = tol
-
-
 def environment_summary(tol: Tolerances | None = None) -> str:
     """One-line ``NAME=value`` rendering of the constants in effect."""
     tol = tol or active()

@@ -1,5 +1,6 @@
 """Attack pipelines and report packaging."""
 
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,34 @@ class TestDeterministic3x3:
         assert report.advantage == pytest.approx(
             report.p_attack - report.p_honest, abs=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"prior": (0.5, 0.3, 0.2)}, {"superposition": (0.8, 0.6, 0.0)}],
+        ids=["prior", "superposition"],
+    )
+    def test_caller_labelling_is_honoured(self, kwargs):
+        # prior and amplitudes index the rows and columns of the table as given
+        prior = kwargs.get("prior", funcspec.uniform_prior(3))
+        amps = kwargs.get("superposition", blackbox.uniform_superposition(3))
+        wrong = []
+        for f in funcspec.enumerate_valid_3x3():
+            for rows in itertools.permutations(range(3)):
+                for cols in itertools.permutations(range(3)):
+                    g = funcspec.deterministic(
+                        [[f.det_table[r][c] for c in cols] for r in rows]
+                    )
+                    report = attack_deterministic_3x3(g, **kwargs)
+                    family = blackbox.output_family(g, amps)
+                    povm = discrim.square_root_measurement(family, prior)
+                    p_attack = discrim.povm_success(family, prior, povm)
+                    p_honest = discrim.honest_probability(g, prior)
+                    if (
+                        abs(report.p_attack - p_attack) > 1e-12
+                        or abs(report.p_honest - p_honest) > 1e-12
+                    ):
+                        wrong.append(g.det_table)
+        assert not wrong, f"{len(wrong)} of 648 relabelings attacked in the wrong labelling"
 
 
 class TestNondetTwoSided:

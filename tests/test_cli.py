@@ -200,6 +200,11 @@ class TestCertify:
     def test_missing_povm_file_exits_one(self, capsys):
         assert main(["certify", "@ot", "--povm", "/nonexistent.txt"]) == EXIT_INPUT
 
+    def test_zero_dimension_povm_exits_one_with_line(self, tmp_path, capsys):
+        path = write(tmp_path, "dim0.txt", "dim: 0\n1+0i\n")
+        assert main(["certify", "@ot", "--povm", path]) == EXIT_INPUT
+        assert "error: line 1: " in capsys.readouterr().err
+
 
 class TestReportDocument:
     def test_round_trip_is_lossless(self):
@@ -230,6 +235,20 @@ class TestReportDocument:
         )
         doc = parse_report_document(render_report_document([report]))
         assert doc.reports[0].notes == report.notes
+
+    def test_truncated_document_names_the_line(self, tmp_path, capsys):
+        out = tmp_path / "ot.txt"
+        assert main(["ot-demo", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert len(lines) == 14
+        for cut in range(len(lines)):
+            with pytest.raises(funcspec.FunctionFileError) as info:
+                parse_report_document("\n".join(lines[:cut]))
+            assert info.value.line_no == cut + 1
+        with pytest.raises(funcspec.FunctionFileError) as info:
+            parse_report_document("\n".join(lines + ["---"]))
+        assert info.value.line_no == 15
 
     def test_povm_file_round_trip(self):
         povm = attacks.ot_explicit_povm()

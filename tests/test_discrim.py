@@ -155,16 +155,6 @@ class TestSquareRootMeasurement:
             povm = square_root_measurement(family, prior)
             assert povm_success(family, prior, povm) > honest_probability(base, prior)
 
-    def test_weighted_variant_is_valid_but_different(self):
-        # exploration flag only; verification paths use the unweighted sum
-        rng = np.random.default_rng(SEED + 6)
-        r0, r1 = random_mixed_pair(rng, dim=3)
-        prior = (0.8, 0.2)
-        unweighted = square_root_measurement((r0, r1), prior)
-        weighted = square_root_measurement((r0, r1), prior, weighted=True)
-        assert weighted.dim == unweighted.dim
-        assert not np.allclose(weighted.elements[0], unweighted.elements[0])
-
     def test_valid_on_random_rank_deficient_families(self):
         rng = np.random.default_rng(SEED + 5)
         for _ in range(200):
