@@ -89,18 +89,21 @@ class _Candidate(NamedTuple):
     input_used: tuple[complex, ...] | int
 
 
-def _score(c: _Candidate) -> float:
-    """Helstrom value ``(1 + tr|q0 rho0 - q1 rho1|) / 2`` as a plain number:
-    no measurement is built and no certificate is run."""
-    rho0, rho1 = c.family.states
-    delta = c.prior[0] * rho0.matrix - c.prior[1] * rho1.matrix
-    return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(delta)).sum()))
+def _score(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """Helstrom values ``(1 + tr|q0 rho0 - q1 rho1|) / 2`` for a stack of
+    state pairs ``(n, 2, d, d)`` under priors ``(n, 2)``, with one stacked
+    ``eigvalsh``: no measurement is built and no certificate is run."""
+    q = np.asarray(priors, dtype=float)[:, :, None, None]
+    delta = q[:, 0] * states[:, 0]
+    delta -= q[:, 1] * states[:, 1]
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1))
 
 
 def _select(candidates: Sequence[_Candidate]) -> tuple[_Candidate, list[float]]:
     """Score every candidate and keep the largest advantage, the first on a
     tie; the scores are returned for the caller's notes and oracles."""
-    scores = [_score(c) for c in candidates]
+    states = np.array([[s.matrix for s in c.family.states] for c in candidates])
+    scores = _score(states, [c.prior for c in candidates]).tolist()
     advantages = [s - c.p_honest for s, c in zip(scores, candidates)]
     return candidates[advantages.index(max(advantages))], scores
 
@@ -352,36 +355,40 @@ def verify_counterexample(grid_points: int = 2001) -> AttackReport:
     """Confirm that no real-amplitude superposition beats honest play on the
     built-in counterexample table at the balanced prior.
 
-    The input ``(cos t, sin t)`` is swept over a grid on [0, pi] and the
-    best point refined by golden-section search, both scored without
-    building a measurement; only the best point is measured and certified,
-    and its advantage must not exceed the minimum-gain threshold.  Complex
-    input phases are outside the box's amplitude convention and are not
-    explored.
+    The input ``(cos t, sin t)`` is swept over a grid on [0, pi], whose
+    states are built, validated and scored as one stack, and the best point
+    is refined by golden-section search, scored the same way; no measurement
+    is built for either.  Only the best point is measured and certified,
+    through :func:`blackbox.output_family`, and its advantage must not
+    exceed the minimum-gain threshold.  Complex input phases are outside the
+    box's amplitude convention and are not explored.
     """
     f = funcspec.builtin("counterexample")
     prior = (0.5, 0.5)
     p_honest = discrim.honest_probability(f, prior)
 
-    def candidate(theta: float) -> _Candidate:
-        amps = (math.cos(theta), math.sin(theta))
-        family = blackbox.output_family(f, amps)
-        return _Candidate(family, prior, p_honest, tuple(complex(x) for x in amps))
+    def scores(thetas) -> np.ndarray:
+        amps = np.array([(math.cos(t), math.sin(t)) for t in thetas])
+        return _score(blackbox.alice_reduced_states(f, amps), [prior] * len(amps))
 
     thetas = np.linspace(0.0, math.pi, grid_points)
-    values = np.array([_score(candidate(t)) for t in thetas])
+    values = scores(thetas)
     idx = int(values.argmax())
     best_theta = thetas[idx]
     lo = thetas[max(idx - 1, 0)]
     hi = thetas[min(idx + 1, grid_points - 1)]
-    refined_theta, refined_value = _golden_max(lambda t: _score(candidate(t)), lo, hi)
+    refined_theta, refined_value = _golden_max(lambda t: float(scores([t])[0]), lo, hi)
     if refined_value > values[idx]:
         best_theta = refined_theta
     notes = (
         f"max over {grid_points}-point grid plus golden-section refinement;"
         f" best theta={best_theta:.17g}; real amplitudes only"
     )
-    report = _measure("counterexample", "counterexample", candidate(best_theta), [notes])
+    amps = (math.cos(best_theta), math.sin(best_theta))
+    best = _Candidate(
+        blackbox.output_family(f, amps), prior, p_honest, tuple(complex(x) for x in amps)
+    )
+    report = _measure("counterexample", "counterexample", best, [notes])
     if report.advantage > active().adv_min:
         raise ArithmeticError(
             f"counterexample admits advantage {report.advantage:.3g} at theta={best_theta:.12g}"

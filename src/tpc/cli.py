@@ -6,8 +6,8 @@ Subcommands::
                 [--q0-sweep v1,v2,...] [--q0 v] [--role alice|bob]
                 [--optimize] [--out <path>]
     tpc sweep3x3 [--out <path>]          (--workers N is accepted and ignored)
-    tpc ot-demo
-    tpc certify <file|@name> --povm <path> [--prior q0,q1,...] [--out <path>]
+    tpc ot-demo [--out <path>]
+    tpc certify <file|@name> --povm <path> [--prior q0,q1,...]
 
 Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
 3 sweep assertion failure, 4 certification negative.

@@ -125,6 +125,17 @@ class DensityState:
         object.__setattr__(self, "matrix", frozen)
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityState":
+        """Wrap a matrix its builder has already validated with the checks
+        above; only a frozen copy is made."""
+        state = object.__new__(cls)
+        frozen = matrix.copy()
+        frozen.setflags(write=False)
+        object.__setattr__(state, "matrix", frozen)
+        object.__setattr__(state, "dims", dims)
+        return state
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

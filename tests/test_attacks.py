@@ -182,6 +182,33 @@ class TestCounterexample:
         p_c = discrim.helstrom(family.states[0], family.states[1], 0.5).success_probability
         assert p_c == pytest.approx(discrim.honest_probability(f, (0.5, 0.5)), abs=1e-12)
 
+    def test_headline_values_frozen(self):
+        report = verify_counterexample()
+        assert report.p_attack == 0.7877777777777778
+        assert report.advantage == 1.1102230246251565e-16
+        assert report.input_used == ((1 + 0j), 0j)
+        assert tuple(report.residuals) == (0.0, 0.0, 0.0)
+        assert "best theta=0;" in report.notes
+
+    def test_input_phases_act_as_one_shared_unitary(self):
+        # phases on the input amplitudes rotate every state of the family by
+        # the same diagonal unitary, so no phase can change the Helstrom score
+        f = builtin("counterexample")
+        rng = np.random.default_rng(SEED + 3)
+        thetas = rng.uniform(0.0, math.pi, size=200)
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=(200, 2))
+        real = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        phased = real * np.exp(1j * phis)
+        rho = blackbox.alice_reduced_states(f, real)
+        sigma = blackbox.alice_reduced_states(f, phased)
+        for r, phi in enumerate(phis):
+            u = np.kron(np.diag(np.exp(1j * phi)), np.eye(f.outcome_count))
+            for j in range(f.bob_arity):
+                assert np.abs(sigma[r, j] - u @ rho[r, j] @ u.conj().T).max() <= 1e-12
+        prior = [(0.5, 0.5)] * len(thetas)
+        gap = np.abs(attacks._score(sigma, prior) - attacks._score(rho, prior))
+        assert gap.max() <= 1e-12
+
 
 class TestSweep:
     def test_sweep_covers_every_class_with_positive_advantage(self):

@@ -9,7 +9,9 @@ import pytest
 from tpc import funcspec, qmat
 from tpc.blackbox import (
     alice_reduced_state,
+    alice_reduced_states,
     alice_reduced_state_one_sided,
+    amplitude_vector,
     output_family,
     purified_reduced_state,
     uniform_superposition,
@@ -116,7 +118,7 @@ class TestTwoSidedStates:
     def test_formula_matches_purification_oracle(self):
         rng = np.random.default_rng(SEED + 2)
         tol = active()
-        for _ in range(200):
+        for trial in range(200):
             f = random_two_sided(rng)
             amps = random_amplitudes(rng, f.alice_arity)
             j = int(rng.integers(f.bob_arity))
@@ -124,6 +126,32 @@ class TestTwoSidedStates:
             oracle = purified_reduced_state(f, amps, j)
             assert direct.dims == oracle.dims
             assert np.abs(direct.matrix - oracle.matrix).max() <= tol.recon
+            # the stacked builder: every slice is the one-input state, bit
+            # for bit, and matches the purification route
+            n = (1, 7)[trial % 2]
+            rows = np.array([random_amplitudes(rng, f.alice_arity) for _ in range(n)])
+            stack = alice_reduced_states(f, rows)
+            assert stack.shape == (n, f.bob_arity, direct.dim, direct.dim)
+            for r in range(n):
+                for jj in range(f.bob_arity):
+                    single = alice_reduced_state(f, rows[r], jj).matrix
+                    assert np.array_equal(stack[r, jj], single)
+                    oracle = purified_reduced_state(f, rows[r], jj).matrix
+                    assert np.abs(stack[r, jj] - oracle).max() <= 1e-12
+
+    def test_stack_validation_names_the_failing_row(self):
+        f = builtin("counterexample")
+        rng = np.random.default_rng(SEED + 5)
+        rows = np.array([random_amplitudes(rng, 2) for _ in range(5)])
+        assert alice_reduced_states(f, rows).shape == (5, 2, 4, 4)
+        bad = rows.copy()
+        bad[3] *= 1.5
+        with pytest.raises(ValueError, match="row 3"):
+            alice_reduced_states(f, bad)
+        bad = rows.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="row 1"):
+            alice_reduced_states(f, bad)
 
     def test_rejects_one_sided_function(self):
         with pytest.raises(ValueError):
@@ -136,6 +164,8 @@ class TestTwoSidedStates:
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValueError):
             alice_reduced_state(builtin("counterexample"), [1.0, 1.0], 0)
+        with pytest.raises(ValueError, match="norm nan"):
+            amplitude_vector([np.nan, 1.0], 2)
 
 
 class TestOneSidedStates:

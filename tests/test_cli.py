@@ -1,11 +1,14 @@
 """Command-line interface: dispatch, exit codes, report documents."""
 
+import argparse
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpc import attacks, blackbox, discrim, funcspec
+from tpc import attacks, blackbox, cli, discrim, funcspec
 from tpc.cli import (
     EXIT_INPUT,
     EXIT_NOT_OPTIMAL,
@@ -262,6 +265,30 @@ class TestReportDocument:
             parse_povm_file("dim: 2\n1+0i\n")
         with pytest.raises(funcspec.FunctionFileError):
             parse_povm_file("size: 2\n")
+
+
+class TestUsageText:
+    @pytest.mark.parametrize("source", ["module docstring", "README"])
+    def test_usage_lists_exactly_the_parser_options(self, source):
+        if source == "README":
+            readme = (Path(__file__).parents[1] / "README.md").read_text()
+            text = readme.split("## Command line")[1].split("```")[1]
+        else:
+            text = cli.__doc__.split("Exit codes")[0]
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        accepted = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        # options shown for each subcommand in its ``tpc <command> ...`` block
+        blocks = re.split(r"^\s*tpc ", text, flags=re.M)[1:]
+        documented = {b.split()[0]: set(re.findall(r"--[a-z0-9-]+", b)) for b in blocks}
+        if source == "README":
+            # the README explains --workers in prose under the block
+            documented["sweep3x3"].add("--workers")
+        assert documented == accepted
 
 
 class TestToleranceOverride:
