@@ -12,6 +12,10 @@ Subcommands::
 Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
 3 sweep assertion failure, 4 certification negative.
 
+``--optimize`` acts on the 3x3 attacks only.  The two-state attacks (``@ot``,
+``@counterexample``, 2x2 tables) already use the optimal Helstrom
+measurement, so there it is a silent no-op.
+
 Machine-readable output (``--out``) is a line-delimited text document with a
 ``schema_version: 1`` header; field names match the attack-report fields and
 every number is written with 17 significant digits so the document
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0-sweep", dest="q0_sweep", help="comma-separated prior weights to sweep")
     p.add_argument("--q0", type=float, help="single prior weight on input 0")
     p.add_argument("--role", default="alice", help="which party cheats (alice|bob)")
-    p.add_argument("--optimize", action="store_true", help="also run the fixed-point POVM search")
+    p.add_argument("--optimize", action="store_true", help="also run the fixed-point POVM search (3x3 only; a no-op on two-state attacks)")
     p.add_argument("--out", help="write a machine-readable report document")
     p.set_defaults(func=cmd_analyze)
 

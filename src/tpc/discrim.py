@@ -27,6 +27,38 @@ from .funcspec import FunctionSpec, validate_prior
 from .tolerances import active
 
 
+def _checked_elements(elements) -> np.ndarray:
+    """The checks behind every :class:`Povm`, run on all elements at once:
+    matrices with finite entries, one shared square shape, Hermiticity, PSD
+    (one stacked ``eigvalsh``) and completeness.  Returns a new ``(m, d, d)``
+    complex stack of the elements."""
+    shapes = [np.shape(e) for e in elements]
+    if not shapes:
+        raise ValueError("POVM must have at least one element")
+    for shape in shapes:
+        if len(shape) != 2:
+            raise ValueError(f"expected a matrix, got array of shape {shape}")
+    d = shapes[0][0]
+    if any(shape != (d, d) for shape in shapes):
+        raise ValueError("POVM elements must share one square dimension")
+    stack = np.array(elements, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix contains non-finite entries")
+    tol = active()
+    herm = np.abs(stack - qmat.dagger(stack)).max(axis=(1, 2))
+    if (herm > tol.herm).any():
+        defect = herm[np.argmax(herm > tol.herm)]
+        raise ValueError(f"POVM element is not Hermitian (defect {defect:.3g} > {tol.herm:.3g})")
+    if np.linalg.eigvalsh(stack).min() < -tol.psd:
+        raise ValueError("POVM element is not PSD within tolerance")
+    total = stack.sum(axis=0)
+    total.reshape(-1)[:: d + 1] -= 1.0  # subtract the identity
+    defect = float(np.abs(total).max())
+    if defect > tol.recon:
+        raise ValueError(f"POVM elements sum to identity only within {defect:.3g}")
+    return stack
+
+
 @dataclass(frozen=True)
 class Povm:
     """PSD operators of one dimension summing to the identity; ``labels``
@@ -36,31 +68,23 @@ class Povm:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        tol = active()
-        elements = tuple(qmat.as_operator(e) for e in self.elements)
-        if not elements:
-            raise ValueError("POVM must have at least one element")
-        d = elements[0].shape[0]
-        for e in elements:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one square dimension")
-            qmat.require_hermitian(e, what="POVM element")
-            if not qmat.is_psd(e, tol.psd):
-                raise ValueError("POVM element is not PSD within tolerance")
-        total = sum(elements)
-        defect = float(np.abs(total - np.eye(d)).max())
-        if defect > tol.recon:
-            raise ValueError(f"POVM elements sum to identity only within {defect:.3g}")
+        stack = _checked_elements(self.elements)
         labels = tuple(int(x) for x in self.labels)
-        if len(labels) != len(elements):
+        if len(labels) != len(stack):
             raise ValueError("need exactly one label per POVM element")
-        frozen = []
-        for e in elements:
-            c = e.copy()
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "elements", tuple(frozen))
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _trusted(cls, elements: np.ndarray, labels: tuple[int, ...]) -> "Povm":
+        """Wrap a stack that has passed :func:`_checked_elements`; copy only."""
+        povm = object.__new__(cls)
+        frozen = elements.copy()
+        frozen.setflags(write=False)
+        object.__setattr__(povm, "elements", tuple(frozen))
+        object.__setattr__(povm, "labels", labels)
+        return povm
 
     @property
     def dim(self) -> int:
@@ -79,6 +103,8 @@ class DiscriminationResult:
     povm: Povm
     certified_optimal: bool
     residuals: CertificateResiduals
+    iterations: int = 0                # fixed-point sweeps run
+    stop_reason: str | None = None     # "converged", "stalled" or "max_iters"
 
 
 def _family_states(family) -> tuple[qmat.DensityState, ...]:
@@ -131,10 +157,14 @@ def povm_success(family, prior: Sequence[float], povm: Povm) -> float:
     for lab in povm.labels:
         if not 0 <= lab < len(states):
             raise ValueError(f"POVM label {lab} does not index a family state")
-    total = 0.0
-    for e, lab in zip(povm.elements, povm.labels):
-        total += q[lab] * float(np.trace(e @ states[lab].matrix).real)
-    return total
+    matrices = np.array([states[lab].matrix for lab in povm.labels])
+    return _success(np.array(povm.elements), matrices, np.array([q[lab] for lab in povm.labels]))
+
+
+def _success(elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray) -> float:
+    """``sum_e q_e tr(E_e rho_e)`` over ``(m, d, d)`` stacks, summed in
+    element order."""
+    return float((priors * np.trace(elements @ matrices, axis1=1, axis2=2).real).sum())
 
 
 def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, CertificateResiduals]:
@@ -224,13 +254,15 @@ def optimize_povm(
 
     Each sweep applies ``E_e <- R^-1 (w_e rho_e) E_e (w_e rho_e) R^-1`` with
     ``R = (sum_e w_e rho_e E_e w_e rho_e)^(1/2)`` on its support, seeded by
-    the pretty-good measurement.  The success probability never decreases
+    the pretty-good measurement, on one stacked array; every iterate passes
+    the :class:`Povm` checks.  The success probability never decreases
     (checked each step within 1e-12).  Once a sweep improves by less than
     ``step_tol`` the value has converged, but the operators themselves may
     still be far from the fixed point (the value gap scales like the square
     of the certificate residual); polishing sweeps therefore continue, still
-    bounded by ``max_iters``, until the optimality certificate settles.  The
-    final flag is reported honestly either way.
+    bounded by ``max_iters``, until the certificate at the end of a polish
+    block passes (``"converged"``) or its residual shrinks by less than 10%
+    (``"stalled"``).  The final flag is reported honestly either way.
     """
     states = _family_states(family)
     q = validate_prior(prior, len(states))
@@ -243,42 +275,43 @@ def optimize_povm(
     if seed_povm.dim != states[0].dim:
         raise ValueError("seed POVM and family dimensions differ")
     dim = states[0].dim
-    weighted = [q[lab] * states[lab].matrix for lab in labels]
-    kernel_slot = int(np.argmax([q[lab] for lab in labels]))
-    elements = list(seed_povm.elements)
-    current = povm_success(states, q, seed_povm)
+    matrices = np.array([states[lab].matrix for lab in labels])
+    priors = np.array([q[lab] for lab in labels])
+    weighted = priors[:, None, None] * matrices
+    kernel_slot = int(np.argmax(priors))
+    elements = np.array(seed_povm.elements)
+    current = _success(elements, matrices, priors)
     polish_block = 100
     last_residual = math.inf
-    steps = 0
+    identity = np.eye(dim)
+    steps, stop_reason, final = 0, "max_iters", None
     while steps < max_iters:
-        gram = sum(w @ e @ w for e, w in zip(elements, weighted))
+        gram = (weighted @ elements @ weighted).sum(axis=0)
         root = qmat.inv_sqrt_on_support((gram + qmat.dagger(gram)) / 2)
-        updated = [root @ w @ e @ w @ root for e, w in zip(elements, weighted)]
-        updated = [(e + qmat.dagger(e)) / 2 for e in updated]
-        defect = np.eye(dim, dtype=complex) - sum(updated)
-        updated[kernel_slot] = updated[kernel_slot] + defect
-        candidate = Povm(tuple(updated), labels)
-        value = povm_success(states, q, candidate)
+        updated = root @ weighted @ elements @ weighted @ root
+        updated = (updated + qmat.dagger(updated)) / 2
+        updated[kernel_slot] += identity - updated.sum(axis=0)
+        updated = _checked_elements(updated)
+        value = _success(updated, matrices, priors)
         if value < current - 1e-12:
             raise ArithmeticError(
                 f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
             )
-        elements = list(candidate.elements)
-        improved = value - current
-        current = value
+        elements, improved, current, final = updated, value - current, value, None
         steps += 1
-        if improved >= step_tol:
+        if improved >= step_tol or steps % polish_block:
             continue
-        if steps % polish_block:
-            continue
-        ok, residuals = certify_optimal(states, q, candidate)
+        final = Povm._trusted(elements, labels)
+        ok, residuals = certify_optimal(states, q, final)
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if ok or residual >= 0.9 * last_residual:
+            stop_reason = "converged" if ok else "stalled"
             break
         last_residual = residual
-    final = Povm(tuple(elements), labels)
-    ok, residuals = certify_optimal(states, q, final)
-    return DiscriminationResult(current, final, ok, residuals)
+    if final is None:
+        final = Povm._trusted(elements, labels)
+        ok, residuals = certify_optimal(states, q, final)
+    return DiscriminationResult(current, final, ok, residuals, steps, stop_reason)
 
 
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:

@@ -22,13 +22,14 @@ def as_operator(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.swapaxes(-1, -2).conj()
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -36,14 +37,14 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - dagger(m)).max()) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float | None = None, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {a.shape}")
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     limit = active().herm if tol is None else tol
     defect = hermiticity_defect(a)
     if defect > limit:
-        raise ValueError(f"{what} is not Hermitian (defect {defect:.3g} > {limit:.3g})")
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3g} > {limit:.3g})")
     return a
 
 
@@ -67,13 +68,6 @@ def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     a = require_hermitian(m)
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
-def is_psd(m, tol: float | None = None) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
-    a = require_hermitian(m)
-    limit = active().psd if tol is None else tol
-    return bool(np.linalg.eigvalsh(a).min() >= -limit)
 
 
 def inv_sqrt_on_support(m) -> np.ndarray:

@@ -29,6 +29,14 @@ def write(tmp_path, name, text):
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("name", ["@ot", "@counterexample"])
+    def test_optimize_is_a_no_op_on_two_state_attacks(self, name, capsys):
+        assert main(["analyze", name]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(["analyze", name, "--optimize"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert "fixed-point" not in plain
+
     def test_ot_builtin(self, tmp_path, capsys):
         out = str(tmp_path / "ot.txt")
         assert main(["analyze", "@ot", "--out", out]) == EXIT_OK

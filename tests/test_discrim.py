@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tpc import funcspec, qmat
+from tpc import discrim, funcspec, qmat
 from tpc.attacks import ot_explicit_povm
 from tpc.blackbox import output_family, uniform_superposition
 from tpc.discrim import (
@@ -43,6 +43,54 @@ def random_mixed_pair(rng, dim=4):
         m = g @ g.conj().T
         states.append(qmat.DensityState(m / np.trace(m).real, (dim,)))
     return states
+
+
+def random_mixed_family(rng, dim, count):
+    states = []
+    for _ in range(count):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = g @ g.conj().T
+        states.append(qmat.DensityState(m / np.trace(m).real, (dim,)))
+    w = rng.uniform(0.1, 1.0, size=count)
+    return states, tuple(w / w.sum())
+
+
+def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
+    """Independent oracle: the fixed-point search one element at a time,
+    with no POVM validated per sweep.  Returns the value, the elements, the
+    sweeps run, the stop reason and the final certificate flag."""
+    labels = seed.labels
+    weighted = [prior[lab] * states[lab].matrix for lab in labels]
+    kernel_slot = int(np.argmax([prior[lab] for lab in labels]))
+
+    def success(elements):
+        return sum(
+            prior[lab] * float(np.trace(e @ states[lab].matrix).real)
+            for e, lab in zip(elements, labels)
+        )
+
+    elements = list(seed.elements)
+    current, last_residual, steps, reason = success(elements), math.inf, 0, "max_iters"
+    while steps < max_iters:
+        gram = sum(w @ e @ w for e, w in zip(elements, weighted))
+        root = qmat.inv_sqrt_on_support((gram + gram.conj().T) / 2)
+        updated = [root @ w @ e @ w @ root for e, w in zip(elements, weighted)]
+        updated = [(e + e.conj().T) / 2 for e in updated]
+        defect = np.eye(states[0].dim, dtype=complex) - sum(updated)
+        updated[kernel_slot] = updated[kernel_slot] + defect
+        value = success(updated)
+        elements, improved, current = updated, value - current, value
+        steps += 1
+        if improved >= step_tol or steps % 100:
+            continue
+        ok, residuals = certify_optimal(states, prior, Povm(tuple(elements), labels))
+        residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
+        if ok or residual >= 0.9 * last_residual:
+            reason = "converged" if ok else "stalled"
+            break
+        last_residual = residual
+    ok, _ = certify_optimal(states, prior, Povm(tuple(elements), labels))
+    return current, elements, steps, reason, ok
 
 
 def brute_force_honest(f, prior):
@@ -118,6 +166,11 @@ class TestHelstrom:
             assert result.certified_optimal
             assert result.residuals.pairwise_max < tol.cert
             assert result.residuals.min_eigenvalue > -tol.cert
+
+    def test_reports_no_iterations(self):
+        r0, r1 = random_mixed_pair(np.random.default_rng(SEED))
+        result = helstrom(r0, r1, 0.5)
+        assert (result.iterations, result.stop_reason) == (0, None)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -279,19 +332,73 @@ class TestOptimizePovm:
     def test_never_below_seed(self):
         rng = np.random.default_rng(SEED + 3)
         for _ in range(200):
-            dim = int(rng.integers(2, 5))
-            count = int(rng.integers(2, 4))
-            states = []
-            for _ in range(count):
-                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                m = g @ g.conj().T
-                states.append(qmat.DensityState(m / np.trace(m).real, (dim,)))
-            w = rng.uniform(0.1, 1.0, size=count)
-            prior = tuple(w / w.sum())
+            dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            states, prior = random_mixed_family(rng, dim, count)
             seed = square_root_measurement(states, prior)
             baseline = povm_success(states, prior, seed)
             result = optimize_povm(states, prior, seed_povm=seed, max_iters=200)
             assert result.success_probability >= baseline - 1e-12
+
+    @staticmethod
+    def assert_matches_reference(states, prior):
+        seed = square_root_measurement(states, prior)
+        value, elements, steps, reason, ok = reference_fixed_point(states, prior, seed)
+        result = optimize_povm(states, prior, seed_povm=seed)
+        assert (result.iterations, result.stop_reason) == (steps, reason)
+        assert result.certified_optimal == ok
+        assert abs(result.success_probability - value) <= 1e-12
+        np.testing.assert_allclose(
+            np.array(result.povm.elements), np.array(elements), rtol=0, atol=1e-10
+        )
+
+    def test_matches_reference_on_the_18_classes(self):
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        for f in funcspec.enumerate_valid_3x3():
+            family = output_family(canonicalize_3x3(f).base, uniform_superposition(3))
+            self.assert_matches_reference(family.states, prior)
+
+    def test_matches_reference_on_random_families(self):
+        rng = np.random.default_rng(SEED + 6)
+        for _ in range(50):
+            dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            self.assert_matches_reference(*random_mixed_family(rng, dim, count))
+
+    def test_stop_reason_converged(self):
+        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
+        result = optimize_povm(family, (1 / 3, 1 / 3, 1 / 3))
+        assert (result.iterations, result.stop_reason) == (100, "converged")
+        assert result.certified_optimal
+
+    def test_stop_reason_max_iters(self):
+        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
+        result = optimize_povm(family, (1 / 3, 1 / 3, 1 / 3), max_iters=7)
+        assert (result.iterations, result.stop_reason) == (7, "max_iters")
+
+    def test_stop_reason_stalled(self):
+        # a zero element stays zero under every sweep, so this seed is a
+        # fixed point that is not optimal and its residual never shrinks
+        states = (qmat.pure_state([1.0, 0.0]), qmat.pure_state([0.0, 1.0]))
+        seed = Povm((np.eye(2), np.zeros((2, 2))), (0, 1))
+        result = optimize_povm(states, (0.5, 0.5), seed_povm=seed)
+        assert (result.iterations, result.stop_reason) == (200, "stalled")
+        assert not result.certified_optimal
+        assert result.success_probability == 0.5
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(math.nan, "matrix contains non-finite entries"),
+         (2.0, "POVM element is not PSD within tolerance")],
+    )
+    def test_every_sweep_is_validated(self, monkeypatch, scale, message):
+        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        seed = square_root_measurement(family, prior)
+        true_root = qmat.inv_sqrt_on_support
+        monkeypatch.setattr(
+            discrim.qmat, "inv_sqrt_on_support", lambda m: scale * true_root(m)
+        )
+        with pytest.raises(ValueError, match=message):
+            optimize_povm(family, prior, seed_povm=seed)
 
     def test_improves_on_seed_for_three_state_family(self):
         canon = canonicalize_3x3(builtin("neq3"))
@@ -377,3 +484,25 @@ class TestPovmValidation:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):
             Povm((np.eye(2),), (0, 1))
+
+    def test_accepts_negative_eigenvalue_within_tolerance(self):
+        slack = active().psd / 2
+        Povm((np.diag([1.0 + slack, 1.0]), np.diag([-slack, 0.0])), (0, 1))
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((), "POVM must have at least one element"),
+            ((np.ones(2),), r"expected a matrix, got array of shape \(2,\)"),
+            ((np.eye(2), np.eye(3)), "POVM elements must share one square dimension"),
+            ((np.ones((2, 3)),), "POVM elements must share one square dimension"),
+            ((np.diag([1.0, math.inf]),), "matrix contains non-finite entries"),
+            ((np.array([[1.0, 1e-3], [0.0, 1.0]]),),
+             r"POVM element is not Hermitian \(defect 0.001 > 1e-10\)"),
+            ((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), "POVM element is not PSD within tolerance"),
+            ((np.eye(2) / 2,), "POVM elements sum to identity only within 0.5"),
+        ],
+    )
+    def test_error_messages(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            Povm(elements, tuple(range(len(elements))))

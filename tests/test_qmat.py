@@ -200,18 +200,6 @@ class TestTraceNorm:
             qmat.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestIsPsd:
-    def test_identity_true(self):
-        assert qmat.is_psd(np.eye(2))
-
-    def test_indefinite_false(self):
-        assert not qmat.is_psd(np.diag([1.0, -1.0]))
-
-    def test_within_tolerance_true(self):
-        tol = active()
-        assert qmat.is_psd(np.diag([-tol.psd / 2, 1.0]), tol.psd)
-
-
 class TestDensityState:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
