@@ -25,6 +25,7 @@ round-trips losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -452,28 +453,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", default="alice", help="which party cheats (alice|bob)")
     p.add_argument("--optimize", action="store_true", help="also run the fixed-point POVM search (3x3 only; a no-op on two-state attacks)")
     p.add_argument("--out", help="write a machine-readable report document")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=lambda args: cmd_analyze(args))
 
     p = sub.add_parser("sweep3x3", help="attack every valid 3x3 deterministic function")
     p.add_argument("--workers", type=int, default=None, help="accepted and ignored; the sweep is serial")
     p.add_argument("--out", help="write a machine-readable report document")
-    p.set_defaults(func=cmd_sweep3x3)
+    p.set_defaults(func=lambda args: cmd_sweep3x3(args))
 
     p = sub.add_parser("ot-demo", help="built-in oblivious transfer analysis")
     p.add_argument("--out", help="write a machine-readable report document")
-    p.set_defaults(func=cmd_ot_demo)
+    p.set_defaults(func=lambda args: cmd_ot_demo(args))
 
     p = sub.add_parser("certify", help="check a POVM file against the optimality conditions")
     p.add_argument("function", help="function file path or built-in name")
     p.add_argument("--povm", required=True, help="POVM file path")
     p.add_argument("--prior", help="comma-separated prior weights")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=lambda args: cmd_certify(args))
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses; parsing does not change it, and its
+    commands are looked up by name when they run."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

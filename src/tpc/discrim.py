@@ -105,6 +105,7 @@ class DiscriminationResult:
     residuals: CertificateResiduals
     iterations: int = 0                # fixed-point sweeps run
     stop_reason: str | None = None     # "converged", "stalled" or "max_iters"
+    p_upper: float | None = None       # fixed-point search: dual bound on the optimum
 
 
 def _family_states(family) -> tuple[qmat.DensityState, ...]:
@@ -177,27 +178,17 @@ def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, C
         if not 0 <= lab < len(states):
             raise ValueError(f"POVM label {lab} does not index a family state")
     tol = active()
-    weighted = [q[lab] * states[lab].matrix for lab in povm.labels]
-    pairwise = 0.0
-    for ej, wj in zip(povm.elements, weighted):
-        for el, wl in zip(povm.elements, weighted):
-            residual = ej @ (wj - wl) @ el
-            if residual.size:
-                pairwise = max(pairwise, float(np.abs(residual).max()))
-    lagrange = sum(e @ w for e, w in zip(povm.elements, weighted))
-    min_eig = math.inf
-    anti = 0.0
-    for l in range(len(states)):
-        gap = lagrange - q[l] * states[l].matrix
-        herm = (gap + qmat.dagger(gap)) / 2
-        anti = max(anti, float(np.abs(gap - qmat.dagger(gap)).max()) / 2)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(herm).min()))
+    elements = np.array(povm.elements)
+    weighted = np.array([q[lab] * states[lab].matrix for lab in povm.labels])
+    # every pair (j, l) at once, each product associated as (E_j (w_j - w_l)) E_l
+    differences = weighted[:, None] - weighted[None]
+    pairwise = float(np.abs(elements[:, None] @ differences @ elements[None]).max())
+    lagrange = (elements @ weighted).sum(axis=0)
+    gap = lagrange - q[:, None, None] * np.array([s.matrix for s in states])
+    anti = float(np.abs(gap - qmat.dagger(gap)).max()) / 2
+    min_eig = float(np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min())
     residuals = CertificateResiduals(pairwise, min_eig, anti)
-    ok = (
-        pairwise <= tol.cert
-        and min_eig >= -tol.cert
-        and anti <= tol.cert
-    )
+    ok = pairwise <= tol.cert and min_eig >= -tol.cert and anti <= tol.cert
     return ok, residuals
 
 
@@ -243,6 +234,18 @@ def square_root_measurement(family, prior: Sequence[float]) -> Povm:
     return Povm(tuple(elements), tuple(range(len(states))))
 
 
+def _dual_gap(elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray) -> float:
+    """Width ``d * shift`` of a bracket ``[p, p + d * shift]`` on the optimum:
+    ``Y0 = Herm(sum_e E_e w_e)`` has trace ``p``, and ``Y0 + shift I`` with
+    ``shift = max(0, -min_l lambda_min(Y0 - q_l rho_l))`` over every family
+    state is dual-feasible (Eldar, Megretski & Verghese, IEEE Trans. Inf.
+    Theory 49, 1007), so its trace bounds every POVM's success."""
+    y = (elements @ weighted).sum(axis=0)
+    y = (y + qmat.dagger(y)) / 2
+    shift = -float(np.linalg.eigvalsh(y - family_weighted).min())
+    return y.shape[0] * max(shift, 0.0)
+
+
 def optimize_povm(
     family,
     prior: Sequence[float],
@@ -256,13 +259,17 @@ def optimize_povm(
     ``R = (sum_e w_e rho_e E_e w_e rho_e)^(1/2)`` on its support, seeded by
     the pretty-good measurement, on one stacked array; every iterate passes
     the :class:`Povm` checks.  The success probability never decreases
-    (checked each step within 1e-12).  Once a sweep improves by less than
-    ``step_tol`` the value has converged, but the operators themselves may
-    still be far from the fixed point (the value gap scales like the square
-    of the certificate residual); polishing sweeps therefore continue, still
-    bounded by ``max_iters``, until the certificate at the end of a polish
-    block passes (``"converged"``) or its residual shrinks by less than 10%
-    (``"stalled"``).  The final flag is reported honestly either way.
+    (checked each step within 1e-12).  After every sweep :func:`_dual_gap`
+    brackets the optimum between the value and ``p_upper``; once the
+    bracket is no wider than the certificate tolerance the iterate is
+    certified, and the search stops (``"converged"``) when that passes.  The
+    value gap scales like the square of the certificate residual, so the
+    operators may still be far from the fixed point when the value has
+    converged: once a sweep improves by less than ``step_tol``, the
+    certificate at the end of each 100-sweep polish block stops the search
+    when its residual shrinks by less than 10% (``"stalled"``).
+    ``max_iters`` bounds the search either way, and the final flag is
+    reported honestly.
     """
     states = _family_states(family)
     q = validate_prior(prior, len(states))
@@ -275,6 +282,7 @@ def optimize_povm(
     if seed_povm.dim != states[0].dim:
         raise ValueError("seed POVM and family dimensions differ")
     dim = states[0].dim
+    family_weighted = q[:, None, None] * np.array([s.matrix for s in states])
     matrices = np.array([states[lab].matrix for lab in labels])
     priors = np.array([q[lab] for lab in labels])
     weighted = priors[:, None, None] * matrices
@@ -284,7 +292,7 @@ def optimize_povm(
     polish_block = 100
     last_residual = math.inf
     identity = np.eye(dim)
-    steps, stop_reason, final = 0, "max_iters", None
+    steps, stop_reason, final, gap = 0, "max_iters", None, None
     while steps < max_iters:
         gram = (weighted @ elements @ weighted).sum(axis=0)
         root = qmat.inv_sqrt_on_support((gram + qmat.dagger(gram)) / 2)
@@ -299,19 +307,27 @@ def optimize_povm(
             )
         elements, improved, current, final = updated, value - current, value, None
         steps += 1
-        if improved >= step_tol or steps % polish_block:
+        gap = _dual_gap(elements, weighted, family_weighted)
+        closed = gap <= active().cert
+        polish = improved < step_tol and steps % polish_block == 0
+        if not (closed or polish):
             continue
         final = Povm._trusted(elements, labels)
         ok, residuals = certify_optimal(states, q, final)
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
-        if ok or residual >= 0.9 * last_residual:
-            stop_reason = "converged" if ok else "stalled"
+        if (ok and closed) or (polish and residual >= 0.9 * last_residual):
+            stop_reason = "converged" if ok and closed else "stalled"
             break
-        last_residual = residual
+        if polish:
+            last_residual = residual
     if final is None:
         final = Povm._trusted(elements, labels)
         ok, residuals = certify_optimal(states, q, final)
-    return DiscriminationResult(current, final, ok, residuals, steps, stop_reason)
+    if gap is None:
+        gap = _dual_gap(elements, weighted, family_weighted)
+    return DiscriminationResult(
+        current, final, ok, residuals, steps, stop_reason, p_upper=current + gap
+    )
 
 
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:

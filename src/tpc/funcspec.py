@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +21,12 @@ import numpy as np
 from .tolerances import active
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
+
+# (row permutation, column permutation, reader of the permuted cells), identity first
+_TRANSFORMS = tuple(
+    (rp, cp, operator.itemgetter(*(3 * r + c for r in rp for c in cp)))
+    for rp, cp in itertools.product(_PERMS3, repeat=2)
+)
 
 # Number of inequivalent 3x3 deterministic functions that are potentially
 # concealing and non-degenerate (frozen regression value; derived once by
@@ -280,8 +287,10 @@ def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
     outcomes.  Several combinations reach the reference layout; the
     lexicographically smallest base table (row-major) is chosen so that all
     members of an equivalence class map to the identical canonical form.
-    The search order puts the identity transformations first, so a table
-    already in canonical form is returned unchanged.
+    The layout fixes the labels of cells (0,0) and (2,0), so for each of
+    the 36 input permutations only the outcome bijection that numbers the
+    rest in first-appearance order is tried.  The identity permutations
+    come first, so a table already in canonical form is returned unchanged.
     """
     if f.kind != "deterministic" or (f.alice_arity, f.bob_arity) != (3, 3):
         raise ValueError("canonicalization requires a 3x3 deterministic function")
@@ -291,26 +300,22 @@ def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
             "function must be potentially concealing and non-degenerate; got "
             f"{check}"
         )
-    table = f.det_table
-    used = sorted({x for row in table for x in row})
-    m = len(used)
-    best_table = None
-    best_meta = None
-    for row_perm in _PERMS3:
-        for col_perm in _PERMS3:
-            for assign in itertools.permutations(range(m)):
-                relabel = {lab: assign[t] for t, lab in enumerate(used)}
-                cand = apply_table_transform(table, row_perm, col_perm, relabel)
-                if (cand[0][0], cand[1][0], cand[2][0]) != (0, 0, 1):
-                    continue
-                a, b = cand[0][1], cand[1][1]
-                if cand[2][1] != b or a == b:
-                    continue
-                if not (a == 0 or b == 0 or b == 1):
-                    continue
-                if best_table is None or cand < best_table:
-                    best_table = cand
-                    best_meta = (a, b, row_perm, col_perm, relabel)
+    flat = sum(f.det_table, ())
+    best_table = best_meta = None
+    for row_perm, col_perm, read in _TRANSFORMS:
+        t = read(flat)
+        # columns (x, x, y) and (a, b, b), a != b, a == 0 or b == 0 or b == 1
+        if t[3] != t[0] or t[6] == t[0] or t[7] != t[4] or t[1] == t[4]:
+            continue
+        if not (t[1] == t[0] or t[4] == t[0] or t[4] == t[6]):
+            continue
+        relabel = {t[0]: 0, t[6]: 1}
+        for x in t:
+            relabel.setdefault(x, len(relabel))
+        cand = tuple(tuple(relabel[x] for x in t[k : k + 3]) for k in (0, 3, 6))
+        if best_table is None or cand < best_table:
+            best_table = cand
+            best_meta = (cand[0][1], cand[1][1], row_perm, col_perm, relabel)
     if best_table is None:
         raise ValueError("function admits no canonical form; conditions violated")
     a, b, row_perm, col_perm, relabel = best_meta
@@ -363,20 +368,12 @@ def _normalized_flat_tables():
 
     A valid table has at most 4 distinct outcomes: each row repeats an
     element (so carries at most 2 distinct values) and a fifth value would
-    force some column to hold three distinct entries.
+    force some column to hold three distinct entries.  Built one cell per
+    pass, as a recursive closure would leave a reference cycle per call.
     """
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], hi: int):
-        if len(prefix) == 9:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(hi + 2, 4)):
-            prefix.append(v)
-            extend(prefix, max(hi, v))
-            prefix.pop()
-
-    extend([], -1)
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(9):
+        out = [t + (v,) for t in out for v in range(min(max(t, default=-1) + 2, 4))]
     return out
 
 

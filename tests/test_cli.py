@@ -299,6 +299,45 @@ class TestUsageText:
         assert documented == accepted
 
 
+class TestParserReuse:
+    def test_mixed_sequence_matches_fresh_parsers(self, tmp_path, capsys):
+        out = tmp_path / "ot.txt"
+        sequence = (
+            ["analyze", "@neq3", "--optimize"],
+            ["analyze", "@neq3"],
+            ["sweep3x3"],
+            ["ot-demo", "--out", str(out)],
+            ["analyze", "@neq3", "--no-such-option"],
+            ["analyze", "@neq3", "--optimize"],
+        )
+
+        def fresh_main(argv):
+            args = cli.build_parser().parse_args(argv)
+            return args.func(args)
+
+        def run(entry, argv):
+            try:
+                rc = entry(argv)
+            except SystemExit as exc:  # argparse rejects its arguments this way
+                rc = exc.code
+            captured = capsys.readouterr()
+            document = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return rc, captured.out, captured.err, document
+
+        reused = [run(main, argv) for argv in sequence]
+        assert cli._parser() is cli._parser()
+        assert [rc for rc, *_ in reused] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, 2, EXIT_OK]
+        assert reused == [run(fresh_main, argv) for argv in sequence]
+
+    def test_commands_are_looked_up_when_they_run(self, monkeypatch, capsys):
+        # tracing and tests rebind module functions after the parser is built
+        assert main(["ot-demo"]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_ot_demo", lambda args: 7)
+        assert main(["ot-demo"]) == 7
+
+
 class TestToleranceOverride:
     def test_override_parsing(self):
         from tpc.tolerances import parse_overrides

@@ -55,13 +55,28 @@ def random_mixed_family(rng, dim, count):
     return states, tuple(w / w.sum())
 
 
+def reference_dual_gap(states, prior, labels, elements):
+    """Independent oracle for the bracket width: ``d * shift`` for the
+    dual-feasible ``Herm(sum_e E_e q_e rho_e) + shift I``, one state at a time."""
+    y = sum(e @ (prior[lab] * states[lab].matrix) for e, lab in zip(elements, labels))
+    y = (y + y.conj().T) / 2
+    lowest = min(
+        float(np.linalg.eigvalsh(y - prior[l] * state.matrix).min())
+        for l, state in enumerate(states)
+    )
+    return states[0].dim * max(-lowest, 0.0)
+
+
 def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
     """Independent oracle: the fixed-point search one element at a time,
-    with no POVM validated per sweep.  Returns the value, the elements, the
-    sweeps run, the stop reason and the final certificate flag."""
+    with no POVM validated per sweep, stopping at the first certified
+    iterate whose bracket is no wider than the certificate tolerance or at
+    a polish block.  Returns the value, the elements, the sweeps run, the
+    stop reason, the final certificate flag and the bracket's upper end."""
     labels = seed.labels
     weighted = [prior[lab] * states[lab].matrix for lab in labels]
     kernel_slot = int(np.argmax([prior[lab] for lab in labels]))
+    cert_tol = active().cert
 
     def success(elements):
         return sum(
@@ -81,16 +96,41 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
         value = success(updated)
         elements, improved, current = updated, value - current, value
         steps += 1
-        if improved >= step_tol or steps % 100:
+        closed = reference_dual_gap(states, prior, labels, elements) <= cert_tol
+        polish = improved < step_tol and steps % 100 == 0
+        if not (closed or polish):
             continue
         ok, residuals = certify_optimal(states, prior, Povm(tuple(elements), labels))
-        residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
-        if ok or residual >= 0.9 * last_residual:
-            reason = "converged" if ok else "stalled"
+        if ok and closed:
+            reason = "converged"
             break
-        last_residual = residual
+        if polish:
+            residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
+            if residual >= 0.9 * last_residual:
+                reason = "stalled"
+                break
+            last_residual = residual
     ok, _ = certify_optimal(states, prior, Povm(tuple(elements), labels))
-    return current, elements, steps, reason, ok
+    upper = current + reference_dual_gap(states, prior, labels, elements)
+    return current, elements, steps, reason, ok, upper
+
+
+def reference_certificate(states, prior, povm):
+    """Independent oracle: the optimality residuals one pair and one state
+    at a time."""
+    weighted = [prior[lab] * states[lab].matrix for lab in povm.labels]
+    pairwise = max(
+        float(np.abs(ej @ (wj - wl) @ el).max())
+        for ej, wj in zip(povm.elements, weighted)
+        for el, wl in zip(povm.elements, weighted)
+    )
+    lagrange = sum(e @ w for e, w in zip(povm.elements, weighted))
+    min_eig, anti = math.inf, 0.0
+    for q, state in zip(prior, states):
+        gap = lagrange - q * state.matrix
+        anti = max(anti, float(np.abs(gap - gap.conj().T).max()) / 2)
+        min_eig = min(min_eig, float(np.linalg.eigvalsh((gap + gap.conj().T) / 2).min()))
+    return pairwise, min_eig, anti
 
 
 def brute_force_honest(f, prior):
@@ -170,7 +210,7 @@ class TestHelstrom:
     def test_reports_no_iterations(self):
         r0, r1 = random_mixed_pair(np.random.default_rng(SEED))
         result = helstrom(r0, r1, 0.5)
-        assert (result.iterations, result.stop_reason) == (0, None)
+        assert (result.iterations, result.stop_reason, result.p_upper) == (0, None, None)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -297,11 +337,47 @@ class TestCertifyOptimal:
                     )
                     assert violation > tol.cert
 
+    def test_matches_reference_residuals_exactly(self):
+        # same products in the same association, so the residuals agree bitwise
+        cases = []
+        for f in funcspec.enumerate_valid_3x3():
+            canon = canonicalize_3x3(f)
+            family = output_family(canon.base, uniform_superposition(3))
+            prior = (1 / 3, 1 / 3, 1 / 3)
+            cases.append((family.states, prior, square_root_measurement(family, prior)))
+            honest = honest_family_povm(canon.a, canon.b, canon.base.outcome_count, [0.5] * 5)
+            cases.append((family.states, prior, honest))
+        rng = np.random.default_rng(SEED + 8)
+        for _ in range(50):
+            dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            states, prior = random_mixed_family(rng, dim, count)
+            cases.append((states, prior, square_root_measurement(states, prior)))
+            if count == 2:
+                cases.append((states, prior, helstrom(*states, prior[0]).povm))
+        for states, prior, povm in cases:
+            _, residuals = certify_optimal(states, prior, povm)
+            assert tuple(residuals) == reference_certificate(states, np.array(prior), povm)
+
     def test_ot_explicit_povm_certifies(self):
         family = output_family(builtin("ot"), 0, role="bob")
         ok, residuals = certify_optimal(family, (0.5, 0.5), ot_explicit_povm())
         assert ok
         assert residuals.pairwise_max < 1e-12
+
+
+@pytest.fixture(scope="module")
+def searched_families():
+    """The 18 classes at the uniform prior and 50 seeded random families,
+    each with the result of a full fixed-point search."""
+    cases = []
+    for f in funcspec.enumerate_valid_3x3():
+        family = output_family(canonicalize_3x3(f).base, uniform_superposition(3))
+        cases.append((family.states, (1 / 3, 1 / 3, 1 / 3)))
+    rng = np.random.default_rng(SEED + 6)
+    for _ in range(50):
+        dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        cases.append(random_mixed_family(rng, dim, count))
+    return [(states, prior, optimize_povm(states, prior)) for states, prior in cases]
 
 
 class TestOptimizePovm:
@@ -342,11 +418,12 @@ class TestOptimizePovm:
     @staticmethod
     def assert_matches_reference(states, prior):
         seed = square_root_measurement(states, prior)
-        value, elements, steps, reason, ok = reference_fixed_point(states, prior, seed)
+        value, elements, steps, reason, ok, upper = reference_fixed_point(states, prior, seed)
         result = optimize_povm(states, prior, seed_povm=seed)
         assert (result.iterations, result.stop_reason) == (steps, reason)
         assert result.certified_optimal == ok
         assert abs(result.success_probability - value) <= 1e-12
+        assert abs(result.p_upper - upper) <= 1e-12
         np.testing.assert_allclose(
             np.array(result.povm.elements), np.array(elements), rtol=0, atol=1e-10
         )
@@ -363,16 +440,27 @@ class TestOptimizePovm:
             dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             self.assert_matches_reference(*random_mixed_family(rng, dim, count))
 
+    # canonical class 002/020/122: its pretty-good seed is not optimal, and
+    # the reference search certifies it after 16 sweeps
+    SLOW_CLASS = ((0, 0, 2), (0, 2, 0), (1, 2, 2))
+    SLOW_CLASS_SWEEPS = 16
+
+    def slow_class_family(self):
+        return output_family(funcspec.deterministic(self.SLOW_CLASS), uniform_superposition(3))
+
     def test_stop_reason_converged(self):
-        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
-        result = optimize_povm(family, (1 / 3, 1 / 3, 1 / 3))
-        assert (result.iterations, result.stop_reason) == (100, "converged")
+        family, prior = self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3)
+        seed = square_root_measurement(family, prior)
+        _, _, steps, reason, _, _ = reference_fixed_point(family.states, prior, seed)
+        assert (steps, reason) == (self.SLOW_CLASS_SWEEPS, "converged")
+        result = optimize_povm(family, prior)
+        assert (result.iterations, result.stop_reason) == (self.SLOW_CLASS_SWEEPS, "converged")
         assert result.certified_optimal
 
     def test_stop_reason_max_iters(self):
-        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
-        result = optimize_povm(family, (1 / 3, 1 / 3, 1 / 3), max_iters=7)
+        result = optimize_povm(self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3), max_iters=7)
         assert (result.iterations, result.stop_reason) == (7, "max_iters")
+        assert result.p_upper - result.success_probability > active().cert
 
     def test_stop_reason_stalled(self):
         # a zero element stays zero under every sweep, so this seed is a
@@ -383,6 +471,40 @@ class TestOptimizePovm:
         assert (result.iterations, result.stop_reason) == (200, "stalled")
         assert not result.certified_optimal
         assert result.success_probability == 0.5
+
+    def test_upper_bound_holds_from_the_first_sweep(self, searched_families):
+        # weak duality: every bracket's upper end is at least the optimum
+        for states, prior, optimum in searched_families:
+            assert optimum.certified_optimal
+            for max_iters in range(1, 6):
+                result = optimize_povm(states, prior, max_iters=max_iters)
+                assert result.p_upper >= optimum.success_probability - 1e-12
+
+    def test_converged_brackets_are_closed(self, searched_families):
+        tol = active()
+        for _, _, result in searched_families:
+            assert result.stop_reason == "converged"
+            assert result.p_upper - result.success_probability <= tol.cert
+
+    def test_upper_bound_covers_states_the_seed_never_guesses(self):
+        # three orthogonal states are perfectly distinguishable, but this seed
+        # never guesses state 2; only that state's constraint lifts the bound
+        states = tuple(qmat.pure_state(np.eye(3)[k]) for k in range(3))
+        seed = Povm((np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])), (0, 1))
+        for max_iters in (0, 1, 3):
+            result = optimize_povm(states, (1 / 3, 1 / 3, 1 / 3), seed, max_iters=max_iters)
+            assert result.success_probability == pytest.approx(2 / 3)
+            assert result.p_upper >= 1.0 - 1e-12
+
+    def test_upper_bound_is_at_least_helstrom(self):
+        rng = np.random.default_rng(SEED + 7)
+        for _ in range(50):
+            r0, r1 = random_mixed_pair(rng, dim=int(rng.integers(2, 5)))
+            q0 = float(rng.uniform(0.1, 0.9))
+            target = helstrom(r0, r1, q0).success_probability
+            for max_iters in (0, 1, 3, 10000):
+                result = optimize_povm((r0, r1), (q0, 1 - q0), max_iters=max_iters)
+                assert result.p_upper >= target - 1e-12
 
     @pytest.mark.parametrize(
         "scale, message",

@@ -1,8 +1,10 @@
 """Function tables: conditions, canonical forms, enumeration, parsing."""
 
+import gc
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tpc import funcspec
@@ -30,6 +32,57 @@ SEED_TABLES = [
 
 def neq3():
     return deterministic(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+
+
+PERMS3 = tuple(itertools.permutations(range(3)))
+
+
+def brute_force_canonical_form(f):
+    """Independent oracle: apply every row, column and outcome relabeling,
+    in the order row permutation, column permutation, outcome bijection,
+    and keep the smallest row-major table in the reference layout, the
+    first one on a tie."""
+    table = np.array(f.det_table)
+    used = sorted({int(x) for x in table.flat})
+    assigns = np.array(list(itertools.permutations(range(len(used)))))
+    lookup = np.zeros((len(assigns), table.max() + 1), dtype=int)
+    lookup[:, used] = assigns
+    perms = np.array(PERMS3)
+    permuted = table[perms[:, None, :, None], perms[None, :, None, :]]
+    # cands[rp, cp, k] is the table relabeled by row permutation rp, column
+    # permutation cp and outcome bijection k
+    cands = lookup[np.arange(len(assigns))[:, None, None, None, None], permuted[None]]
+    cands = cands.transpose(1, 2, 0, 3, 4).reshape(-1, 9)
+    c = cands.T
+    a, b = c[1], c[4]
+    layout = (c[0] == 0) & (c[3] == 0) & (c[6] == 1) & (c[7] == b) & (a != b)
+    layout &= (a == 0) | (b == 0) | (b == 1)
+    if not layout.any():
+        raise ValueError("no relabeling reaches the reference layout")
+    codes = cands @ (4 ** np.arange(8, -1, -1))
+    best = int(np.flatnonzero(layout & (codes == codes[layout].min()))[0])
+    rp, rest = divmod(best, 6 * len(assigns))
+    cp, k = divmod(rest, len(assigns))
+    flat = [int(x) for x in cands[best]]
+    return funcspec.CanonicalForm3x3(
+        base=deterministic((flat[0:3], flat[3:6], flat[6:9]), sided=f.sided),
+        a=flat[1],
+        b=flat[4],
+        row_perm=PERMS3[rp],
+        col_perm=PERMS3[cp],
+        outcome_relabel=tuple((old, int(new)) for old, new in zip(used, assigns[k])),
+    )
+
+
+def all_class_relabelings():
+    """Every row, column and outcome relabeling of the 18 classes."""
+    for f in enumerate_valid_3x3():
+        labels = range(f.outcome_count)
+        for rp in PERMS3:
+            for cp in PERMS3:
+                for assign in itertools.permutations(labels):
+                    relabel = dict(zip(labels, assign))
+                    yield deterministic(apply_table_transform(f.det_table, rp, cp, relabel))
 
 
 class TestConditions:
@@ -119,6 +172,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize_3x3(degenerate)
 
+    def test_matches_brute_force_on_every_relabeling(self):
+        members = list(all_class_relabelings())
+        assert len(members) == 4320
+        for member in members:
+            assert canonicalize_3x3(member) == brute_force_canonical_form(member)
+
 
 def naive_class_count():
     """Independent equivalence-class counter: collect every valid table in
@@ -170,6 +229,15 @@ class TestEnumeration:
     def test_pairwise_inequivalent(self):
         canons = [canonicalize_3x3(f).base.det_table for f in enumerate_valid_3x3()]
         assert len(set(canons)) == len(canons)
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_valid_3x3()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_labels_in_first_appearance_order(self):
         for f in enumerate_valid_3x3():
