@@ -29,7 +29,7 @@ from .funcspec import (
     parse_function_file,
     validate_conditions,
 )
-from .qmat import DensityState, partial_trace, tensor
+from .qmat import DensityState, partial_trace
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "povm_success",
     "square_root_measurement",
     "sweep_all_3x3",
-    "tensor",
     "validate_conditions",
     "verify_counterexample",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -332,77 +333,82 @@ def attack_oblivious_transfer() -> AttackReport:
     return replace(report, certified=report.certified and explicit_ok, notes=notes)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fn(d)
-    mid = (a + b) / 2.0
-    return mid, fn(mid)
+def _endpoint_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
+    """Exact upper bound on the slope of ``tr|q0 rho0 - q1 rho1|`` at the
+    input ``|0>`` as weight moves to ``|1>``, for a two-sided table with two
+    inputs per party.
+
+    The trace norm depends on the input only through ``u_i = |a_i|^2``;
+    outcome block k contributes ``sqrt(S_k^2 - 4 q0 q1 I_k^2)``, with
+    ``S_k = sum_i u_i (q0 p(k|i,0) + q1 p(k|i,1))`` and
+    ``I_k = sum_i u_i sqrt(p(k|i,0) p(k|i,1))``.  At ``u = (1, 0)`` the block
+    equals ``|A_k|``, ``A_k = q0 p(k|0,0) - q1 p(k|0,1)``, and its slope along
+    ``u = (1 - t, t)`` is ``sign(A_k) A_k' + 2 q0 q1 R_k / |A_k|``, with
+    ``R_k = p(k|1,0) p(k|0,1) + p(k|0,0) p(k|1,1) - 2 sqrt(p(k|0,0) p(k|0,1)
+    p(k|1,0) p(k|1,1))``.  The one surd per block is bounded from below to
+    within ``2**-64``, so the sum is an upper bound.  Raises
+    :class:`ArithmeticError` where some ``A_k`` is 0 and the slope has no
+    closed form.
+    """
+    q1 = 1 - q0
+    total = Fraction(0)
+    for k in range(f.outcome_count):
+        p00, p01, p10, p11 = (f.prob(k, i, j) for i in (0, 1) for j in (0, 1))
+        a = q0 * p00 - q1 * p01
+        if a == 0:
+            raise ArithmeticError(f"outcome {k} carries no weight difference at input |0>")
+        slope_a = q0 * (p10 - p00) - q1 * (p11 - p01)
+        g = p00 * p01 * p10 * p11
+        root = Fraction(math.isqrt((g.numerator * g.denominator) << 128), g.denominator << 64)
+        r = p10 * p01 + p00 * p11 - 2 * root
+        total += (slope_a if a > 0 else -slope_a) + 2 * q0 * q1 * r / abs(a)
+    return total
 
 
-def verify_counterexample(grid_points: int = 2001) -> AttackReport:
-    """Confirm that no real-amplitude superposition beats honest play on the
-    built-in counterexample table at the balanced prior.
+def verify_counterexample() -> AttackReport:
+    """Confirm that no superposition, real or complex, beats honest play on
+    the built-in counterexample table at the balanced prior.
 
-    The input ``(cos t, sin t)`` is swept over a grid on [0, pi], whose
-    states are built, validated and scored as one stack, and the best point
-    is refined by golden-section search, scored the same way; no measurement
-    is built for either.  Only the best point is measured and certified,
-    through :func:`blackbox.output_family`, and its advantage must not
-    exceed the minimum-gain threshold.  Complex input phases are outside the
-    box's amplitude convention and are not explored.
+    For two states the Helstrom value depends on the input only through
+    ``u_i = |a_i|^2`` and is concave in ``u`` (each outcome block's trace
+    norm is the geometric mean of two nonnegative affine functions of
+    ``u``).  So a negative slope at the honest input ``|0>`` toward ``|1>``,
+    bounded exactly by :func:`_endpoint_slope_bound`, makes ``|0>`` the
+    maximum over every input; otherwise this raises
+    :class:`ArithmeticError`.  The input ``|0>`` is then measured and
+    certified through :func:`blackbox.output_family`, and its advantage must
+    not exceed the minimum-gain threshold.
     """
     f = funcspec.builtin("counterexample")
     prior = (0.5, 0.5)
-    p_honest = discrim.honest_probability(f, prior)
-
-    def scores(thetas) -> np.ndarray:
-        amps = np.array([(math.cos(t), math.sin(t)) for t in thetas])
-        return _score(blackbox.alice_reduced_states(f, amps), [prior] * len(amps))
-
-    thetas = np.linspace(0.0, math.pi, grid_points)
-    values = scores(thetas)
-    idx = int(values.argmax())
-    best_theta = thetas[idx]
-    lo = thetas[max(idx - 1, 0)]
-    hi = thetas[min(idx + 1, grid_points - 1)]
-    refined_theta, refined_value = _golden_max(lambda t: float(scores([t])[0]), lo, hi)
-    if refined_value > values[idx]:
-        best_theta = refined_theta
+    bound = _endpoint_slope_bound(f, Fraction(1, 2))
+    if not bound < 0:
+        raise ArithmeticError(
+            f"trace-norm slope bound {float(bound):.17g} at input |0> is not negative"
+        )
     notes = (
-        f"max over {grid_points}-point grid plus golden-section refinement;"
-        f" best theta={best_theta:.17g}; real amplitudes only"
+        "exact certificate: value concave in (|a0|^2, |a1|^2), trace-norm slope"
+        f" from |0> toward |1> <= {float(bound):.17g}; no superposition, real or complex, helps"
     )
-    amps = (math.cos(best_theta), math.sin(best_theta))
     best = _Candidate(
-        blackbox.output_family(f, amps), prior, p_honest, tuple(complex(x) for x in amps)
+        blackbox.output_family(f, (1.0, 0.0)),
+        prior,
+        discrim.honest_probability(f, prior),
+        (1 + 0j, 0j),
     )
     report = _measure("counterexample", "counterexample", best, [notes])
     if report.advantage > active().adv_min:
         raise ArithmeticError(
-            f"counterexample admits advantage {report.advantage:.3g} at theta={best_theta:.12g}"
+            f"counterexample admits advantage {report.advantage:.3g} at input |0>"
         )
     return report
 
 
-def sweep_all_3x3(workers: int | None = None) -> list[AttackReport]:
+def sweep_all_3x3() -> list[AttackReport]:
     """Run the deterministic attack over every valid 3x3 equivalence class.
 
-    Results are sorted by canonical identifier.  ``workers`` is accepted and
-    ignored: the sweep runs serially, which measured faster than a thread
-    pool on these small numpy calls.  A non-positive advantage anywhere
-    raises :class:`SweepFailure` with the offending tables.
+    Results are sorted by canonical identifier.  A non-positive advantage
+    anywhere raises :class:`SweepFailure` with the offending tables.
     """
     reports = [attack_deterministic_3x3(f) for f in funcspec.enumerate_valid_3x3()]
     reports.sort(key=lambda r: r.function_id)

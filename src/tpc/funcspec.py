@@ -249,37 +249,6 @@ class CanonicalForm3x3:
     outcome_relabel: tuple[tuple[int, int], ...]
 
 
-def apply_table_transform(
-    table: Sequence[Sequence[int]],
-    row_perm: Sequence[int],
-    col_perm: Sequence[int],
-    relabel: dict[int, int],
-) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(relabel[table[row_perm[j]][col_perm[i]]] for i in range(3))
-        for j in range(3)
-    )
-
-
-def invert_table_transform(
-    base: Sequence[Sequence[int]],
-    row_perm: Sequence[int],
-    col_perm: Sequence[int],
-    relabel: dict[int, int],
-) -> tuple[tuple[int, ...], ...]:
-    """Undo :func:`apply_table_transform`."""
-    inv = {new: old for old, new in relabel.items()}
-    row_inv = [0] * 3
-    col_inv = [0] * 3
-    for j, rj in enumerate(row_perm):
-        row_inv[rj] = j
-    for i, ci in enumerate(col_perm):
-        col_inv[ci] = i
-    return tuple(
-        tuple(inv[base[row_inv[j]][col_inv[i]]] for i in range(3)) for j in range(3)
-    )
-
-
 def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
     """Reduce a valid 3x3 deterministic function to the reference layout.
 

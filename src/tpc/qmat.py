@@ -48,28 +48,6 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     return a
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_operator(a), as_operator(b))
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, descending) and matching eigenvector columns.
-
-    Eigenvector phases are solver-dependent; downstream uses are
-    phase-insensitive (projectors, operator functions).
-    """
-    a = require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    a = require_hermitian(m)
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
 def inv_sqrt_on_support(m) -> np.ndarray:
     """Pseudo-inverse square root: eigenvalues above the support cutoff map
     to ``1/sqrt(lam)``, the rest to 0."""
@@ -119,26 +97,9 @@ class DensityState:
         object.__setattr__(self, "matrix", frozen)
         object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityState":
-        """Wrap a matrix its builder has already validated with the checks
-        above; only a frozen copy is made."""
-        state = object.__new__(cls)
-        frozen = matrix.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(state, "matrix", frozen)
-        object.__setattr__(state, "dims", dims)
-        return state
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def basis_ket(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def pure_state(amplitudes: Sequence[complex], dims: Sequence[int] | None = None) -> DensityState:

@@ -182,7 +182,7 @@ def test_criterion_5_counterexample_grid(capsys):
     checks = [rep.advantage <= 1e-9, rep.certified]
     with capsys.disabled():
         report(
-            "5 (counterexample superposition grid)",
+            "5 (counterexample: no superposition helps, exact certificate)",
             all(checks),
             f"max_advantage={rep.advantage:.3g} certified={rep.certified}",
         )

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,51 @@ from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
 SEED = 8091
+
+
+def random_two_input_table(rng, n, kdim):
+    """A random two-sided table with ``n`` Alice inputs, two Bob inputs and
+    ``kdim`` outcomes, every entry a positive rational."""
+    raw = rng.integers(1, 9, size=(kdim, 2, n))
+    totals = raw.sum(axis=0)
+    blocks = tuple(
+        tuple(
+            tuple(Fraction(int(raw[k, j, i]), int(totals[j, i])) for i in range(n))
+            for j in range(2)
+        )
+        for k in range(kdim)
+    )
+    return funcspec.FunctionSpec(
+        kind="probabilistic",
+        sided="two",
+        alice_arity=n,
+        bob_arity=2,
+        outcome_count=kdim,
+        prob_table=blocks,
+    )
+
+
+def closed_form_value(f, q0, u):
+    """Helstrom value ``(1 + sum_k sqrt(S_k^2 - 4 q0 q1 I_k^2)) / 2`` of the
+    two states after an input with weights ``u_i = |a_i|^2`` (last axis)."""
+    q1 = 1.0 - q0
+    p = np.array(
+        [
+            [[float(f.prob(k, i, j)) for j in range(2)] for i in range(f.alice_arity)]
+            for k in range(f.outcome_count)
+        ]
+    )
+    s = u @ (q0 * p[..., 0] + q1 * p[..., 1]).T
+    g = u @ np.sqrt(p[..., 0] * p[..., 1]).T
+    return 0.5 * (1.0 + np.sqrt(s**2 - 4.0 * q0 * q1 * g**2).sum(axis=-1))
+
+
+def spectral_values(f, q0, amplitude_rows):
+    """``attacks._score`` of the built states, one value per input row."""
+    states = np.array(
+        [[s.matrix for s in blackbox.output_family(f, a).states] for a in amplitude_rows]
+    )
+    return attacks._score(states, [(q0, 1.0 - q0)] * len(states))
 
 
 class TestDeterministic3x3:
@@ -188,7 +234,11 @@ class TestCounterexample:
         assert report.advantage == 1.1102230246251565e-16
         assert report.input_used == ((1 + 0j), 0j)
         assert tuple(report.residuals) == (0.0, 0.0, 0.0)
-        assert "best theta=0;" in report.notes
+        assert report.notes == (
+            "exact certificate: value concave in (|a0|^2, |a1|^2), trace-norm slope"
+            " from |0> toward |1> <= -0.24386111323611315;"
+            " no superposition, real or complex, helps"
+        )
 
     def test_input_phases_act_as_one_shared_unitary(self):
         # phases on the input amplitudes rotate every state of the family by
@@ -199,15 +249,92 @@ class TestCounterexample:
         phis = rng.uniform(0.0, 2.0 * math.pi, size=(200, 2))
         real = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         phased = real * np.exp(1j * phis)
-        rho = blackbox.alice_reduced_states(f, real)
-        sigma = blackbox.alice_reduced_states(f, phased)
-        for r, phi in enumerate(phis):
+        for a, b, phi in zip(real, phased, phis):
             u = np.kron(np.diag(np.exp(1j * phi)), np.eye(f.outcome_count))
             for j in range(f.bob_arity):
-                assert np.abs(sigma[r, j] - u @ rho[r, j] @ u.conj().T).max() <= 1e-12
-        prior = [(0.5, 0.5)] * len(thetas)
-        gap = np.abs(attacks._score(sigma, prior) - attacks._score(rho, prior))
+                rho = blackbox.alice_reduced_state(f, a, j).matrix
+                sigma = blackbox.alice_reduced_state(f, b, j).matrix
+                assert np.abs(sigma - u @ rho @ u.conj().T).max() <= 1e-12
+        gap = np.abs(spectral_values(f, 0.5, phased) - spectral_values(f, 0.5, real))
         assert gap.max() <= 1e-12
+
+
+class TestCounterexampleCertificate:
+    """The closed form behind :func:`attacks._endpoint_slope_bound`, checked
+    against the spectral score, and the certificate's refusal path."""
+
+    def test_closed_form_matches_spectral_score_on_grid(self):
+        f = builtin("counterexample")
+        thetas = np.linspace(0.0, math.pi, 2001)
+        amps = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        gap = np.abs(closed_form_value(f, 0.5, amps**2) - spectral_values(f, 0.5, amps))
+        assert gap.max() <= 1e-14
+
+    def test_closed_form_matches_spectral_score_on_random_tables(self):
+        rng = np.random.default_rng(SEED + 4)
+        for _ in range(300):
+            n = int(rng.integers(2, 4))
+            f = random_two_input_table(rng, n, int(rng.integers(2, 4)))
+            q0 = float(rng.uniform(0.0, 1.0))
+            a = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            gap = np.abs(closed_form_value(f, q0, np.abs(a) ** 2) - spectral_values(f, q0, a))
+            assert gap.max() <= 1e-14
+
+    def test_value_is_concave_along_simplex_segments(self):
+        rng = np.random.default_rng(SEED + 5)
+        t = np.linspace(0.0, 1.0, 21)[:, None]
+        for _ in range(300):
+            n = int(rng.integers(2, 4))
+            f = random_two_input_table(rng, n, int(rng.integers(2, 4)))
+            q0 = float(rng.uniform(0.05, 0.95))
+            ua, ub = rng.dirichlet(np.ones(n), size=2)
+            v = closed_form_value(f, q0, (1.0 - t) * ua + t * ub)
+            assert (v[:-2] - 2.0 * v[1:-1] + v[2:]).max() <= 0.0
+
+    def test_slope_bound_matches_finite_difference(self):
+        # second-order forward difference of the spectral score along
+        # u = (1 - t, t); tables with some |A_k| < 0.01 are skipped, because
+        # the curvature grows as |A_k| shrinks and spoils the quotient
+        rng = np.random.default_rng(SEED + 6)
+        h = 1e-6
+        steps = np.array([0.0, h, 2.0 * h])
+        amps = np.stack([np.sqrt(1.0 - steps), np.sqrt(steps)], axis=1)
+        checked = 0
+        for _ in range(200):
+            f = random_two_input_table(rng, 2, int(rng.integers(2, 4)))
+            q0 = Fraction(int(rng.integers(1, 20)), 20)
+            a_k = [
+                q0 * f.prob(k, 0, 0) - (1 - q0) * f.prob(k, 0, 1)
+                for k in range(f.outcome_count)
+            ]
+            if min(abs(x) for x in a_k) < Fraction(1, 100):
+                continue
+            bound = attacks._endpoint_slope_bound(f, q0)
+            v = spectral_values(f, float(q0), amps)
+            slope = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+            # the bound is on the trace norm, twice the value's slope
+            assert abs(float(bound) - 2.0 * slope) <= 1e-6
+            checked += 1
+        assert checked >= 100
+
+    def test_zero_weight_difference_has_no_closed_form(self):
+        f = two_sided_binary([["1/2", "1/3"], ["1/2", "2/3"]])
+        with pytest.raises(ArithmeticError, match="no weight difference"):
+            attacks._endpoint_slope_bound(f, Fraction(1, 2))
+
+    def test_certificate_refuses_table_with_an_attack(self, monkeypatch):
+        # seeded table (rng seed 19) on which a superposition beats honest
+        # play at q0 = 1/2
+        f = random_two_input_table(np.random.default_rng(19), 2, 2)
+        thetas = np.linspace(0.0, math.pi / 2.0, 401)
+        amps = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        gain = spectral_values(f, 0.5, amps).max() - discrim.honest_probability(f, (0.5, 0.5))
+        assert gain > 1e-3
+        assert attacks._endpoint_slope_bound(f, Fraction(1, 2)) > 0
+        monkeypatch.setattr(attacks.funcspec, "builtin", lambda name: f)
+        with pytest.raises(ArithmeticError, match="is not negative"):
+            verify_counterexample()
 
 
 class TestSweep:
@@ -222,9 +349,6 @@ class TestSweep:
         weakest = min(reports, key=lambda r: r.advantage)
         assert weakest.function_id == "det3x3:002022122"
         assert weakest.advantage == pytest.approx(0.024086806367572544, abs=1e-9)
-
-    def test_worker_count_does_not_change_reports(self):
-        assert sweep_all_3x3(workers=1) == sweep_all_3x3(workers=8)
 
     def test_summary_statistics(self):
         reports = sweep_all_3x3()

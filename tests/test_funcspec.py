@@ -10,14 +10,12 @@ import pytest
 from tpc import funcspec
 from tpc.funcspec import (
     FunctionFileError,
-    apply_table_transform,
     builtin,
     builtin_text,
     canonicalize_3x3,
     class_representative,
     deterministic,
     enumerate_valid_3x3,
-    invert_table_transform,
     parse_function_file,
     transpose,
     two_sided_binary,
@@ -35,6 +33,15 @@ def neq3():
 
 
 PERMS3 = tuple(itertools.permutations(range(3)))
+
+
+def apply_table_transform(table, row_perm, col_perm, relabel):
+    """``out[j][i] = relabel[table[row_perm[j]][col_perm[i]]]``, the
+    convention of :class:`funcspec.CanonicalForm3x3`."""
+    return tuple(
+        tuple(relabel[table[row_perm[j]][col_perm[i]]] for i in range(3))
+        for j in range(3)
+    )
 
 
 def brute_force_canonical_form(f):
@@ -145,8 +152,12 @@ class TestCanonicalize:
                 f.det_table, canon.row_perm, canon.col_perm, relabel
             )
             assert forward == canon.base.det_table
-            back = invert_table_transform(
-                canon.base.det_table, canon.row_perm, canon.col_perm, relabel
+            # the inverse permutations and relabeling lead back to the table
+            back = apply_table_transform(
+                canon.base.det_table,
+                np.argsort(canon.row_perm),
+                np.argsort(canon.col_perm),
+                {new: old for old, new in relabel.items()},
             )
             assert back == f.det_table
 
