@@ -7,11 +7,10 @@ outcome registers (two-sided) or to the receiver's register only
 effect of complex phases on the amplitudes is not explored.
 
 Two independent construction routes are provided for the two-sided case:
-:func:`alice_reduced_state` (and :func:`output_family`, one state per Bob
-input) assembles the reduced operator directly from the closed-form entries,
-while :func:`purified_reduced_state` materializes all four registers and
-traces the other party out.  They must agree entrywise; the test suite
-enforces this.
+:func:`output_family` assembles each reduced operator, one per Bob input,
+directly from the closed-form entries, while :func:`purified_reduced_state`
+materializes all four registers for one Bob input and traces the other
+party out.  They must agree entrywise; the test suite enforces this.
 """
 
 from __future__ import annotations
@@ -70,8 +69,6 @@ def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, .
     outcome label, with block k equal to the outer product of the vector
     ``a_i * sqrt(p(k|i,j))``.
     """
-    if f.sided != "two":
-        raise ValueError("superposed-input reduced states require a two-sided function")
     a = amplitude_vector(amplitudes, f.alice_arity)
     n, kdim = f.alice_arity, f.outcome_count
     states = []
@@ -82,14 +79,6 @@ def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, .
             m[k::kdim, k::kdim] += np.outer(c, c.conj())
         states.append(qmat.DensityState(m, (n, kdim)))
     return tuple(states)
-
-
-def alice_reduced_state(f: FunctionSpec, amplitudes: Sequence[complex], j: int) -> qmat.DensityState:
-    """Alice's reduced state after a superposed input against Bob's input j
-    (see :func:`output_family`)."""
-    if not 0 <= j < f.bob_arity:
-        raise ValueError(f"honest input {j} out of range [0, {f.bob_arity})")
-    return _two_sided_family(f, amplitudes)[j]
 
 
 def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:

@@ -194,11 +194,7 @@ def parse_report_document(text: str) -> ReportDocument:
 def parse_povm_file(text: str) -> discrim.Povm:
     """POVM file: ``dim: <d>`` header, then one block per element holding d
     rows of d complex entries (``a+bi``, ``a``, or ``bi``); '#' comments."""
-    rows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        s = raw.split("#", 1)[0].strip()
-        if s:
-            rows.append((ln, s))
+    rows = funcspec.content_lines(text)
     if not rows:
         raise FunctionFileError(1, "empty POVM file")
     ln, s = rows[0]

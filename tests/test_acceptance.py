@@ -333,7 +333,7 @@ def test_criterion_7_numerical_core_properties(capsys):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         a = a / np.linalg.norm(a)
         j = int(rng.integers(nb))
-        direct = blackbox.alice_reduced_state(f, a, j)
+        direct = blackbox.output_family(f, a).states[j]
         oracle = blackbox.purified_reduced_state(f, a, j)
         if np.abs(direct.matrix - oracle.matrix).max() > tol.recon:
             failures.append("formula vs purification")

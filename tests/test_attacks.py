@@ -251,10 +251,10 @@ class TestCounterexample:
         phased = real * np.exp(1j * phis)
         for a, b, phi in zip(real, phased, phis):
             u = np.kron(np.diag(np.exp(1j * phi)), np.eye(f.outcome_count))
-            for j in range(f.bob_arity):
-                rho = blackbox.alice_reduced_state(f, a, j).matrix
-                sigma = blackbox.alice_reduced_state(f, b, j).matrix
-                assert np.abs(sigma - u @ rho @ u.conj().T).max() <= 1e-12
+            real_states = blackbox.output_family(f, a).states
+            phased_states = blackbox.output_family(f, b).states
+            for rho, sigma in zip(real_states, phased_states):
+                assert np.abs(sigma.matrix - u @ rho.matrix @ u.conj().T).max() <= 1e-12
         gap = np.abs(spectral_values(f, 0.5, phased) - spectral_values(f, 0.5, real))
         assert gap.max() <= 1e-12
 

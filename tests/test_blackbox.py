@@ -8,7 +8,6 @@ import pytest
 
 from tpc import funcspec, qmat
 from tpc.blackbox import (
-    alice_reduced_state,
     alice_reduced_state_one_sided,
     amplitude_vector,
     output_family,
@@ -54,10 +53,9 @@ class TestTwoSidedStates:
     def test_honest_basis_input_collapses(self):
         f = builtin("neq3")
         for i in range(3):
-            for j in range(3):
-                amps = np.zeros(3)
-                amps[i] = 1.0
-                rho = alice_reduced_state(f, amps, j)
+            amps = np.zeros(3)
+            amps[i] = 1.0
+            for j, rho in enumerate(output_family(f, amps).states):
                 expected = np.zeros((6, 6))
                 expected[2 * i + f.outcome(i, j), 2 * i + f.outcome(i, j)] = 1.0
                 np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
@@ -67,7 +65,7 @@ class TestTwoSidedStates:
         canon = canonicalize_3x3(builtin("neq3"))
         assert (canon.a, canon.b) == (1, 0)
         amps = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        rho2 = alice_reduced_state(canon.base, amps, 2)
+        rho2 = output_family(canon.base, amps).states[2]
         kdim = canon.base.outcome_count
         expected = np.zeros((3 * kdim, 3 * kdim))
         expected[0 * kdim + 1, 0 * kdim + 1] = 0.5          # |0,1><0,1|
@@ -80,7 +78,7 @@ class TestTwoSidedStates:
         canon = canonicalize_3x3(rep)
         assert canon.b == 1
         amps = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        rho2 = alice_reduced_state(canon.base, amps, 2)
+        rho2 = output_family(canon.base, amps).states[2]
         kdim = canon.base.outcome_count
         vec = np.zeros(3 * kdim)
         vec[0 * kdim + 1] = 1.0 / np.sqrt(2)   # f(0,2) = 1
@@ -93,7 +91,7 @@ class TestTwoSidedStates:
             f = random_two_sided(rng)
             amps = random_amplitudes(rng, f.alice_arity)
             j = int(rng.integers(f.bob_arity))
-            rho = alice_reduced_state(f, amps, j)
+            rho = output_family(f, amps).states[j]
             kdim = f.outcome_count
             for r in range(rho.dim):
                 for c in range(rho.dim):
@@ -109,7 +107,7 @@ class TestTwoSidedStates:
             j = int(rng.integers(f.bob_arity))
             amps = np.zeros(f.alice_arity)
             amps[i] = 1.0
-            rho = alice_reduced_state(f, amps, j)
+            rho = output_family(f, amps).states[j]
             marginal = qmat.partial_trace(rho, keep=[1]).matrix.diagonal().real
             expected = [float(f.prob(k, i, j)) for k in range(f.outcome_count)]
             assert np.abs(marginal - expected).max() <= tol.trace
@@ -121,7 +119,7 @@ class TestTwoSidedStates:
             f = random_two_sided(rng)
             amps = random_amplitudes(rng, f.alice_arity)
             j = int(rng.integers(f.bob_arity))
-            direct = alice_reduced_state(f, amps, j)
+            direct = output_family(f, amps).states[j]
             oracle = purified_reduced_state(f, amps, j)
             assert direct.dims == oracle.dims
             assert np.abs(direct.matrix - oracle.matrix).max() <= tol.recon
@@ -137,15 +135,15 @@ class TestTwoSidedStates:
 
     def test_rejects_one_sided_function(self):
         with pytest.raises(ValueError):
-            alice_reduced_state(builtin("ot"), [1.0, 0.0], 0)
+            purified_reduced_state(builtin("ot"), [1.0, 0.0], 0)
 
     def test_rejects_bad_amplitude_length(self):
         with pytest.raises(ValueError):
-            alice_reduced_state(builtin("counterexample"), [1.0, 0.0, 0.0], 0)
+            output_family(builtin("counterexample"), [1.0, 0.0, 0.0])
 
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValueError):
-            alice_reduced_state(builtin("counterexample"), [1.0, 1.0], 0)
+            output_family(builtin("counterexample"), [1.0, 1.0])
         with pytest.raises(ValueError, match="norm nan"):
             amplitude_vector([np.nan, 1.0], 2)
 
@@ -198,7 +196,8 @@ class TestOutputFamily:
         for j, state in enumerate(family.states):
             np.testing.assert_allclose(
                 state.matrix,
-                alice_reduced_state(f, uniform_superposition(2), j).matrix,
+                purified_reduced_state(f, uniform_superposition(2), j).matrix,
+                atol=1e-12,
             )
 
     def test_role_swap_matches_transposed_table(self):

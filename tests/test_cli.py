@@ -3,10 +3,13 @@
 import argparse
 import math
 import re
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpc import attacks, blackbox, cli, discrim, funcspec
 from tpc.cli import (
@@ -88,6 +91,26 @@ class TestAnalyze:
         path = write(tmp_path, "bad.fn", "type: deterministic\nsided: two\ninputs: x y\n")
         assert main(["analyze", path]) == EXIT_INPUT
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, line",
+        [
+            ("inputs: \u00b3 3\noutcomes: 2\n", "line 3"),
+            ("inputs: 3 3\noutcomes: \u00b2\n", "line 4"),
+            ("inputs: 3 3\noutcomes: 2\nk: \u00b9\n", "line 5"),
+        ],
+    )
+    def test_non_decimal_digits_exit_one_with_line(self, tmp_path, capsys, header, line):
+        text = "type: probabilistic\nsided: two\n" + header + "1 1 1\n1 1 1\n1 1 1\n"
+        path = write(tmp_path, "bad.fn", text)
+        assert main(["analyze", path]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {line}: ")
+
+    @pytest.mark.parametrize("prior", ["nan,0.5,0.5", "inf,0.5,0.5"])
+    def test_non_finite_prior_exits_one(self, capsys, prior):
+        assert main(["analyze", "@neq3", "--prior", prior]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "prior" in err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["analyze", "/nonexistent/path.fn"]) == EXIT_INPUT
@@ -354,3 +377,35 @@ class TestToleranceOverride:
         fresh = tolerances.from_env()
         assert fresh.cert == 5e-7
         assert "CERT_TOL=4.9999999999999998e-07" in tolerances.environment_summary(fresh)
+
+
+# short text over the characters the POVM format gives meaning to,
+# non-ASCII digits and line breaks that str.splitlines() honours
+POVM_TEXT = st.text("0123456789 \t:+-.#eijnadm\u00b2\u0663\r\u2028", max_size=8)
+
+POVM_FILES = st.builds(
+    lambda head, body: "\n".join((head,) + tuple(body)),
+    st.sampled_from(["dim: 1", "dim: 2", "dim: \u00b2"]),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["1", "0.5", "1 0", "0 1", "0.5 0", "0 0.5", "1+1i 0", "nan 0"]),
+            POVM_TEXT,
+        ),
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(POVM_FILES)
+def test_povm_parser_fails_only_with_value_errors(text):
+    """Malformed text raises FunctionFileError; well-formed matrices that
+    are not a POVM fail the Povm's own checks with ValueError, which
+    ``tpc certify`` reports the same way."""
+    try:
+        parse_povm_file(text)
+    except funcspec.FunctionFileError:
+        pass
+    except ValueError as exc:
+        frames = {frame.name for frame in traceback.extract_tb(exc.__traceback__)}
+        assert "_checked_elements" in frames, repr(exc)

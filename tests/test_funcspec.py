@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpc import funcspec
 from tpc.funcspec import (
     FunctionFileError,
+    FunctionSpec,
     builtin,
     builtin_text,
     canonicalize_3x3,
@@ -190,29 +193,59 @@ class TestCanonicalize:
             assert canonicalize_3x3(member) == brute_force_canonical_form(member)
 
 
+def first_appearance(flat):
+    """Relabel outcomes 0, 1, 2, ... in order of first appearance."""
+    seen = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in flat)
+
+
+def conditions_ok_flat(flat):
+    """Potentially concealing and non-degenerate, on a row-major 9-tuple."""
+    rows = (flat[0:3], flat[3:6], flat[6:9])
+    cols = (flat[0::3], flat[1::3], flat[2::3])
+    if any(len(set(line)) == 3 for line in rows + cols):
+        return False
+    return len(set(rows)) == 3 and len(set(cols)) == 3
+
+
+def permuted_tables(flat):
+    """The table under every row and column permutation, first-appearance
+    normalized."""
+    rows = (flat[0:3], flat[3:6], flat[6:9])
+    for rp in PERMS3:
+        for cp in PERMS3:
+            yield first_appearance(tuple(rows[rp[j]][cp[i]] for j in range(3) for i in range(3)))
+
+
+def normalized_flat_tables():
+    """All 9-cell tables with labels in first-appearance order and at most
+    4 distinct outcomes, built one cell per pass."""
+    out = [()]
+    for _ in range(9):
+        out = [t + (v,) for t in out for v in range(min(max(t, default=-1) + 2, 4))]
+    return out
+
+
+def full_walk_classes():
+    """Oracle for :func:`enumerate_valid_3x3`: walk every normalized table
+    and keep the smallest permuted form of each valid one."""
+    tables = normalized_flat_tables()
+    assert len(tables) == 11051
+    reps = {min(permuted_tables(t)) for t in tables if conditions_ok_flat(t)}
+    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in sorted(reps)]
+
+
 def naive_class_count():
     """Independent equivalence-class counter: collect every valid table in
     first-appearance form, then repeatedly pop one and delete its whole
     orbit under row/column permutations."""
     valid = set()
     for flat in itertools.product(range(4), repeat=9):
-        if funcspec._first_appearance(flat) != flat:
-            continue
-        if funcspec._conditions_ok_flat(flat):
+        if first_appearance(flat) == flat and conditions_ok_flat(flat):
             valid.add(flat)
     count = 0
     while valid:
-        seed = next(iter(valid))
-        rows = (seed[0:3], seed[3:6], seed[6:9])
-        orbit = set()
-        for rp in itertools.permutations(range(3)):
-            for cp in itertools.permutations(range(3)):
-                orbit.add(
-                    funcspec._first_appearance(
-                        tuple(rows[rp[j]][cp[i]] for j in range(3) for i in range(3))
-                    )
-                )
-        valid -= orbit
+        valid -= set(permuted_tables(next(iter(valid))))
         count += 1
     return count
 
@@ -223,6 +256,14 @@ class TestEnumeration:
 
     def test_count_matches_naive_double_enumeration(self):
         assert naive_class_count() == funcspec.VALID_3X3_CLASS_COUNT
+
+    def test_layout_walk_matches_full_walk(self):
+        assert enumerate_valid_3x3() == full_walk_classes()
+
+    def test_class_representative_matches_oracle(self):
+        for flat in normalized_flat_tables():
+            if conditions_ok_flat(flat):
+                assert class_representative(flat) == min(permuted_tables(flat))
 
     def test_contains_neq3_class_exactly_once(self):
         target = class_representative(sum(neq3().det_table, ()))
@@ -253,7 +294,7 @@ class TestEnumeration:
     def test_labels_in_first_appearance_order(self):
         for f in enumerate_valid_3x3():
             flat = sum(f.det_table, ())
-            assert funcspec._first_appearance(flat) == flat
+            assert first_appearance(flat) == flat
 
 
 class TestParser:
@@ -327,6 +368,21 @@ class TestParser:
         with pytest.raises(FunctionFileError):
             parse_function_file(text)
 
+    @pytest.mark.parametrize(
+        "header, line_no",
+        [
+            ("inputs: 0 3\noutcomes: 2\n", 3),
+            ("inputs: \u00b3 3\noutcomes: 2\n", 3),
+            ("inputs: 3 3\noutcomes: \u00b2\n", 4),
+            ("inputs: 3 3\noutcomes: 2\nk: \u00b9\n", 5),
+        ],
+    )
+    def test_bad_header_number_reports_line(self, header, line_no):
+        text = "type: probabilistic\nsided: two\n" + header + "1 1 1\n1 1 1\n1 1 1\n"
+        with pytest.raises(FunctionFileError) as err:
+            parse_function_file(text)
+        assert err.value.line_no == line_no
+
     def test_complement_must_be_nonnegative(self):
         text = (
             "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\n"
@@ -356,6 +412,9 @@ class TestSpecHelpers:
             validate_prior((0.5, 0.5, 0.0), 2)
         with pytest.raises(ValueError):
             validate_prior((1.5, -0.5), 2)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="prior"):
+                validate_prior((bad, 0.5, 0.5), 3)
 
     def test_deterministic_prob_view(self):
         f = neq3()
@@ -366,3 +425,42 @@ class TestSpecHelpers:
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
             builtin("@nope")
+
+
+# characters the format gives meaning to, non-ASCII digits, and line breaks
+# that str.splitlines() honours
+FUZZ_TEXT = st.text("0123456789 \t:/.-+#ekinptxyz\u00b2\u00b3\u0663\r\u2028", max_size=8)
+
+
+def header(key, values):
+    """``key: value`` with a value from the list or fuzz text."""
+    return st.builds(f"{key}: {{}}".format, st.one_of(st.sampled_from(values), FUZZ_TEXT))
+
+
+FUNCTION_FILES = st.builds(
+    lambda head, body: "\n".join(head + tuple(body)),
+    st.tuples(
+        st.sampled_from(["type: deterministic", "type: probabilistic"]),
+        st.sampled_from(["sided: one", "sided: two"]),
+        st.sampled_from(["inputs: 2 2", "inputs: 3 3", "inputs: 2 1", "inputs: 0 3", "inputs: \u00b3 3"]),
+        st.sampled_from(["outcomes: 2", "outcomes: 3", "outcomes: 0", "outcomes: \u00b2"]),
+    ),
+    st.lists(
+        st.one_of(
+            header("k", ["0", "1", "2", "\u00b9"]),
+            st.sampled_from(["0 1 1", "1 0", "1/2 1/2", "0.5 1.5", "2 x", "# c"]),
+            FUZZ_TEXT,
+        ),
+        max_size=8,
+    ),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(FUNCTION_FILES)
+def test_parser_fails_only_with_function_file_error(text):
+    try:
+        f = parse_function_file(text)
+    except FunctionFileError:
+        return
+    assert isinstance(f, FunctionSpec)

@@ -20,7 +20,6 @@ ALLOWED_UNREFERENCED = {
     "blackbox.purified_reduced_state",  # four-register purification, traced out
     "discrim.honest_family_povm",       # the honest strategies as one POVM
     # public API outside __all__, documented or used by callers and tests
-    "blackbox.alice_reduced_state",     # one state of output_family, by Bob input
     "cli.parse_report_document",        # inverse of the --out document (README)
     "cli.render_povm",                  # writes the POVM file format certify reads
     "funcspec.FunctionSpec.outcome",    # deterministic table lookup
