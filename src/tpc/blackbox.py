@@ -67,7 +67,8 @@ def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, .
 
     Register order is (input, outcome); each state is block-diagonal in the
     outcome label, with block k equal to the outer product of the vector
-    ``a_i * sqrt(p(k|i,j))``.
+    ``a_i * sqrt(p(k|i,j))``: PSD by construction, so it skips the
+    eigenvalue check (see :class:`qmat.DensityState`).
     """
     a = amplitude_vector(amplitudes, f.alice_arity)
     n, kdim = f.alice_arity, f.outcome_count
@@ -77,7 +78,7 @@ def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, .
         for k in range(kdim):
             c = a * np.sqrt([float(f.prob(k, i, j)) for i in range(n)])
             m[k::kdim, k::kdim] += np.outer(c, c.conj())
-        states.append(qmat.DensityState(m, (n, kdim)))
+        states.append(qmat.DensityState._from_outer_products(m, (n, kdim)))
     return tuple(states)
 
 

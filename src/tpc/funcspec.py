@@ -229,8 +229,11 @@ def validate_conditions(f: FunctionSpec) -> ConditionCheck:
     """
     if f.kind != "deterministic":
         raise ValueError("conditions are defined for deterministic functions only")
-    rows = f.det_table
-    cols = tuple(tuple(rows[j][i] for j in range(f.bob_arity)) for i in range(f.alice_arity))
+    return _conditions(f.det_table)
+
+
+def _conditions(rows: tuple[tuple[int, ...], ...]) -> ConditionCheck:
+    cols = tuple(zip(*rows))
     concealing = all(len(set(line)) < len(line) for line in rows + cols)
     non_degenerate = len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
     return ConditionCheck(concealing, non_degenerate)
@@ -321,12 +324,6 @@ def _first_appearance(flat: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def class_representative(flat: Sequence[int]) -> tuple[int, ...]:
-    """Smallest first-appearance-normalized table over all row/column
-    permutations; a complete invariant of the equivalence class."""
-    return min(_first_appearance(read(flat)) for _, _, read in _TRANSFORMS)
-
-
 def enumerate_valid_3x3() -> list[FunctionSpec]:
     """All potentially concealing, non-degenerate 3x3 deterministic
     functions, one representative per equivalence class, with outcome
@@ -339,15 +336,20 @@ def enumerate_valid_3x3() -> list[FunctionSpec]:
     has at most 4 distinct outcomes: each row repeats an element, and a
     fifth value would force some column to hold three distinct entries.
     So labels 0-3 in the five free cells reach every class.
+    Each class is handled once: its first valid table marks all its
+    first-appearance forms (which outcome labels do not change) as seen.
+    Validity is checked on bare rows, by the helper behind
+    :func:`validate_conditions`.
     """
-    reps = set()
+    seen, reps = set(), []
     for a, c02, b, c12, c22 in itertools.product(range(4), repeat=5):
         flat = (0, a, c02, 0, b, c12, 1, b, c22)
-        if not _in_reference_layout(flat):
+        if not _in_reference_layout(flat) or not _conditions((flat[0:3], flat[3:6], flat[6:9])):
             continue
-        rows = (flat[0:3], flat[3:6], flat[6:9])
-        if validate_conditions(deterministic(rows)):
-            reps.add(class_representative(flat))
+        if _first_appearance(flat) not in seen:
+            orbit = {_first_appearance(read(flat)) for _, _, read in _TRANSFORMS}
+            seen |= orbit
+            reps.append(min(orbit))
     return [deterministic((r[0:3], r[3:6], r[6:9])) for r in sorted(reps)]
 
 
@@ -373,11 +375,20 @@ def _header(lines: list[tuple[int, str]], pos: int, key: str) -> tuple[int, str]
     return ln, value.strip()
 
 
+# Fraction expands a decimal exactly, building 10**places and 10**|exponent|;
+# 4300 is Python's default cap on the digits of int(str), as in num/den tokens.
+_MAX_DECIMAL_POWER = 4300
+
+
 def _parse_fraction(ln: int, token: str) -> Fraction:
+    mantissa, _, exponent = token.lower().partition("e")
     try:
-        value = Fraction(token)
+        power = max(len(mantissa.partition(".")[2]), abs(int(exponent or 0)))
+        value = Fraction(token) if power <= _MAX_DECIMAL_POWER else None
     except (ValueError, ZeroDivisionError):
         raise FunctionFileError(ln, f"cannot parse probability {token!r}") from None
+    if value is None:
+        raise FunctionFileError(ln, f"decimal places or exponent beyond {_MAX_DECIMAL_POWER}")
     if value < 0 or value > 1:
         raise FunctionFileError(ln, f"probability {token} outside [0, 1]")
     return value
@@ -473,6 +484,11 @@ def parse_function_file(text: str) -> FunctionSpec:
             pos += 1
         blocks[label] = rows
 
+    absent = outcome_count - len(blocks)
+    if absent > 8:  # list labels only when few; the header can claim 10**12
+        raise FunctionFileError(
+            last_ln, f"only the final outcome block may be omitted; {absent} blocks are missing"
+        )
     missing = sorted(set(range(outcome_count)) - set(blocks))
     if len(missing) > 1 or (missing and missing[0] != outcome_count - 1):
         raise FunctionFileError(

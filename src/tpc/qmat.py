@@ -66,16 +66,31 @@ def inv_sqrt_on_support(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityState:
-    """Hermitian, unit-trace, PSD operator with subsystem dimensions."""
+    """Hermitian, unit-trace, PSD operator with subsystem dimensions.
+
+    The constructor checks all of that, PSD by one eigenvalue solve.
+    :meth:`_from_outer_products` takes sums of ``outer(c, c.conj())`` on
+    disjoint blocks of validated inputs, which are finite, PSD and Hermitian
+    to an ulp by construction, and checks only shape, dims and unit trace.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = as_operator(self.matrix)
+        self._settle(as_operator(self.matrix), self.dims, checked=True)
+
+    @classmethod
+    def _from_outer_products(cls, m: np.ndarray, dims: Sequence[int]) -> DensityState:
+        """Takes ownership of ``m`` and makes it read-only."""
+        state = object.__new__(cls)
+        state._settle(m, dims, checked=False)
+        return state
+
+    def _settle(self, m: np.ndarray, dims: Sequence[int], checked: bool) -> None:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(int(d) for d in dims)
         if not dims or any(d <= 0 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         if math.prod(dims) != m.shape[0]:
@@ -83,18 +98,19 @@ class DensityState:
                 f"subsystem dimensions {dims} do not multiply to matrix size {m.shape[0]}"
             )
         tol = active()
-        defect = hermiticity_defect(m)
+        defect = hermiticity_defect(m) if checked else 0.0
         if defect > tol.herm:
             raise ValueError(f"density matrix not Hermitian (defect {defect:.3g})")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol.trace:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -tol.psd:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3g}")
-        frozen = m.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen)
+        if checked:
+            lo = float(np.linalg.eigvalsh(m).min())
+            if lo < -tol.psd:
+                raise ValueError(f"density matrix has negative eigenvalue {lo:.3g}")
+            m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
     @property

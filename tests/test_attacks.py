@@ -337,7 +337,38 @@ class TestCounterexampleCertificate:
             verify_counterexample()
 
 
+SWEEP_HEADLINE = (
+    # (function_id, advantage, p_attack) of every class, in sweep order;
+    # frozen, so that speed work on the sweep path must reproduce them
+    ("det3x3:000010110", 0.1297751877736466, 0.7964418544403132),
+    ("det3x3:000010112", 0.17534259475797087, 0.8420092614246375),
+    ("det3x3:000011110", 0.22761637649962274, 0.8942830431662894),
+    ("det3x3:001010110", 0.20024606168950287, 0.8669127283561695),
+    ("det3x3:001011112", 0.20024606168950365, 0.8669127283561703),
+    ("det3x3:001020121", 0.14800564528543103, 0.8146723119520977),
+    ("det3x3:001022121", 0.19999999999999996, 0.8666666666666666),
+    ("det3x3:001022122", 0.06666666666666698, 0.7333333333333336),
+    ("det3x3:002020122", 0.1454890085287227, 0.8121556751953893),
+    ("det3x3:002022121", 0.1308166965766252, 0.7974833632432918),
+    ("det3x3:002022122", 0.024086806367572433, 0.6907534730342391),
+    ("det3x3:002033133", 0.06666666666666698, 0.7333333333333336),
+    ("det3x3:010000100", 0.10157928470812205, 0.7682459513747887),
+    ("det3x3:010001100", 0.25925925925925963, 0.9259259259259263),
+    ("det3x3:010002100", 0.2592592592592594, 0.925925925925926),
+    ("det3x3:011001101", 0.07892704789389782, 0.7455937145605644),
+    ("det3x3:020000100", 0.10157928470812216, 0.7682459513747888),
+    ("det3x3:020003100", 0.2592592592592593, 0.9259259259259259),
+)
+
+
 class TestSweep:
+    def test_headline_unchanged(self):
+        reports = sweep_all_3x3()
+        assert [r.function_id for r in reports] == [row[0] for row in SWEEP_HEADLINE]
+        for r, (_, advantage, p_attack) in zip(reports, SWEEP_HEADLINE):
+            assert abs(r.advantage - advantage) <= 1e-13
+            assert abs(r.p_attack - p_attack) <= 1e-13
+
     def test_sweep_covers_every_class_with_positive_advantage(self):
         reports = sweep_all_3x3()
         assert len(reports) == funcspec.VALID_3X3_CLASS_COUNT

@@ -148,6 +148,56 @@ class TestTwoSidedStates:
             amplitude_vector([np.nan, 1.0], 2)
 
 
+def builder_cases():
+    """(function, amplitudes) for every two-sided family the suite builds
+    through the unvalidated path: the 18 classes with both cheaters, @neq3,
+    seeded random 2x2 tables and seeded random complex amplitudes."""
+    for f in funcspec.enumerate_valid_3x3() + [builtin("neq3")]:
+        yield f, uniform_superposition(3), "alice"
+        yield f, uniform_superposition(3), "bob"
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(40):
+        f = random_two_sided(rng, n=2, nb=2, kdim=2)
+        yield f, uniform_superposition(2), "alice"
+        yield f, random_amplitudes(rng, 2), "bob"
+    for _ in range(40):
+        f = random_two_sided(rng)
+        yield f, random_amplitudes(rng, f.alice_arity), "alice"
+
+
+class TestBuilderPath:
+    """``output_family`` builds two-sided states without the public
+    validator; every state must still pass it unchanged."""
+
+    def test_states_pass_public_validator(self):
+        for f, amps, role in builder_cases():
+            # numpy may fuse one side of c_i * conj(c_l) and not its mirror,
+            # so complex amplitudes leave a defect of an ulp or so
+            limit = 0.0 if not np.imag(amps).any() else 4 * np.finfo(float).eps
+            for state in output_family(f, amps, role).states:
+                checked = qmat.DensityState(state.matrix, state.dims)
+                assert np.array_equal(checked.matrix, state.matrix)
+                assert checked.dims == state.dims
+                assert qmat.hermiticity_defect(state.matrix) <= limit
+                assert not state.matrix.flags.writeable
+
+    def test_norm_within_tolerance_still_fails_trace_check(self):
+        # norm 1 + 0.9e-10 passes amplitude_vector; the trace, 1 + 1.8e-10, does not
+        amps = np.full(3, (1 + 0.9e-10) / np.sqrt(3))
+        amplitude_vector(amps, 3)
+        with pytest.raises(ValueError) as err:
+            output_family(builtin("neq3"), amps)
+        assert str(err.value) == "density matrix trace 1.00000000018+0j is not 1"
+
+    def test_private_path_keeps_shape_and_dims_checks(self):
+        with pytest.raises(ValueError, match="must be square"):
+            qmat.DensityState._from_outer_products(np.zeros((2, 3), complex), (6,))
+        with pytest.raises(ValueError, match="do not multiply"):
+            qmat.DensityState._from_outer_products(np.eye(4, dtype=complex) / 4, (2, 3))
+        with pytest.raises(ValueError, match="must be positive"):
+            qmat.DensityState._from_outer_products(np.eye(1, dtype=complex), (0,))
+
+
 class TestOneSidedStates:
     def test_ot_states(self):
         f = transpose(builtin("ot"))  # receiver plays the alice slot

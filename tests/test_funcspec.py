@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from tpc.funcspec import (
     builtin,
     builtin_text,
     canonicalize_3x3,
-    class_representative,
     deterministic,
     enumerate_valid_3x3,
     parse_function_file,
@@ -217,6 +217,11 @@ def permuted_tables(flat):
             yield first_appearance(tuple(rows[rp[j]][cp[i]] for j in range(3) for i in range(3)))
 
 
+def class_representative(flat):
+    """Smallest permuted form: a complete invariant of the class."""
+    return min(permuted_tables(flat))
+
+
 def normalized_flat_tables():
     """All 9-cell tables with labels in first-appearance order and at most
     4 distinct outcomes, built one cell per pass."""
@@ -261,9 +266,13 @@ class TestEnumeration:
         assert enumerate_valid_3x3() == full_walk_classes()
 
     def test_class_representative_matches_oracle(self):
+        # enumerate_valid_3x3 marks this set as seen and keeps its minimum
         for flat in normalized_flat_tables():
             if conditions_ok_flat(flat):
-                assert class_representative(flat) == min(permuted_tables(flat))
+                reads = (read(flat) for *_, read in funcspec._TRANSFORMS)
+                orbit = {funcspec._first_appearance(t) for t in reads}
+                assert orbit == set(permuted_tables(flat))
+                assert min(orbit) == class_representative(flat)
 
     def test_contains_neq3_class_exactly_once(self):
         target = class_representative(sum(neq3().det_table, ()))
@@ -382,6 +391,66 @@ class TestParser:
         with pytest.raises(FunctionFileError) as err:
             parse_function_file(text)
         assert err.value.line_no == line_no
+
+    def test_huge_outcome_count_rejected_fast(self):
+        text = (
+            "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 1000000000000\n"
+            "k: 0\n1/2 1/2\n1/2 1/2\n"
+        )
+        start = time.perf_counter()
+        with pytest.raises(FunctionFileError, match="blocks are missing") as err:
+            parse_function_file(text)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.line_no == 7
+        assert len(str(err.value)) < 200
+
+    def test_few_missing_blocks_are_listed(self):
+        text = (
+            "type: probabilistic\nsided: one\ninputs: 2 1\noutcomes: 4\n"
+            "k: 0\n1/2 0\n"
+        )
+        with pytest.raises(FunctionFileError, match=r"missing \[1, 2, 3\]"):
+            parse_function_file(text)
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [
+            ("0.125", Fraction(1, 8)),
+            ("47/150", Fraction(47, 150)),
+            ("1e-3", Fraction(1, 1000)),
+            ("0.5E+0", Fraction(1, 2)),
+            ("0.00001e5", Fraction(1)),
+            (f"1e-{funcspec._MAX_DECIMAL_POWER}", Fraction(1, 10**funcspec._MAX_DECIMAL_POWER)),
+            ("0." + "0" * (funcspec._MAX_DECIMAL_POWER - 1) + "1",
+             Fraction(1, 10**funcspec._MAX_DECIMAL_POWER)),
+        ],
+    )
+    def test_decimal_within_bound_parses_exactly(self, token, value):
+        text = (
+            "type: probabilistic\nsided: two\ninputs: 2 1\noutcomes: 2\n"
+            f"k: 0\n{token} 1/2\n"
+        )
+        assert parse_function_file(text).prob(0, 0, 0) == value
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            f"1e-{funcspec._MAX_DECIMAL_POWER + 1}",
+            "1e-10000000",
+            "0.00001e10000000",
+            "0." + "0" * funcspec._MAX_DECIMAL_POWER + "1",
+        ],
+    )
+    def test_decimal_beyond_bound_rejected_fast(self, token):
+        text = (
+            "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\n"
+            f"k: 0\n1/2 1/2\n# the bad row is on line 9\n\n{token} 1/2\n"
+        )
+        start = time.perf_counter()
+        with pytest.raises(FunctionFileError, match="decimal places") as err:
+            parse_function_file(text)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.line_no == 9
 
     def test_complement_must_be_nonnegative(self):
         text = (
