@@ -27,25 +27,20 @@ from .tolerances import active
 
 @dataclass(frozen=True)
 class StateFamily:
-    """One state per possible input of the party being guessed."""
+    """One state per possible input of the party being guessed, all of one
+    dimension; each state's ``dims`` names its registers."""
 
     states: tuple[qmat.DensityState, ...]
-    input_dim: int
-    outcome_dim: int
 
     def __post_init__(self):
-        if not self.states:
-            raise ValueError("state family must contain at least one state")
+        if not self.states or not all(isinstance(s, qmat.DensityState) for s in self.states):
+            raise ValueError("state family must be a non-empty sequence of DensityState")
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise ValueError(f"family states have inconsistent dimensions {dims}")
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
 
 
 def amplitude_vector(amplitudes: Sequence[complex], n: int) -> np.ndarray:
@@ -83,15 +78,16 @@ def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, .
 
 
 def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:
-    """The receiver's pure outcome-register state after an honest input i."""
+    """The receiver's pure outcome-register state after an honest input i,
+    the outer product of ``sqrt(p(k|i,j))``: PSD by construction."""
     if f.sided != "one":
         raise ValueError("one-sided reduced states require a one-sided function")
     if not 0 <= i < f.alice_arity:
         raise ValueError(f"honest input {i} out of range [0, {f.alice_arity})")
     if not 0 <= j < f.bob_arity:
         raise ValueError(f"partner input {j} out of range [0, {f.bob_arity})")
-    amps = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)])
-    return qmat.pure_state(amps, (f.outcome_count,))
+    c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)]).astype(complex)
+    return qmat.DensityState._from_outer_products(np.outer(c, c.conj()), (f.outcome_count,))
 
 
 def purified_reduced_state(f: FunctionSpec, amplitudes: Sequence[complex], j: int) -> qmat.DensityState:
@@ -123,9 +119,9 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
     elif role != "alice":
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
-        return StateFamily(_two_sided_family(f, alice_input), f.alice_arity, f.outcome_count)
+        return StateFamily(_two_sided_family(f, alice_input))
     i = int(alice_input)
     states = tuple(
         alice_reduced_state_one_sided(f, i, j) for j in range(f.bob_arity)
     )
-    return StateFamily(states, 1, f.outcome_count)
+    return StateFamily(states)

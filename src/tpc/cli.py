@@ -16,6 +16,10 @@ Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
 ``@counterexample``, 2x2 tables) already use the optimal Helstrom
 measurement, so there it is a silent no-op.
 
+``@ot`` runs one fixed attack and rejects ``--prior``, ``--q0``, ``--q0-sweep``
+and ``--superposition`` (exit 1).  ``@counterexample`` is certified exactly
+only at the balanced prior with neither ``--superposition`` nor ``--q0-sweep``.
+
 Machine-readable output (``--out``) is a line-delimited text document with a
 ``schema_version: 1`` header; field names match the attack-report fields and
 every number is written with 17 significant digits so the document
@@ -286,6 +290,12 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if args.role not in ("alice", "bob"):
         raise FunctionFileError(1, f"role must be alice or bob, got {args.role!r}")
     if f == funcspec.builtin("ot"):
+        for option in ("prior", "q0", "q0_sweep", "superposition"):
+            if getattr(args, option) is not None:
+                raise ValueError(
+                    f"--{option.replace('_', '-')} does not apply to the oblivious-transfer"
+                    " table: its attack fixes the balanced prior and the receiver's honest input 0"
+                )
         return attacks.attack_oblivious_transfer()
     if args.role == "bob":
         f = funcspec.transpose(f)
@@ -326,9 +336,9 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
                 "only 2x2 binary two-sided tables are implemented; larger "
                 "alphabets: conjectured insecure, not verified"
             )
-        if f == funcspec.builtin("counterexample") and q0 == 0.5:
-            return attacks.verify_counterexample()
         sweep = _parse_floats(args.q0_sweep) if args.q0_sweep else None
+        if f == funcspec.builtin("counterexample") and q0 == 0.5 and not (superposition or sweep):
+            return attacks.verify_counterexample()
         if q0 is not None:
             sweep = (q0,) + tuple(sweep or ())
         return attacks.attack_nondet_two_sided(f, q0_sweep=sweep, superposition=superposition)

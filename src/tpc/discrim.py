@@ -27,68 +27,55 @@ from .funcspec import FunctionSpec, validate_prior
 from .tolerances import active
 
 
-def _checked_elements(elements) -> np.ndarray:
-    """The checks behind every :class:`Povm`, run on all elements at once:
-    matrices with finite entries, one shared square shape, Hermiticity, PSD
-    (one stacked ``eigvalsh``) and completeness.  Returns a new ``(m, d, d)``
-    complex stack of the elements."""
-    shapes = [np.shape(e) for e in elements]
-    if not shapes:
-        raise ValueError("POVM must have at least one element")
-    for shape in shapes:
-        if len(shape) != 2:
-            raise ValueError(f"expected a matrix, got array of shape {shape}")
-    d = shapes[0][0]
-    if any(shape != (d, d) for shape in shapes):
-        raise ValueError("POVM elements must share one square dimension")
-    stack = np.array(elements, dtype=complex)
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix contains non-finite entries")
-    tol = active()
-    herm = np.abs(stack - qmat.dagger(stack)).max(axis=(1, 2))
-    if (herm > tol.herm).any():
-        defect = herm[np.argmax(herm > tol.herm)]
-        raise ValueError(f"POVM element is not Hermitian (defect {defect:.3g} > {tol.herm:.3g})")
-    if np.linalg.eigvalsh(stack).min() < -tol.psd:
-        raise ValueError("POVM element is not PSD within tolerance")
-    total = stack.sum(axis=0)
-    total.reshape(-1)[:: d + 1] -= 1.0  # subtract the identity
-    defect = float(np.abs(total).max())
-    if defect > tol.recon:
-        raise ValueError(f"POVM elements sum to identity only within {defect:.3g}")
-    return stack
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """PSD operators of one dimension summing to the identity; ``labels``
-    gives the guessed state index for each element."""
+    """PSD operators of one dimension summing to the identity, held as one
+    read-only ``(m, d, d)`` stack; ``labels`` gives the guessed state index
+    for each element.
 
-    elements: tuple[np.ndarray, ...]
+    The constructor checks all elements at once: matrices with finite
+    entries, one shared square shape, Hermiticity, PSD (one stacked
+    ``eigvalsh``) and completeness.  Povms compare by identity.
+    """
+
+    elements: np.ndarray
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        stack = _checked_elements(self.elements)
+        shapes = [np.shape(e) for e in self.elements]
+        if not shapes:
+            raise ValueError("POVM must have at least one element")
+        for shape in shapes:
+            if len(shape) != 2:
+                raise ValueError(f"expected a matrix, got array of shape {shape}")
+        d = shapes[0][0]
+        if any(shape != (d, d) for shape in shapes):
+            raise ValueError("POVM elements must share one square dimension")
+        stack = np.array(self.elements, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix contains non-finite entries")
+        tol = active()
+        herm = np.abs(stack - qmat.dagger(stack)).max(axis=(1, 2))
+        if (herm > tol.herm).any():
+            defect = herm[np.argmax(herm > tol.herm)]
+            raise ValueError(f"POVM element is not Hermitian (defect {defect:.3g} > {tol.herm:.3g})")
+        if np.linalg.eigvalsh(stack).min() < -tol.psd:
+            raise ValueError("POVM element is not PSD within tolerance")
+        total = stack.sum(axis=0)
+        total.reshape(-1)[:: d + 1] -= 1.0  # subtract the identity
+        defect = float(np.abs(total).max())
+        if defect > tol.recon:
+            raise ValueError(f"POVM elements sum to identity only within {defect:.3g}")
         labels = tuple(int(x) for x in self.labels)
         if len(labels) != len(stack):
             raise ValueError("need exactly one label per POVM element")
         stack.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def _trusted(cls, elements: np.ndarray, labels: tuple[int, ...]) -> "Povm":
-        """Wrap a stack that has passed :func:`_checked_elements`; copy only."""
-        povm = object.__new__(cls)
-        frozen = elements.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(povm, "elements", tuple(frozen))
-        object.__setattr__(povm, "labels", labels)
-        return povm
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
 
 class CertificateResiduals(NamedTuple):
@@ -109,14 +96,27 @@ class DiscriminationResult:
 
 
 def _family_states(family) -> tuple[qmat.DensityState, ...]:
-    if isinstance(family, StateFamily):
-        return family.states
-    states = tuple(family)
-    if not states or not all(isinstance(s, qmat.DensityState) for s in states):
-        raise ValueError("family must be a StateFamily or a sequence of DensityState")
-    if len({s.dim for s in states}) != 1:
-        raise ValueError("family states have inconsistent dimensions")
-    return states
+    if not isinstance(family, StateFamily):
+        family = StateFamily(tuple(family))
+    return family.states
+
+
+def _checked_inputs(family, prior: Sequence[float], povm: Povm) -> tuple[np.ndarray, ...]:
+    """The boundary checks of :func:`povm_success`, :func:`certify_optimal`
+    and :func:`optimize_povm`: a valid family, a prior over its states, and a
+    POVM of the states' dimension whose labels index them.  Returns the
+    state each element guesses ``(m, d, d)``, its prior ``(m,)``, and
+    ``q_l rho_l`` for every family state ``(n, d, d)``."""
+    states = _family_states(family)
+    q = validate_prior(prior, len(states))
+    if povm.dim != states[0].dim:
+        raise ValueError("POVM and family dimensions differ")
+    for lab in povm.labels:
+        if not 0 <= lab < len(states):
+            raise ValueError(f"POVM label {lab} does not index a family state")
+    matrices = np.array([s.matrix for s in states])
+    labels = list(povm.labels)
+    return matrices[labels], q[labels], q[:, None, None] * matrices
 
 
 def honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
@@ -149,17 +149,8 @@ def per_input_basis_rate(f: FunctionSpec, i: int, prior: Sequence[float]) -> flo
 
 def povm_success(family, prior: Sequence[float], povm: Povm) -> float:
     """Born-rule success probability ``sum_e q[label_e] tr(E_e rho_label_e)``."""
-    states = _family_states(family)
-    q = validate_prior(prior, len(states))
-    if povm.dim != states[0].dim:
-        raise ValueError(
-            f"POVM dimension {povm.dim} does not match state dimension {states[0].dim}"
-        )
-    for lab in povm.labels:
-        if not 0 <= lab < len(states):
-            raise ValueError(f"POVM label {lab} does not index a family state")
-    matrices = np.array([states[lab].matrix for lab in povm.labels])
-    return _success(np.array(povm.elements), matrices, np.array([q[lab] for lab in povm.labels]))
+    matrices, priors, _ = _checked_inputs(family, prior, povm)
+    return _success(povm.elements, matrices, priors)
 
 
 def _success(elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray) -> float:
@@ -168,28 +159,39 @@ def _success(elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray) -> 
     return float((priors * np.trace(elements @ matrices, axis1=1, axis2=2).real).sum())
 
 
-def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, CertificateResiduals]:
-    """Check the minimum-error optimality conditions for a POVM."""
-    states = _family_states(family)
-    q = validate_prior(prior, len(states))
-    if povm.dim != states[0].dim:
-        raise ValueError("POVM and family dimensions differ")
-    for lab in povm.labels:
-        if not 0 <= lab < len(states):
-            raise ValueError(f"POVM label {lab} does not index a family state")
+def _lagrange(
+    elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The gap operators ``sum_e E_e w_e - q_l rho_l``, one per family state,
+    and the lowest eigenvalue of their Hermitian parts: the certificate's PSD
+    test, and the search's bound, as with ``shift = max(0, -lowest)``
+    ``Herm(sum_e E_e w_e) + shift I`` is dual-feasible (Eldar, Megretski &
+    Verghese, IEEE Trans. Inf. Theory 49, 1007), so ``p + d * shift`` bounds
+    every POVM's success."""
+    gap = (elements @ weighted).sum(axis=0) - family_weighted
+    return gap, float(np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min())
+
+
+def _certify(
+    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, min_eig: float
+) -> tuple[bool, CertificateResiduals]:
+    """Both optimality conditions for elements ``E_e`` with weighted states
+    ``w_e``, given their :func:`_lagrange` operators."""
     tol = active()
-    elements = np.array(povm.elements)
-    weighted = np.array([q[lab] * states[lab].matrix for lab in povm.labels])
     # every pair (j, l) at once, each product associated as (E_j (w_j - w_l)) E_l
     differences = weighted[:, None] - weighted[None]
     pairwise = float(np.abs(elements[:, None] @ differences @ elements[None]).max())
-    lagrange = (elements @ weighted).sum(axis=0)
-    gap = lagrange - q[:, None, None] * np.array([s.matrix for s in states])
     anti = float(np.abs(gap - qmat.dagger(gap)).max()) / 2
-    min_eig = float(np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min())
     residuals = CertificateResiduals(pairwise, min_eig, anti)
     ok = pairwise <= tol.cert and min_eig >= -tol.cert and anti <= tol.cert
     return ok, residuals
+
+
+def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, CertificateResiduals]:
+    """Check the minimum-error optimality conditions for a POVM."""
+    matrices, priors, family_weighted = _checked_inputs(family, prior, povm)
+    weighted = priors[:, None, None] * matrices
+    return _certify(povm.elements, weighted, *_lagrange(povm.elements, weighted, family_weighted))
 
 
 def helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float) -> DiscriminationResult:
@@ -234,18 +236,6 @@ def square_root_measurement(family, prior: Sequence[float]) -> Povm:
     return Povm(tuple(elements), tuple(range(len(states))))
 
 
-def _dual_gap(elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray) -> float:
-    """Width ``d * shift`` of a bracket ``[p, p + d * shift]`` on the optimum:
-    ``Y0 = Herm(sum_e E_e w_e)`` has trace ``p``, and ``Y0 + shift I`` with
-    ``shift = max(0, -min_l lambda_min(Y0 - q_l rho_l))`` over every family
-    state is dual-feasible (Eldar, Megretski & Verghese, IEEE Trans. Inf.
-    Theory 49, 1007), so its trace bounds every POVM's success."""
-    y = (elements @ weighted).sum(axis=0)
-    y = (y + qmat.dagger(y)) / 2
-    shift = -float(np.linalg.eigvalsh(y - family_weighted).min())
-    return y.shape[0] * max(shift, 0.0)
-
-
 def optimize_povm(
     family,
     prior: Sequence[float],
@@ -257,9 +247,9 @@ def optimize_povm(
 
     Each sweep applies ``E_e <- R^-1 (w_e rho_e) E_e (w_e rho_e) R^-1`` with
     ``R = (sum_e w_e rho_e E_e w_e rho_e)^(1/2)`` on its support, seeded by
-    the pretty-good measurement, on one stacked array; every iterate passes
-    the :class:`Povm` checks.  The success probability never decreases
-    (checked each step within 1e-12).  After every sweep :func:`_dual_gap`
+    the pretty-good measurement, on one stacked array; every iterate is a
+    checked :class:`Povm`.  The success probability never decreases
+    (checked each step within 1e-12).  After every sweep :func:`_lagrange`
     brackets the optimum between the value and ``p_upper``; once the
     bracket is no wider than the certificate tolerance the iterate is
     certified, and the search stops (``"converged"``) when that passes.  The
@@ -271,63 +261,50 @@ def optimize_povm(
     ``max_iters`` bounds the search either way, and the final flag is
     reported honestly.
     """
-    states = _family_states(family)
-    q = validate_prior(prior, len(states))
     if seed_povm is None:
-        seed_povm = square_root_measurement(states, q)
-    labels = seed_povm.labels
-    for lab in labels:
-        if not 0 <= lab < len(states):
-            raise ValueError(f"seed POVM label {lab} does not index a family state")
-    if seed_povm.dim != states[0].dim:
-        raise ValueError("seed POVM and family dimensions differ")
-    dim = states[0].dim
-    family_weighted = q[:, None, None] * np.array([s.matrix for s in states])
-    matrices = np.array([states[lab].matrix for lab in labels])
-    priors = np.array([q[lab] for lab in labels])
+        seed_povm = square_root_measurement(family, prior)
+    matrices, priors, family_weighted = _checked_inputs(family, prior, seed_povm)
+    labels, dim = seed_povm.labels, seed_povm.dim
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
-    elements = np.array(seed_povm.elements)
-    current = _success(elements, matrices, priors)
+    povm = seed_povm
+    current = _success(povm.elements, matrices, priors)
     polish_block = 100
     last_residual = math.inf
     identity = np.eye(dim)
-    steps, stop_reason, final, gap = 0, "max_iters", None, None
+    steps, stop_reason, residuals = 0, "max_iters", None
     while steps < max_iters:
+        elements = povm.elements
         gram = (weighted @ elements @ weighted).sum(axis=0)
         root = qmat.inv_sqrt_on_support((gram + qmat.dagger(gram)) / 2)
         updated = root @ weighted @ elements @ weighted @ root
         updated = (updated + qmat.dagger(updated)) / 2
         updated[kernel_slot] += identity - updated.sum(axis=0)
-        updated = _checked_elements(updated)
-        value = _success(updated, matrices, priors)
+        povm = Povm(updated, labels)
+        value = _success(povm.elements, matrices, priors)
         if value < current - 1e-12:
             raise ArithmeticError(
                 f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
             )
-        elements, improved, current, final = updated, value - current, value, None
+        improved, current, residuals = value - current, value, None
         steps += 1
-        gap = _dual_gap(elements, weighted, family_weighted)
-        closed = gap <= active().cert
+        lagrange = _lagrange(povm.elements, weighted, family_weighted)
+        closed = dim * max(-lagrange[1], 0.0) <= active().cert
         polish = improved < step_tol and steps % polish_block == 0
         if not (closed or polish):
             continue
-        final = Povm._trusted(elements, labels)
-        ok, residuals = certify_optimal(states, q, final)
+        ok, residuals = _certify(povm.elements, weighted, *lagrange)
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if (ok and closed) or (polish and residual >= 0.9 * last_residual):
             stop_reason = "converged" if ok and closed else "stalled"
             break
         if polish:
             last_residual = residual
-    if final is None:
-        final = Povm._trusted(elements, labels)
-        ok, residuals = certify_optimal(states, q, final)
-    if gap is None:
-        gap = _dual_gap(elements, weighted, family_weighted)
-    return DiscriminationResult(
-        current, final, ok, residuals, steps, stop_reason, p_upper=current + gap
-    )
+    if residuals is None:
+        lagrange = _lagrange(povm.elements, weighted, family_weighted)
+        ok, residuals = _certify(povm.elements, weighted, *lagrange)
+    p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
+    return DiscriminationResult(current, povm, ok, residuals, steps, stop_reason, p_upper)
 
 
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:

@@ -122,7 +122,7 @@ def pure_state(amplitudes: Sequence[complex], dims: Sequence[int] | None = None)
     """Rank-1 DensityState from a unit-norm amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > active().trace:
+    if not abs(norm - 1.0) <= active().trace:  # written so that a NaN norm fails too
         raise ValueError(f"amplitude vector norm {norm:.12g} is not 1")
     return DensityState(np.outer(v, v.conj()), tuple(dims) if dims is not None else (v.size,))
 

@@ -20,7 +20,7 @@ from tpc.tolerances import active
 SEED = 77
 
 
-def random_two_sided(rng, n=None, nb=None, kdim=None):
+def random_table(rng, n=None, nb=None, kdim=None, sided="two"):
     n = n or int(rng.integers(2, 4))
     nb = nb or int(rng.integers(2, 4))
     kdim = kdim or int(rng.integers(2, 4))
@@ -36,7 +36,7 @@ def random_two_sided(rng, n=None, nb=None, kdim=None):
         )
     return funcspec.FunctionSpec(
         kind="probabilistic",
-        sided="two",
+        sided=sided,
         alice_arity=n,
         bob_arity=nb,
         outcome_count=kdim,
@@ -88,7 +88,7 @@ class TestTwoSidedStates:
     def test_block_diagonal_in_outcome_register(self):
         rng = np.random.default_rng(SEED)
         for _ in range(50):
-            f = random_two_sided(rng)
+            f = random_table(rng)
             amps = random_amplitudes(rng, f.alice_arity)
             j = int(rng.integers(f.bob_arity))
             rho = output_family(f, amps).states[j]
@@ -102,7 +102,7 @@ class TestTwoSidedStates:
         rng = np.random.default_rng(SEED + 1)
         tol = active()
         for _ in range(50):
-            f = random_two_sided(rng)
+            f = random_table(rng)
             i = int(rng.integers(f.alice_arity))
             j = int(rng.integers(f.bob_arity))
             amps = np.zeros(f.alice_arity)
@@ -116,7 +116,7 @@ class TestTwoSidedStates:
         rng = np.random.default_rng(SEED + 2)
         tol = active()
         for _ in range(200):
-            f = random_two_sided(rng)
+            f = random_table(rng)
             amps = random_amplitudes(rng, f.alice_arity)
             j = int(rng.integers(f.bob_arity))
             direct = output_family(f, amps).states[j]
@@ -149,31 +149,39 @@ class TestTwoSidedStates:
 
 
 def builder_cases():
-    """(function, amplitudes) for every two-sided family the suite builds
-    through the unvalidated path: the 18 classes with both cheaters, @neq3,
-    seeded random 2x2 tables and seeded random complex amplitudes."""
+    """(function, input, role) for every family the suite builds through the
+    unvalidated path.  Two-sided: the 18 classes with both cheaters, @neq3,
+    seeded random 2x2 tables and seeded random complex amplitudes.
+    One-sided: @ot with both cheaters and seeded random tables at every
+    honest input."""
     for f in funcspec.enumerate_valid_3x3() + [builtin("neq3")]:
         yield f, uniform_superposition(3), "alice"
         yield f, uniform_superposition(3), "bob"
     rng = np.random.default_rng(SEED + 11)
     for _ in range(40):
-        f = random_two_sided(rng, n=2, nb=2, kdim=2)
+        f = random_table(rng, n=2, nb=2, kdim=2)
         yield f, uniform_superposition(2), "alice"
         yield f, random_amplitudes(rng, 2), "bob"
     for _ in range(40):
-        f = random_two_sided(rng)
+        f = random_table(rng)
         yield f, random_amplitudes(rng, f.alice_arity), "alice"
+    yield builtin("ot"), 0, "alice"
+    yield builtin("ot"), 0, "bob"
+    for _ in range(40):
+        f = random_table(rng, sided="one")
+        for i in range(f.alice_arity):
+            yield f, i, "alice"
 
 
 class TestBuilderPath:
-    """``output_family`` builds two-sided states without the public
-    validator; every state must still pass it unchanged."""
+    """``output_family`` builds every state without the public validator;
+    every state must still pass it unchanged."""
 
     def test_states_pass_public_validator(self):
         for f, amps, role in builder_cases():
             # numpy may fuse one side of c_i * conj(c_l) and not its mirror,
             # so complex amplitudes leave a defect of an ulp or so
-            limit = 0.0 if not np.imag(amps).any() else 4 * np.finfo(float).eps
+            limit = 0.0 if not np.any(np.imag(amps)) else 4 * np.finfo(float).eps
             for state in output_family(f, amps, role).states:
                 checked = qmat.DensityState(state.matrix, state.dims)
                 assert np.array_equal(checked.matrix, state.matrix)
@@ -234,7 +242,7 @@ class TestOutputFamily:
     def test_ot_family_for_cheating_receiver(self):
         family = output_family(builtin("ot"), 0, role="bob")
         assert len(family) == 2
-        assert (family.input_dim, family.outcome_dim) == (1, 3)
+        assert family.states[0].dims == (3,)
         e0 = np.array([1, 0, 1]) / np.sqrt(2)
         np.testing.assert_allclose(family.states[0].matrix, np.outer(e0, e0), atol=1e-12)
 
@@ -242,7 +250,7 @@ class TestOutputFamily:
         f = builtin("counterexample")
         family = output_family(f, uniform_superposition(2))
         assert len(family) == 2
-        assert (family.input_dim, family.outcome_dim) == (2, 2)
+        assert family.states[0].dims == (2, 2)
         for j, state in enumerate(family.states):
             np.testing.assert_allclose(
                 state.matrix,
@@ -253,7 +261,7 @@ class TestOutputFamily:
     def test_role_swap_matches_transposed_table(self):
         rng = np.random.default_rng(SEED + 4)
         for _ in range(25):
-            f = random_two_sided(rng)
+            f = random_table(rng)
             amps = random_amplitudes(rng, f.bob_arity)
             swapped = output_family(f, amps, role="bob")
             direct = output_family(transpose(f), amps, role="alice")

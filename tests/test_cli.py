@@ -67,6 +67,33 @@ class TestAnalyze:
         assert main(["analyze", path, "--q0", "0.5"]) == EXIT_OK
         assert "counterexample" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--superposition", "0.6,0.8"], ["--q0-sweep", "0.9,0.99"]],
+    )
+    def test_counterexample_honours_caller_input(self, options, capsys):
+        assert main(["analyze", "@counterexample", "--q0", "0.5"] + options) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "(nondet-two-sided)" in stdout
+        if options[0] == "--superposition":
+            assert "input: amps:0.59999999999999998+0j,0.80000000000000004+0j" in stdout
+        else:
+            assert "q0=0.98999999999999999 advantage=" in stdout
+
+    def test_counterexample_rejects_malformed_superposition(self, capsys):
+        argv = ["analyze", "@counterexample", "--q0", "0.5", "--superposition", "0.6,0.8,0"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: expected 2 amplitudes, got 3\n"
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--prior", "0.2,0.8"), ("--q0", "0.3"), ("--q0-sweep", "0.3"),
+         ("--superposition", "1,2,3")],
+    )
+    def test_ot_rejects_options_it_cannot_honour(self, option, value, capsys):
+        assert main(["analyze", "@ot", option, value]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {option} does not apply")
+
     def test_ot_file_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "ot.fn", funcspec.builtin_text("ot"))
         assert main(["analyze", path]) == EXIT_OK
@@ -408,4 +435,4 @@ def test_povm_parser_fails_only_with_value_errors(text):
         pass
     except ValueError as exc:
         frames = {frame.name for frame in traceback.extract_tb(exc.__traceback__)}
-        assert "_checked_elements" in frames, repr(exc)
+        assert "__post_init__" in frames, repr(exc)

@@ -486,6 +486,15 @@ class TestOptimizePovm:
             assert result.stop_reason == "converged"
             assert result.p_upper - result.success_probability <= tol.cert
 
+    def test_upper_bound_reads_the_certificate(self, searched_families):
+        # one Lagrange operator serves both: the bracket's width is d times
+        # the certificate's most negative eigenvalue, bit for bit
+        for states, prior, optimum in searched_families:
+            results = [optimum] + [optimize_povm(states, prior, max_iters=k) for k in (0, 1, 3)]
+            for result in results:
+                shift = max(0.0, -result.residuals.min_eigenvalue)
+                assert result.p_upper == result.success_probability + states[0].dim * shift
+
     def test_upper_bound_covers_states_the_seed_never_guesses(self):
         # three orthogonal states are perfectly distinguishable, but this seed
         # never guesses state 2; only that state's constraint lifts the bound
@@ -606,6 +615,21 @@ class TestPovmValidation:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):
             Povm((np.eye(2),), (0, 1))
+
+    def test_elements_are_one_read_only_stack(self, searched_families):
+        source = [np.eye(2) / 2, np.eye(2) / 2]
+        povm = Povm(source, [0, 1])
+        source[0][0, 0] = 7.0
+        assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == complex
+        assert povm.elements[0, 0, 0] == 0.5
+        assert povm.labels == (0, 1)
+        with pytest.raises(ValueError):
+            povm.elements[0, 0, 0] = 0.0
+        assert povm != Povm(povm.elements, povm.labels)  # compared by identity
+        for states, _, result in searched_families:
+            elements = result.povm.elements
+            assert isinstance(elements, np.ndarray) and not elements.flags.writeable
+            assert elements.shape == (len(result.povm.labels),) + states[0].matrix.shape
 
     def test_accepts_negative_eigenvalue_within_tolerance(self):
         slack = active().psd / 2

@@ -146,3 +146,5 @@ class TestDensityState:
     def test_pure_state_requires_unit_norm(self):
         with pytest.raises(ValueError):
             qmat.pure_state([1.0, 1.0])
+        with pytest.raises(ValueError, match="amplitude vector norm nan is not 1"):
+            qmat.pure_state([np.nan, 0.0])

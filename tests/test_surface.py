@@ -1,10 +1,12 @@
-"""No library surface that nothing uses.
+"""No library surface, and no private helper, that nothing uses.
 
 Every public top-level function and public method in ``src/tpc`` must be
 referenced somewhere in ``src/tpc``, be exported in ``tpc.__all__``, or be
-listed below with the reason it exists.  A reference is any use of the bare
-name (``name`` or ``something.name``) in any module, so a name shared with a
-used attribute counts as used; definitions and imports are not uses.
+listed below with the reason it exists.  Every private one (a leading
+underscore, dunder methods aside) must be referenced in ``src/tpc``, with no
+exceptions.  A reference is any use of the bare name (``name`` or
+``something.name``) in any module, so a name shared with a used attribute
+counts as used; definitions and imports are not uses.
 """
 
 import ast
@@ -29,16 +31,22 @@ ALLOWED_UNREFERENCED = {
 }
 
 
-def public_definitions(tree: ast.Module, module: str) -> dict[str, str]:
-    """Qualified name -> bare name of every public top-level function and
-    public method of a top-level class."""
+def definitions(tree: ast.Module, module: str, private: bool) -> dict[str, str]:
+    """Qualified name -> bare name of every top-level function and every
+    method of a top-level class, public or private (dunders excluded)."""
+
+    def wanted(name: str) -> bool:
+        if name.startswith("__") and name.endswith("__"):
+            return False
+        return name.startswith("_") == private
+
     found = {}
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) and wanted(node.name):
             found[f"{module}.{node.name}"] = node.name
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                if isinstance(sub, ast.FunctionDef) and wanted(sub.name):
                     found[f"{module}.{node.name}.{sub.name}"] = sub.name
     return found
 
@@ -53,22 +61,27 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def unreferenced_public_surface() -> set[str]:
+def unreferenced(private: bool) -> set[str]:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     defined, used = {}, set()
     for module, tree in trees.items():
-        defined.update(public_definitions(tree, module))
+        defined.update(definitions(tree, module, private))
         used |= referenced_names(tree)
     return {qual for qual, name in defined.items() if name not in used}
 
 
 def test_no_unreferenced_public_surface():
-    unreferenced = unreferenced_public_surface()
-    exported = {q for q in unreferenced if q.rsplit(".", 1)[-1] in tpc.__all__}
-    unexplained = unreferenced - exported - ALLOWED_UNREFERENCED
+    public = unreferenced(private=False)
+    exported = {q for q in public if q.rsplit(".", 1)[-1] in tpc.__all__}
+    unexplained = public - exported - ALLOWED_UNREFERENCED
     assert not unexplained, (
         f"public surface that nothing in src/ uses: {sorted(unexplained)}; "
         "delete it, or list it in ALLOWED_UNREFERENCED with its reason"
     )
     # every allowlist entry still exists and is still unreferenced
-    assert ALLOWED_UNREFERENCED <= unreferenced, sorted(ALLOWED_UNREFERENCED - unreferenced)
+    assert ALLOWED_UNREFERENCED <= public, sorted(ALLOWED_UNREFERENCED - public)
+
+
+def test_no_unreferenced_private_helpers():
+    orphans = unreferenced(private=True)
+    assert not orphans, f"private helpers that nothing in src/ uses: {sorted(orphans)}; delete them"
