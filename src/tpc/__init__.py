@@ -29,7 +29,7 @@ from .funcspec import (
     parse_function_file,
     validate_conditions,
 )
-from .qmat import DensityState, partial_trace
+from .qmat import DensityState, inv_sqrt_on_support, partial_trace
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,7 @@ __all__ = [
     "enumerate_valid_3x3",
     "helstrom",
     "honest_probability",
+    "inv_sqrt_on_support",
     "optimize_povm",
     "output_family",
     "parse_function_file",

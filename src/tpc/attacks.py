@@ -10,7 +10,8 @@ and oblivious-transfer attacks have one candidate and skip it.
 :func:`_measure` then builds the measurement for that candidate alone
 (Helstrom for two states, else the pretty-good measurement, optionally
 polished by the fixed-point search), certifies it once and packages the
-report.  Entry points keep their scope checks, notes and oracles.
+report; the 3x3 sweep passes all its classes at once, measured as one
+stack per dimension.  Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations
@@ -100,52 +101,66 @@ def _score(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1))
 
 
+def _stack(candidates: Sequence[_Candidate]) -> tuple[np.ndarray, np.ndarray]:
+    """State matrices ``(n, m, d, d)`` and priors ``(n, m)`` of same-shape candidates."""
+    states = np.array([[s.matrix for s in c.family.states] for c in candidates])
+    return states, np.array([c.prior for c in candidates], dtype=float)
+
+
 def _select(candidates: Sequence[_Candidate]) -> tuple[_Candidate, list[float]]:
     """Score every candidate and keep the largest advantage, the first on a
     tie; the scores are returned for the caller's notes and oracles."""
-    states = np.array([[s.matrix for s in c.family.states] for c in candidates])
-    scores = _score(states, [c.prior for c in candidates]).tolist()
+    scores = _score(*_stack(candidates)).tolist()
     advantages = [s - c.p_honest for s, c in zip(scores, candidates)]
     return candidates[advantages.index(max(advantages))], scores
 
 
-def _measure(
-    function_id: str,
-    scenario: str,
-    c: _Candidate,
-    notes: Sequence[str],
-    optimize: bool = False,
-) -> AttackReport:
-    """Build, evaluate and certify the measurement for one candidate."""
-    notes = list(notes)
-    states = c.family.states
-    if len(states) == 2:
-        result = discrim.helstrom(states[0], states[1], c.prior[0])
-        p_attack = result.success_probability
-        certified, residuals = result.certified_optimal, result.residuals
-    else:
-        povm = discrim.square_root_measurement(c.family, c.prior)
-        p_attack = discrim.povm_success(c.family, c.prior, povm)
-        certified, residuals = discrim.certify_optimal(c.family, c.prior, povm)
-        if optimize:
-            refined = discrim.optimize_povm(c.family, c.prior, seed_povm=povm)
-            notes.append(
-                "fixed-point optimum p={:.17g} certified={}".format(
-                    refined.success_probability, refined.certified_optimal
+class _Job(NamedTuple):
+    function_id: str
+    candidate: _Candidate
+    notes: list[str]
+
+
+def _measure(scenario: str, jobs: Sequence[_Job], optimize: bool = False) -> list[AttackReport]:
+    """Build, evaluate and certify the measurement for each job's candidate,
+    one report per job: Helstrom for two states, else the pretty-good
+    measurement, optionally polished by the fixed-point search, with the
+    candidates of one shape measured, checked and certified as one stack."""
+    measured, notes, stacks = [None] * len(jobs), [list(job.notes) for job in jobs], {}
+    for n, job in enumerate(jobs):
+        states = job.candidate.family.states
+        if len(states) == 2:
+            result = discrim.helstrom(states[0], states[1], job.candidate.prior[0])
+            measured[n] = result.success_probability, (result.certified_optimal, result.residuals)
+        else:
+            stacks.setdefault((len(states), states[0].dim), []).append(n)
+    for members in stacks.values():
+        candidates = [jobs[n].candidate for n in members]
+        elements, successes, verdicts = discrim._measure_stack(*_stack(candidates))
+        for n, c, e, p, verdict in zip(members, candidates, elements, successes, verdicts):
+            measured[n] = p, verdict
+            if optimize:
+                seed = discrim.Povm(e, range(len(e)))
+                refined = discrim.optimize_povm(c.family, c.prior, seed_povm=seed)
+                notes[n].append(
+                    f"fixed-point optimum p={refined.success_probability:.17g}"
+                    f" certified={refined.certified_optimal}"
                 )
-            )
-    return AttackReport(
-        function_id=function_id,
-        scenario=scenario,
-        prior=c.prior,
-        input_used=c.input_used,
-        p_honest=c.p_honest,
-        p_attack=p_attack,
-        advantage=p_attack - c.p_honest,
-        certified=certified,
-        residuals=residuals,
-        notes="; ".join(notes),
-    )
+    return [
+        AttackReport(
+            function_id=job.function_id,
+            scenario=scenario,
+            prior=job.candidate.prior,
+            input_used=job.candidate.input_used,
+            p_honest=job.candidate.p_honest,
+            p_attack=p_attack,
+            advantage=p_attack - job.candidate.p_honest,
+            certified=certified,
+            residuals=residuals,
+            notes="; ".join(note),
+        )
+        for job, (p_attack, (certified, residuals)), note in zip(jobs, measured, notes)
+    ]
 
 
 def attack_deterministic_3x3(
@@ -164,6 +179,11 @@ def attack_deterministic_3x3(
     runs the fixed-point search and reports its value in the notes; the
     headline attack number stays the pretty-good-measurement success.
     """
+    return _measure("deterministic-3x3", [_det3x3_job(f, superposition, prior)], optimize)[0]
+
+
+def _det3x3_job(f: FunctionSpec, superposition=None, prior=None) -> _Job:
+    """:func:`attack_deterministic_3x3`'s candidate, ready for :func:`_measure`."""
     canon = funcspec.canonicalize_3x3(f)
     amps = (
         blackbox.uniform_superposition(3)
@@ -178,7 +198,7 @@ def attack_deterministic_3x3(
         tuple(complex(x) for x in amps),
     )
     notes = [f"canonical labels a={canon.a} b={canon.b}"]
-    return _measure(det3x3_function_id(canon), "deterministic-3x3", candidate, notes, optimize)
+    return _Job(det3x3_function_id(canon), candidate, notes)
 
 
 def _two_sided_exception(f: FunctionSpec) -> bool:
@@ -257,7 +277,7 @@ def attack_nondet_two_sided(
                     f"closed-form and spectral success disagree by {gap:.3g} at q0={q0}"
                 )
         lines.append(f"q0={q0:.17g} advantage={score - c.p_honest:.17g}")
-    return _measure(function_id, "nondet-two-sided", best, lines)
+    return _measure("nondet-two-sided", [_Job(function_id, best, lines)])[0]
 
 
 def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
@@ -283,7 +303,7 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
         f" basis_measurement_optimal={discrim.basis_measurement_optimal(f, i, q0)}"
         for i, score in enumerate(scores)
     ]
-    return _measure(f"nondet1sided:{_rational_id(f)}", "nondet-one-sided", best, lines)
+    return _measure("nondet-one-sided", [_Job(f"nondet1sided:{_rational_id(f)}", best, lines)])[0]
 
 
 def ot_explicit_povm() -> discrim.Povm:
@@ -315,7 +335,7 @@ def attack_oblivious_transfer() -> AttackReport:
     prior = (0.5, 0.5)
     family = blackbox.output_family(f, 0, role="bob")
     p_honest = discrim.honest_probability(funcspec.transpose(f), prior)
-    report = _measure("ot", "oblivious-transfer", _Candidate(family, prior, p_honest, 0), [])
+    report = _measure("oblivious-transfer", [_Job("ot", _Candidate(family, prior, p_honest, 0), [])])[0]
     explicit = ot_explicit_povm()
     explicit_success = discrim.povm_success(family, prior, explicit)
     if abs(explicit_success - report.p_attack) > 1e-10:
@@ -396,7 +416,7 @@ def verify_counterexample() -> AttackReport:
         discrim.honest_probability(f, prior),
         (1 + 0j, 0j),
     )
-    report = _measure("counterexample", "counterexample", best, [notes])
+    report = _measure("counterexample", [_Job("counterexample", best, [notes])])[0]
     if report.advantage > active().adv_min:
         raise ArithmeticError(
             f"counterexample admits advantage {report.advantage:.3g} at input |0>"
@@ -410,7 +430,8 @@ def sweep_all_3x3() -> list[AttackReport]:
     Results are sorted by canonical identifier.  A non-positive advantage
     anywhere raises :class:`SweepFailure` with the offending tables.
     """
-    reports = [attack_deterministic_3x3(f) for f in funcspec.enumerate_valid_3x3()]
+    jobs = [_det3x3_job(f) for f in funcspec.enumerate_valid_3x3()]
+    reports = _measure("deterministic-3x3", jobs)
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

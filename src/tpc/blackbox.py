@@ -67,14 +67,12 @@ def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, .
     """
     a = amplitude_vector(amplitudes, f.alice_arity)
     n, kdim = f.alice_arity, f.outcome_count
-    states = []
-    for j in range(f.bob_arity):
-        m = np.zeros((n * kdim, n * kdim), dtype=complex)
-        for k in range(kdim):
-            c = a * np.sqrt([float(f.prob(k, i, j)) for i in range(n)])
-            m[k::kdim, k::kdim] += np.outer(c, c.conj())
-        states.append(qmat.DensityState._from_outer_products(m, (n, kdim)))
-    return tuple(states)
+    c = a * np.sqrt(f.probabilities())  # [k][j][i]
+    m = np.zeros((f.bob_arity, n, kdim, n, kdim), dtype=complex)
+    k = np.arange(kdim)
+    m[:, :, k, :, k] += c[..., :, None] * c[..., None, :].conj()
+    m = m.reshape(f.bob_arity, n * kdim, n * kdim)
+    return tuple(qmat.DensityState._from_outer_products(mj, (n, kdim)) for mj in m)
 
 
 def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:

@@ -52,20 +52,7 @@ class Povm:
         if any(shape != (d, d) for shape in shapes):
             raise ValueError("POVM elements must share one square dimension")
         stack = np.array(self.elements, dtype=complex)
-        if not np.isfinite(stack).all():
-            raise ValueError("matrix contains non-finite entries")
-        tol = active()
-        herm = np.abs(stack - qmat.dagger(stack)).max(axis=(1, 2))
-        if (herm > tol.herm).any():
-            defect = herm[np.argmax(herm > tol.herm)]
-            raise ValueError(f"POVM element is not Hermitian (defect {defect:.3g} > {tol.herm:.3g})")
-        if np.linalg.eigvalsh(stack).min() < -tol.psd:
-            raise ValueError("POVM element is not PSD within tolerance")
-        total = stack.sum(axis=0)
-        total.reshape(-1)[:: d + 1] -= 1.0  # subtract the identity
-        defect = float(np.abs(total).max())
-        if defect > tol.recon:
-            raise ValueError(f"POVM elements sum to identity only within {defect:.3g}")
+        _check_povm_stack(stack)
         labels = tuple(int(x) for x in self.labels)
         if len(labels) != len(stack):
             raise ValueError("need exactly one label per POVM element")
@@ -76,6 +63,25 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
+
+
+def _check_povm_stack(stack: np.ndarray) -> None:
+    """:class:`Povm`'s checks on one element set ``(m, d, d)`` or a stack of
+    them ``(..., m, d, d)``: finite entries, Hermiticity, PSD (one stacked
+    ``eigvalsh``) and completeness, naming the first failing defect."""
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix contains non-finite entries")
+    tol = active()
+    herm = np.abs(stack - qmat.dagger(stack)).max(axis=(-2, -1))
+    herm = herm[herm > tol.herm]
+    if herm.size:
+        raise ValueError(f"POVM element is not Hermitian (defect {herm[0]:.3g} > {tol.herm:.3g})")
+    if np.linalg.eigvalsh(stack).min() < -tol.psd:
+        raise ValueError("POVM element is not PSD within tolerance")
+    defect = np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    defect = defect[defect > tol.recon]
+    if defect.size:
+        raise ValueError(f"POVM elements sum to identity only within {defect[0]:.3g}")
 
 
 class CertificateResiduals(NamedTuple):
@@ -127,71 +133,65 @@ def honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
     ``max_i sum_k max_j p(k|i,j) q_j``.
     """
     q = validate_prior(prior, f.bob_arity)
-    best = 0.0
-    for i in range(f.alice_arity):
-        total = 0.0
-        for k in range(f.outcome_count):
-            total += max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
-        best = max(best, total)
-    return best
+    # one row per outcome k of max_j p(k|i,j) q_j, summed in outcome order
+    return float(sum((f.probabilities() * q[:, None]).max(axis=1)).max())
 
 
 def per_input_basis_rate(f: FunctionSpec, i: int, prior: Sequence[float]) -> float:
     """Guess rate of the outcome-basis measurement for one honest input."""
     q = validate_prior(prior, f.bob_arity)
-    return float(
-        sum(
-            max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
-            for k in range(f.outcome_count)
-        )
-    )
+    return float(sum((f.probabilities()[:, :, i] * q).max(axis=1)))
 
 
 def povm_success(family, prior: Sequence[float], povm: Povm) -> float:
     """Born-rule success probability ``sum_e q[label_e] tr(E_e rho_label_e)``."""
     matrices, priors, _ = _checked_inputs(family, prior, povm)
-    return _success(povm.elements, matrices, priors)
+    return float(_success(povm.elements, matrices, priors))
 
 
-def _success(elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray) -> float:
-    """``sum_e q_e tr(E_e rho_e)`` over ``(m, d, d)`` stacks, summed in
-    element order."""
-    return float((priors * np.trace(elements @ matrices, axis1=1, axis2=2).real).sum())
+def _success(elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """``sum_e q_e tr(E_e rho_e)`` over ``(..., m, d, d)`` stacks with
+    priors ``(..., m)``, summed in element order."""
+    return (priors * np.trace(elements @ matrices, axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
 def _lagrange(
     elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The gap operators ``sum_e E_e w_e - q_l rho_l``, one per family state,
     and the lowest eigenvalue of their Hermitian parts: the certificate's PSD
     test, and the search's bound, as with ``shift = max(0, -lowest)``
     ``Herm(sum_e E_e w_e) + shift I`` is dual-feasible (Eldar, Megretski &
     Verghese, IEEE Trans. Inf. Theory 49, 1007), so ``p + d * shift`` bounds
-    every POVM's success."""
-    gap = (elements @ weighted).sum(axis=0) - family_weighted
-    return gap, float(np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min())
+    every POVM's success.  Works on one element set ``(m, d, d)`` or a stack
+    ``(..., m, d, d)``, with one lowest eigenvalue per set."""
+    gap = (elements @ weighted).sum(axis=-3)[..., None, :, :] - family_weighted
+    return gap, np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min(axis=(-2, -1))
 
 
 def _certify(
-    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, min_eig: float
-) -> tuple[bool, CertificateResiduals]:
+    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, min_eig: np.ndarray
+) -> list[tuple[bool, CertificateResiduals]]:
     """Both optimality conditions for elements ``E_e`` with weighted states
-    ``w_e``, given their :func:`_lagrange` operators."""
+    ``w_e``, given their :func:`_lagrange` operators: one verdict for one
+    element set ``(m, d, d)``, or one per set of a stack ``(..., m, d, d)``."""
     tol = active()
     # every pair (j, l) at once, each product associated as (E_j (w_j - w_l)) E_l
-    differences = weighted[:, None] - weighted[None]
-    pairwise = float(np.abs(elements[:, None] @ differences @ elements[None]).max())
-    anti = float(np.abs(gap - qmat.dagger(gap)).max()) / 2
-    residuals = CertificateResiduals(pairwise, min_eig, anti)
-    ok = pairwise <= tol.cert and min_eig >= -tol.cert and anti <= tol.cert
-    return ok, residuals
+    differences = weighted[..., :, None, :, :] - weighted[..., None, :, :, :]
+    products = elements[..., :, None, :, :] @ differences @ elements[..., None, :, :, :]
+    pairwise = np.abs(products).max(axis=(-4, -3, -2, -1))
+    anti = np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)) / 2
+    return [
+        (p <= tol.cert and e >= -tol.cert and a <= tol.cert, CertificateResiduals(p, e, a))
+        for p, e, a in zip(*(np.ravel(x).tolist() for x in (pairwise, min_eig, anti)))
+    ]
 
 
 def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, CertificateResiduals]:
     """Check the minimum-error optimality conditions for a POVM."""
     matrices, priors, family_weighted = _checked_inputs(family, prior, povm)
     weighted = priors[:, None, None] * matrices
-    return _certify(povm.elements, weighted, *_lagrange(povm.elements, weighted, family_weighted))
+    return _certify(povm.elements, weighted, *_lagrange(povm.elements, weighted, family_weighted))[0]
 
 
 def helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float) -> DiscriminationResult:
@@ -225,15 +225,32 @@ def square_root_measurement(family, prior: Sequence[float]) -> Povm:
     """
     states = _family_states(family)
     q = validate_prior(prior, len(states))
-    if len(states) < 2:
+    elements = _pretty_good(np.array([s.matrix for s in states])[None], q[None])[0]
+    return Povm(elements, tuple(range(len(states))))
+
+
+def _pretty_good(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """:func:`square_root_measurement`'s elements for each family of a stack
+    ``(n, m, d, d)`` under priors ``(n, m)``, with one stacked inverse root;
+    the caller checks them."""
+    n, m, d, _ = states.shape
+    if m < 2:
         raise ValueError("need at least two states to discriminate")
-    matrices = [s.matrix for s in states]
-    root = qmat.inv_sqrt_on_support(sum(matrices))
-    elements = [root @ m @ root for m in matrices]
-    kernel = np.eye(states[0].dim, dtype=complex) - sum(elements)
-    elements[int(np.argmax(q))] += kernel
-    elements = [(e + qmat.dagger(e)) / 2 for e in elements]
-    return Povm(tuple(elements), tuple(range(len(states))))
+    root = qmat._inv_sqrt(states.sum(axis=1))[:, None]
+    elements = root @ states @ root
+    elements[np.arange(n), np.argmax(priors, axis=1)] += np.eye(d) - elements.sum(axis=1)
+    return (elements + qmat.dagger(elements)) / 2
+
+
+def _measure_stack(states: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Pretty-good elements (element e guesses state e), successes and
+    certificate verdicts for validated families ``(n, m, d, d)`` under
+    validated priors ``(n, m)``, with one POVM check for the whole stack."""
+    elements = _pretty_good(states, priors)
+    _check_povm_stack(elements)
+    weighted = priors[..., None, None] * states
+    verdicts = _certify(elements, weighted, *_lagrange(elements, weighted, weighted))
+    return elements, _success(elements, states, priors).tolist(), verdicts
 
 
 def optimize_povm(
@@ -268,7 +285,7 @@ def optimize_povm(
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
     povm = seed_povm
-    current = _success(povm.elements, matrices, priors)
+    current = float(_success(povm.elements, matrices, priors))
     polish_block = 100
     last_residual = math.inf
     identity = np.eye(dim)
@@ -276,12 +293,12 @@ def optimize_povm(
     while steps < max_iters:
         elements = povm.elements
         gram = (weighted @ elements @ weighted).sum(axis=0)
-        root = qmat.inv_sqrt_on_support((gram + qmat.dagger(gram)) / 2)
+        root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2)
         updated = root @ weighted @ elements @ weighted @ root
         updated = (updated + qmat.dagger(updated)) / 2
         updated[kernel_slot] += identity - updated.sum(axis=0)
         povm = Povm(updated, labels)
-        value = _success(povm.elements, matrices, priors)
+        value = float(_success(povm.elements, matrices, priors))
         if value < current - 1e-12:
             raise ArithmeticError(
                 f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
@@ -293,7 +310,7 @@ def optimize_povm(
         polish = improved < step_tol and steps % polish_block == 0
         if not (closed or polish):
             continue
-        ok, residuals = _certify(povm.elements, weighted, *lagrange)
+        ok, residuals = _certify(povm.elements, weighted, *lagrange)[0]
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if (ok and closed) or (polish and residual >= 0.9 * last_residual):
             stop_reason = "converged" if ok and closed else "stalled"
@@ -302,7 +319,7 @@ def optimize_povm(
             last_residual = residual
     if residuals is None:
         lagrange = _lagrange(povm.elements, weighted, family_weighted)
-        ok, residuals = _certify(povm.elements, weighted, *lagrange)
+        ok, residuals = _certify(povm.elements, weighted, *lagrange)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
     return DiscriminationResult(current, povm, ok, residuals, steps, stop_reason, p_upper)
 

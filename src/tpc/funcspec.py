@@ -119,6 +119,12 @@ class FunctionSpec:
             return Fraction(1) if self.det_table[j][i] == k else Fraction(0)
         return self.prob_table[k][j][i]
 
+    def probabilities(self) -> np.ndarray:
+        """Every ``p(k|i,j)`` as one float array indexed ``[k][j][i]``."""
+        if self.det_table is None:
+            return np.array(self.prob_table, dtype=float)
+        return (np.arange(self.outcome_count)[:, None, None] == np.array(self.det_table)) * 1.0
+
 
 def deterministic(table: Sequence[Sequence[int]], sided: str = "two") -> FunctionSpec:
     rows = tuple(tuple(int(x) for x in row) for row in table)

@@ -51,17 +51,21 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
 def inv_sqrt_on_support(m) -> np.ndarray:
     """Pseudo-inverse square root: eigenvalues above the support cutoff map
     to ``1/sqrt(lam)``, the rest to 0."""
-    a = require_hermitian(m)
+    return _inv_sqrt(require_hermitian(m))
+
+
+def _inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """:func:`inv_sqrt_on_support` of each Hermitian matrix in a stack
+    ``(..., d, d)``, without re-checking Hermiticity; each matrix is still
+    checked for negative eigenvalues and cut off at its own support."""
     tol = active()
     w, v = np.linalg.eigh(a)
-    if w.size and w[0] < -tol.psd:
-        raise ValueError(
-            f"matrix has negative eigenvalue {w[0]:.3g} beyond tolerance; not PSD"
-        )
-    largest = float(w[-1]) if w.size else 0.0
-    cutoff = tol.rank * max(largest, 0.0)
+    lowest = w[..., :1][w[..., :1] < -tol.psd]
+    if lowest.size:
+        raise ValueError(f"matrix has negative eigenvalue {lowest[0]:.3g} beyond tolerance; not PSD")
+    cutoff = tol.rank * np.maximum(w[..., -1:], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
-    return (v * inv) @ dagger(v)
+    return (v * inv[..., None, :]) @ dagger(v)
 
 
 @dataclass(frozen=True)

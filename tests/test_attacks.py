@@ -1,5 +1,6 @@
 """Attack pipelines and report packaging."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -66,6 +67,21 @@ def spectral_values(f, q0, amplitude_rows):
         [[s.matrix for s in blackbox.output_family(f, a).states] for a in amplitude_rows]
     )
     return attacks._score(states, [(q0, 1.0 - q0)] * len(states))
+
+
+def exact_fields(report):
+    """Every field of a report, with each float as its exact bit pattern."""
+
+    def exact(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, complex):
+            return x.real.hex(), x.imag.hex()
+        if isinstance(x, tuple):
+            return tuple(exact(y) for y in x)
+        return x
+
+    return {f.name: exact(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
 class TestDeterministic3x3:
@@ -361,6 +377,21 @@ SWEEP_HEADLINE = (
 )
 
 
+def break_hermiticity(elements):
+    elements[0, 0, 1] += 1e-6
+
+
+def break_positivity(elements):
+    # still Hermitian and complete
+    shift = 2 * np.eye(elements.shape[-1])
+    elements[0] += shift
+    elements[1] -= shift
+
+
+def break_completeness(elements):
+    elements[0] += 1e-6 * np.eye(elements.shape[-1])
+
+
 class TestSweep:
     def test_headline_unchanged(self):
         reports = sweep_all_3x3()
@@ -380,6 +411,62 @@ class TestSweep:
         weakest = min(reports, key=lambda r: r.advantage)
         assert weakest.function_id == "det3x3:002022122"
         assert weakest.advantage == pytest.approx(0.024086806367572544, abs=1e-9)
+
+    def test_stack_equals_one_table_path_exactly(self):
+        single = sorted(
+            (attack_deterministic_3x3(f) for f in funcspec.enumerate_valid_3x3()),
+            key=lambda r: r.function_id,
+        )
+        assert [exact_fields(r) for r in sweep_all_3x3()] == [exact_fields(r) for r in single]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_mixed_dimension_stack_equals_one_at_a_time(self, optimize):
+        rng = np.random.default_rng(SEED + 21)
+        options = [
+            {},
+            {"prior": tuple(rng.dirichlet(np.ones(3)))},
+            {"superposition": tuple(rng.permutation([0.8, 0.6, 0.0]))},  # S has a kernel
+            {"prior": (0.2, 0.5, 0.3), "superposition": (0.0, 0.6, 0.8)},
+        ]
+        calls = []
+        for n, f in enumerate(funcspec.enumerate_valid_3x3()):
+            rows, cols = rng.permutation(3), rng.permutation(3)
+            relabel = rng.permutation(f.outcome_count)
+            g = funcspec.deterministic([[relabel[f.det_table[r][c]] for c in cols] for r in rows])
+            calls.append((g, options[n % len(options)]))
+        calls = [calls[n] for n in rng.permutation(len(calls))]
+        jobs = [attacks._det3x3_job(g, **kwargs) for g, kwargs in calls]
+        assert len({job.candidate.family.states[0].dim for job in jobs}) == 3
+        stacked = attacks._measure("deterministic-3x3", jobs, optimize)
+        single = [attack_deterministic_3x3(g, optimize=optimize, **kwargs) for g, kwargs in calls]
+        assert [exact_fields(r) for r in stacked] == [exact_fields(r) for r in single]
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (break_hermiticity, r"POVM element is not Hermitian \(defect 1e-06 > 1e-10\)"),
+            (break_positivity, "POVM element is not PSD within tolerance"),
+            (break_completeness, "POVM elements sum to identity only within 1e-06"),
+        ],
+        ids=["non-hermitian", "non-psd", "incomplete"],
+    )
+    def test_stacked_sweep_is_validated(self, monkeypatch, perturb, message):
+        true_pretty_good = discrim._pretty_good
+        perturbed = []
+
+        def pretty_good(states, priors):
+            elements = true_pretty_good(states, priors)
+            if states.shape[-1] == 9:  # one class among the 3-outcome classes
+                perturb(elements[-1])
+                perturbed.append(elements[-1].copy())
+            return elements
+
+        monkeypatch.setattr(discrim, "_pretty_good", pretty_good)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep_all_3x3()
+        # the same elements are refused with the same text one class at a time
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            discrim.Povm(perturbed[0], (0, 1, 2))
 
     def test_summary_statistics(self):
         reports = sweep_all_3x3()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpc import attacks, blackbox, cli, discrim, funcspec
+from tpc import attacks, blackbox, cli, discrim, funcspec, tolerances
 from tpc.cli import (
     EXIT_INPUT,
     EXIT_NOT_OPTIMAL,
@@ -23,6 +23,8 @@ from tpc.cli import (
     render_povm,
     render_report_document,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, name, text):
@@ -188,6 +190,16 @@ class TestSweepCommand:
         assert main(["sweep3x3", "--workers", "8", "--out", out8]) == EXIT_OK
         capsys.readouterr()
         assert (tmp_path / "w1.txt").read_text() == (tmp_path / "w8.txt").read_text()
+
+    def test_stdout_and_document_pinned_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        # pinned output of the headline sweep: a changed digit must be deliberate
+        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+        out = tmp_path / "sweep.txt"
+        assert main(["sweep3x3", "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert len(stdout.splitlines()) == 19
+        assert stdout == (DATA / "sweep3x3.stdout").read_text()
+        assert out.read_text() == (DATA / "sweep3x3.report").read_text()
 
     def test_document_has_expected_count(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.txt")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tpc import discrim, funcspec, qmat
+from tpc import attacks, discrim, funcspec, qmat
 from tpc.attacks import ot_explicit_povm
 from tpc.blackbox import output_family, uniform_superposition
 from tpc.discrim import (
@@ -22,7 +22,7 @@ from tpc.discrim import (
     square_root_measurement,
     weighted_difference_eigenvalues,
 )
-from tpc.funcspec import builtin, canonicalize_3x3, transpose, two_sided_binary
+from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose, two_sided_binary
 from tpc.tolerances import active
 
 SEED = 424242
@@ -149,7 +149,66 @@ def brute_force_honest(f, prior):
     return best
 
 
+def loop_honest_probability(f, prior):
+    """Oracle: ``max_i sum_k max_j p(k|i,j) q_j`` cell by cell, through
+    :meth:`FunctionSpec.prob`, in the same order of operations."""
+    q = funcspec.validate_prior(prior, f.bob_arity)
+    best = 0.0
+    for i in range(f.alice_arity):
+        total = 0.0
+        for k in range(f.outcome_count):
+            total += max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
+        best = max(best, total)
+    return best
+
+
+def loop_basis_rate(f, i, prior):
+    """Oracle for :func:`per_input_basis_rate`, cell by cell."""
+    q = funcspec.validate_prior(prior, f.bob_arity)
+    return float(
+        sum(
+            max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
+            for k in range(f.outcome_count)
+        )
+    )
+
+
+def honest_baseline_cases():
+    """Acceptance criterion 3's 500 seeded two-sided tables at each default
+    q0, criterion 4's 200 seeded one-sided tables at their q0, and the 18
+    classes under the uniform and five seeded priors."""
+    rng = np.random.default_rng(20250808)
+    count = 0
+    while count < 500:
+        f = two_sided_binary(rng.uniform(0.02, 0.98, size=(2, 2)))
+        if attacks._two_sided_exception(f):
+            continue
+        count += 1
+        for q0 in attacks.DEFAULT_Q0_SWEEP:
+            yield f, (q0, 1 - q0)
+    rng = np.random.default_rng(314159)
+    for _ in range(200):
+        f = one_sided_binary(rng.uniform(0.05, 0.95, size=(2, 2)))
+        q0 = float(rng.uniform(0.1, 0.9))
+        yield f, (q0, 1 - q0)
+    rng = np.random.default_rng(SEED + 13)
+    priors = [funcspec.uniform_prior(3)] + [rng.dirichlet(np.ones(3)) for _ in range(5)]
+    for f in funcspec.enumerate_valid_3x3():
+        for prior in priors:
+            yield f, tuple(prior)
+
+
 class TestHonestProbability:
+    def test_equals_cell_by_cell_loop_exactly(self):
+        cases = 0
+        for f, prior in honest_baseline_cases():
+            cases += 1
+            assert honest_probability(f, prior) == loop_honest_probability(f, prior)
+            for i in range(f.alice_arity):
+                rate = discrim.per_input_basis_rate(f, i, prior)
+                assert rate == loop_basis_rate(f, i, prior)
+        assert cases == 1500 + 200 + 18 * 6
+
     def test_skewed_prior_reduces_to_largest_weight(self):
         f = two_sided_binary([[0.3, 0.6], [0.7, 0.2]])
         for eps in (1e-2, 1e-3):
@@ -524,10 +583,8 @@ class TestOptimizePovm:
         family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
         prior = (1 / 3, 1 / 3, 1 / 3)
         seed = square_root_measurement(family, prior)
-        true_root = qmat.inv_sqrt_on_support
-        monkeypatch.setattr(
-            discrim.qmat, "inv_sqrt_on_support", lambda m: scale * true_root(m)
-        )
+        true_root = qmat._inv_sqrt
+        monkeypatch.setattr(discrim.qmat, "_inv_sqrt", lambda m: scale * true_root(m))
         with pytest.raises(ValueError, match=message):
             optimize_povm(family, prior, seed_povm=seed)
 

@@ -26,6 +26,8 @@ from tpc.funcspec import (
     validate_prior,
 )
 
+SEED_PROBABILITIES = 5150
+
 SEED_TABLES = [
     ((0, 1, 1), (1, 0, 1), (1, 1, 0)),  # 1 - delta_ij
 ]
@@ -494,6 +496,18 @@ class TestSpecHelpers:
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
             builtin("@nope")
+
+    def test_probabilities_match_prob_on_every_cell(self):
+        rng = np.random.default_rng(SEED_PROBABILITIES)
+        tables = [builtin(name) for name in funcspec.builtin_names()] + enumerate_valid_3x3()
+        tables += [transpose(f) for f in tables]
+        tables += [two_sided_binary(rng.uniform(0, 1, size=(2, 3))) for _ in range(20)]
+        for f in tables:
+            p = f.probabilities()
+            assert p.dtype == float
+            assert p.shape == (f.outcome_count, f.bob_arity, f.alice_arity)
+            for k, j, i in itertools.product(*map(range, p.shape)):
+                assert p[k, j, i] == float(f.prob(k, i, j))
 
 
 # characters the format gives meaning to, non-ASCII digits, and line breaks

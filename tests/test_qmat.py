@@ -119,6 +119,22 @@ class TestInvSqrtOnSupport:
         with pytest.raises(ValueError, match="not Hermitian"):
             qmat.inv_sqrt_on_support(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_equals_each_matrix_alone(self):
+        # rank 3 of 5 at scales 1e-6 .. 1e6: each matrix keeps its own support
+        rng = np.random.default_rng(SEED + 1)
+        g = rng.normal(size=(7, 5, 3)) + 1j * rng.normal(size=(7, 5, 3))
+        stack = (g @ g.conj().swapaxes(-1, -2)) * np.logspace(-6, 6, 7)[:, None, None]
+        stack = (stack + qmat.dagger(stack)) / 2
+        roots = qmat._inv_sqrt(stack)
+        for m, root in zip(stack, roots):
+            assert np.array_equal(root, qmat.inv_sqrt_on_support(m))
+            assert np.linalg.matrix_rank(root, tol=1e-3 * np.abs(root).max()) == 3
+
+    def test_stack_checks_every_matrix(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
+        with pytest.raises(ValueError, match="negative eigenvalue -0.5 beyond tolerance"):
+            qmat._inv_sqrt(stack)
+
 
 class TestDensityState:
     def test_rejects_bad_trace(self):
