@@ -29,7 +29,7 @@ from .funcspec import (
     parse_function_file,
     validate_conditions,
 )
-from .qmat import DensityState, inv_sqrt_on_support, partial_trace
+from .qmat import DensityState, inv_sqrt_on_support
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "optimize_povm",
     "output_family",
     "parse_function_file",
-    "partial_trace",
     "povm_success",
     "square_root_measurement",
     "sweep_all_3x3",

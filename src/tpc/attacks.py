@@ -10,8 +10,8 @@ and oblivious-transfer attacks have one candidate and skip it.
 :func:`_measure` then builds the measurement for that candidate alone
 (Helstrom for two states, else the pretty-good measurement, optionally
 polished by the fixed-point search), certifies it once and packages the
-report; the 3x3 sweep passes all its classes at once, measured as one
-stack per dimension.  Entry points keep their scope checks, notes and oracles.
+report; the 3x3 sweep names, builds and measures its classes as stacks.
+Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations
@@ -135,13 +135,13 @@ def _measure(scenario: str, jobs: Sequence[_Job], optimize: bool = False) -> lis
         else:
             stacks.setdefault((len(states), states[0].dim), []).append(n)
     for members in stacks.values():
-        candidates = [jobs[n].candidate for n in members]
-        elements, successes, verdicts = discrim._measure_stack(*_stack(candidates))
-        for n, c, e, p, verdict in zip(members, candidates, elements, successes, verdicts):
+        states, priors = _stack([jobs[n].candidate for n in members])
+        elements, successes, verdicts = discrim._measure_stack(states, priors)
+        for n, s, q, e, p, verdict in zip(members, states, priors, elements, successes, verdicts):
             measured[n] = p, verdict
             if optimize:
-                seed = discrim.Povm(e, range(len(e)))
-                refined = discrim.optimize_povm(c.family, c.prior, seed_povm=seed)
+                # seeded by the elements the stack has just checked
+                refined = discrim._fixed_point(e, range(len(e)), s, q, q[:, None, None] * s)
                 notes[n].append(
                     f"fixed-point optimum p={refined.success_probability:.17g}"
                     f" certified={refined.certified_optimal}"
@@ -179,26 +179,32 @@ def attack_deterministic_3x3(
     runs the fixed-point search and reports its value in the notes; the
     headline attack number stays the pretty-good-measurement success.
     """
-    return _measure("deterministic-3x3", [_det3x3_job(f, superposition, prior)], optimize)[0]
+    return _measure("deterministic-3x3", _det3x3_jobs([f], superposition, prior), optimize)[0]
 
 
-def _det3x3_job(f: FunctionSpec, superposition=None, prior=None) -> _Job:
-    """:func:`attack_deterministic_3x3`'s candidate, ready for :func:`_measure`."""
-    canon = funcspec.canonicalize_3x3(f)
+def _det3x3_jobs(fs: Sequence[FunctionSpec], superposition=None, prior=None) -> list[_Job]:
+    """:func:`attack_deterministic_3x3`'s candidates, ready for :func:`_measure`:
+    one canonicalizer call names all the tables, and those of one outcome
+    count share one family builder call and one stacked honest baseline."""
+    canons = funcspec._canonical_forms(fs)
     amps = (
         blackbox.uniform_superposition(3)
         if superposition is None
         else blackbox.amplitude_vector(superposition, 3)
     )
-    q = tuple(funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3))
-    candidate = _Candidate(
-        blackbox.output_family(f, amps),
-        q,
-        discrim.honest_probability(f, q),
-        tuple(complex(x) for x in amps),
-    )
-    notes = [f"canonical labels a={canon.a} b={canon.b}"]
-    return _Job(det3x3_function_id(canon), candidate, notes)
+    q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
+    inputs, prior_used = tuple(complex(x) for x in amps), tuple(q)
+    candidates = [None] * len(fs)
+    for count in {f.outcome_count for f in fs}:
+        members = [n for n, f in enumerate(fs) if f.outcome_count == count]
+        p = np.array([fs[n].probabilities() for n in members])
+        families = blackbox._two_sided_families(p, amps)
+        for n, family, p_honest in zip(members, families, discrim._honest(p, q).tolist()):
+            candidates[n] = _Candidate(family, prior_used, p_honest, inputs)
+    return [
+        _Job(det3x3_function_id(canon), candidate, [f"canonical labels a={canon.a} b={canon.b}"])
+        for canon, candidate in zip(canons, candidates)
+    ]
 
 
 def _two_sided_exception(f: FunctionSpec) -> bool:
@@ -430,8 +436,7 @@ def sweep_all_3x3() -> list[AttackReport]:
     Results are sorted by canonical identifier.  A non-positive advantage
     anywhere raises :class:`SweepFailure` with the offending tables.
     """
-    jobs = [_det3x3_job(f) for f in funcspec.enumerate_valid_3x3()]
-    reports = _measure("deterministic-3x3", jobs)
+    reports = _measure("deterministic-3x3", _det3x3_jobs(funcspec.enumerate_valid_3x3()))
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

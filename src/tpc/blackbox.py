@@ -5,12 +5,6 @@ it writes outcome ``k`` with amplitude ``sqrt(p(k|i,j))`` to both parties'
 outcome registers (two-sided) or to the receiver's register only
 (one-sided).  Amplitudes are fixed to the nonnegative real root; the
 effect of complex phases on the amplitudes is not explored.
-
-Two independent construction routes are provided for the two-sided case:
-:func:`output_family` assembles each reduced operator, one per Bob input,
-directly from the closed-form entries, while :func:`purified_reduced_state`
-materializes all four registers for one Bob input and traces the other
-party out.  They must agree entrywise; the test suite enforces this.
 """
 
 from __future__ import annotations
@@ -57,22 +51,28 @@ def uniform_superposition(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-def _two_sided_family(f: FunctionSpec, amplitudes) -> tuple[qmat.DensityState, ...]:
-    """Alice's reduced states after a superposed input, one per Bob input.
+def _two_sided_families(p: np.ndarray, amplitudes) -> list[StateFamily]:
+    """Alice's reduced states after a superposed input, for a stack of
+    same-shape tables ``p(k|i,j)`` indexed ``[t][k][j][i]``: one family per
+    table, one state per Bob input, all built as one array.
 
     Register order is (input, outcome); each state is block-diagonal in the
     outcome label, with block k equal to the outer product of the vector
     ``a_i * sqrt(p(k|i,j))``: PSD by construction, so it skips the
-    eigenvalue check (see :class:`qmat.DensityState`).
+    eigenvalue check, but each state's trace is still checked (see
+    :class:`qmat.DensityState`).
     """
-    a = amplitude_vector(amplitudes, f.alice_arity)
-    n, kdim = f.alice_arity, f.outcome_count
-    c = a * np.sqrt(f.probabilities())  # [k][j][i]
-    m = np.zeros((f.bob_arity, n, kdim, n, kdim), dtype=complex)
+    tables, kdim, bob, n = p.shape
+    a = amplitude_vector(amplitudes, n)
+    c = a * np.sqrt(p)
+    m = np.zeros((tables, bob, n, kdim, n, kdim), dtype=complex)
     k = np.arange(kdim)
-    m[:, :, k, :, k] += c[..., :, None] * c[..., None, :].conj()
-    m = m.reshape(f.bob_arity, n * kdim, n * kdim)
-    return tuple(qmat.DensityState._from_outer_products(mj, (n, kdim)) for mj in m)
+    m[:, :, :, k, :, k] += (c[..., :, None] * c[..., None, :].conj()).swapaxes(0, 1)
+    m = m.reshape(tables, bob, n * kdim, n * kdim)
+    return [
+        StateFamily(tuple(qmat.DensityState._from_outer_products(mj, (n, kdim)) for mj in mt))
+        for mt in m
+    ]
 
 
 def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:
@@ -88,22 +88,6 @@ def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.Densi
     return qmat.DensityState._from_outer_products(np.outer(c, c.conj()), (f.outcome_count,))
 
 
-def purified_reduced_state(f: FunctionSpec, amplitudes: Sequence[complex], j: int) -> qmat.DensityState:
-    """Independent route: build the full four-register pure state and trace
-    out the other party's registers."""
-    if f.sided != "two":
-        raise ValueError("purification route requires a two-sided function")
-    a = amplitude_vector(amplitudes, f.alice_arity)
-    n, nb, kdim = f.alice_arity, f.bob_arity, f.outcome_count
-    ket = np.zeros(n * nb * kdim * kdim, dtype=complex)
-    for i in range(n):
-        for k in range(kdim):
-            idx = ((i * nb + j) * kdim + k) * kdim + k
-            ket[idx] = a[i] * np.sqrt(float(f.prob(k, i, j)))
-    full = qmat.pure_state(ket, (n, nb, kdim, kdim))
-    return qmat.partial_trace(full, keep=(0, 2))
-
-
 def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFamily:
     """States indexed by the guessed party's input, for the given cheater.
 
@@ -117,7 +101,7 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
     elif role != "alice":
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
-        return StateFamily(_two_sided_family(f, alice_input))
+        return _two_sided_families(f.probabilities()[None], alice_input)[0]
     i = int(alice_input)
     states = tuple(
         alice_reduced_state_one_sided(f, i, j) for j in range(f.bob_arity)

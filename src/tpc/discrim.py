@@ -16,7 +16,7 @@ magnitude is reported as a residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -132,9 +132,15 @@ def honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
     and guesses the other party's input j with the largest posterior weight:
     ``max_i sum_k max_j p(k|i,j) q_j``.
     """
-    q = validate_prior(prior, f.bob_arity)
+    return float(_honest(f.probabilities(), validate_prior(prior, f.bob_arity)))
+
+
+def _honest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`honest_probability` of one table ``p(k|i,j)`` indexed
+    ``[k, j, i]``, or of each of a stack ``[t, k, j, i]``, under one
+    validated prior ``q`` over ``j``."""
     # one row per outcome k of max_j p(k|i,j) q_j, summed in outcome order
-    return float(sum((f.probabilities() * q[:, None]).max(axis=1)).max())
+    return sum((p * q[:, None]).max(axis=-2).swapaxes(0, -2)).max(axis=-1)
 
 
 def per_input_basis_rate(f: FunctionSpec, i: int, prior: Sequence[float]) -> float:
@@ -281,36 +287,50 @@ def optimize_povm(
     if seed_povm is None:
         seed_povm = square_root_measurement(family, prior)
     matrices, priors, family_weighted = _checked_inputs(family, prior, seed_povm)
-    labels, dim = seed_povm.labels, seed_povm.dim
+    result = _fixed_point(
+        seed_povm.elements, seed_povm.labels, matrices, priors, family_weighted, max_iters, step_tol
+    )
+    return result if result.povm is not None else replace(result, povm=seed_povm)
+
+
+def _fixed_point(
+    elements: np.ndarray, labels: Sequence[int], matrices: np.ndarray, priors: np.ndarray,
+    family_weighted: np.ndarray, max_iters: int = 10000, step_tol: float = 1e-12,
+) -> DiscriminationResult:
+    """:func:`optimize_povm`'s search from checked seed elements ``(m, d, d)``
+    with the labels, guessed states, priors and weighted family states of
+    :func:`_checked_inputs`.  The result's ``povm`` is the last iterate, or
+    None when no sweep ran."""
+    dim = elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
-    povm = seed_povm
-    current = float(_success(povm.elements, matrices, priors))
+    povm = None
+    current = float(_success(elements, matrices, priors))
     polish_block = 100
     last_residual = math.inf
     identity = np.eye(dim)
     steps, stop_reason, residuals = 0, "max_iters", None
     while steps < max_iters:
-        elements = povm.elements
         gram = (weighted @ elements @ weighted).sum(axis=0)
         root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2)
         updated = root @ weighted @ elements @ weighted @ root
         updated = (updated + qmat.dagger(updated)) / 2
         updated[kernel_slot] += identity - updated.sum(axis=0)
         povm = Povm(updated, labels)
-        value = float(_success(povm.elements, matrices, priors))
+        elements = povm.elements
+        value = float(_success(elements, matrices, priors))
         if value < current - 1e-12:
             raise ArithmeticError(
                 f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
             )
         improved, current, residuals = value - current, value, None
         steps += 1
-        lagrange = _lagrange(povm.elements, weighted, family_weighted)
+        lagrange = _lagrange(elements, weighted, family_weighted)
         closed = dim * max(-lagrange[1], 0.0) <= active().cert
         polish = improved < step_tol and steps % polish_block == 0
         if not (closed or polish):
             continue
-        ok, residuals = _certify(povm.elements, weighted, *lagrange)[0]
+        ok, residuals = _certify(elements, weighted, *lagrange)[0]
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if (ok and closed) or (polish and residual >= 0.9 * last_residual):
             stop_reason = "converged" if ok and closed else "stalled"
@@ -318,36 +338,10 @@ def optimize_povm(
         if polish:
             last_residual = residual
     if residuals is None:
-        lagrange = _lagrange(povm.elements, weighted, family_weighted)
-        ok, residuals = _certify(povm.elements, weighted, *lagrange)[0]
+        lagrange = _lagrange(elements, weighted, family_weighted)
+        ok, residuals = _certify(elements, weighted, *lagrange)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
     return DiscriminationResult(current, povm, ok, residuals, steps, stop_reason, p_upper)
-
-
-def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:
-    """The family of measurements equivalent to honest play for canonical
-    3x3 functions probed with the balanced two-term superposition.
-
-    Outcome-basis projectors ``|i,k><i,k|`` are regrouped into three guess
-    operators parameterized by five free splits ``alphas`` in [0, 1]; the
-    split parameters never change the success probability.
-    """
-    al = [float(x) for x in alphas]
-    if len(al) != 5 or any(x < 0 or x > 1 for x in al):
-        raise ValueError("alphas must be five numbers in [0, 1]")
-    if a == b or not (0 <= a < outcome_dim and 0 <= b < outcome_dim):
-        raise ValueError(f"labels a={a}, b={b} invalid for {outcome_dim} outcomes")
-    dim = input_dim * outcome_dim
-
-    def proj(i, k):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[i * outcome_dim + k, i * outcome_dim + k] = 1.0
-        return p
-
-    e0 = al[0] * proj(0, 0) + proj(1, a)
-    e1 = (1.0 - al[0]) * proj(0, 0) + al[1 + b] * proj(1, b)
-    e2 = np.eye(dim, dtype=complex) - e0 - e1
-    return Povm((e0, e1, e2), (0, 1, 2))
 
 
 class WeightedDifferenceEigenvalues(NamedTuple):

@@ -7,15 +7,15 @@ as exact rationals until states are built, so that parse-time rounding can
 never masquerade as an attack advantage.
 
 The 3x3 classes are enumerated through the reference layout, which every
-valid table can be relabeled into (see :func:`enumerate_valid_3x3`); the
-full walk over all 11,051 normalized tables is kept as a test oracle.
+valid table can be relabeled into (see :func:`enumerate_valid_3x3`), on
+arrays of tables with one orbit gather and base-4 keys; the full walk over
+all 11,051 normalized tables is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,11 +26,20 @@ from .tolerances import active
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
-# (row permutation, column permutation, reader of the permuted cells), identity first
-_TRANSFORMS = tuple(
-    (rp, cp, operator.itemgetter(*(3 * r + c for r in rp for c in cp)))
-    for rp, cp in itertools.product(_PERMS3, repeat=2)
-)
+# Stacks of row-major 3x3 tables are held cells first, C-contiguous (9, n), so
+# that array ops run along the stack; tables[_GATHER] is (9, 36, n), each table
+# under the 36 input permutations, row permutation major, identity first.
+_GATHER = np.array(
+    [[3 * r + c for r in rp for c in cp] for rp, cp in itertools.product(_PERMS3, repeat=2)]
+).T
+
+# Place values that read a table with labels 0-3 as one base-4 key, in tuple
+# order; int32 holds every key and halves the temporaries of the key sums.
+_KEY = np.array([4**p for p in range(8, -1, -1)], dtype=np.int32)
+
+# First appearance in this cell order gives the reference labels (0,0) -> 0, (2,0) -> 1.
+_REFERENCE_ORDER = [0, 6, 1, 2, 3, 4, 5, 7, 8]
+_REFERENCE_GATHER, _REFERENCE_KEY = _GATHER[_REFERENCE_ORDER], _KEY[_REFERENCE_ORDER]
 
 # Number of inequivalent 3x3 deterministic functions that are potentially
 # concealing and non-degenerate (frozen regression value; re-checked in the
@@ -235,14 +244,24 @@ def validate_conditions(f: FunctionSpec) -> ConditionCheck:
     """
     if f.kind != "deterministic":
         raise ValueError("conditions are defined for deterministic functions only")
-    return _conditions(f.det_table)
+    concealing, non_degenerate = _conditions(np.array(f.det_table))
+    return ConditionCheck(bool(concealing), bool(non_degenerate))
 
 
-def _conditions(rows: tuple[tuple[int, ...], ...]) -> ConditionCheck:
-    cols = tuple(zip(*rows))
-    concealing = all(len(set(line)) < len(line) for line in rows + cols)
-    non_degenerate = len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
-    return ConditionCheck(concealing, non_degenerate)
+def _conditions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`validate_conditions` as two masks, potentially concealing and
+    non-degenerate, over outcome matrices ``(rows, cols, ...)``."""
+    rows, cols = t.shape[:2]
+    same = t[:, :, None, None] == t[None, None]  # cell (r, c) against cell (r', c')
+    in_row = np.diagonal(same, axis1=0, axis2=2)  # (c, c', ..., r)
+    in_col = np.diagonal(same, axis1=1, axis2=3)  # (r, r', ..., c)
+    # a line repeats an element when some cell matches another cell, not only itself
+    concealing = (in_row.sum(axis=(0, 1)) > cols).all(axis=-1)
+    concealing &= (in_col.sum(axis=(0, 1)) > rows).all(axis=-1)
+    # two rows are equal when they match in every column; only a row equals itself
+    non_degenerate = in_col.all(axis=-1).sum(axis=(0, 1)) == rows
+    non_degenerate &= in_row.all(axis=-1).sum(axis=(0, 1)) == cols
+    return concealing, non_degenerate
 
 
 @dataclass(frozen=True)
@@ -263,15 +282,26 @@ class CanonicalForm3x3:
     outcome_relabel: tuple[tuple[int, int], ...]
 
 
-def _in_reference_layout(t: Sequence[int]) -> bool:
-    """Whether a row-major 3x3 table has first column (x, x, y) and second
-    column (a, b, b) with x != y, a != b, and a == x or b == x or b == y;
-    with x, y labelled 0, 1 this is the layout of :class:`CanonicalForm3x3`."""
-    return (
-        t[3] == t[0] != t[6]
-        and t[7] == t[4] != t[1]
-        and (t[1] == t[0] or t[4] == t[0] or t[4] == t[6])
-    )
+def _in_reference_layout(t: np.ndarray) -> np.ndarray:
+    """Which row-major 3x3 tables ``(9, ...)`` have first column (x, x, y)
+    and second column (a, b, b) with x != y, a != b, and a == x or b == x or
+    b == y; with x, y labelled 0, 1 this is the layout of
+    :class:`CanonicalForm3x3`."""
+    x, a, b, y = t[0], t[1], t[4], t[6]
+    return (t[3] == x) & (x != y) & (t[7] == b) & (a != b) & ((a == x) | (b == x) | (b == y))
+
+
+def _keys(t: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """``place @ labels`` for every column of ``t`` ``(cells, ...)``, its
+    labels renumbered 0, 1, 2, ... in order of first appearance down the
+    cells.  Labels are small non-negative integers: the work grows with the
+    largest."""
+    flat = t.reshape(len(t), 1, -1)
+    hits = flat == np.arange(t.max() + 1)[:, None]
+    # how early each label first appears: the last cell scores 1, absence 0
+    early = (hits * np.arange(len(t), 0, -1, dtype=np.int8)[:, None, None]).max(axis=0)
+    rank = (early[:, None] > early).sum(axis=0, dtype=np.int8)
+    return (place @ (hits * rank).sum(axis=1, dtype=np.int8)).reshape(t.shape[1:])
 
 
 def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
@@ -285,49 +315,44 @@ def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
     the 36 input permutations only the outcome bijection that numbers the
     rest in first-appearance order is tried.  The identity permutations
     come first, so a table already in canonical form is returned unchanged.
+    This is the one-table case of :func:`_canonical_forms`.
     """
-    if f.kind != "deterministic" or (f.alice_arity, f.bob_arity) != (3, 3):
-        raise ValueError("canonicalization requires a 3x3 deterministic function")
-    check = validate_conditions(f)
-    if not check:
-        raise ValueError(
-            "function must be potentially concealing and non-degenerate; got "
-            f"{check}"
-        )
-    flat = sum(f.det_table, ())
-    best_table = best_meta = None
-    for row_perm, col_perm, read in _TRANSFORMS:
-        t = read(flat)
-        if not _in_reference_layout(t):
-            continue
-        relabel = {t[0]: 0, t[6]: 1}
-        for x in t:
-            relabel.setdefault(x, len(relabel))
-        cand = tuple(tuple(relabel[x] for x in t[k : k + 3]) for k in (0, 3, 6))
-        if best_table is None or cand < best_table:
-            best_table = cand
-            best_meta = (cand[0][1], cand[1][1], row_perm, col_perm, relabel)
-    if best_table is None:
+    return _canonical_forms([f])[0]
+
+
+def _canonical_forms(fs: Sequence[FunctionSpec]) -> list[CanonicalForm3x3]:
+    """:func:`canonicalize_3x3` of every table, with its checks, on one gather
+    ``(9, 36, n)``: each candidate base table is read as a base-4 key, so the
+    smallest is one ``argmin``, the first transform on a tie."""
+    for f in fs:
+        if f.kind != "deterministic" or (f.alice_arity, f.bob_arity) != (3, 3):
+            raise ValueError("canonicalization requires a 3x3 deterministic function")
+    flats = [sum(f.det_table, ()) for f in fs]
+    # each cell labelled by the first cell holding its outcome, so labels stay below 9
+    tables = np.array([[t.index(t[c]) for t in flats] for c in range(9)])
+    for check in map(ConditionCheck, *(m.tolist() for m in _conditions(tables.reshape(3, 3, -1)))):
+        if not check:
+            raise ValueError(f"function must be potentially concealing and non-degenerate; got {check}")
+    # cell (0,0) is labelled 0 and cell (2,0) 1, the rest in first-appearance order;
+    # transforms out of the layout get a key above every table's
+    keys = _keys(tables[_REFERENCE_GATHER], _REFERENCE_KEY)
+    keys[~_in_reference_layout(tables[_GATHER])] = 4 * _KEY[0]
+    best, smallest = keys.argmin(axis=0), keys.min(axis=0)
+    if smallest.max() == 4 * _KEY[0]:
         raise ValueError("function admits no canonical form; conditions violated")
-    a, b, row_perm, col_perm, relabel = best_meta
-    return CanonicalForm3x3(
-        base=deterministic(best_table, sided=f.sided),
-        a=a,
-        b=b,
-        row_perm=row_perm,
-        col_perm=col_perm,
-        outcome_relabel=tuple(sorted(relabel.items())),
-    )
-
-
-def _first_appearance(flat: Sequence[int]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for x in flat:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
+    # the base tables, and for each of their cells the original cell it reads
+    bases, sources = (smallest[:, None] // _KEY % 4).tolist(), _GATHER[:, best].T.tolist()
+    return [
+        CanonicalForm3x3(
+            base=deterministic((t[0:3], t[3:6], t[6:9]), sided=f.sided),
+            a=t[1],
+            b=t[4],
+            row_perm=_PERMS3[k // 6],
+            col_perm=_PERMS3[k % 6],
+            outcome_relabel=tuple(sorted({(flat[c], x) for c, x in zip(source, t)})),
+        )
+        for f, flat, t, source, k in zip(fs, flats, bases, sources, best.tolist())
+    ]
 
 
 def enumerate_valid_3x3() -> list[FunctionSpec]:
@@ -335,28 +360,25 @@ def enumerate_valid_3x3() -> list[FunctionSpec]:
     functions, one representative per equivalence class, with outcome
     labels normalized to first-appearance order.
 
-    Only the 512 tables already in the reference layout are walked.  Every
+    Only the 512 tables already in the reference layout are checked.  Every
     valid table has a relabeling in that layout (:func:`canonicalize_3x3`
     relies on this too, and the test suite checks it against the full
     walk), with the first column's labels set to 0 and 1.  A valid table
     has at most 4 distinct outcomes: each row repeats an element, and a
     fifth value would force some column to hold three distinct entries.
-    So labels 0-3 in the five free cells reach every class.
-    Each class is handled once: its first valid table marks all its
-    first-appearance forms (which outcome labels do not change) as seen.
-    Validity is checked on bare rows, by the helper behind
-    :func:`validate_conditions`.
+    So labels 0-3 in the five free cells reach every class.  The 76 valid
+    tables are gathered under all 36 input permutations at once, each keyed
+    by the smallest base-4 key of its first-appearance forms; the 18
+    distinct keys, sorted, are the classes, each its orbit's smallest table.
     """
-    seen, reps = set(), []
-    for a, c02, b, c12, c22 in itertools.product(range(4), repeat=5):
-        flat = (0, a, c02, 0, b, c12, 1, b, c22)
-        if not _in_reference_layout(flat) or not _conditions((flat[0:3], flat[3:6], flat[6:9])):
-            continue
-        if _first_appearance(flat) not in seen:
-            orbit = {_first_appearance(read(flat)) for _, _, read in _TRANSFORMS}
-            seen |= orbit
-            reps.append(min(orbit))
-    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in sorted(reps)]
+    a, c02, b, c12, c22 = np.indices((4,) * 5, dtype=np.int8).reshape(5, -1)
+    zero = np.zeros_like(a)
+    tables = np.stack([zero, a, c02, zero, b, c12, zero + 1, b, c22])
+    tables = np.compress(_in_reference_layout(tables), tables, axis=1)
+    tables = np.compress(np.logical_and(*_conditions(tables.reshape(3, 3, -1))), tables, axis=1)
+    # a set, not np.unique: numpy's first sort loads its sort kernels, ~1 MB resident
+    keys = np.array(sorted(set(_keys(tables[_GATHER], _KEY).min(axis=0).tolist())))
+    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in (keys[:, None] // _KEY % 4).tolist()]
 
 
 # --- function-spec file format -------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,29 +121,3 @@ class DensityState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-
-def pure_state(amplitudes: Sequence[complex], dims: Sequence[int] | None = None) -> DensityState:
-    """Rank-1 DensityState from a unit-norm amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= active().trace:  # written so that a NaN norm fails too
-        raise ValueError(f"amplitude vector norm {norm:.12g} is not 1")
-    return DensityState(np.outer(v, v.conj()), tuple(dims) if dims is not None else (v.size,))
-
-
-def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
-    """Reduced state on the ``keep`` subsystems (original order preserved)."""
-    keep_idx = sorted({int(i) for i in keep})
-    n = len(state.dims)
-    if not keep_idx:
-        raise ValueError("keep must select at least one subsystem")
-    for i in keep_idx:
-        if i < 0 or i >= n:
-            raise ValueError(f"subsystem index {i} out of range for {n} subsystems")
-    dims = list(state.dims)
-    tensor_form = state.matrix.reshape(tuple(dims) * 2)
-    for idx in sorted(set(range(n)) - set(keep_idx), reverse=True):
-        tensor_form = np.trace(tensor_form, axis1=idx, axis2=idx + len(dims))
-        del dims[idx]
-    d = math.prod(dims)
-    return DensityState(tensor_form.reshape(d, d), tuple(dims))

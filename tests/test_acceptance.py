@@ -17,6 +17,8 @@ from tpc.blackbox import output_family, uniform_superposition
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
+from oracles import honest_family_povm, partial_trace, pure_state, purified_reduced_state
+
 
 def report(criterion: str, passed: bool, detail: str = ""):
     marker = "PASS" if passed else "FAIL"
@@ -212,7 +214,7 @@ def test_criterion_6_honest_baseline_consistency(capsys):
     grid_max = 0.0
     for a1 in grid:
         for ab in grid:
-            povm = discrim.honest_family_povm(
+            povm = honest_family_povm(
                 canon.a, canon.b, canon.base.outcome_count, [a1, ab, ab, ab, ab]
             )
             grid_max = max(grid_max, discrim.povm_success(family, prior, povm))
@@ -245,7 +247,7 @@ def test_criterion_7_numerical_core_properties(capsys):
         keep = sorted(
             rng.choice(len(dims), size=rng.integers(1, len(dims) + 1), replace=False)
         )
-        reduced = qmat.partial_trace(rho, keep=keep)
+        reduced = partial_trace(rho, keep=keep)
         if abs(np.trace(reduced.matrix) - 1.0) > tol.trace:
             failures.append("partial-trace trace drift")
 
@@ -276,7 +278,7 @@ def test_criterion_7_numerical_core_properties(capsys):
         states = []
         for _ in range(count):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            states.append(qmat.pure_state(v / np.linalg.norm(v)))
+            states.append(pure_state(v / np.linalg.norm(v)))
         w = rng.uniform(0.1, 1.0, size=count)
         povm = discrim.square_root_measurement(states, tuple(w / w.sum()))
         total = sum(povm.elements)
@@ -334,7 +336,7 @@ def test_criterion_7_numerical_core_properties(capsys):
         a = a / np.linalg.norm(a)
         j = int(rng.integers(nb))
         direct = blackbox.output_family(f, a).states[j]
-        oracle = blackbox.purified_reduced_state(f, a, j)
+        oracle = purified_reduced_state(f, a, j)
         if np.abs(direct.matrix - oracle.matrix).max() > tol.recon:
             failures.append("formula vs purification")
 

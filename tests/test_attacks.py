@@ -106,6 +106,27 @@ class TestDeterministic3x3:
         report = attack_deterministic_3x3(builtin("neq3"), optimize=True)
         assert "fixed-point optimum" in report.notes
 
+    def test_optimize_seeds_the_search_from_the_checked_stack(self, monkeypatch):
+        # the pretty-good elements are checked once, with their stack; after
+        # that only the search's iterates are checked, one Povm per sweep
+        checks, sweeps = [], []
+        check, search = discrim._check_povm_stack, discrim._fixed_point
+
+        def counted_check(stack):
+            checks.append(stack.shape)
+            return check(stack)
+
+        def counted_search(*args, **kwargs):
+            result = search(*args, **kwargs)
+            sweeps.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(discrim, "_check_povm_stack", counted_check)
+        monkeypatch.setattr(discrim, "_fixed_point", counted_search)
+        attack_deterministic_3x3(builtin("neq3"), optimize=True)
+        assert len(sweeps) == 1 and sweeps[0] >= 1
+        assert checks == [(1, 3, 6, 6)] + [(3, 6, 6)] * sweeps[0]
+
     def test_invariant_advantage_definition(self):
         report = attack_deterministic_3x3(builtin("neq3"))
         assert report.advantage == pytest.approx(
@@ -435,11 +456,40 @@ class TestSweep:
             g = funcspec.deterministic([[relabel[f.det_table[r][c]] for c in cols] for r in rows])
             calls.append((g, options[n % len(options)]))
         calls = [calls[n] for n in rng.permutation(len(calls))]
-        jobs = [attacks._det3x3_job(g, **kwargs) for g, kwargs in calls]
+        jobs = [attacks._det3x3_jobs([g], **kwargs)[0] for g, kwargs in calls]
         assert len({job.candidate.family.states[0].dim for job in jobs}) == 3
         stacked = attacks._measure("deterministic-3x3", jobs, optimize)
         single = [attack_deterministic_3x3(g, optimize=optimize, **kwargs) for g, kwargs in calls]
         assert [exact_fields(r) for r in stacked] == [exact_fields(r) for r in single]
+
+    def test_one_batch_of_jobs_equals_one_job_per_table(self):
+        # the sweep's path: one canonicalizer call, one builder and one
+        # honest baseline per outcome count, here under seeded inputs
+        rng = np.random.default_rng(SEED + 22)
+        tables = []
+        for f in funcspec.enumerate_valid_3x3():
+            rows, cols = rng.permutation(3), rng.permutation(3)
+            relabel = rng.permutation(f.outcome_count)
+            tables.append(
+                funcspec.deterministic([[relabel[f.det_table[r][c]] for c in cols] for r in rows])
+            )
+        tables = [tables[n] for n in rng.permutation(len(tables))]
+        amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+        for kwargs in (
+            {},
+            {"prior": tuple(rng.dirichlet(np.ones(3)))},
+            {"prior": tuple(rng.dirichlet(np.ones(3))), "superposition": tuple(amps / np.linalg.norm(amps))},
+        ):
+            batch = attacks._det3x3_jobs(tables, **kwargs)
+            single = [attacks._det3x3_jobs([g], **kwargs)[0] for g in tables]
+            assert len(batch) == len(single) == len(tables)
+            for b, s in zip(batch, single):
+                assert (b.function_id, b.notes) == (s.function_id, s.notes)
+                assert b.candidate.prior == s.candidate.prior
+                assert b.candidate.input_used == s.candidate.input_used
+                assert float(b.candidate.p_honest).hex() == float(s.candidate.p_honest).hex()
+                for x, y in zip(b.candidate.family.states, s.candidate.family.states, strict=True):
+                    assert x.dims == y.dims and x.matrix.tobytes() == y.matrix.tobytes()
 
     @pytest.mark.parametrize(
         "perturb, message",

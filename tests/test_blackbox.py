@@ -1,21 +1,23 @@
 """State construction: closed-form route vs full purification, one-sided
 pure states, role symmetry."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tpc import funcspec, qmat
+from tpc import blackbox, funcspec, qmat
 from tpc.blackbox import (
     alice_reduced_state_one_sided,
     amplitude_vector,
     output_family,
-    purified_reduced_state,
     uniform_superposition,
 )
 from tpc.funcspec import builtin, canonicalize_3x3, deterministic, transpose
 from tpc.tolerances import active
+
+from oracles import partial_trace, purified_reduced_state
 
 SEED = 77
 
@@ -47,6 +49,19 @@ def random_table(rng, n=None, nb=None, kdim=None, sided="two"):
 def random_amplitudes(rng, n):
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     return a / np.linalg.norm(a)
+
+
+def random_deterministic(rng, n, kdim):
+    """An n x n outcome matrix over labels 0..kdim-1, declared with kdim
+    outcomes whether or not every label occurs."""
+    return funcspec.FunctionSpec(
+        kind="deterministic",
+        sided="two",
+        alice_arity=n,
+        bob_arity=n,
+        outcome_count=kdim,
+        det_table=rng.integers(kdim, size=(n, n)).tolist(),
+    )
 
 
 class TestTwoSidedStates:
@@ -108,7 +123,7 @@ class TestTwoSidedStates:
             amps = np.zeros(f.alice_arity)
             amps[i] = 1.0
             rho = output_family(f, amps).states[j]
-            marginal = qmat.partial_trace(rho, keep=[1]).matrix.diagonal().real
+            marginal = partial_trace(rho, keep=[1]).matrix.diagonal().real
             expected = [float(f.prob(k, i, j)) for k in range(f.outcome_count)]
             assert np.abs(marginal - expected).max() <= tol.trace
 
@@ -204,6 +219,58 @@ class TestBuilderPath:
             qmat.DensityState._from_outer_products(np.eye(4, dtype=complex) / 4, (2, 3))
         with pytest.raises(ValueError, match="must be positive"):
             qmat.DensityState._from_outer_products(np.eye(1, dtype=complex), (0,))
+
+
+class TestStackedBuilder:
+    """``blackbox._two_sided_families`` builds a stack of same-shape tables
+    at once, as the 3x3 sweep does; ``output_family`` is its one-table case."""
+
+    @staticmethod
+    def stacks():
+        """Seeded stacks of 2x2 and 3x3 tables, probabilistic and
+        deterministic mixed, each with seeded complex amplitudes."""
+        rng = np.random.default_rng(SEED + 31)
+        for n, kdim in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4)):
+            for _ in range(3):
+                tables = [random_table(rng, n=n, nb=n, kdim=kdim) for _ in range(3)]
+                tables += [random_deterministic(rng, n, kdim) for _ in range(3)]
+                order = rng.permutation(len(tables))
+                yield [tables[k] for k in order], random_amplitudes(rng, n)
+
+    @staticmethod
+    def build(tables, amps):
+        return blackbox._two_sided_families(np.array([f.probabilities() for f in tables]), amps)
+
+    def test_stack_equals_one_table_builder_bitwise(self):
+        for tables, amps in self.stacks():
+            for f, family in zip(tables, self.build(tables, amps), strict=True):
+                single = output_family(f, amps)
+                assert len(family) == len(single) == f.bob_arity
+                for stacked, alone in zip(family.states, single.states):
+                    assert stacked.dims == alone.dims == (f.alice_arity, f.outcome_count)
+                    assert stacked.matrix.tobytes() == alone.matrix.tobytes()
+                    assert not stacked.matrix.flags.writeable
+
+    def test_stack_matches_purification_oracle(self):
+        tol = active()
+        for tables, amps in self.stacks():
+            for f, family in zip(tables, self.build(tables, amps), strict=True):
+                for j, state in enumerate(family.states):
+                    oracle = purified_reduced_state(f, amps, j)
+                    assert state.dims == oracle.dims
+                    assert np.abs(state.matrix - oracle.matrix).max() <= tol.recon
+
+    def test_bad_table_in_stack_fails_its_trace_check(self):
+        rng = np.random.default_rng(SEED + 32)
+        amps = uniform_superposition(3)
+        p = np.array([random_table(rng, n=3, nb=3, kdim=3).probabilities() for _ in range(4)])
+        p[2] *= 1 + 3e-9  # every state of table 2 has trace 1 + 3e-9
+        assert len(blackbox._two_sided_families(np.delete(p, 2, axis=0), amps)) == 3
+        message = f"^{re.escape('density matrix trace 1.000000003+0j is not 1')}$"
+        with pytest.raises(ValueError, match=message):
+            blackbox._two_sided_families(p, amps)
+        with pytest.raises(ValueError, match=message):
+            blackbox._two_sided_families(p[2:3], amps)
 
 
 class TestOneSidedStates:

@@ -15,7 +15,6 @@ from tpc.discrim import (
     basis_measurement_optimal,
     certify_optimal,
     helstrom,
-    honest_family_povm,
     honest_probability,
     optimize_povm,
     povm_success,
@@ -25,6 +24,8 @@ from tpc.discrim import (
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose, two_sided_binary
 from tpc.tolerances import active
 
+from oracles import honest_family_povm, pure_state
+
 SEED = 424242
 
 
@@ -32,7 +33,7 @@ def random_pure_pair(rng, dim=3):
     states = []
     for _ in range(2):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        states.append(qmat.pure_state(v / np.linalg.norm(v)))
+        states.append(pure_state(v / np.linalg.norm(v)))
     return states
 
 
@@ -209,6 +210,18 @@ class TestHonestProbability:
                 assert rate == loop_basis_rate(f, i, prior)
         assert cases == 1500 + 200 + 18 * 6
 
+    def test_stack_equals_one_table_exactly(self):
+        # the same cases, stacked per table shape and prior, as the 3x3 sweep
+        # stacks its classes; the outcome-order sum keeps every bit
+        stacks = {}
+        for f, prior in honest_baseline_cases():
+            stacks.setdefault((f.probabilities().shape, tuple(prior)), []).append(f)
+        assert max(len(tables) for tables in stacks.values()) == 500
+        for (_, prior), tables in stacks.items():
+            q = funcspec.validate_prior(prior, tables[0].bob_arity)
+            stacked = discrim._honest(np.array([f.probabilities() for f in tables]), q)
+            assert stacked.tolist() == [honest_probability(f, prior) for f in tables]
+
     def test_skewed_prior_reduces_to_largest_weight(self):
         f = two_sided_binary([[0.3, 0.6], [0.7, 0.2]])
         for eps in (1e-2, 1e-3):
@@ -238,12 +251,12 @@ class TestHonestProbability:
 
 class TestHelstrom:
     def test_identical_states_give_half(self):
-        rho = qmat.pure_state([1.0, 0.0])
+        rho = pure_state([1.0, 0.0])
         assert helstrom(rho, rho, 0.5).success_probability == pytest.approx(0.5)
 
     def test_orthogonal_states_give_one(self):
-        r0 = qmat.pure_state([1.0, 0.0])
-        r1 = qmat.pure_state([0.0, 1.0])
+        r0 = pure_state([1.0, 0.0])
+        r1 = pure_state([0.0, 1.0])
         for q0 in (0.1, 0.5, 0.9):
             assert helstrom(r0, r1, q0).success_probability == pytest.approx(1.0)
 
@@ -273,19 +286,19 @@ class TestHelstrom:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            helstrom(qmat.pure_state([1.0, 0.0]), qmat.pure_state([1.0, 0.0, 0.0]), 0.5)
+            helstrom(pure_state([1.0, 0.0]), pure_state([1.0, 0.0, 0.0]), 0.5)
 
 
 class TestSquareRootMeasurement:
     def test_orthogonal_pure_states_give_projectors(self):
-        r0 = qmat.pure_state([1.0, 0.0])
-        r1 = qmat.pure_state([0.0, 1.0])
+        r0 = pure_state([1.0, 0.0])
+        r1 = pure_state([0.0, 1.0])
         povm = square_root_measurement((r0, r1), (0.5, 0.5))
         np.testing.assert_allclose(povm.elements[0], r0.matrix, atol=1e-12)
         np.testing.assert_allclose(povm.elements[1], r1.matrix, atol=1e-12)
 
     def test_identical_rank_deficient_states(self):
-        sigma = qmat.pure_state([1.0, 0.0, 0.0])
+        sigma = pure_state([1.0, 0.0, 0.0])
         povm = square_root_measurement((sigma, sigma, sigma), (0.2, 0.5, 0.3))
         support = sigma.matrix
         kernel = np.eye(3) - support
@@ -294,7 +307,7 @@ class TestSquareRootMeasurement:
         np.testing.assert_allclose(povm.elements[2], support / 3, atol=1e-12)
 
     def test_kernel_tie_breaks_to_lowest_index(self):
-        sigma = qmat.pure_state([1.0, 0.0])
+        sigma = pure_state([1.0, 0.0])
         povm = square_root_measurement((sigma, sigma), (0.5, 0.5))
         kernel = np.eye(2) - sigma.matrix
         np.testing.assert_allclose(povm.elements[0], sigma.matrix / 2 + kernel, atol=1e-12)
@@ -325,7 +338,7 @@ class TestSquareRootMeasurement:
 
 class TestPovmSuccess:
     def test_trivial_single_state(self):
-        rho = qmat.pure_state([1.0, 0.0])
+        rho = pure_state([1.0, 0.0])
         povm = Povm((np.eye(2),), (0,))
         assert povm_success((rho,), (1.0,), povm) == pytest.approx(1.0)
 
@@ -353,13 +366,13 @@ class TestPovmSuccess:
                     )
 
     def test_label_out_of_range_rejected(self):
-        rho = qmat.pure_state([1.0, 0.0])
+        rho = pure_state([1.0, 0.0])
         povm = Povm((np.eye(2),), (1,))
         with pytest.raises(ValueError):
             povm_success((rho,), (1.0,), povm)
 
     def test_dimension_mismatch_rejected(self):
-        rho = qmat.pure_state([1.0, 0.0, 0.0])
+        rho = pure_state([1.0, 0.0, 0.0])
         povm = Povm((np.eye(2),), (0,))
         with pytest.raises(ValueError):
             povm_success((rho,), (1.0,), povm)
@@ -524,7 +537,7 @@ class TestOptimizePovm:
     def test_stop_reason_stalled(self):
         # a zero element stays zero under every sweep, so this seed is a
         # fixed point that is not optimal and its residual never shrinks
-        states = (qmat.pure_state([1.0, 0.0]), qmat.pure_state([0.0, 1.0]))
+        states = (pure_state([1.0, 0.0]), pure_state([0.0, 1.0]))
         seed = Povm((np.eye(2), np.zeros((2, 2))), (0, 1))
         result = optimize_povm(states, (0.5, 0.5), seed_povm=seed)
         assert (result.iterations, result.stop_reason) == (200, "stalled")
@@ -557,7 +570,7 @@ class TestOptimizePovm:
     def test_upper_bound_covers_states_the_seed_never_guesses(self):
         # three orthogonal states are perfectly distinguishable, but this seed
         # never guesses state 2; only that state's constraint lifts the bound
-        states = tuple(qmat.pure_state(np.eye(3)[k]) for k in range(3))
+        states = tuple(pure_state(np.eye(3)[k]) for k in range(3))
         seed = Povm((np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])), (0, 1))
         for max_iters in (0, 1, 3):
             result = optimize_povm(states, (1 / 3, 1 / 3, 1 / 3), seed, max_iters=max_iters)

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -115,6 +116,18 @@ class TestConditions:
         with pytest.raises(ValueError):
             validate_conditions(builtin("counterexample"))
 
+    def test_matches_set_oracle_on_random_shapes(self):
+        # the masks behind validate_conditions against sets of rows and columns
+        rng = np.random.default_rng(SEED_PROBABILITIES + 1)
+        for _ in range(2000):
+            rows, cols, count = (int(x) for x in rng.integers(1, 5, size=3))
+            table = rng.integers(count, size=(rows, cols)).tolist()
+            f = FunctionSpec("deterministic", "two", cols, rows, count, det_table=table)
+            lines_r, lines_c = [tuple(r) for r in table], list(zip(*table))
+            concealing = all(len(set(line)) < len(line) for line in lines_r + lines_c)
+            non_degenerate = len(set(lines_r)) == rows and len(set(lines_c)) == cols
+            assert validate_conditions(f) == funcspec.ConditionCheck(concealing, non_degenerate)
+
     def test_invariant_under_relabelings(self):
         f = neq3()
         base = validate_conditions(f)
@@ -194,6 +207,58 @@ class TestCanonicalize:
         for member in members:
             assert canonicalize_3x3(member) == brute_force_canonical_form(member)
 
+    def test_batch_equals_one_table_and_brute_force_on_the_full_walk(self):
+        valid = [
+            deterministic((t[0:3], t[3:6], t[6:9]))
+            for t in normalized_flat_tables()
+            if conditions_ok_flat(t)
+        ]
+        assert len(valid) == 456
+        batch = funcspec._canonical_forms(valid)
+        assert len(batch) == len(valid)
+        for f, canon in zip(valid, batch):
+            assert canon == canonicalize_3x3(f) == brute_force_canonical_form(f)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (
+                ((0, 0, 1), (0, 0, 1), (1, 1, 0)),
+                "function must be potentially concealing and non-degenerate; got "
+                "ConditionCheck(potentially_concealing=True, non_degenerate=False)",
+            ),
+            (
+                ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+                "function must be potentially concealing and non-degenerate; got "
+                "ConditionCheck(potentially_concealing=False, non_degenerate=True)",
+            ),
+            (
+                ((0, 1, 2), (0, 1, 2), (1, 2, 0)),
+                "function must be potentially concealing and non-degenerate; got "
+                "ConditionCheck(potentially_concealing=False, non_degenerate=False)",
+            ),
+            (((0, 1), (1, 0)), "canonicalization requires a 3x3 deterministic function"),
+        ],
+        ids=["degenerate", "non-concealing", "neither", "not-3x3"],
+    )
+    def test_invalid_table_raises_alone_and_inside_a_batch(self, table, message):
+        bad = deterministic(table)
+        pattern = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=pattern):
+            canonicalize_3x3(bad)
+        classes = enumerate_valid_3x3()
+        with pytest.raises(ValueError, match=pattern):
+            funcspec._canonical_forms(classes[:5] + [bad] + classes[5:])
+
+    def test_batch_reports_its_first_invalid_table(self):
+        degenerate = deterministic(((0, 0, 1), (0, 0, 1), (1, 1, 0)))
+        latin = deterministic(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        classes = enumerate_valid_3x3()
+        for first, second in ((degenerate, latin), (latin, degenerate)):
+            with pytest.raises(ValueError) as err:
+                funcspec._canonical_forms(classes[:3] + [first] + classes[3:9] + [second])
+            assert str(err.value).endswith(f"got {validate_conditions(first)}")
+
 
 def first_appearance(flat):
     """Relabel outcomes 0, 1, 2, ... in order of first appearance."""
@@ -268,11 +333,11 @@ class TestEnumeration:
         assert enumerate_valid_3x3() == full_walk_classes()
 
     def test_class_representative_matches_oracle(self):
-        # enumerate_valid_3x3 marks this set as seen and keeps its minimum
+        # enumerate_valid_3x3 keys each valid table by the smallest key of this set
         for flat in normalized_flat_tables():
             if conditions_ok_flat(flat):
-                reads = (read(flat) for *_, read in funcspec._TRANSFORMS)
-                orbit = {funcspec._first_appearance(t) for t in reads}
+                keys = funcspec._keys(np.array(flat)[funcspec._GATHER], funcspec._KEY)
+                orbit = {tuple(int(x) for x in key // funcspec._KEY % 4) for key in keys}
                 assert orbit == set(permuted_tables(flat))
                 assert min(orbit) == class_representative(flat)
 

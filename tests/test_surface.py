@@ -18,9 +18,6 @@ SRC = Path(__file__).parents[1] / "src" / "tpc"
 
 # Public names that nothing in src/ calls, each kept on purpose.
 ALLOWED_UNREFERENCED = {
-    # test oracles: independent routes the suite checks the library against
-    "blackbox.purified_reduced_state",  # four-register purification, traced out
-    "discrim.honest_family_povm",       # the honest strategies as one POVM
     # public API outside __all__, documented or used by callers and tests
     "cli.parse_report_document",        # inverse of the --out document (README)
     "cli.render_povm",                  # writes the POVM file format certify reads
