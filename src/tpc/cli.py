@@ -119,20 +119,9 @@ def render_report_document(reports: Sequence[AttackReport]) -> str:
         lines.append(f"p_attack: {_fmt(r.p_attack)}")
         lines.append(f"advantage: {_fmt(r.advantage)}")
         lines.append(f"certified: {'true' if r.certified else 'false'}")
-        if r.residuals is None:
-            lines.append("residuals: -")
-        else:
-            lines.append(
-                "residuals: "
-                + ",".join(
-                    _fmt(x)
-                    for x in (
-                        r.residuals.pairwise_max,
-                        r.residuals.min_eigenvalue,
-                        r.residuals.anti_hermitian_max,
-                    )
-                )
-            )
+        # pairwise_max, min_eigenvalue, anti_hermitian_max, in field order
+        residuals = "-" if r.residuals is None else ",".join(_fmt(x) for x in r.residuals)
+        lines.append(f"residuals: {residuals}")
         lines.append(f"notes: {_escape(r.notes)}")
     return "\n".join(lines) + "\n"
 
@@ -226,10 +215,7 @@ def parse_povm_file(text: str) -> discrim.Povm:
                 raise FunctionFileError(ln, f"cannot parse complex entry {t!r}") from None
         entries.append(row)
     count = len(entries) // dim
-    elements = tuple(
-        np.array(entries[e * dim : (e + 1) * dim], dtype=complex) for e in range(count)
-    )
-    return discrim.Povm(elements, tuple(range(count)))
+    return discrim.Povm(np.array(entries, dtype=complex).reshape(count, dim, dim), range(count))
 
 
 def render_povm(povm: discrim.Povm) -> str:
@@ -313,16 +299,16 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
                 "only 3x3 deterministic functions are implemented; larger alphabets: "
                 "conjectured insecure, not verified"
             )
-        check = funcspec.validate_conditions(f)
-        if not check:
+        try:
+            return attacks.attack_deterministic_3x3(
+                f, superposition=superposition, prior=prior, optimize=args.optimize
+            )
+        except funcspec.ConditionError as exc:  # the canonicalizer checks the conditions
             raise ScopeError(
                 "function is outside the attack's scope: "
-                f"potentially_concealing={check.potentially_concealing}, "
-                f"non_degenerate={check.non_degenerate}"
-            )
-        return attacks.attack_deterministic_3x3(
-            f, superposition=superposition, prior=prior, optimize=args.optimize
-        )
+                f"potentially_concealing={exc.check.potentially_concealing}, "
+                f"non_degenerate={exc.check.non_degenerate}"
+            ) from None
 
     if f.outcome_count != 2:
         raise ScopeError(

@@ -16,7 +16,7 @@ magnitude is reported as a residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +59,15 @@ class Povm:
         stack.setflags(write=False)
         object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _of_checked(cls, stack: np.ndarray, labels: Sequence[int]) -> Povm:
+        """A Povm of a stack that :func:`_check_povm_stack` passed, copied, not re-checked."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "elements", stack.astype(complex))
+        object.__setattr__(povm, "labels", tuple(labels))
+        povm.elements.setflags(write=False)
+        return povm
 
     @property
     def dim(self) -> int:
@@ -270,27 +279,26 @@ def optimize_povm(
 
     Each sweep applies ``E_e <- R^-1 (w_e rho_e) E_e (w_e rho_e) R^-1`` with
     ``R = (sum_e w_e rho_e E_e w_e rho_e)^(1/2)`` on its support, seeded by
-    the pretty-good measurement, on one stacked array; every iterate is a
-    checked :class:`Povm`.  The success probability never decreases
-    (checked each step within 1e-12).  After every sweep :func:`_lagrange`
-    brackets the optimum between the value and ``p_upper``; once the
-    bracket is no wider than the certificate tolerance the iterate is
-    certified, and the search stops (``"converged"``) when that passes.  The
-    value gap scales like the square of the certificate residual, so the
-    operators may still be far from the fixed point when the value has
-    converged: once a sweep improves by less than ``step_tol``, the
-    certificate at the end of each 100-sweep polish block stops the search
-    when its residual shrinks by less than 10% (``"stalled"``).
-    ``max_iters`` bounds the search either way, and the final flag is
-    reported honestly.
+    the pretty-good measurement, on one stacked array, in real arithmetic
+    when the family and seed are real; every iterate passes :class:`Povm`'s
+    checks.  The success probability never decreases (checked each step
+    within 1e-12).  After every sweep :func:`_lagrange` brackets the optimum
+    between the value and ``p_upper``; once the bracket is no wider than the
+    certificate tolerance the iterate is certified, and the search stops
+    (``"converged"``) when that passes.  The value gap scales like the
+    square of the certificate residual, so the operators may still be far
+    from the fixed point when the value has converged: once a sweep
+    improves by less than ``step_tol``, the certificate at the end of each
+    100-sweep polish block stops the search when its residual shrinks by
+    less than 10% (``"stalled"``).  ``max_iters`` bounds the search either
+    way, and the final flag is reported honestly.
     """
     if seed_povm is None:
         seed_povm = square_root_measurement(family, prior)
     matrices, priors, family_weighted = _checked_inputs(family, prior, seed_povm)
-    result = _fixed_point(
+    return _fixed_point(
         seed_povm.elements, seed_povm.labels, matrices, priors, family_weighted, max_iters, step_tol
     )
-    return result if result.povm is not None else replace(result, povm=seed_povm)
 
 
 def _fixed_point(
@@ -299,25 +307,26 @@ def _fixed_point(
 ) -> DiscriminationResult:
     """:func:`optimize_povm`'s search from checked seed elements ``(m, d, d)``
     with the labels, guessed states, priors and weighted family states of
-    :func:`_checked_inputs`.  The result's ``povm`` is the last iterate, or
-    None when no sweep ran."""
+    :func:`_checked_inputs`.  Each iterate is a bare stack checked by
+    :func:`_check_povm_stack`; only the last becomes a :class:`Povm`.  Real
+    symmetric inputs give real symmetric iterates, so they run in float64."""
+    inputs = (elements, matrices, family_weighted)
+    if not any(a.imag.any() for a in inputs):
+        elements, matrices, family_weighted = (a.real.copy() for a in inputs)
     dim = elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
-    povm = None
     current = float(_success(elements, matrices, priors))
-    polish_block = 100
-    last_residual = math.inf
-    identity = np.eye(dim)
+    polish_block, last_residual, identity = 100, math.inf, np.eye(dim)
     steps, stop_reason, residuals = 0, "max_iters", None
     while steps < max_iters:
-        gram = (weighted @ elements @ weighted).sum(axis=0)
+        sandwiched = weighted @ elements @ weighted
+        gram = sandwiched.sum(axis=0)
         root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2)
-        updated = root @ weighted @ elements @ weighted @ root
-        updated = (updated + qmat.dagger(updated)) / 2
-        updated[kernel_slot] += identity - updated.sum(axis=0)
-        povm = Povm(updated, labels)
-        elements = povm.elements
+        elements = root @ sandwiched @ root
+        elements = (elements + qmat.dagger(elements)) / 2
+        elements[kernel_slot] += identity - elements.sum(axis=0)
+        _check_povm_stack(elements)
         value = float(_success(elements, matrices, priors))
         if value < current - 1e-12:
             raise ArithmeticError(
@@ -341,6 +350,7 @@ def _fixed_point(
         lagrange = _lagrange(elements, weighted, family_weighted)
         ok, residuals = _certify(elements, weighted, *lagrange)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
+    povm = Povm._of_checked(elements, labels)
     return DiscriminationResult(current, povm, ok, residuals, steps, stop_reason, p_upper)
 
 
@@ -375,12 +385,8 @@ def weighted_difference_eigenvalues(f: FunctionSpec, q0: float) -> WeightedDiffe
 
     def pair(t):
         a_val = (t[(0, 0)] + t[(1, 0)]) * q0 - (t[(0, 1)] + t[(1, 1)]) * q1
-        b_val = (
-            4.0
-            * (math.sqrt(t[(0, 1)] * t[(1, 0)]) - math.sqrt(t[(0, 0)] * t[(1, 1)])) ** 2
-            * q0
-            * q1
-        )
+        root_gap = math.sqrt(t[(0, 1)] * t[(1, 0)]) - math.sqrt(t[(0, 0)] * t[(1, 1)])
+        b_val = 4.0 * root_gap**2 * q0 * q1
         disc = math.sqrt(a_val * a_val + b_val)
         return 0.25 * (a_val + disc), 0.25 * (a_val - disc), a_val, b_val
 

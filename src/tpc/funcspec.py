@@ -235,6 +235,14 @@ class ConditionCheck:
         return self.potentially_concealing and self.non_degenerate
 
 
+class ConditionError(ValueError):
+    """A table that is not both potentially concealing and non-degenerate."""
+
+    def __init__(self, check: ConditionCheck):
+        super().__init__(f"function must be potentially concealing and non-degenerate; got {check}")
+        self.check = check
+
+
 def validate_conditions(f: FunctionSpec) -> ConditionCheck:
     """Concealment and degeneracy checks for deterministic outcome matrices.
 
@@ -332,7 +340,7 @@ def _canonical_forms(fs: Sequence[FunctionSpec]) -> list[CanonicalForm3x3]:
     tables = np.array([[t.index(t[c]) for t in flats] for c in range(9)])
     for check in map(ConditionCheck, *(m.tolist() for m in _conditions(tables.reshape(3, 3, -1)))):
         if not check:
-            raise ValueError(f"function must be potentially concealing and non-degenerate; got {check}")
+            raise ConditionError(check)
     # cell (0,0) is labelled 0 and cell (2,0) 1, the rest in first-appearance order;
     # transforms out of the layout get a key above every table's
     keys = _keys(tables[_REFERENCE_GATHER], _REFERENCE_KEY)

@@ -116,6 +116,35 @@ class TestAnalyze:
         assert main(["analyze", path]) == EXIT_SCOPE
         assert "non_degenerate=False" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, flags",
+        [
+            ("0 0 1\n0 0 1\n1 1 0\n", "potentially_concealing=True, non_degenerate=False"),
+            ("0 1 2\n1 2 0\n2 0 1\n", "potentially_concealing=False, non_degenerate=True"),
+            ("0 1 2\n0 1 2\n1 2 0\n", "potentially_concealing=False, non_degenerate=False"),
+        ],
+        ids=["degenerate", "non-concealing", "neither"],
+    )
+    @pytest.mark.parametrize("options", [[], ["--optimize", "--prior", "0.5,0.5,0.5"]])
+    def test_invalid_3x3_scope_message_is_exact(self, tmp_path, capsys, rows, flags, options):
+        outcomes = len(set(rows.split()))
+        text = f"type: deterministic\nsided: two\ninputs: 3 3\noutcomes: {outcomes}\n{rows}"
+        assert main(["analyze", write(tmp_path, "bad.fn", text)] + options) == EXIT_SCOPE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"out of scope: function is outside the attack's scope: {flags}\n"
+
+    def test_3x3_conditions_are_checked_once(self, monkeypatch, capsys):
+        shapes, conditions = [], funcspec._conditions
+
+        def counted(t):
+            shapes.append(t.shape)
+            return conditions(t)
+
+        monkeypatch.setattr(funcspec, "_conditions", counted)
+        assert main(["analyze", "@neq3", "--optimize"]) == EXIT_OK
+        assert shapes == [(3, 3, 1)]
+
     def test_parse_error_exits_one_with_line(self, tmp_path, capsys):
         path = write(tmp_path, "bad.fn", "type: deterministic\nsided: two\ninputs: x y\n")
         assert main(["analyze", path]) == EXIT_INPUT

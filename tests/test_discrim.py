@@ -609,6 +609,71 @@ class TestOptimizePovm:
         result = optimize_povm(family, prior, seed_povm=seed)
         assert result.success_probability >= povm_success(family, prior, seed) - 1e-12
 
+    @staticmethod
+    def phased_class_families():
+        """Each class under the uniform superposition, and under the same
+        magnitudes with seeded per-component phases: a diagonal unitary on
+        the input register, so the complex family is equivalent to the real."""
+        rng = np.random.default_rng(SEED + 9)
+        for f in funcspec.enumerate_valid_3x3():
+            base = canonicalize_3x3(f).base
+            phased = uniform_superposition(3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+            yield output_family(base, uniform_superposition(3)), output_family(base, phased)
+
+    def test_complex_search_matches_real_search_on_the_18_classes(self):
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        for real, phased in self.phased_class_families():
+            assert not any(s.matrix.imag.any() for s in real.states)
+            assert any(s.matrix.imag.any() for s in phased.states)
+            a, b = optimize_povm(real, prior), optimize_povm(phased, prior)
+            assert (b.iterations, b.stop_reason) == (a.iterations, a.stop_reason)
+            assert b.certified_optimal == a.certified_optimal
+            assert abs(b.success_probability - a.success_probability) <= 1e-12
+
+    def test_search_checks_float64_stacks_on_real_families_only(self, monkeypatch):
+        checked, check = [], discrim._check_povm_stack
+
+        def recording_check(stack):
+            checked.append(stack.copy())
+            return check(stack)
+
+        monkeypatch.setattr(discrim, "_check_povm_stack", recording_check)
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        for family, dtype in zip(next(self.phased_class_families()), (np.float64, np.complex128)):
+            seed = square_root_measurement(family, prior)
+            checked.clear()
+            result = optimize_povm(family, prior, seed_povm=seed)
+            # one check per sweep, and the returned POVM is the last checked stack
+            assert len(checked) == result.iterations >= 1
+            assert all(stack.dtype == dtype for stack in checked)
+            assert result.povm.elements.dtype == np.complex128
+            assert np.array_equal(result.povm.elements, checked[-1])
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 10000])
+    def test_each_search_builds_one_povm(self, monkeypatch, max_iters):
+        built = []
+        post_init, of_checked = Povm.__post_init__, Povm._of_checked.__func__
+
+        def counted_post_init(self):
+            built.append("checked")
+            post_init(self)
+
+        def counted_of_checked(cls, stack, labels):
+            built.append("wrapped")
+            return of_checked(cls, stack, labels)
+
+        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        seed = square_root_measurement(family, prior)
+        monkeypatch.setattr(Povm, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Povm, "_of_checked", classmethod(counted_of_checked))
+        result = optimize_povm(family, prior, seed_povm=seed, max_iters=max_iters)
+        assert built == ["wrapped"]
+        assert result.povm.labels == seed.labels
+        built.clear()
+        attacks.attack_deterministic_3x3(builtin("neq3"), optimize=True)
+        assert built == ["wrapped"]
+
 
 class TestWeightedDifferenceEigenvalues:
     def test_one_input_table_collapses(self):
