@@ -1,17 +1,19 @@
 """One attack pipeline and its report packaging.
 
-Every attack follows one recipe.  An entry point lists candidates: a state
-family the cheater may hold after a superposed (or, for one-sided functions,
-honest) input, the prior over the guessed party's inputs, the honest
-guessing probability to beat, and the input used.  :func:`_select` scores
-each candidate by the Helstrom value of its two states, without building a
-measurement, and keeps the largest advantage, the first on a tie; the 3x3
-and oblivious-transfer attacks have one candidate and skip it.
-:func:`_measure` then builds the measurement for that candidate alone
-(Helstrom for two states, else the pretty-good measurement, optionally
-polished by the fixed-point search), certifies it once and packages the
-report; the 3x3 sweep names, builds and measures its classes as stacks.
-Entry points keep their scope checks, notes and oracles.
+Every attack follows one recipe.  An entry point lists candidates: the
+states ``(m, d, d)`` the cheater may hold after a superposed (or, for
+one-sided functions, honest) input, one per input of the guessed party, the
+prior over those inputs, the honest guessing probability to beat, and the
+input used.  :func:`_select` scores each candidate by the Helstrom value of
+its two states, without building a measurement, and keeps the largest
+advantage, the first on a tie; the 3x3 and oblivious-transfer attacks have
+one candidate and skip it.  :func:`_measure` then measures the kept
+candidates on one stacked path, one stack per shape: Helstrom elements for
+two states, else the pretty-good measurement, optionally polished by the
+fixed-point search, each stack checked and certified once.  The 3x3 sweep
+carries its class tables, families and candidates as arrays from
+enumeration to measurement.  Entry points keep their scope checks, notes
+and oracles.
 """
 
 from __future__ import annotations
@@ -72,8 +74,12 @@ class SweepFailure(RuntimeError):
 
 
 def det3x3_function_id(canon: funcspec.CanonicalForm3x3) -> str:
-    digits = "".join(str(x) for row in canon.base.det_table for x in row)
-    return f"det3x3:{digits}"
+    return _det3x3_id(sum(canon.base.det_table, ()))
+
+
+def _det3x3_id(base: Sequence[int]) -> str:
+    """The sweep's name of a class: its row-major canonical base table."""
+    return "det3x3:" + "".join(map(str, base))
 
 
 def _rational_id(f: FunctionSpec) -> str:
@@ -85,10 +91,14 @@ def _rational_id(f: FunctionSpec) -> str:
 
 
 class _Candidate(NamedTuple):
-    family: blackbox.StateFamily
+    states: np.ndarray  # (m, d, d), one per input of the guessed party
     prior: tuple[float, ...]
     p_honest: float
     input_used: tuple[complex, ...] | int
+
+
+def _matrices(family: blackbox.StateFamily) -> np.ndarray:
+    return np.array([s.matrix for s in family.states])
 
 
 def _score(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -101,16 +111,11 @@ def _score(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1))
 
 
-def _stack(candidates: Sequence[_Candidate]) -> tuple[np.ndarray, np.ndarray]:
-    """State matrices ``(n, m, d, d)`` and priors ``(n, m)`` of same-shape candidates."""
-    states = np.array([[s.matrix for s in c.family.states] for c in candidates])
-    return states, np.array([c.prior for c in candidates], dtype=float)
-
-
 def _select(candidates: Sequence[_Candidate]) -> tuple[_Candidate, list[float]]:
     """Score every candidate and keep the largest advantage, the first on a
     tie; the scores are returned for the caller's notes and oracles."""
-    scores = _score(*_stack(candidates)).tolist()
+    states, priors = np.array([c.states for c in candidates]), [c.prior for c in candidates]
+    scores = _score(states, priors).tolist()
     advantages = [s - c.p_honest for s, c in zip(scores, candidates)]
     return candidates[advantages.index(max(advantages))], scores
 
@@ -123,19 +128,16 @@ class _Job(NamedTuple):
 
 def _measure(scenario: str, jobs: Sequence[_Job], optimize: bool = False) -> list[AttackReport]:
     """Build, evaluate and certify the measurement for each job's candidate,
-    one report per job: Helstrom for two states, else the pretty-good
-    measurement, optionally polished by the fixed-point search, with the
-    candidates of one shape measured, checked and certified as one stack."""
+    one report per job: the candidates of one shape are measured, checked
+    and certified as one stack by :func:`discrim._measure_stack` (Helstrom
+    for two states, else pretty-good); ``optimize`` also runs the fixed-point
+    search from each candidate's checked elements."""
     measured, notes, stacks = [None] * len(jobs), [list(job.notes) for job in jobs], {}
     for n, job in enumerate(jobs):
-        states = job.candidate.family.states
-        if len(states) == 2:
-            result = discrim.helstrom(states[0], states[1], job.candidate.prior[0])
-            measured[n] = result.success_probability, (result.certified_optimal, result.residuals)
-        else:
-            stacks.setdefault((len(states), states[0].dim), []).append(n)
+        stacks.setdefault(job.candidate.states.shape, []).append(n)
     for members in stacks.values():
-        states, priors = _stack([jobs[n].candidate for n in members])
+        states = np.array([jobs[n].candidate.states for n in members])
+        priors = np.array([jobs[n].candidate.prior for n in members], dtype=float)
         elements, successes, verdicts = discrim._measure_stack(states, priors)
         for n, s, q, e, p, verdict in zip(members, states, priors, elements, successes, verdicts):
             measured[n] = p, verdict
@@ -179,14 +181,19 @@ def attack_deterministic_3x3(
     runs the fixed-point search and reports its value in the notes; the
     headline attack number stays the pretty-good-measurement success.
     """
-    return _measure("deterministic-3x3", _det3x3_jobs([f], superposition, prior), optimize)[0]
+    flat = funcspec._labels_3x3(f)
+    jobs = _det3x3_jobs(np.array(flat)[:, None], [f.outcome_count], superposition, prior)
+    return _measure("deterministic-3x3", jobs, optimize)[0]
 
 
-def _det3x3_jobs(fs: Sequence[FunctionSpec], superposition=None, prior=None) -> list[_Job]:
-    """:func:`attack_deterministic_3x3`'s candidates, ready for :func:`_measure`:
-    one canonicalizer call names all the tables, and those of one outcome
-    count share one family builder call and one stacked honest baseline."""
-    canons = funcspec._canonical_forms(fs)
+def _det3x3_jobs(
+    tables: np.ndarray, outcome_counts: Sequence[int], superposition=None, prior=None
+) -> list[_Job]:
+    """:func:`attack_deterministic_3x3`'s candidates for row-major label tables
+    ``(9, n)``, ready for :func:`_measure`: one canonicalizer call names them
+    all, and those of one outcome count share one family builder call and one
+    stacked honest baseline, with ``p(k|i,j)`` read off the labels."""
+    bases, _ = funcspec._canonical_forms(tables)
     amps = (
         blackbox.uniform_superposition(3)
         if superposition is None
@@ -194,33 +201,24 @@ def _det3x3_jobs(fs: Sequence[FunctionSpec], superposition=None, prior=None) -> 
     )
     q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
     inputs, prior_used = tuple(complex(x) for x in amps), tuple(q)
-    candidates = [None] * len(fs)
-    for count in {f.outcome_count for f in fs}:
-        members = [n for n, f in enumerate(fs) if f.outcome_count == count]
-        p = np.array([fs[n].probabilities() for n in members])
+    candidates = [None] * len(outcome_counts)
+    for count in set(outcome_counts):
+        members = [n for n, c in enumerate(outcome_counts) if c == count]
+        labels = tables[:, members].T[:, None]  # (t, 1, cells)
+        p = (labels == np.arange(count)[:, None]).reshape(-1, count, 3, 3) * 1.0
         families = blackbox._two_sided_families(p, amps)
-        for n, family, p_honest in zip(members, families, discrim._honest(p, q).tolist()):
-            candidates[n] = _Candidate(family, prior_used, p_honest, inputs)
+        for n, states, p_honest in zip(members, families, discrim._honest(p, q).tolist()):
+            candidates[n] = _Candidate(states, prior_used, p_honest, inputs)
     return [
-        _Job(det3x3_function_id(canon), candidate, [f"canonical labels a={canon.a} b={canon.b}"])
-        for canon, candidate in zip(canons, candidates)
+        _Job(_det3x3_id(base), candidate, [f"canonical labels a={base[1]} b={base[4]}"])
+        for base, candidate in zip(bases.tolist(), candidates)
     ]
 
 
 def _two_sided_exception(f: FunctionSpec) -> bool:
     """Tables where only one party's input matters (exact rational check)."""
-    independent_of_alice = all(
-        f.prob(k, 0, j) == f.prob(k, i, j)
-        for k in range(f.outcome_count)
-        for j in range(f.bob_arity)
-        for i in range(f.alice_arity)
-    )
-    independent_of_bob = all(
-        f.prob(k, i, 0) == f.prob(k, i, j)
-        for k in range(f.outcome_count)
-        for i in range(f.alice_arity)
-        for j in range(f.bob_arity)
-    )
+    independent_of_alice = all(len(set(row)) == 1 for block in f.prob_table for row in block)
+    independent_of_bob = all(len(set(col)) == 1 for block in f.prob_table for col in zip(*block))
     return independent_of_alice or independent_of_bob
 
 
@@ -264,10 +262,10 @@ def attack_nondet_two_sided(
         if superposition is None
         else blackbox.amplitude_vector(superposition, 2)
     )
-    family = blackbox.output_family(f, amps)
+    states = _matrices(blackbox.output_family(f, amps))
     inputs = tuple(complex(x) for x in amps)
     candidates = [
-        _Candidate(family, (q0, 1.0 - q0), discrim.honest_probability(f, (q0, 1.0 - q0)), inputs)
+        _Candidate(states, (q0, 1.0 - q0), discrim.honest_probability(f, (q0, 1.0 - q0)), inputs)
         for q0 in sweep
     ]
     best, scores = _select(candidates)
@@ -299,7 +297,7 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
     prior = (q0, 1.0 - q0)
     p_honest = discrim.honest_probability(f, prior)
     candidates = [
-        _Candidate(blackbox.output_family(f, i), prior, p_honest, i)
+        _Candidate(_matrices(blackbox.output_family(f, i)), prior, p_honest, i)
         for i in range(f.alice_arity)
     ]
     best, scores = _select(candidates)
@@ -341,7 +339,8 @@ def attack_oblivious_transfer() -> AttackReport:
     prior = (0.5, 0.5)
     family = blackbox.output_family(f, 0, role="bob")
     p_honest = discrim.honest_probability(funcspec.transpose(f), prior)
-    report = _measure("oblivious-transfer", [_Job("ot", _Candidate(family, prior, p_honest, 0), [])])[0]
+    candidate = _Candidate(_matrices(family), prior, p_honest, 0)
+    report = _measure("oblivious-transfer", [_Job("ot", candidate, [])])[0]
     explicit = ot_explicit_povm()
     explicit_success = discrim.povm_success(family, prior, explicit)
     if abs(explicit_success - report.p_attack) > 1e-10:
@@ -417,7 +416,7 @@ def verify_counterexample() -> AttackReport:
         f" from |0> toward |1> <= {float(bound):.17g}; no superposition, real or complex, helps"
     )
     best = _Candidate(
-        blackbox.output_family(f, (1.0, 0.0)),
+        _matrices(blackbox.output_family(f, (1.0, 0.0))),
         prior,
         discrim.honest_probability(f, prior),
         (1 + 0j, 0j),
@@ -436,7 +435,9 @@ def sweep_all_3x3() -> list[AttackReport]:
     Results are sorted by canonical identifier.  A non-positive advantage
     anywhere raises :class:`SweepFailure` with the offending tables.
     """
-    reports = _measure("deterministic-3x3", _det3x3_jobs(funcspec.enumerate_valid_3x3()))
+    tables = funcspec._class_tables()
+    counts = (tables.max(axis=0) + 1).tolist()
+    reports = _measure("deterministic-3x3", _det3x3_jobs(tables, counts))
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

@@ -51,16 +51,16 @@ def uniform_superposition(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-def _two_sided_families(p: np.ndarray, amplitudes) -> list[StateFamily]:
+def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
     """Alice's reduced states after a superposed input, for a stack of
-    same-shape tables ``p(k|i,j)`` indexed ``[t][k][j][i]``: one family per
-    table, one state per Bob input, all built as one array.
+    same-shape tables ``p(k|i,j)`` indexed ``[t][k][j][i]``: one read-only
+    array ``(t, j, d, d)``, one family per table and one state per Bob input.
 
     Register order is (input, outcome); each state is block-diagonal in the
     outcome label, with block k equal to the outer product of the vector
     ``a_i * sqrt(p(k|i,j))``: PSD by construction, so it skips the
-    eigenvalue check, but each state's trace is still checked (see
-    :class:`qmat.DensityState`).
+    eigenvalue check, but every state's trace is still checked, with
+    :class:`qmat.DensityState`'s message for the first that fails.
     """
     tables, kdim, bob, n = p.shape
     a = amplitude_vector(amplitudes, n)
@@ -69,10 +69,12 @@ def _two_sided_families(p: np.ndarray, amplitudes) -> list[StateFamily]:
     k = np.arange(kdim)
     m[:, :, :, k, :, k] += (c[..., :, None] * c[..., None, :].conj()).swapaxes(0, 1)
     m = m.reshape(tables, bob, n * kdim, n * kdim)
-    return [
-        StateFamily(tuple(qmat.DensityState._from_outer_products(mj, (n, kdim)) for mj in mt))
-        for mt in m
-    ]
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    failed = traces[np.abs(traces - 1.0) > active().trace]
+    if failed.size:
+        raise ValueError(f"density matrix trace {complex(failed[0]):.12g} is not 1")
+    m.setflags(write=False)
+    return m
 
 
 def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:
@@ -101,7 +103,9 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
     elif role != "alice":
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
-        return _two_sided_families(f.probabilities()[None], alice_input)[0]
+        states = _two_sided_families(f.probabilities()[None], alice_input)[0]
+        dims = (f.alice_arity, f.outcome_count)
+        return StateFamily(tuple(qmat.DensityState._from_outer_products(m, dims) for m in states))
     i = int(alice_input)
     states = tuple(
         alice_reduced_state_one_sided(f, i, j) for j in range(f.bob_arity)

@@ -17,7 +17,10 @@ Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
 measurement, so there it is a silent no-op.
 
 ``@ot`` runs one fixed attack and rejects ``--prior``, ``--q0``, ``--q0-sweep``
-and ``--superposition`` (exit 1).  ``@counterexample`` is certified exactly
+and ``--superposition`` (exit 1).  The other two-state tables (2x2 two-sided,
+binary one-sided) take the weight on input 0 from ``--q0`` or from a
+two-entry ``--prior``; an invalid ``--prior``, or a ``--q0`` that disagrees
+with it, exits 1.  ``@counterexample`` is certified exactly
 only at the balanced prior with neither ``--superposition`` nor ``--q0-sweep``.
 
 Machine-readable output (``--out``) is a line-delimited text document with a
@@ -287,11 +290,6 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
         f = funcspec.transpose(f)
     superposition = _parse_amplitudes(args.superposition) if args.superposition else None
     prior = _parse_floats(args.prior) if args.prior else None
-    q0 = None
-    if args.q0 is not None:
-        q0 = float(args.q0)
-    elif prior is not None and len(prior) == 2:
-        q0 = prior[0]
 
     if f.kind == "deterministic":
         if (f.alice_arity, f.bob_arity) != (3, 3):
@@ -316,23 +314,35 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
             "built-in oblivious-transfer table) are conjecture territory: "
             "conjectured insecure, not verified"
         )
-    if f.sided == "two":
-        if (f.alice_arity, f.bob_arity) != (2, 2):
-            raise ScopeError(
-                "only 2x2 binary two-sided tables are implemented; larger "
-                "alphabets: conjectured insecure, not verified"
-            )
-        sweep = _parse_floats(args.q0_sweep) if args.q0_sweep else None
-        if f == funcspec.builtin("counterexample") and q0 == 0.5 and not (superposition or sweep):
-            return attacks.verify_counterexample()
-        if q0 is not None:
-            sweep = (q0,) + tuple(sweep or ())
-        return attacks.attack_nondet_two_sided(f, q0_sweep=sweep, superposition=superposition)
-    if f.bob_arity != 2:
+    if f.sided == "two" and (f.alice_arity, f.bob_arity) != (2, 2):
+        raise ScopeError(
+            "only 2x2 binary two-sided tables are implemented; larger "
+            "alphabets: conjectured insecure, not verified"
+        )
+    if f.sided == "one" and f.bob_arity != 2:
         raise ScopeError(
             "only binary one-sided tables with two partner inputs are implemented"
         )
-    return attacks.attack_nondet_one_sided(f, 0.5 if q0 is None else q0)
+    q0 = _two_state_q0(args.q0, prior)
+    if f.sided == "one":
+        return attacks.attack_nondet_one_sided(f, 0.5 if q0 is None else q0)
+    sweep = _parse_floats(args.q0_sweep) if args.q0_sweep else None
+    if f == funcspec.builtin("counterexample") and q0 == 0.5 and not (superposition or sweep):
+        return attacks.verify_counterexample()
+    if q0 is not None:
+        sweep = (q0,) + tuple(sweep or ())
+    return attacks.attack_nondet_two_sided(f, q0_sweep=sweep, superposition=superposition)
+
+
+def _two_state_q0(q0: float | None, prior: tuple[float, ...] | None) -> float | None:
+    """The weight on input 0 for a guessed party with two inputs, from ``--q0``
+    or a valid two-entry ``--prior``; given both, they must agree."""
+    if prior is None:
+        return q0
+    weights = funcspec.validate_prior(prior, 2)
+    if q0 is not None and q0 != weights[0]:
+        raise ValueError(f"--q0 {q0!r} disagrees with --prior {','.join(map(repr, prior))}")
+    return float(weights[0])
 
 
 def cmd_analyze(args) -> int:

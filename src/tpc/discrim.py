@@ -214,21 +214,31 @@ def helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float) -> Dis
 
     Success probability ``(1 + tr|q0 rho0 - q1 rho1|) / 2``; the measurement
     projects onto the nonnegative and negative eigenspaces of the weighted
-    difference.
+    difference.  The one-pair case of :func:`_helstrom_stack`, checked as a
+    :class:`Povm` and certified by :func:`certify_optimal`.
     """
     if rho0.dim != rho1.dim:
         raise ValueError(f"state dimensions differ: {rho0.dim} vs {rho1.dim}")
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
-    delta = q0 * rho0.matrix - (1.0 - q0) * rho1.matrix
+    prior = (q0, 1.0 - q0)
+    elements, success = _helstrom_stack(np.array([[rho0.matrix, rho1.matrix]]), np.array([prior]))
+    povm = Povm(elements[0], (0, 1))
+    ok, residuals = certify_optimal((rho0, rho1), prior, povm)
+    return DiscriminationResult(float(success[0]), povm, ok, residuals)
+
+
+def _helstrom_stack(states: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`helstrom`'s elements and values for each pair of a stack
+    ``(n, 2, d, d)`` under priors ``(n, 2)``, with one stacked ``eigh``;
+    the caller checks them."""
+    delta = priors[:, 0, None, None] * states[:, 0] - priors[:, 1, None, None] * states[:, 1]
     w, v = np.linalg.eigh(delta)
-    positive = v[:, w >= 0]
-    e0 = positive @ qmat.dagger(positive)
+    # mask, not select, the nonnegative eigenvectors: one matmul for the whole stack
+    e0 = (v * (w >= 0)[:, None, :]) @ qmat.dagger(v)
     e0 = (e0 + qmat.dagger(e0)) / 2
-    povm = Povm((e0, np.eye(rho0.dim, dtype=complex) - e0), (0, 1))
-    success = 0.5 * (1.0 + float(np.abs(w).sum()))
-    ok, residuals = certify_optimal((rho0, rho1), (q0, 1.0 - q0), povm)
-    return DiscriminationResult(success, povm, ok, residuals)
+    elements = np.stack([e0, np.eye(states.shape[-1]) - e0], axis=1)
+    return elements, 0.5 * (1.0 + np.abs(w).sum(axis=-1))
 
 
 def square_root_measurement(family, prior: Sequence[float]) -> Povm:
@@ -258,14 +268,19 @@ def _pretty_good(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
 
 
 def _measure_stack(states: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Pretty-good elements (element e guesses state e), successes and
-    certificate verdicts for validated families ``(n, m, d, d)`` under
-    validated priors ``(n, m)``, with one POVM check for the whole stack."""
-    elements = _pretty_good(states, priors)
+    """Elements (element e guesses state e), successes and certificate
+    verdicts for validated families ``(n, m, d, d)`` under validated priors
+    ``(n, m)``: Helstrom for two states, else pretty-good, with one POVM
+    check for the whole stack."""
+    if states.shape[1] == 2:
+        elements, successes = _helstrom_stack(states, priors)
+    else:
+        elements = _pretty_good(states, priors)
+        successes = _success(elements, states, priors)
     _check_povm_stack(elements)
     weighted = priors[..., None, None] * states
     verdicts = _certify(elements, weighted, *_lagrange(elements, weighted, weighted))
-    return elements, _success(elements, states, priors).tolist(), verdicts
+    return elements, successes.tolist(), verdicts
 
 
 def optimize_povm(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -151,25 +151,20 @@ def deterministic(table: Sequence[Sequence[int]], sided: str = "two") -> Functio
 def two_sided_binary(zero_rows: Sequence[Sequence]) -> FunctionSpec:
     """Binary-output two-sided function from the displayed table of
     p(0|i,j) values, rows indexed by j and columns by i."""
-    p0 = tuple(tuple(Fraction(x) for x in row) for row in zero_rows)
-    p1 = tuple(tuple(1 - x for x in row) for row in p0)
-    return FunctionSpec(
-        kind="probabilistic",
-        sided="two",
-        alice_arity=len(p0[0]),
-        bob_arity=len(p0),
-        outcome_count=2,
-        prob_table=(p0, p1),
-    )
+    return _binary(zero_rows, "two")
 
 
 def one_sided_binary(zero_rows: Sequence[Sequence]) -> FunctionSpec:
     """Binary-output one-sided function (the output register goes to Alice)."""
+    return _binary(zero_rows, "one")
+
+
+def _binary(zero_rows: Sequence[Sequence], sided: str) -> FunctionSpec:
     p0 = tuple(tuple(Fraction(x) for x in row) for row in zero_rows)
     p1 = tuple(tuple(1 - x for x in row) for row in p0)
     return FunctionSpec(
         kind="probabilistic",
-        sided="one",
+        sided=sided,
         alice_arity=len(p0[0]),
         bob_arity=len(p0),
         outcome_count=2,
@@ -180,33 +175,10 @@ def one_sided_binary(zero_rows: Sequence[Sequence]) -> FunctionSpec:
 def transpose(f: FunctionSpec) -> FunctionSpec:
     """Swap the two parties' roles."""
     if f.kind == "deterministic":
-        t = tuple(
-            tuple(f.det_table[i][j] for i in range(f.bob_arity))
-            for j in range(f.alice_arity)
-        )
-        return FunctionSpec(
-            kind=f.kind,
-            sided=f.sided,
-            alice_arity=f.bob_arity,
-            bob_arity=f.alice_arity,
-            outcome_count=f.outcome_count,
-            det_table=t,
-        )
-    p = tuple(
-        tuple(
-            tuple(f.prob_table[k][i][j] for i in range(f.bob_arity))
-            for j in range(f.alice_arity)
-        )
-        for k in range(f.outcome_count)
-    )
-    return FunctionSpec(
-        kind=f.kind,
-        sided=f.sided,
-        alice_arity=f.bob_arity,
-        bob_arity=f.alice_arity,
-        outcome_count=f.outcome_count,
-        prob_table=p,
-    )
+        table = {"det_table": tuple(zip(*f.det_table))}
+    else:
+        table = {"prob_table": tuple(tuple(zip(*block)) for block in f.prob_table)}
+    return replace(f, alice_arity=f.bob_arity, bob_arity=f.alice_arity, **table)
 
 
 def validate_prior(weights: Sequence[float], n: int) -> np.ndarray:
@@ -325,22 +297,40 @@ def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
     come first, so a table already in canonical form is returned unchanged.
     This is the one-table case of :func:`_canonical_forms`.
     """
-    return _canonical_forms([f])[0]
+    flat = _labels_3x3(f)
+    bases, best = _canonical_forms(np.array(flat)[:, None])
+    t, k = bases[0].tolist(), int(best[0])
+    return CanonicalForm3x3(
+        base=deterministic((t[0:3], t[3:6], t[6:9]), sided=f.sided),
+        a=t[1],
+        b=t[4],
+        row_perm=_PERMS3[k // 6],
+        col_perm=_PERMS3[k % 6],
+        # each base cell reads the original cell the transform puts there
+        outcome_relabel=tuple(sorted({(flat[c], x) for c, x in zip(_GATHER[:, k].tolist(), t)})),
+    )
 
 
-def _canonical_forms(fs: Sequence[FunctionSpec]) -> list[CanonicalForm3x3]:
-    """:func:`canonicalize_3x3` of every table, with its checks, on one gather
-    ``(9, 36, n)``: each candidate base table is read as a base-4 key, so the
-    smallest is one ``argmin``, the first transform on a tie."""
-    for f in fs:
-        if f.kind != "deterministic" or (f.alice_arity, f.bob_arity) != (3, 3):
-            raise ValueError("canonicalization requires a 3x3 deterministic function")
-    flats = [sum(f.det_table, ()) for f in fs]
+def _labels_3x3(f: FunctionSpec) -> tuple[int, ...]:
+    """The row-major outcome labels of a 3x3 deterministic function."""
+    if f.kind != "deterministic" or (f.alice_arity, f.bob_arity) != (3, 3):
+        raise ValueError("canonicalization requires a 3x3 deterministic function")
+    return sum(f.det_table, ())
+
+
+def _canonical_forms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`canonicalize_3x3` of row-major label tables ``(9, n)``, with its
+    checks, on one gather ``(9, 36, n)``: the base tables ``(n, 9)`` (cells 1
+    and 4 are ``a`` and ``b``) and the index of the input permutation reaching
+    each.  Each candidate base table is read as a base-4 key, so the smallest
+    is one ``argmin``, the first transform on a tie."""
     # each cell labelled by the first cell holding its outcome, so labels stay below 9
-    tables = np.array([[t.index(t[c]) for t in flats] for c in range(9)])
-    for check in map(ConditionCheck, *(m.tolist() for m in _conditions(tables.reshape(3, 3, -1)))):
-        if not check:
-            raise ConditionError(check)
+    tables = (tables[:, None] == tables).argmax(axis=0)
+    concealing, non_degenerate = _conditions(tables.reshape(3, 3, -1))
+    failed = np.flatnonzero(~(concealing & non_degenerate))
+    if failed.size:
+        n = failed[0]
+        raise ConditionError(ConditionCheck(bool(concealing[n]), bool(non_degenerate[n])))
     # cell (0,0) is labelled 0 and cell (2,0) 1, the rest in first-appearance order;
     # transforms out of the layout get a key above every table's
     keys = _keys(tables[_REFERENCE_GATHER], _REFERENCE_KEY)
@@ -348,25 +338,18 @@ def _canonical_forms(fs: Sequence[FunctionSpec]) -> list[CanonicalForm3x3]:
     best, smallest = keys.argmin(axis=0), keys.min(axis=0)
     if smallest.max() == 4 * _KEY[0]:
         raise ValueError("function admits no canonical form; conditions violated")
-    # the base tables, and for each of their cells the original cell it reads
-    bases, sources = (smallest[:, None] // _KEY % 4).tolist(), _GATHER[:, best].T.tolist()
-    return [
-        CanonicalForm3x3(
-            base=deterministic((t[0:3], t[3:6], t[6:9]), sided=f.sided),
-            a=t[1],
-            b=t[4],
-            row_perm=_PERMS3[k // 6],
-            col_perm=_PERMS3[k % 6],
-            outcome_relabel=tuple(sorted({(flat[c], x) for c, x in zip(source, t)})),
-        )
-        for f, flat, t, source, k in zip(fs, flats, bases, sources, best.tolist())
-    ]
+    return smallest[:, None] // _KEY % 4, best
 
 
 def enumerate_valid_3x3() -> list[FunctionSpec]:
-    """All potentially concealing, non-degenerate 3x3 deterministic
-    functions, one representative per equivalence class, with outcome
-    labels normalized to first-appearance order.
+    """All potentially concealing, non-degenerate 3x3 deterministic functions,
+    one per equivalence class, with outcome labels in first-appearance order:
+    :func:`_class_tables` as function specs."""
+    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in _class_tables().T.tolist()]
+
+
+def _class_tables() -> np.ndarray:
+    """:func:`enumerate_valid_3x3` as row-major tables of labels ``(9, 18)``.
 
     Only the 512 tables already in the reference layout are checked.  Every
     valid table has a relabeling in that layout (:func:`canonicalize_3x3`
@@ -386,7 +369,7 @@ def enumerate_valid_3x3() -> list[FunctionSpec]:
     tables = np.compress(np.logical_and(*_conditions(tables.reshape(3, 3, -1))), tables, axis=1)
     # a set, not np.unique: numpy's first sort loads its sort kernels, ~1 MB resident
     keys = np.array(sorted(set(_keys(tables[_GATHER], _KEY).min(axis=0).tolist())))
-    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in (keys[:, None] // _KEY % 4).tolist()]
+    return keys // _KEY[:, None] % 4
 
 
 # --- function-spec file format -------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from tpc import qmat
 from tpc.blackbox import amplitude_vector
-from tpc.discrim import Povm
+from tpc.discrim import Povm, certify_optimal
 from tpc.funcspec import FunctionSpec
 from tpc.tolerances import active
 
@@ -91,3 +91,19 @@ def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float]
     e1 = (1.0 - al[0]) * proj(0, 0) + al[1 + b] * proj(1, b)
     e2 = np.eye(dim, dtype=complex) - e0 - e1
     return Povm((e0, e1, e2), (0, 1, 2))
+
+
+def reference_helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float):
+    """Per-pair Helstrom measurement: projector onto the nonnegative
+    eigenspace of ``q0 rho0 - q1 rho1`` from the selected eigenvector
+    columns, its complement, and the certificate of
+    :func:`tpc.discrim.certify_optimal`.  Returns the success, the elements,
+    the certified flag and the residuals."""
+    delta = q0 * rho0.matrix - (1.0 - q0) * rho1.matrix
+    w, v = np.linalg.eigh(delta)
+    positive = v[:, w >= 0]
+    e0 = positive @ qmat.dagger(positive)
+    e0 = (e0 + qmat.dagger(e0)) / 2
+    povm = Povm((e0, np.eye(rho0.dim, dtype=complex) - e0), (0, 1))
+    ok, residuals = certify_optimal((rho0, rho1), (q0, 1.0 - q0), povm)
+    return 0.5 * (1.0 + float(np.abs(w).sum())), povm.elements, ok, residuals

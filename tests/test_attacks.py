@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpc import attacks, blackbox, discrim, funcspec
+from tpc import attacks, blackbox, discrim, funcspec, qmat
 from tpc.attacks import (
     DEFAULT_Q0_SWEEP,
     attack_deterministic_3x3,
@@ -22,6 +22,13 @@ from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
 SEED = 8091
+
+
+def det3x3_jobs(tables, **kwargs):
+    """``attacks._det3x3_jobs`` on 3x3 function specs, whose labels and
+    outcome counts it takes as arrays, as ``attack_deterministic_3x3`` does."""
+    labels = np.array([funcspec._labels_3x3(f) for f in tables]).T
+    return attacks._det3x3_jobs(labels, [f.outcome_count for f in tables], **kwargs)
 
 
 def random_two_input_table(rng, n, kdim):
@@ -421,6 +428,31 @@ class TestSweep:
             assert abs(r.advantage - advantage) <= 1e-13
             assert abs(r.p_attack - p_attack) <= 1e-13
 
+    def test_sweep_builds_no_per_class_objects(self, monkeypatch):
+        # the sweep carries its tables and families as arrays; the counters
+        # are shown to work on a table and a family built the public way
+        calls = []
+        for cls, name in (
+            (funcspec.FunctionSpec, "__post_init__"),
+            (qmat.DensityState, "_settle"),
+            (blackbox.StateFamily, "__post_init__"),
+        ):
+            label = f"{cls.__name__}.{name}"
+
+            def counted(self, *args, _original=getattr(cls, name), _label=label, **kwargs):
+                calls.append(_label)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        reports = sweep_all_3x3()
+        assert len(reports) == funcspec.VALID_3X3_CLASS_COUNT
+        assert calls == []
+        f = funcspec.deterministic(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+        blackbox.output_family(f, blackbox.uniform_superposition(3))
+        assert calls == ["FunctionSpec.__post_init__"] + ["DensityState._settle"] * 3 + [
+            "StateFamily.__post_init__"
+        ]
+
     def test_sweep_covers_every_class_with_positive_advantage(self):
         reports = sweep_all_3x3()
         assert len(reports) == funcspec.VALID_3X3_CLASS_COUNT
@@ -456,8 +488,8 @@ class TestSweep:
             g = funcspec.deterministic([[relabel[f.det_table[r][c]] for c in cols] for r in rows])
             calls.append((g, options[n % len(options)]))
         calls = [calls[n] for n in rng.permutation(len(calls))]
-        jobs = [attacks._det3x3_jobs([g], **kwargs)[0] for g, kwargs in calls]
-        assert len({job.candidate.family.states[0].dim for job in jobs}) == 3
+        jobs = [det3x3_jobs([g], **kwargs)[0] for g, kwargs in calls]
+        assert len({job.candidate.states.shape[-1] for job in jobs}) == 3
         stacked = attacks._measure("deterministic-3x3", jobs, optimize)
         single = [attack_deterministic_3x3(g, optimize=optimize, **kwargs) for g, kwargs in calls]
         assert [exact_fields(r) for r in stacked] == [exact_fields(r) for r in single]
@@ -480,16 +512,18 @@ class TestSweep:
             {"prior": tuple(rng.dirichlet(np.ones(3)))},
             {"prior": tuple(rng.dirichlet(np.ones(3))), "superposition": tuple(amps / np.linalg.norm(amps))},
         ):
-            batch = attacks._det3x3_jobs(tables, **kwargs)
-            single = [attacks._det3x3_jobs([g], **kwargs)[0] for g in tables]
+            batch = det3x3_jobs(tables, **kwargs)
+            single = [det3x3_jobs([g], **kwargs)[0] for g in tables]
             assert len(batch) == len(single) == len(tables)
-            for b, s in zip(batch, single):
+            for f, b, s in zip(tables, batch, single):
                 assert (b.function_id, b.notes) == (s.function_id, s.notes)
                 assert b.candidate.prior == s.candidate.prior
                 assert b.candidate.input_used == s.candidate.input_used
                 assert float(b.candidate.p_honest).hex() == float(s.candidate.p_honest).hex()
-                for x, y in zip(b.candidate.family.states, s.candidate.family.states, strict=True):
-                    assert x.dims == y.dims and x.matrix.tobytes() == y.matrix.tobytes()
+                assert b.candidate.states.shape == (3, 3 * f.outcome_count, 3 * f.outcome_count)
+                assert b.candidate.states.shape == s.candidate.states.shape
+                assert b.candidate.states.tobytes() == s.candidate.states.tobytes()
+                assert not b.candidate.states.flags.writeable
 
     @pytest.mark.parametrize(
         "perturb, message",

@@ -243,22 +243,25 @@ class TestStackedBuilder:
 
     def test_stack_equals_one_table_builder_bitwise(self):
         for tables, amps in self.stacks():
-            for f, family in zip(tables, self.build(tables, amps), strict=True):
+            stack = self.build(tables, amps)
+            assert not stack.flags.writeable
+            for f, family in zip(tables, stack, strict=True):
                 single = output_family(f, amps)
-                assert len(family) == len(single) == f.bob_arity
-                for stacked, alone in zip(family.states, single.states):
-                    assert stacked.dims == alone.dims == (f.alice_arity, f.outcome_count)
-                    assert stacked.matrix.tobytes() == alone.matrix.tobytes()
-                    assert not stacked.matrix.flags.writeable
+                d = f.alice_arity * f.outcome_count
+                assert family.shape == (len(single), d, d) == (f.bob_arity, d, d)
+                for stacked, alone in zip(family, single.states):
+                    assert alone.dims == (f.alice_arity, f.outcome_count)
+                    assert stacked.tobytes() == alone.matrix.tobytes()
+                    assert not alone.matrix.flags.writeable
 
     def test_stack_matches_purification_oracle(self):
         tol = active()
         for tables, amps in self.stacks():
             for f, family in zip(tables, self.build(tables, amps), strict=True):
-                for j, state in enumerate(family.states):
+                for j, state in enumerate(family):
                     oracle = purified_reduced_state(f, amps, j)
-                    assert state.dims == oracle.dims
-                    assert np.abs(state.matrix - oracle.matrix).max() <= tol.recon
+                    assert oracle.dims == (f.alice_arity, f.outcome_count)
+                    assert np.abs(state - oracle.matrix).max() <= tol.recon
 
     def test_bad_table_in_stack_fails_its_trace_check(self):
         rng = np.random.default_rng(SEED + 32)

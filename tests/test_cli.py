@@ -205,6 +205,47 @@ class TestAnalyze:
         assert "amps:0.8" in capsys.readouterr().out
 
 
+TWO_STATE_TABLES = {
+    "two-sided": "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n1/3 1/5\n2/7 3/4\n",
+    "one-sided": "type: probabilistic\nsided: one\ninputs: 2 2\noutcomes: 2\nk: 0\n1/3 1/5\n2/7 3/4\n",
+}
+
+
+@pytest.mark.parametrize("sided", sorted(TWO_STATE_TABLES))
+class TestTwoStatePrior:
+    """A two-state table takes the weight on input 0 from ``--q0`` or a
+    two-entry ``--prior``: an invalid prior, or a ``--q0`` that disagrees with
+    it, exits 1 with :func:`funcspec.validate_prior`'s message."""
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--prior", "0.3,0.3"], "prior weights sum to 0.6, expected 1"),
+            (["--prior", "0.9,0.9"], "prior weights sum to 1.8, expected 1"),
+            (["--prior=-0.5,1.5"], "prior weights must be nonnegative"),
+            (["--prior", "0.2,0.3,0.5"], "prior must have 2 entries, got (3,)"),
+            (["--q0", "0.4", "--prior", "0.3,0.7"], "--q0 0.4 disagrees with --prior 0.3,0.7"),
+        ],
+        ids=["sum-below-1", "sum-above-1", "negative", "three-entries", "q0-disagrees"],
+    )
+    def test_bad_prior_exits_one(self, tmp_path, capsys, sided, options, message):
+        path = write(tmp_path, "t.fn", TWO_STATE_TABLES[sided])
+        assert main(["analyze", path] + options) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "options", [["--prior", "0.3,0.7"], ["--q0", "0.3", "--prior", "0.3,0.7"]]
+    )
+    def test_valid_prior_equals_q0(self, tmp_path, capsys, sided, options):
+        path = write(tmp_path, "t.fn", TWO_STATE_TABLES[sided])
+        assert main(["analyze", path, "--q0", "0.3"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["analyze", path] + options) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert "prior: 0.29999999999999999, 0.69999999999999996" in expected
+
+
 class TestSweepCommand:
     def test_exit_zero_and_summary(self, capsys):
         assert main(["sweep3x3"]) == EXIT_OK

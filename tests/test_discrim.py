@@ -3,6 +3,7 @@ measurement, certification, and the fixed-point search."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tpc.discrim import (
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import honest_family_povm, pure_state
+from oracles import honest_family_povm, pure_state, reference_helstrom
 
 SEED = 424242
 
@@ -287,6 +288,52 @@ class TestHelstrom:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             helstrom(pure_state([1.0, 0.0]), pure_state([1.0, 0.0, 0.0]), 0.5)
+
+    @staticmethod
+    def two_state_families():
+        """Seeded two-sided and one-sided binary tables, ``@ot`` and
+        ``@counterexample``: each family the attacks measure, with a prior
+        weight on state 0."""
+        rng = np.random.default_rng(SEED + 9)
+        cases = []
+        for _ in range(60):
+            rows = [[Fraction(int(x), 24) for x in row] for row in rng.integers(0, 25, size=(2, 2))]
+            q0 = float(rng.choice([0.5, 0.99, 0.999, 0.9999, rng.uniform()]))
+            cases.append((output_family(two_sided_binary(rows), uniform_superposition(2)), q0))
+            cases += [(output_family(one_sided_binary(rows), i), q0) for i in range(2)]
+        cases.append((output_family(builtin("ot"), 0, role="bob"), 0.5))
+        cases.append((output_family(builtin("counterexample"), (1.0, 0.0)), 0.5))
+        return [(family.states, q0) for family, q0 in cases]
+
+    @staticmethod
+    def assert_equals_oracle(oracle, success, elements, certified, residuals):
+        assert float(success).hex() == float(oracle[0]).hex()
+        assert elements.tobytes() == oracle[1].tobytes()
+        assert certified == oracle[2]
+        assert [float(x).hex() for x in residuals] == [float(x).hex() for x in oracle[3]]
+
+    def test_matches_per_pair_oracle_bitwise(self):
+        for states, q0 in self.two_state_families():
+            result = helstrom(*states, q0)
+            oracle = reference_helstrom(*states, q0)
+            self.assert_equals_oracle(
+                oracle, result.success_probability, result.povm.elements,
+                result.certified_optimal, result.residuals,
+            )
+
+    def test_stack_matches_per_pair_oracle_bitwise(self):
+        # the attacks' path: one stack per dimension, checked and certified at once
+        by_dim = {}
+        for states, q0 in self.two_state_families():
+            by_dim.setdefault(states[0].dim, []).append((states, q0))
+        assert sorted(by_dim) == [2, 3, 4]
+        for cases in by_dim.values():
+            stack = np.array([[s.matrix for s in states] for states, _ in cases])
+            priors = np.array([(q0, 1.0 - q0) for _, q0 in cases])
+            elements, successes, verdicts = discrim._measure_stack(stack, priors)
+            assert elements.shape == stack.shape
+            for (states, q0), e, p, (ok, residuals) in zip(cases, elements, successes, verdicts):
+                self.assert_equals_oracle(reference_helstrom(*states, q0), p, e, ok, residuals)
 
 
 class TestSquareRootMeasurement:

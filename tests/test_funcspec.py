@@ -214,10 +214,14 @@ class TestCanonicalize:
             if conditions_ok_flat(t)
         ]
         assert len(valid) == 456
-        batch = funcspec._canonical_forms(valid)
-        assert len(batch) == len(valid)
-        for f, canon in zip(valid, batch):
-            assert canon == canonicalize_3x3(f) == brute_force_canonical_form(f)
+        bases, best = funcspec._canonical_forms(label_array(valid))
+        assert bases.shape == (len(valid), 9) and best.shape == (len(valid),)
+        for f, base, k in zip(valid, bases.tolist(), best.tolist()):
+            canon = canonicalize_3x3(f)
+            assert canon == brute_force_canonical_form(f)
+            assert tuple(base) == sum(canon.base.det_table, ())
+            assert (base[1], base[4]) == (canon.a, canon.b)
+            assert (PERMS3[k // 6], PERMS3[k % 6]) == (canon.row_perm, canon.col_perm)
 
     @pytest.mark.parametrize(
         "table, message",
@@ -248,7 +252,7 @@ class TestCanonicalize:
             canonicalize_3x3(bad)
         classes = enumerate_valid_3x3()
         with pytest.raises(ValueError, match=pattern):
-            funcspec._canonical_forms(classes[:5] + [bad] + classes[5:])
+            funcspec._canonical_forms(label_array(classes[:5] + [bad] + classes[5:]))
 
     def test_batch_reports_its_first_invalid_table(self):
         degenerate = deterministic(((0, 0, 1), (0, 0, 1), (1, 1, 0)))
@@ -256,8 +260,16 @@ class TestCanonicalize:
         classes = enumerate_valid_3x3()
         for first, second in ((degenerate, latin), (latin, degenerate)):
             with pytest.raises(ValueError) as err:
-                funcspec._canonical_forms(classes[:3] + [first] + classes[3:9] + [second])
+                funcspec._canonical_forms(
+                    label_array(classes[:3] + [first] + classes[3:9] + [second])
+                )
             assert str(err.value).endswith(f"got {validate_conditions(first)}")
+
+
+def label_array(fs):
+    """Row-major outcome labels ``(9, n)`` of 3x3 deterministic specs, as
+    the attacks hand them to ``funcspec._canonical_forms``."""
+    return np.array([funcspec._labels_3x3(f) for f in fs]).T
 
 
 def first_appearance(flat):
