@@ -12,8 +12,10 @@ candidates on one stacked path, one stack per shape: Helstrom elements for
 two states, else the pretty-good measurement, optionally polished by the
 fixed-point search, each stack checked and certified once.  The 3x3 sweep
 carries its class tables, families and candidates as arrays from
-enumeration to measurement.  Entry points keep their scope checks, notes
-and oracles.
+enumeration to measurement; each two-state attack reads its parsed table
+once into a float array and builds its candidates' states with the
+:mod:`blackbox` array builders, without a ``DensityState`` or
+``StateFamily``.  Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations
@@ -83,11 +85,8 @@ def _det3x3_id(base: Sequence[int]) -> str:
 
 
 def _rational_id(f: FunctionSpec) -> str:
-    cells = []
-    for j in range(f.bob_arity):
-        for i in range(f.alice_arity):
-            cells.append(str(f.prob(0, i, j)))
-    return ",".join(cells)
+    """The exact ``p(0|i,j)``, row by row."""
+    return ",".join(str(x) for row in f.prob_table[0] for x in row)
 
 
 class _Candidate(NamedTuple):
@@ -95,10 +94,6 @@ class _Candidate(NamedTuple):
     prior: tuple[float, ...]
     p_honest: float
     input_used: tuple[complex, ...] | int
-
-
-def _matrices(family: blackbox.StateFamily) -> np.ndarray:
-    return np.array([s.matrix for s in family.states])
 
 
 def _score(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -242,16 +237,17 @@ def attack_nondet_two_sided(
         if not 0.0 <= q0 <= 1.0:
             raise ValueError(f"sweep weight q0={q0} outside [0, 1]")
     function_id = f"nondet2x2:{_rational_id(f)}"
+    p = f.probabilities()
+    priors = [(q0, 1.0 - q0) for q0 in sweep]
+    honest = [float(discrim._honest(p, funcspec.validate_prior(q, 2))) for q in priors]
     if _two_sided_exception(f):
-        q0 = sweep[0]
-        p_honest = discrim.honest_probability(f, (q0, 1.0 - q0))
         return AttackReport(
             function_id=function_id,
             scenario="nondet-two-sided",
-            prior=(q0, 1.0 - q0),
+            prior=priors[0],
             input_used=None,
-            p_honest=p_honest,
-            p_attack=p_honest,
+            p_honest=honest[0],
+            p_attack=honest[0],
             advantage=0.0,
             certified=False,
             residuals=None,
@@ -262,12 +258,9 @@ def attack_nondet_two_sided(
         if superposition is None
         else blackbox.amplitude_vector(superposition, 2)
     )
-    states = _matrices(blackbox.output_family(f, amps))
+    states = blackbox._two_sided_families(p[None], amps)[0]
     inputs = tuple(complex(x) for x in amps)
-    candidates = [
-        _Candidate(states, (q0, 1.0 - q0), discrim.honest_probability(f, (q0, 1.0 - q0)), inputs)
-        for q0 in sweep
-    ]
+    candidates = [_Candidate(states, q, h, inputs) for q, h in zip(priors, honest)]
     best, scores = _select(candidates)
     lines = []
     for c, score in zip(candidates, scores):
@@ -295,17 +288,19 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
     prior = (q0, 1.0 - q0)
-    p_honest = discrim.honest_probability(f, prior)
+    p = f.probabilities()
+    rates = discrim._basis_rates(p, funcspec.validate_prior(prior, 2)).tolist()
+    p_honest = max(rates)
     candidates = [
-        _Candidate(_matrices(blackbox.output_family(f, i)), prior, p_honest, i)
-        for i in range(f.alice_arity)
+        _Candidate(states, prior, p_honest, i)
+        for i, states in enumerate(blackbox._one_sided_families(p))
     ]
     best, scores = _select(candidates)
     lines = [
-        f"i={i} basis_rate={discrim.per_input_basis_rate(f, i, prior):.17g}"
+        f"i={i} basis_rate={rate:.17g}"
         f" optimal={score:.17g}"
         f" basis_measurement_optimal={discrim.basis_measurement_optimal(f, i, q0)}"
-        for i, score in enumerate(scores)
+        for i, (rate, score) in enumerate(zip(rates, scores))
     ]
     return _measure("nondet-one-sided", [_Job(f"nondet1sided:{_rational_id(f)}", best, lines)])[0]
 
@@ -335,13 +330,14 @@ def attack_oblivious_transfer() -> AttackReport:
     the embedded closed-form measurement is evaluated as well and must
     match the spectral optimum and pass certification.
     """
-    f = funcspec.builtin("ot")
+    f = funcspec.transpose(funcspec.builtin("ot"))  # the receiver, Bob, guesses Alice's input
     prior = (0.5, 0.5)
-    family = blackbox.output_family(f, 0, role="bob")
-    p_honest = discrim.honest_probability(funcspec.transpose(f), prior)
-    candidate = _Candidate(_matrices(family), prior, p_honest, 0)
-    report = _measure("oblivious-transfer", [_Job("ot", candidate, [])])[0]
+    p = f.probabilities()
+    states = blackbox._one_sided_families(p)[0]
+    p_honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
+    report = _measure("oblivious-transfer", [_Job("ot", _Candidate(states, prior, p_honest, 0), [])])[0]
     explicit = ot_explicit_povm()
+    family = blackbox._family(states, (f.outcome_count,))
     explicit_success = discrim.povm_success(family, prior, explicit)
     if abs(explicit_success - report.p_attack) > 1e-10:
         raise ArithmeticError(
@@ -370,24 +366,39 @@ def _endpoint_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
     equals ``|A_k|``, ``A_k = q0 p(k|0,0) - q1 p(k|0,1)``, and its slope along
     ``u = (1 - t, t)`` is ``sign(A_k) A_k' + 2 q0 q1 R_k / |A_k|``, with
     ``R_k = p(k|1,0) p(k|0,1) + p(k|0,0) p(k|1,1) - 2 sqrt(p(k|0,0) p(k|0,1)
-    p(k|1,0) p(k|1,1))``.  The one surd per block is bounded from below to
-    within ``2**-64``, so the sum is an upper bound.  Raises
-    :class:`ArithmeticError` where some ``A_k`` is 0 and the slope has no
-    closed form.
+    p(k|1,0) p(k|1,1))``.  Every term runs on integer numerators over one
+    common denominator, and the one surd per block is bounded from below to
+    within ``2**-64`` (:func:`_surd_below`), so the sum is an upper bound.
+    Raises :class:`ArithmeticError` where some ``A_k`` is 0 and the slope
+    has no closed form.
     """
-    q1 = 1 - q0
-    total = Fraction(0)
-    for k in range(f.outcome_count):
-        p00, p01, p10, p11 = (f.prob(k, i, j) for i in (0, 1) for j in (0, 1))
-        a = q0 * p00 - q1 * p01
+    den = math.lcm(q0.denominator, *(x.denominator for b in f.prob_table for r in b for x in r))
+    q0n = q0.numerator * (den // q0.denominator)  # q0, q1 and each p(k|i,j) as numerators over den
+    q1n = den - q0n
+    num, total_den = 0, 1
+    for k, block in enumerate(f.prob_table):
+        p00, p01, p10, p11 = (
+            block[j][i].numerator * (den // block[j][i].denominator) for i in (0, 1) for j in (0, 1)
+        )
+        a = q0n * p00 - q1n * p01  # A_k and A_k' over den**2
         if a == 0:
             raise ArithmeticError(f"outcome {k} carries no weight difference at input |0>")
-        slope_a = q0 * (p10 - p00) - q1 * (p11 - p01)
-        g = p00 * p01 * p10 * p11
-        root = Fraction(math.isqrt((g.numerator * g.denominator) << 128), g.denominator << 64)
-        r = p10 * p01 + p00 * p11 - 2 * root
-        total += (slope_a if a > 0 else -slope_a) + 2 * q0 * q1 * r / abs(a)
-    return total
+        slope_a = q0n * (p10 - p00) - q1n * (p11 - p01)
+        root, root_den = _surd_below(p00 * p01 * p10 * p11, den**4)
+        r = (p10 * p01 + p00 * p11) * root_den - 2 * root * den**2  # R_k over den**2 root_den
+        # the block's slope over den**2 |A_k| root_den, added to the running sum
+        block_den = den**2 * abs(a) * root_den
+        num = num * block_den + (slope_a * a * root_den + 2 * q0n * q1n * r) * total_den
+        total_den *= block_den
+    return Fraction(num, total_den)
+
+
+def _surd_below(n: int, d: int, bits: int = 64) -> tuple[int, int]:
+    """``sqrt(n / d)`` (``n >= 0``, ``d > 0``) from below, within ``2**-bits``: with
+    ``n / d`` in lowest terms, the numerator ``isqrt(n d 4**bits)`` over ``d 2**bits``."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return math.isqrt((n * d) << (2 * bits)), d << bits
 
 
 def verify_counterexample() -> AttackReport:
@@ -415,10 +426,11 @@ def verify_counterexample() -> AttackReport:
         "exact certificate: value concave in (|a0|^2, |a1|^2), trace-norm slope"
         f" from |0> toward |1> <= {float(bound):.17g}; no superposition, real or complex, helps"
     )
+    p = f.probabilities()
     best = _Candidate(
-        _matrices(blackbox.output_family(f, (1.0, 0.0))),
+        blackbox._two_sided_families(p[None], (1.0, 0.0))[0],
         prior,
-        discrim.honest_probability(f, prior),
+        float(discrim._honest(p, funcspec.validate_prior(prior, 2))),
         (1 + 0j, 0j),
     )
     report = _measure("counterexample", [_Job("counterexample", best, [notes])])[0]

@@ -59,8 +59,7 @@ def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
     Register order is (input, outcome); each state is block-diagonal in the
     outcome label, with block k equal to the outer product of the vector
     ``a_i * sqrt(p(k|i,j))``: PSD by construction, so it skips the
-    eigenvalue check, but every state's trace is still checked, with
-    :class:`qmat.DensityState`'s message for the first that fails.
+    eigenvalue check, but every state's trace is checked (:func:`_unit_traces`).
     """
     tables, kdim, bob, n = p.shape
     a = amplitude_vector(amplitudes, n)
@@ -68,7 +67,22 @@ def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
     m = np.zeros((tables, bob, n, kdim, n, kdim), dtype=complex)
     k = np.arange(kdim)
     m[:, :, :, k, :, k] += (c[..., :, None] * c[..., None, :].conj()).swapaxes(0, 1)
-    m = m.reshape(tables, bob, n * kdim, n * kdim)
+    return _unit_traces(m.reshape(tables, bob, n * kdim, n * kdim))
+
+
+def _one_sided_families(p: np.ndarray) -> np.ndarray:
+    """The receiver's pure outcome-register states after each honest input,
+    for one table ``p(k|i,j)`` indexed ``[k][j][i]``: one read-only array
+    ``(i, j, k, k)`` of the outer products of ``sqrt(p(k|i,j))``, PSD by
+    construction, each state's trace checked (:func:`_unit_traces`)."""
+    c = np.sqrt(p.T).astype(complex)
+    return _unit_traces(c[..., :, None] * c[..., None, :].conj())
+
+
+def _unit_traces(m: np.ndarray) -> np.ndarray:
+    """``m``, a stack of states ``(..., d, d)``, made read-only once every
+    trace is 1, else :class:`qmat.DensityState`'s message for the first
+    that is not."""
     traces = np.trace(m, axis1=-2, axis2=-1)
     failed = traces[np.abs(traces - 1.0) > active().trace]
     if failed.size:
@@ -77,17 +91,22 @@ def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
     return m
 
 
+def _family(states: np.ndarray, dims: Sequence[int]) -> StateFamily:
+    """A :class:`StateFamily` of states ``(m, d, d)`` from the builders above."""
+    return StateFamily(tuple(qmat.DensityState._from_outer_products(m, dims) for m in states))
+
+
 def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:
     """The receiver's pure outcome-register state after an honest input i,
-    the outer product of ``sqrt(p(k|i,j))``: PSD by construction."""
+    the outer product of ``sqrt(p(k|i,j))``: :func:`_one_sided_families`."""
     if f.sided != "one":
         raise ValueError("one-sided reduced states require a one-sided function")
     if not 0 <= i < f.alice_arity:
         raise ValueError(f"honest input {i} out of range [0, {f.alice_arity})")
     if not 0 <= j < f.bob_arity:
         raise ValueError(f"partner input {j} out of range [0, {f.bob_arity})")
-    c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)]).astype(complex)
-    return qmat.DensityState._from_outer_products(np.outer(c, c.conj()), (f.outcome_count,))
+    m = _one_sided_families(f.probabilities())[i, j]
+    return qmat.DensityState._from_outer_products(m, (f.outcome_count,))
 
 
 def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFamily:
@@ -104,10 +123,6 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
         states = _two_sided_families(f.probabilities()[None], alice_input)[0]
-        dims = (f.alice_arity, f.outcome_count)
-        return StateFamily(tuple(qmat.DensityState._from_outer_products(m, dims) for m in states))
+        return _family(states, (f.alice_arity, f.outcome_count))
     i = int(alice_input)
-    states = tuple(
-        alice_reduced_state_one_sided(f, i, j) for j in range(f.bob_arity)
-    )
-    return StateFamily(states)
+    return StateFamily(tuple(alice_reduced_state_one_sided(f, i, j) for j in range(f.bob_arity)))

@@ -16,12 +16,14 @@ Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
 ``@counterexample``, 2x2 tables) already use the optimal Helstrom
 measurement, so there it is a silent no-op.
 
-``@ot`` runs one fixed attack and rejects ``--prior``, ``--q0``, ``--q0-sweep``
-and ``--superposition`` (exit 1).  The other two-state tables (2x2 two-sided,
-binary one-sided) take the weight on input 0 from ``--q0`` or from a
-two-entry ``--prior``; an invalid ``--prior``, or a ``--q0`` that disagrees
-with it, exits 1.  ``@counterexample`` is certified exactly
-only at the balanced prior with neither ``--superposition`` nor ``--q0-sweep``.
+Options an attack cannot honour exit 1, naming the option: ``@ot`` rejects
+``--prior``, ``--q0``, ``--q0-sweep`` and ``--superposition``, a 3x3 table
+``--q0`` and ``--q0-sweep``, a one-sided table ``--superposition`` and
+``--q0-sweep``.  The other two-state tables (2x2 two-sided, binary one-sided)
+take the weight on input 0 from ``--q0`` or from a two-entry ``--prior``; an
+invalid ``--prior``, or a ``--q0`` that disagrees with it, exits 1.
+``@counterexample`` is certified exactly only at the balanced prior with
+neither ``--superposition`` nor ``--q0-sweep``.
 
 Machine-readable output (``--out``) is a line-delimited text document with a
 ``schema_version: 1`` header; field names match the attack-report fields and
@@ -279,12 +281,8 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if args.role not in ("alice", "bob"):
         raise FunctionFileError(1, f"role must be alice or bob, got {args.role!r}")
     if f == funcspec.builtin("ot"):
-        for option in ("prior", "q0", "q0_sweep", "superposition"):
-            if getattr(args, option) is not None:
-                raise ValueError(
-                    f"--{option.replace('_', '-')} does not apply to the oblivious-transfer"
-                    " table: its attack fixes the balanced prior and the receiver's honest input 0"
-                )
+        _reject(args, ("prior", "q0", "q0_sweep", "superposition"), "the oblivious-transfer"
+                " table: its attack fixes the balanced prior and the receiver's honest input 0")
         return attacks.attack_oblivious_transfer()
     if args.role == "bob":
         f = funcspec.transpose(f)
@@ -297,6 +295,8 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
                 "only 3x3 deterministic functions are implemented; larger alphabets: "
                 "conjectured insecure, not verified"
             )
+        _reject(args, ("q0", "q0_sweep"), "3x3 deterministic tables: their attack takes"
+                " a prior over three inputs from --prior")
         try:
             return attacks.attack_deterministic_3x3(
                 f, superposition=superposition, prior=prior, optimize=args.optimize
@@ -319,10 +319,13 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
             "only 2x2 binary two-sided tables are implemented; larger "
             "alphabets: conjectured insecure, not verified"
         )
-    if f.sided == "one" and f.bob_arity != 2:
-        raise ScopeError(
-            "only binary one-sided tables with two partner inputs are implemented"
-        )
+    if f.sided == "one":
+        if f.bob_arity != 2:
+            raise ScopeError(
+                "only binary one-sided tables with two partner inputs are implemented"
+            )
+        _reject(args, ("q0_sweep", "superposition"), "one-sided tables: the receiver measures"
+                " after each honest input, under one prior weight from --q0 or --prior")
     q0 = _two_state_q0(args.q0, prior)
     if f.sided == "one":
         return attacks.attack_nondet_one_sided(f, 0.5 if q0 is None else q0)
@@ -332,6 +335,13 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if q0 is not None:
         sweep = (q0,) + tuple(sweep or ())
     return attacks.attack_nondet_two_sided(f, q0_sweep=sweep, superposition=superposition)
+
+
+def _reject(args, options: Sequence[str], reason: str) -> None:
+    """Refuse the first given option of ``options``: the path cannot honour it."""
+    for option in options:
+        if getattr(args, option) is not None:
+            raise ValueError(f"--{option.replace('_', '-')} does not apply to {reason}")
 
 
 def _two_state_q0(q0: float | None, prior: tuple[float, ...] | None) -> float | None:

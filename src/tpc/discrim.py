@@ -147,15 +147,16 @@ def honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
 def _honest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`honest_probability` of one table ``p(k|i,j)`` indexed
     ``[k, j, i]``, or of each of a stack ``[t, k, j, i]``, under one
-    validated prior ``q`` over ``j``."""
+    validated prior ``q`` over ``j``: the best of :func:`_basis_rates`."""
+    return _basis_rates(p, q).max(axis=-1)
+
+
+def _basis_rates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Guess rate of the outcome-basis measurement for each honest input i,
+    ``sum_k max_j p(k|i,j) q_j``, of one table or a stack as for
+    :func:`_honest`: ``(..., i)``."""
     # one row per outcome k of max_j p(k|i,j) q_j, summed in outcome order
-    return sum((p * q[:, None]).max(axis=-2).swapaxes(0, -2)).max(axis=-1)
-
-
-def per_input_basis_rate(f: FunctionSpec, i: int, prior: Sequence[float]) -> float:
-    """Guess rate of the outcome-basis measurement for one honest input."""
-    q = validate_prior(prior, f.bob_arity)
-    return float(sum((f.probabilities()[:, :, i] * q).max(axis=1)))
+    return sum((p * q[:, None]).max(axis=-2).swapaxes(0, -2))
 
 
 def povm_success(family, prior: Sequence[float], povm: Povm) -> float:

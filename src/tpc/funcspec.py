@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -95,7 +96,7 @@ class FunctionSpec:
             if self.prob_table is None or self.det_table is not None:
                 raise ValueError("probabilistic spec requires prob_table only")
             p = tuple(
-                tuple(tuple(Fraction(x) for x in row) for row in block)
+                tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in block)
                 for block in self.prob_table
             )
             if len(p) != self.outcome_count:
@@ -105,14 +106,17 @@ class FunctionSpec:
                     len(r) != self.alice_arity for r in block
                 ):
                     raise ValueError("probability block shape does not match arities")
+            # range and sum on integer numerators over one common denominator
+            den = math.lcm(*(x.denominator for block in p for row in block for x in row))
             for j in range(self.bob_arity):
                 for i in range(self.alice_arity):
-                    col = [p[k][j][i] for k in range(self.outcome_count)]
-                    if any(x < 0 or x > 1 for x in col):
+                    col = [x.numerator * (den // x.denominator) for x in (b[j][i] for b in p)]
+                    if any(x < 0 or x > den for x in col):
                         raise ValueError(f"probability out of [0,1] at (i={i}, j={j})")
-                    if sum(col) != 1:
+                    if sum(col) != den:
                         raise ValueError(
-                            f"probabilities at (i={i}, j={j}) sum to {sum(col)}, expected 1"
+                            f"probabilities at (i={i}, j={j}) sum to"
+                            f" {Fraction(sum(col), den)}, expected 1"
                         )
             object.__setattr__(self, "prob_table", p)
 
@@ -466,14 +470,7 @@ def parse_function_file(text: str) -> FunctionSpec:
                     raise FunctionFileError(ln, f"outcome label {x} out of range [0, {outcome_count})")
                 row.append(x)
             table.append(tuple(row))
-        return FunctionSpec(
-            kind=kind,
-            sided=sided,
-            alice_arity=alice_arity,
-            bob_arity=bob_arity,
-            outcome_count=outcome_count,
-            det_table=tuple(table),
-        )
+        return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, det_table=tuple(table))
 
     blocks: dict[int, list[tuple[Fraction, ...]]] = {}
     pos = 0
@@ -514,35 +511,17 @@ def parse_function_file(text: str) -> FunctionSpec:
             last_ln, f"only the final outcome block may be omitted; missing {missing}"
         )
     if missing:
-        label = missing[0]
-        rows = []
-        for j in range(bob_arity):
-            row = []
-            for i in range(alice_arity):
-                rem = 1 - sum(blocks[k][j][i] for k in blocks)
-                if rem < 0:
-                    raise FunctionFileError(
-                        last_ln, f"probabilities at (i={i}, j={j}) exceed 1"
-                    )
-                row.append(rem)
-            rows.append(tuple(row))
-        blocks[label] = rows
-    for j in range(bob_arity):
-        for i in range(alice_arity):
-            total = sum(blocks[k][j][i] for k in range(outcome_count))
-            if total != 1:
-                raise FunctionFileError(
-                    last_ln, f"probabilities at (i={i}, j={j}) sum to {total}, expected 1"
-                )
+        rest = [[1 - sum(b[j][i] for b in blocks.values()) for i in range(alice_arity)]
+                for j in range(bob_arity)]
+        for j, i in itertools.product(range(bob_arity), range(alice_arity)):
+            if rest[j][i] < 0:
+                raise FunctionFileError(last_ln, f"probabilities at (i={i}, j={j}) exceed 1")
+        blocks[missing[0]] = [tuple(row) for row in rest]
     prob = tuple(tuple(blocks[k]) for k in range(outcome_count))
-    return FunctionSpec(
-        kind=kind,
-        sided=sided,
-        alice_arity=alice_arity,
-        bob_arity=bob_arity,
-        outcome_count=outcome_count,
-        prob_table=prob,
-    )
+    try:  # the constructor checks that every cell sums to 1
+        return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, prob_table=prob)
+    except ValueError as exc:
+        raise FunctionFileError(last_ln, str(exc)) from None
 
 
 # --- built-in tables -------------------------------------------------------

@@ -13,6 +13,7 @@ input and traces the other party out.  They must agree entrywise.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,3 +108,23 @@ def reference_helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: flo
     povm = Povm((e0, np.eye(rho0.dim, dtype=complex) - e0), (0, 1))
     ok, residuals = certify_optimal((rho0, rho1), (q0, 1.0 - q0), povm)
     return 0.5 * (1.0 + float(np.abs(w).sum())), povm.elements, ok, residuals
+
+
+def fraction_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
+    """:func:`tpc.attacks._endpoint_slope_bound` in ``Fraction`` arithmetic,
+    term by term as its docstring states it: per outcome block k,
+    ``sign(A_k) A_k' + 2 q0 q1 R_k / |A_k|``, the surd in ``R_k`` bounded
+    from below by ``math.isqrt`` on the reduced ``g = p00 p01 p10 p11``."""
+    q1 = 1 - q0
+    total = Fraction(0)
+    for k in range(f.outcome_count):
+        p00, p01, p10, p11 = (f.prob(k, i, j) for i in (0, 1) for j in (0, 1))
+        a = q0 * p00 - q1 * p01
+        if a == 0:
+            raise ArithmeticError(f"outcome {k} carries no weight difference at input |0>")
+        slope_a = q0 * (p10 - p00) - q1 * (p11 - p01)
+        g = p00 * p01 * p10 * p11
+        root = Fraction(math.isqrt((g.numerator * g.denominator) << 128), g.denominator << 64)
+        r = p10 * p01 + p00 * p11 - 2 * root
+        total += (slope_a if a > 0 else -slope_a) + 2 * q0 * q1 * r / abs(a)
+    return total

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from tpc.attacks import (
 )
 from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
+
+from oracles import fraction_slope_bound
 
 SEED = 8091
 
@@ -223,7 +226,8 @@ class TestNondetOneSided:
         for q0 in (0.2, 0.5, 0.8):
             family = blackbox.output_family(f, 1)
             optimal = discrim.helstrom(family.states[0], family.states[1], q0)
-            basis = discrim.per_input_basis_rate(f, 1, (q0, 1 - q0))
+            q = funcspec.validate_prior((q0, 1 - q0), 2)
+            basis = float(discrim._basis_rates(f.probabilities(), q)[1])
             assert optimal.success_probability == pytest.approx(basis, abs=1e-12)
 
     def test_attack_never_below_honest(self):
@@ -367,6 +371,45 @@ class TestCounterexampleCertificate:
         with pytest.raises(ArithmeticError, match="no weight difference"):
             attacks._endpoint_slope_bound(f, Fraction(1, 2))
 
+    def test_integer_bound_equals_fraction_oracle(self):
+        # two inputs per party, 2-3 outcomes, q0 on a 1/20 grid; tables with a
+        # zero weight difference must raise in both
+        rng = np.random.default_rng(SEED + 7)
+        compared = refused = 0
+        for _ in range(400):
+            f = random_two_input_table(rng, 2, int(rng.integers(2, 4)))
+            q0 = Fraction(int(rng.integers(1, 20)), 20)
+            try:
+                expected = fraction_slope_bound(f, q0)
+            except ArithmeticError as exc:
+                with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                    attacks._endpoint_slope_bound(f, q0)
+                refused += 1
+                continue
+            bound = attacks._endpoint_slope_bound(f, q0)
+            assert (bound.numerator, bound.denominator) == (expected.numerator, expected.denominator)
+            compared += 1
+        assert compared >= 300 and refused >= 5
+        f = builtin("counterexample")
+        assert attacks._endpoint_slope_bound(f, Fraction(1, 2)) == Fraction(
+            -589830294617955282180589, 2418714024514704270950400
+        )
+
+    def test_zero_weight_difference_in_any_outcome_refused(self):
+        # at q0 = 1/2, A_k = (p(k|0,0) - p(k|0,1)) / 2 vanishes for outcome 2 only
+        p00, p01, third = ("1/2", "1/4", "1/4"), ("1/4", "1/2", "1/4"), ("1/3",) * 3
+        f = funcspec.FunctionSpec(
+            kind="probabilistic",
+            sided="two",
+            alice_arity=2,
+            bob_arity=2,
+            outcome_count=3,
+            prob_table=tuple(((p00[k], third[k]), (p01[k], third[k])) for k in range(3)),
+        )
+        for bound in (attacks._endpoint_slope_bound, fraction_slope_bound):
+            with pytest.raises(ArithmeticError, match="outcome 2 carries no weight difference"):
+                bound(f, Fraction(1, 2))
+
     def test_certificate_refuses_table_with_an_attack(self, monkeypatch):
         # seeded table (rng seed 19) on which a superposition beats honest
         # play at q0 = 1/2
@@ -420,6 +463,50 @@ def break_completeness(elements):
     elements[0] += 1e-6 * np.eye(elements.shape[-1])
 
 
+def count_constructions(monkeypatch) -> list[str]:
+    """Record every FunctionSpec, DensityState and StateFamily built from
+    here on, by class and constructor step, in one list."""
+    calls = []
+    for cls, name in (
+        (funcspec.FunctionSpec, "__post_init__"),
+        (qmat.DensityState, "_settle"),
+        (blackbox.StateFamily, "__post_init__"),
+    ):
+        label = f"{cls.__name__}.{name}"
+
+        def counted(self, *args, _original=getattr(cls, name), _label=label, **kwargs):
+            calls.append(_label)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestTwoStateArrays:
+    def test_attacks_build_no_state_objects_after_parsing(self, monkeypatch):
+        # the two-state attacks carry the parsed table's states as arrays to
+        # the measurement; the oblivious-transfer attack still wraps its
+        # family once, for the public closed-form cross-check
+        two = funcspec.parse_function_file(
+            "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n2/9 1/2\n5/8 1/6\n"
+        )
+        one = funcspec.parse_function_file(
+            "type: probabilistic\nsided: one\ninputs: 2 2\noutcomes: 2\nk: 0\n1/6 3/14\n3/5 5/9\n"
+        )
+        builtin("counterexample")
+        builtin("ot")
+        calls = count_constructions(monkeypatch)
+        attack_nondet_two_sided(two)
+        attack_nondet_two_sided(two, q0_sweep=(0.3, 0.6), superposition=(0.6, 0.8j))
+        attack_nondet_one_sided(one, 0.3)
+        verify_counterexample()
+        assert calls == []
+        attack_oblivious_transfer()
+        assert calls == ["FunctionSpec.__post_init__"] + ["DensityState._settle"] * 2 + [
+            "StateFamily.__post_init__"
+        ]
+
+
 class TestSweep:
     def test_headline_unchanged(self):
         reports = sweep_all_3x3()
@@ -431,19 +518,7 @@ class TestSweep:
     def test_sweep_builds_no_per_class_objects(self, monkeypatch):
         # the sweep carries its tables and families as arrays; the counters
         # are shown to work on a table and a family built the public way
-        calls = []
-        for cls, name in (
-            (funcspec.FunctionSpec, "__post_init__"),
-            (qmat.DensityState, "_settle"),
-            (blackbox.StateFamily, "__post_init__"),
-        ):
-            label = f"{cls.__name__}.{name}"
-
-            def counted(self, *args, _original=getattr(cls, name), _label=label, **kwargs):
-                calls.append(_label)
-                return _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
+        calls = count_constructions(monkeypatch)
         reports = sweep_all_3x3()
         assert len(reports) == funcspec.VALID_3X3_CLASS_COUNT
         assert calls == []

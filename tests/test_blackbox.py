@@ -1,6 +1,7 @@
 """State construction: closed-form route vs full purification, one-sided
 pure states, role symmetry."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -302,6 +303,29 @@ class TestOneSidedStates:
             rho = alice_reduced_state_one_sided(f, i, j)
             purity = float(np.trace(rho.matrix @ rho.matrix).real)
             assert abs(purity - 1.0) <= tol.recon
+
+    def test_stacked_builder_equals_one_state_bitwise(self):
+        # _one_sided_families against alice_reduced_state_one_sided and the
+        # outer product of sqrt(p(k|i,j)), state by state, to the bit
+        rng = np.random.default_rng(SEED + 5)
+        tables = [funcspec.one_sided_binary(rng.uniform(0.0, 1.0, size=(2, 2))) for _ in range(20)]
+        tables += [builtin("ot"), transpose(builtin("ot"))]  # either party as the receiver
+        for f in tables:
+            stack = blackbox._one_sided_families(f.probabilities())
+            assert stack.shape == (f.alice_arity, f.bob_arity, f.outcome_count, f.outcome_count)
+            assert not stack.flags.writeable
+            for i, j in itertools.product(range(f.alice_arity), range(f.bob_arity)):
+                c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)]).astype(complex)
+                assert stack[i, j].tobytes() == np.outer(c, c.conj()).tobytes()
+                state = alice_reduced_state_one_sided(f, i, j)
+                assert state.matrix.tobytes() == stack[i, j].tobytes()
+
+    def test_stacked_builder_checks_every_trace(self):
+        p = transpose(builtin("ot")).probabilities()
+        p[:, 1] *= 1 + 3e-9  # the state after partner input 1 has trace 1 + 3e-9
+        message = f"^{re.escape('density matrix trace 1.000000003+0j is not 1')}$"
+        with pytest.raises(ValueError, match=message):
+            blackbox._one_sided_families(p)
 
     def test_rejects_two_sided_function(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,31 @@ class TestAnalyze:
         assert main(["analyze", "@ot", option, value]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {option} does not apply")
 
+    @pytest.mark.parametrize("option, value", [("--q0", "0.3"), ("--q0-sweep", "0.3,0.4")])
+    def test_3x3_rejects_prior_weights_it_cannot_honour(self, option, value, capsys):
+        assert main(["analyze", "@neq3", option, value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {option} does not apply to 3x3 deterministic tables:"
+            " their attack takes a prior over three inputs from --prior\n"
+        )
+
+    @pytest.mark.parametrize(
+        "option, value", [("--superposition", "0.6,0.8"), ("--q0-sweep", "0.3,0.4")]
+    )
+    def test_one_sided_rejects_options_it_cannot_honour(self, option, value, tmp_path, capsys):
+        path = write(tmp_path, "one.fn", TWO_STATE_TABLES["one-sided"])
+        assert main(["analyze", path, "--q0", "0.3", option, value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {option} does not apply to one-sided tables: the receiver measures"
+            " after each honest input, under one prior weight from --q0 or --prior\n"
+        )
+        # the options the one-sided path honours still run
+        assert main(["analyze", path, "--q0", "0.3"]) == EXIT_OK
+
     def test_ot_file_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "ot.fn", funcspec.builtin_text("ot"))
         assert main(["analyze", path]) == EXIT_OK
@@ -277,6 +302,33 @@ class TestSweepCommand:
         capsys.readouterr()
         doc = parse_report_document((tmp_path / "sweep.txt").read_text())
         assert len(doc.reports) == funcspec.VALID_3X3_CLASS_COUNT
+
+
+# The two-state attacks' pinned outputs: tests/data/two_state/<case>.stdout
+# and .report, from these calls on the tables stored there.
+TWO_STATE_PINS = {
+    "counterexample": ["analyze", "@counterexample", "--q0", "0.5"],
+    "ot_demo": ["ot-demo"],
+    "ot": ["analyze", "@ot"],
+    "two0": ["analyze", "two0.fn"],
+    "two1_superposition": ["analyze", "two1.fn", "--superposition", "0.6,0.8j"],
+    "two2_q0_sweep": ["analyze", "two2.fn", "--q0-sweep", "0.25,0.5,0.9"],
+    "one0": ["analyze", "one0.fn", "--q0", "0.15"],
+    "one1": ["analyze", "one1.fn", "--q0", "0.5"],
+    "one2": ["analyze", "one2.fn", "--q0", "0.8"],
+}
+
+
+class TestTwoStatePins:
+    @pytest.mark.parametrize("case", sorted(TWO_STATE_PINS))
+    def test_stdout_and_document_pinned_byte_for_byte(self, case, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+        pins = DATA / "two_state"
+        argv = [str(pins / a) if a.endswith(".fn") else a for a in TWO_STATE_PINS[case]]
+        out = tmp_path / "report.txt"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (pins / f"{case}.stdout").read_text()
+        assert out.read_text() == (pins / f"{case}.report").read_text()
 
 
 class TestOtDemo:

@@ -165,7 +165,7 @@ def loop_honest_probability(f, prior):
 
 
 def loop_basis_rate(f, i, prior):
-    """Oracle for :func:`per_input_basis_rate`, cell by cell."""
+    """Oracle for one input's rate of :func:`discrim._basis_rates`, cell by cell."""
     q = funcspec.validate_prior(prior, f.bob_arity)
     return float(
         sum(
@@ -206,9 +206,9 @@ class TestHonestProbability:
         for f, prior in honest_baseline_cases():
             cases += 1
             assert honest_probability(f, prior) == loop_honest_probability(f, prior)
+            rates = discrim._basis_rates(f.probabilities(), funcspec.validate_prior(prior, f.bob_arity))
             for i in range(f.alice_arity):
-                rate = discrim.per_input_basis_rate(f, i, prior)
-                assert rate == loop_basis_rate(f, i, prior)
+                assert rates[i] == loop_basis_rate(f, i, prior)
         assert cases == 1500 + 200 + 18 * 6
 
     def test_stack_equals_one_table_exactly(self):

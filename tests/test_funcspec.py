@@ -531,6 +531,42 @@ class TestParser:
         assert time.perf_counter() - start < 0.1
         assert err.value.line_no == 9
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n1/2 1/2\n"
+                "1/4 3/4\n# block 1\nk: 1\n1/2 3/4\n3/4 1/4\n\n",
+                "line 11: probabilities at (i=1, j=0) sum to 5/4, expected 1",
+            ),
+            (
+                "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 3\nk: 0\n1/2 1/2\n"
+                "1/4 1/4\n# block 1\nk: 1\n1/2 3/4\n3/4 1/4\n# block 2 inferred\n",
+                "line 11: probabilities at (i=1, j=0) exceed 1",
+            ),
+        ],
+        ids=["every-block-given", "final-block-omitted"],
+    )
+    def test_cell_summing_to_five_quarters_reports_last_row(self, text, message):
+        # one check per cell: the parser bounds each token, the constructor
+        # the sums, and its message comes back with the last row's line
+        with pytest.raises(FunctionFileError) as err:
+            parse_function_file(text)
+        assert (err.value.line_no, str(err.value)) == (11, message)
+
+    def test_constructor_checks_sums_on_integer_numerators(self):
+        blocks = ((("1/2", "1/3"),), (("1/2", "2/3"),))
+        f = funcspec.FunctionSpec("probabilistic", "two", 2, 1, 2, prob_table=blocks)
+        assert f.prob_table == (((Fraction(1, 2), Fraction(1, 3)),), ((Fraction(1, 2), Fraction(2, 3)),))
+        # entries that are already Fractions are kept, not re-wrapped
+        g = funcspec.FunctionSpec("probabilistic", "two", 2, 1, 2, prob_table=f.prob_table)
+        assert all(x is y for a, b in zip(f.prob_table, g.prob_table) for x, y in zip(a[0], b[0]))
+        bad = ((("1/2", "1/3"),), (("1/2", "3/4"),))
+        with pytest.raises(ValueError, match=r"^probabilities at \(i=1, j=0\) sum to 13/12, expected 1$"):
+            funcspec.FunctionSpec("probabilistic", "two", 2, 1, 2, prob_table=bad)
+        with pytest.raises(ValueError, match=r"^probability out of \[0,1\] at \(i=0, j=0\)$"):
+            funcspec.FunctionSpec("probabilistic", "two", 1, 1, 2, prob_table=((("3/2",),), (("-1/2",),)))
+
     def test_complement_must_be_nonnegative(self):
         text = (
             "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\n"
