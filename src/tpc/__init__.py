@@ -16,7 +16,6 @@ from .discrim import (
     Povm,
     certify_optimal,
     helstrom,
-    honest_probability,
     optimize_povm,
     povm_success,
     square_root_measurement,
@@ -27,16 +26,13 @@ from .funcspec import (
     canonicalize_3x3,
     enumerate_valid_3x3,
     parse_function_file,
-    validate_conditions,
 )
-from .qmat import DensityState, inv_sqrt_on_support
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackReport",
     "CanonicalForm3x3",
-    "DensityState",
     "DiscriminationResult",
     "FunctionSpec",
     "Povm",
@@ -49,14 +45,11 @@ __all__ = [
     "certify_optimal",
     "enumerate_valid_3x3",
     "helstrom",
-    "honest_probability",
-    "inv_sqrt_on_support",
     "optimize_povm",
     "output_family",
     "parse_function_file",
     "povm_success",
     "square_root_measurement",
     "sweep_all_3x3",
-    "validate_conditions",
     "verify_counterexample",
 ]

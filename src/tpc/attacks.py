@@ -14,8 +14,9 @@ fixed-point search, each stack checked and certified once.  The 3x3 sweep
 carries its class tables, families and candidates as arrays from
 enumeration to measurement; each two-state attack reads its parsed table
 once into a float array and builds its candidates' states with the
-:mod:`blackbox` array builders, without a ``DensityState`` or
-``StateFamily``.  Entry points keep their scope checks, notes and oracles.
+:mod:`blackbox` array builders (the oblivious-transfer attack checks its
+family once as a :class:`blackbox.StateFamily`, for the public closed-form
+cross-check).  Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ def attack_oblivious_transfer() -> AttackReport:
     p_honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
     report = _measure("oblivious-transfer", [_Job("ot", _Candidate(states, prior, p_honest, 0), [])])[0]
     explicit = ot_explicit_povm()
-    family = blackbox._family(states, (f.outcome_count,))
+    family = blackbox.StateFamily(states)
     explicit_success = discrim.povm_success(family, prior, explicit)
     if abs(explicit_success - report.p_attack) > 1e-10:
         raise ArithmeticError(
@@ -411,9 +412,9 @@ def verify_counterexample() -> AttackReport:
     ``u``).  So a negative slope at the honest input ``|0>`` toward ``|1>``,
     bounded exactly by :func:`_endpoint_slope_bound`, makes ``|0>`` the
     maximum over every input; otherwise this raises
-    :class:`ArithmeticError`.  The input ``|0>`` is then measured and
-    certified through :func:`blackbox.output_family`, and its advantage must
-    not exceed the minimum-gain threshold.
+    :class:`ArithmeticError`.  The states after ``|0>``, built by
+    :func:`blackbox._two_sided_families`, are then measured and certified
+    by :func:`_measure`; the advantage must not exceed the minimum gain.
     """
     f = funcspec.builtin("counterexample")
     prior = (0.5, 0.5)

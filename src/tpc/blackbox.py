@@ -19,22 +19,38 @@ from .funcspec import FunctionSpec, transpose
 from .tolerances import active
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateFamily:
-    """One state per possible input of the party being guessed, all of one
-    dimension; each state's ``dims`` names its registers."""
+    """One state per input of the guessed party, as one read-only complex
+    ``(m, d, d)`` stack, every state checked at once: square matrices of one
+    shape, finite entries, Hermiticity, unit trace and PSD (one stacked
+    ``eigvalsh``), naming the first defect.  Families compare by identity."""
 
-    states: tuple[qmat.DensityState, ...]
+    states: np.ndarray
 
     def __post_init__(self):
-        if not self.states or not all(isinstance(s, qmat.DensityState) for s in self.states):
-            raise ValueError("state family must be a non-empty sequence of DensityState")
-        dims = {s.dim for s in self.states}
+        shapes = [np.shape(s) for s in self.states]
+        if not shapes:
+            raise ValueError("state family must be a non-empty sequence of density matrices")
+        for shape in shapes:
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"density matrix must be square, got {shape}")
+        dims = {shape[0] for shape in shapes}
         if len(dims) != 1:
             raise ValueError(f"family states have inconsistent dimensions {dims}")
-
-    def __len__(self) -> int:
-        return len(self.states)
+        stack = np.array(self.states, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix contains non-finite entries")
+        tol = active()
+        defects = np.abs(stack - qmat.dagger(stack)).max(axis=(-2, -1))
+        defects = defects[defects > tol.herm]
+        if defects.size:
+            raise ValueError(f"density matrix not Hermitian (defect {defects[0]:.3g})")
+        lowest = np.linalg.eigvalsh(_unit_traces(stack)).min(axis=-1)
+        lowest = lowest[lowest < -tol.psd]
+        if lowest.size:
+            raise ValueError(f"density matrix has negative eigenvalue {lowest[0]:.3g}")
+        object.__setattr__(self, "states", stack)
 
 
 def amplitude_vector(amplitudes: Sequence[complex], n: int) -> np.ndarray:
@@ -81,32 +97,14 @@ def _one_sided_families(p: np.ndarray) -> np.ndarray:
 
 def _unit_traces(m: np.ndarray) -> np.ndarray:
     """``m``, a stack of states ``(..., d, d)``, made read-only once every
-    trace is 1, else :class:`qmat.DensityState`'s message for the first
-    that is not."""
+    trace is 1, else :class:`StateFamily`'s message for the first that is
+    not."""
     traces = np.trace(m, axis1=-2, axis2=-1)
     failed = traces[np.abs(traces - 1.0) > active().trace]
     if failed.size:
         raise ValueError(f"density matrix trace {complex(failed[0]):.12g} is not 1")
     m.setflags(write=False)
     return m
-
-
-def _family(states: np.ndarray, dims: Sequence[int]) -> StateFamily:
-    """A :class:`StateFamily` of states ``(m, d, d)`` from the builders above."""
-    return StateFamily(tuple(qmat.DensityState._from_outer_products(m, dims) for m in states))
-
-
-def alice_reduced_state_one_sided(f: FunctionSpec, i: int, j: int) -> qmat.DensityState:
-    """The receiver's pure outcome-register state after an honest input i,
-    the outer product of ``sqrt(p(k|i,j))``: :func:`_one_sided_families`."""
-    if f.sided != "one":
-        raise ValueError("one-sided reduced states require a one-sided function")
-    if not 0 <= i < f.alice_arity:
-        raise ValueError(f"honest input {i} out of range [0, {f.alice_arity})")
-    if not 0 <= j < f.bob_arity:
-        raise ValueError(f"partner input {j} out of range [0, {f.bob_arity})")
-    m = _one_sided_families(f.probabilities())[i, j]
-    return qmat.DensityState._from_outer_products(m, (f.outcome_count,))
 
 
 def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFamily:
@@ -122,7 +120,8 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
     elif role != "alice":
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
-        states = _two_sided_families(f.probabilities()[None], alice_input)[0]
-        return _family(states, (f.alice_arity, f.outcome_count))
+        return StateFamily(_two_sided_families(f.probabilities()[None], alice_input)[0])
     i = int(alice_input)
-    return StateFamily(tuple(alice_reduced_state_one_sided(f, i, j) for j in range(f.bob_arity)))
+    if not 0 <= i < f.alice_arity:
+        raise ValueError(f"honest input {i} out of range [0, {f.alice_arity})")
+    return StateFamily(_one_sided_families(f.probabilities())[i])

@@ -110,9 +110,10 @@ class DiscriminationResult:
     p_upper: float | None = None       # fixed-point search: dual bound on the optimum
 
 
-def _family_states(family) -> tuple[qmat.DensityState, ...]:
+def _family_states(family) -> np.ndarray:
+    """A :class:`StateFamily`'s stack, or a stack or sequence of matrices checked as one."""
     if not isinstance(family, StateFamily):
-        family = StateFamily(tuple(family))
+        family = StateFamily(family)
     return family.states
 
 
@@ -124,30 +125,22 @@ def _checked_inputs(family, prior: Sequence[float], povm: Povm) -> tuple[np.ndar
     ``q_l rho_l`` for every family state ``(n, d, d)``."""
     states = _family_states(family)
     q = validate_prior(prior, len(states))
-    if povm.dim != states[0].dim:
+    if povm.dim != states.shape[-1]:
         raise ValueError("POVM and family dimensions differ")
     for lab in povm.labels:
         if not 0 <= lab < len(states):
             raise ValueError(f"POVM label {lab} does not index a family state")
-    matrices = np.array([s.matrix for s in states])
     labels = list(povm.labels)
-    return matrices[labels], q[labels], q[:, None, None] * matrices
-
-
-def honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
-    """Best guessing probability with a classical input.
-
-    The guesser picks the most informative input i, observes the outcome k,
-    and guesses the other party's input j with the largest posterior weight:
-    ``max_i sum_k max_j p(k|i,j) q_j``.
-    """
-    return float(_honest(f.probabilities(), validate_prior(prior, f.bob_arity)))
+    return states[labels], q[labels], q[:, None, None] * states
 
 
 def _honest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`honest_probability` of one table ``p(k|i,j)`` indexed
-    ``[k, j, i]``, or of each of a stack ``[t, k, j, i]``, under one
-    validated prior ``q`` over ``j``: the best of :func:`_basis_rates`."""
+    """Best guessing probability with a classical input: the guesser picks
+    the most informative input i, observes the outcome k, and guesses the
+    other party's input j with the largest posterior weight,
+    ``max_i sum_k max_j p(k|i,j) q_j``, the best of :func:`_basis_rates`.
+    For one table ``p(k|i,j)`` indexed ``[k, j, i]``, or each of a stack
+    ``[t, k, j, i]``, under one validated prior ``q`` over ``j``."""
     return _basis_rates(p, q).max(axis=-1)
 
 
@@ -210,22 +203,24 @@ def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, C
     return _certify(povm.elements, weighted, *_lagrange(povm.elements, weighted, family_weighted))[0]
 
 
-def helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float) -> DiscriminationResult:
-    """Optimal two-state discrimination.
+def helstrom(rho0, rho1, q0: float) -> DiscriminationResult:
+    """Optimal two-state discrimination of two ``(d, d)`` density matrices,
+    checked as one :class:`StateFamily`.
 
     Success probability ``(1 + tr|q0 rho0 - q1 rho1|) / 2``; the measurement
     projects onto the nonnegative and negative eigenspaces of the weighted
     difference.  The one-pair case of :func:`_helstrom_stack`, checked as a
     :class:`Povm` and certified by :func:`certify_optimal`.
     """
-    if rho0.dim != rho1.dim:
-        raise ValueError(f"state dimensions differ: {rho0.dim} vs {rho1.dim}")
+    if len(rho0) != len(rho1):
+        raise ValueError(f"state dimensions differ: {len(rho0)} vs {len(rho1)}")
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
+    family = StateFamily((rho0, rho1))
     prior = (q0, 1.0 - q0)
-    elements, success = _helstrom_stack(np.array([[rho0.matrix, rho1.matrix]]), np.array([prior]))
+    elements, success = _helstrom_stack(family.states[None], np.array([prior]))
     povm = Povm(elements[0], (0, 1))
-    ok, residuals = certify_optimal((rho0, rho1), prior, povm)
+    ok, residuals = certify_optimal(family, prior, povm)
     return DiscriminationResult(float(success[0]), povm, ok, residuals)
 
 
@@ -251,7 +246,7 @@ def square_root_measurement(family, prior: Sequence[float]) -> Povm:
     """
     states = _family_states(family)
     q = validate_prior(prior, len(states))
-    elements = _pretty_good(np.array([s.matrix for s in states])[None], q[None])[0]
+    elements = _pretty_good(states[None], q[None])[0]
     return Povm(elements, tuple(range(len(states))))
 
 

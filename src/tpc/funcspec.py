@@ -219,22 +219,14 @@ class ConditionError(ValueError):
         self.check = check
 
 
-def validate_conditions(f: FunctionSpec) -> ConditionCheck:
-    """Concealment and degeneracy checks for deterministic outcome matrices.
+def _conditions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concealment and degeneracy checks for deterministic outcome matrices
+    ``(rows, cols, ...)``, as two masks.
 
     Potentially concealing: every row and every column contains a repeated
     element (no input pins down the other party's input with certainty).
     Non-degenerate: no two rows and no two columns are equal.
     """
-    if f.kind != "deterministic":
-        raise ValueError("conditions are defined for deterministic functions only")
-    concealing, non_degenerate = _conditions(np.array(f.det_table))
-    return ConditionCheck(bool(concealing), bool(non_degenerate))
-
-
-def _conditions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`validate_conditions` as two masks, potentially concealing and
-    non-degenerate, over outcome matrices ``(rows, cols, ...)``."""
     rows, cols = t.shape[:2]
     same = t[:, :, None, None] == t[None, None]  # cell (r, c) against cell (r', c')
     in_row = np.diagonal(same, axis1=0, axis2=2)  # (c, c', ..., r)

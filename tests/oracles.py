@@ -3,11 +3,12 @@
 None of these is called by ``src/tpc``; each rebuilds a number the library
 computes another way.
 
-The two-sided states have two construction routes:
-:func:`tpc.blackbox.output_family` assembles each reduced operator, one per
-Bob input, directly from the closed-form entries, while
-:func:`purified_reduced_state` materializes all four registers for one Bob
-input and traces the other party out.  They must agree entrywise.
+States are plain density matrices; the oracles that split a matrix into
+subsystems take their dimensions explicitly.  The two-sided states have two
+construction routes: :func:`tpc.blackbox.output_family` assembles each
+reduced operator, one per Bob input, directly from the closed-form entries,
+while :func:`purified_reduced_state` materializes all four registers for one
+Bob input and traces the other party out.  They must agree entrywise.
 """
 
 from __future__ import annotations
@@ -21,40 +22,47 @@ import numpy as np
 from tpc import qmat
 from tpc.blackbox import amplitude_vector
 from tpc.discrim import Povm, certify_optimal
-from tpc.funcspec import FunctionSpec
+from tpc.funcspec import FunctionSpec, validate_prior
 from tpc.tolerances import active
 
 
-def pure_state(amplitudes: Sequence[complex], dims: Sequence[int] | None = None) -> qmat.DensityState:
-    """Rank-1 DensityState from a unit-norm amplitude vector."""
+def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
+    """Rank-1 density matrix from a unit-norm amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= active().trace:  # written so that a NaN norm fails too
         raise ValueError(f"amplitude vector norm {norm:.12g} is not 1")
-    return qmat.DensityState(np.outer(v, v.conj()), tuple(dims) if dims is not None else (v.size,))
+    return np.outer(v, v.conj())
 
 
-def partial_trace(state: qmat.DensityState, keep: Iterable[int]) -> qmat.DensityState:
-    """Reduced state on the ``keep`` subsystems (original order preserved)."""
+def partial_trace(
+    matrix: np.ndarray, dims: Sequence[int], keep: Iterable[int]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced matrix on the ``keep`` subsystems of a matrix on subsystems
+    ``dims`` (original order preserved), and the dimensions it acts on."""
+    dims = [int(d) for d in dims]
+    if math.prod(dims) != len(matrix):
+        raise ValueError(f"subsystem dimensions {tuple(dims)} do not multiply to matrix size {len(matrix)}")
     keep_idx = sorted({int(i) for i in keep})
-    n = len(state.dims)
+    n = len(dims)
     if not keep_idx:
         raise ValueError("keep must select at least one subsystem")
     for i in keep_idx:
         if i < 0 or i >= n:
             raise ValueError(f"subsystem index {i} out of range for {n} subsystems")
-    dims = list(state.dims)
-    tensor_form = state.matrix.reshape(tuple(dims) * 2)
+    tensor_form = np.asarray(matrix).reshape(tuple(dims) * 2)
     for idx in sorted(set(range(n)) - set(keep_idx), reverse=True):
         tensor_form = np.trace(tensor_form, axis1=idx, axis2=idx + len(dims))
         del dims[idx]
     d = math.prod(dims)
-    return qmat.DensityState(tensor_form.reshape(d, d), tuple(dims))
+    return tensor_form.reshape(d, d), tuple(dims)
 
 
-def purified_reduced_state(f: FunctionSpec, amplitudes: Sequence[complex], j: int) -> qmat.DensityState:
+def purified_reduced_state(
+    f: FunctionSpec, amplitudes: Sequence[complex], j: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """Build the full four-register pure state and trace out the other
-    party's registers."""
+    party's registers: the reduced matrix and its dimensions (input, outcome)."""
     if f.sided != "two":
         raise ValueError("purification route requires a two-sided function")
     a = amplitude_vector(amplitudes, f.alice_arity)
@@ -64,8 +72,21 @@ def purified_reduced_state(f: FunctionSpec, amplitudes: Sequence[complex], j: in
         for k in range(kdim):
             idx = ((i * nb + j) * kdim + k) * kdim + k
             ket[idx] = a[i] * np.sqrt(float(f.prob(k, i, j)))
-    full = pure_state(ket, (n, nb, kdim, kdim))
-    return partial_trace(full, keep=(0, 2))
+    return partial_trace(pure_state(ket), (n, nb, kdim, kdim), keep=(0, 2))
+
+
+def loop_honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
+    """The honest guessing probability ``max_i sum_k max_j p(k|i,j) q_j``
+    cell by cell, through :meth:`FunctionSpec.prob`, in the order of
+    operations of :func:`tpc.discrim._honest`."""
+    q = validate_prior(prior, f.bob_arity)
+    best = 0.0
+    for i in range(f.alice_arity):
+        total = 0.0
+        for k in range(f.outcome_count):
+            total += max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
+        best = max(best, total)
+    return best
 
 
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:
@@ -94,18 +115,18 @@ def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float]
     return Povm((e0, e1, e2), (0, 1, 2))
 
 
-def reference_helstrom(rho0: qmat.DensityState, rho1: qmat.DensityState, q0: float):
+def reference_helstrom(rho0: np.ndarray, rho1: np.ndarray, q0: float):
     """Per-pair Helstrom measurement: projector onto the nonnegative
     eigenspace of ``q0 rho0 - q1 rho1`` from the selected eigenvector
     columns, its complement, and the certificate of
     :func:`tpc.discrim.certify_optimal`.  Returns the success, the elements,
     the certified flag and the residuals."""
-    delta = q0 * rho0.matrix - (1.0 - q0) * rho1.matrix
+    delta = q0 * rho0 - (1.0 - q0) * rho1
     w, v = np.linalg.eigh(delta)
     positive = v[:, w >= 0]
     e0 = positive @ qmat.dagger(positive)
     e0 = (e0 + qmat.dagger(e0)) / 2
-    povm = Povm((e0, np.eye(rho0.dim, dtype=complex) - e0), (0, 1))
+    povm = Povm((e0, np.eye(len(rho0), dtype=complex) - e0), (0, 1))
     ok, residuals = certify_optimal((rho0, rho1), (q0, 1.0 - q0), povm)
     return 0.5 * (1.0 + float(np.abs(w).sum())), povm.elements, ok, residuals
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpc import attacks, blackbox, discrim, funcspec, qmat
+from tpc import attacks, blackbox, discrim, funcspec
 from tpc.attacks import (
     DEFAULT_Q0_SWEEP,
     attack_deterministic_3x3,
@@ -22,7 +22,7 @@ from tpc.attacks import (
 from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import fraction_slope_bound
+from oracles import fraction_slope_bound, loop_honest_probability
 
 SEED = 8091
 
@@ -73,9 +73,7 @@ def closed_form_value(f, q0, u):
 
 def spectral_values(f, q0, amplitude_rows):
     """``attacks._score`` of the built states, one value per input row."""
-    states = np.array(
-        [[s.matrix for s in blackbox.output_family(f, a).states] for a in amplitude_rows]
-    )
+    states = np.array([blackbox.output_family(f, a).states for a in amplitude_rows])
     return attacks._score(states, [(q0, 1.0 - q0)] * len(states))
 
 
@@ -163,7 +161,7 @@ class TestDeterministic3x3:
                     family = blackbox.output_family(g, amps)
                     povm = discrim.square_root_measurement(family, prior)
                     p_attack = discrim.povm_success(family, prior, povm)
-                    p_honest = discrim.honest_probability(g, prior)
+                    p_honest = loop_honest_probability(g, prior)
                     if (
                         abs(report.p_attack - p_attack) > 1e-12
                         or abs(report.p_honest - p_honest) > 1e-12
@@ -268,13 +266,13 @@ class TestCounterexample:
         f = builtin("counterexample")
         family = blackbox.output_family(f, blackbox.uniform_superposition(2))
         p_c = discrim.helstrom(family.states[0], family.states[1], 0.5).success_probability
-        assert p_c <= discrim.honest_probability(f, (0.5, 0.5))
+        assert p_c <= loop_honest_probability(f, (0.5, 0.5))
 
     def test_honest_basis_input_matches_honest_probability(self):
         f = builtin("counterexample")
         family = blackbox.output_family(f, (1.0, 0.0))
         p_c = discrim.helstrom(family.states[0], family.states[1], 0.5).success_probability
-        assert p_c == pytest.approx(discrim.honest_probability(f, (0.5, 0.5)), abs=1e-12)
+        assert p_c == pytest.approx(loop_honest_probability(f, (0.5, 0.5)), abs=1e-12)
 
     def test_headline_values_frozen(self):
         report = verify_counterexample()
@@ -302,7 +300,7 @@ class TestCounterexample:
             real_states = blackbox.output_family(f, a).states
             phased_states = blackbox.output_family(f, b).states
             for rho, sigma in zip(real_states, phased_states):
-                assert np.abs(sigma.matrix - u @ rho.matrix @ u.conj().T).max() <= 1e-12
+                assert np.abs(sigma - u @ rho @ u.conj().T).max() <= 1e-12
         gap = np.abs(spectral_values(f, 0.5, phased) - spectral_values(f, 0.5, real))
         assert gap.max() <= 1e-12
 
@@ -416,7 +414,7 @@ class TestCounterexampleCertificate:
         f = random_two_input_table(np.random.default_rng(19), 2, 2)
         thetas = np.linspace(0.0, math.pi / 2.0, 401)
         amps = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        gain = spectral_values(f, 0.5, amps).max() - discrim.honest_probability(f, (0.5, 0.5))
+        gain = spectral_values(f, 0.5, amps).max() - loop_honest_probability(f, (0.5, 0.5))
         assert gain > 1e-3
         assert attacks._endpoint_slope_bound(f, Fraction(1, 2)) > 0
         monkeypatch.setattr(attacks.funcspec, "builtin", lambda name: f)
@@ -464,12 +462,11 @@ def break_completeness(elements):
 
 
 def count_constructions(monkeypatch) -> list[str]:
-    """Record every FunctionSpec, DensityState and StateFamily built from
-    here on, by class and constructor step, in one list."""
+    """Record every FunctionSpec and StateFamily built from here on, by
+    class and constructor step, in one list."""
     calls = []
     for cls, name in (
         (funcspec.FunctionSpec, "__post_init__"),
-        (qmat.DensityState, "_settle"),
         (blackbox.StateFamily, "__post_init__"),
     ):
         label = f"{cls.__name__}.{name}"
@@ -485,8 +482,8 @@ def count_constructions(monkeypatch) -> list[str]:
 class TestTwoStateArrays:
     def test_attacks_build_no_state_objects_after_parsing(self, monkeypatch):
         # the two-state attacks carry the parsed table's states as arrays to
-        # the measurement; the oblivious-transfer attack still wraps its
-        # family once, for the public closed-form cross-check
+        # the measurement; the oblivious-transfer attack checks its family
+        # once as a StateFamily, for the public closed-form cross-check
         two = funcspec.parse_function_file(
             "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n2/9 1/2\n5/8 1/6\n"
         )
@@ -502,9 +499,7 @@ class TestTwoStateArrays:
         verify_counterexample()
         assert calls == []
         attack_oblivious_transfer()
-        assert calls == ["FunctionSpec.__post_init__"] + ["DensityState._settle"] * 2 + [
-            "StateFamily.__post_init__"
-        ]
+        assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
 
 
 class TestSweep:
@@ -524,9 +519,7 @@ class TestSweep:
         assert calls == []
         f = funcspec.deterministic(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
         blackbox.output_family(f, blackbox.uniform_superposition(3))
-        assert calls == ["FunctionSpec.__post_init__"] + ["DensityState._settle"] * 3 + [
-            "StateFamily.__post_init__"
-        ]
+        assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
 
     def test_sweep_covers_every_class_with_positive_advantage(self):
         reports = sweep_all_3x3()

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from tpc import blackbox, funcspec, qmat
-from tpc.blackbox import (
-    alice_reduced_state_one_sided,
-    amplitude_vector,
-    output_family,
-    uniform_superposition,
-)
+from tpc.blackbox import StateFamily, amplitude_vector, output_family, uniform_superposition
 from tpc.funcspec import builtin, canonicalize_3x3, deterministic, transpose
 from tpc.tolerances import active
 
@@ -74,7 +69,7 @@ class TestTwoSidedStates:
             for j, rho in enumerate(output_family(f, amps).states):
                 expected = np.zeros((6, 6))
                 expected[2 * i + f.outcome(i, j), 2 * i + f.outcome(i, j)] = 1.0
-                np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
+                np.testing.assert_allclose(rho, expected, atol=1e-12)
 
     def test_canonical_proof_states_without_cross_term(self):
         # canonical neq3 has b = 0, so the j=2 state carries no coherence
@@ -86,7 +81,7 @@ class TestTwoSidedStates:
         expected = np.zeros((3 * kdim, 3 * kdim))
         expected[0 * kdim + 1, 0 * kdim + 1] = 0.5          # |0,1><0,1|
         expected[1 * kdim + canon.b, 1 * kdim + canon.b] = 0.5
-        np.testing.assert_allclose(rho2.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(rho2, expected, atol=1e-12)
 
     def test_canonical_proof_states_with_cross_term(self):
         # a class with b = 1: the j=2 state gains the coherent cross term
@@ -99,7 +94,7 @@ class TestTwoSidedStates:
         vec = np.zeros(3 * kdim)
         vec[0 * kdim + 1] = 1.0 / np.sqrt(2)   # f(0,2) = 1
         vec[1 * kdim + 1] = 1.0 / np.sqrt(2)   # f(1,2) = b = 1
-        np.testing.assert_allclose(rho2.matrix, np.outer(vec, vec), atol=1e-12)
+        np.testing.assert_allclose(rho2, np.outer(vec, vec), atol=1e-12)
 
     def test_block_diagonal_in_outcome_register(self):
         rng = np.random.default_rng(SEED)
@@ -109,10 +104,10 @@ class TestTwoSidedStates:
             j = int(rng.integers(f.bob_arity))
             rho = output_family(f, amps).states[j]
             kdim = f.outcome_count
-            for r in range(rho.dim):
-                for c in range(rho.dim):
+            for r in range(len(rho)):
+                for c in range(len(rho)):
                     if r % kdim != c % kdim:
-                        assert rho.matrix[r, c] == 0
+                        assert rho[r, c] == 0
 
     def test_outcome_marginal_matches_table_for_basis_input(self):
         rng = np.random.default_rng(SEED + 1)
@@ -124,7 +119,8 @@ class TestTwoSidedStates:
             amps = np.zeros(f.alice_arity)
             amps[i] = 1.0
             rho = output_family(f, amps).states[j]
-            marginal = partial_trace(rho, keep=[1]).matrix.diagonal().real
+            dims = (f.alice_arity, f.outcome_count)
+            marginal = partial_trace(rho, dims, keep=[1])[0].diagonal().real
             expected = [float(f.prob(k, i, j)) for k in range(f.outcome_count)]
             assert np.abs(marginal - expected).max() <= tol.trace
 
@@ -136,14 +132,15 @@ class TestTwoSidedStates:
             amps = random_amplitudes(rng, f.alice_arity)
             j = int(rng.integers(f.bob_arity))
             direct = output_family(f, amps).states[j]
-            oracle = purified_reduced_state(f, amps, j)
-            assert direct.dims == oracle.dims
-            assert np.abs(direct.matrix - oracle.matrix).max() <= tol.recon
+            oracle, dims = purified_reduced_state(f, amps, j)
+            assert dims == (f.alice_arity, f.outcome_count)
+            assert direct.shape == oracle.shape
+            assert np.abs(direct - oracle).max() <= tol.recon
 
     def test_one_row_validation_rejects_bad_amplitudes(self):
         f = builtin("counterexample")
         amps = random_amplitudes(np.random.default_rng(SEED + 5), 2)
-        assert len(output_family(f, amps)) == 2
+        assert len(output_family(f, amps).states) == 2
         with pytest.raises(ValueError, match="norm 1.5 is not 1"):
             output_family(f, 1.5 * amps)
         with pytest.raises(ValueError, match="norm nan"):
@@ -166,7 +163,7 @@ class TestTwoSidedStates:
 
 def builder_cases():
     """(function, input, role) for every family the suite builds through the
-    unvalidated path.  Two-sided: the 18 classes with both cheaters, @neq3,
+    array builders, which check traces only.  Two-sided: the 18 classes with both cheaters, @neq3,
     seeded random 2x2 tables and seeded random complex amplitudes.
     One-sided: @ot with both cheaters and seeded random tables at every
     honest input."""
@@ -190,20 +187,30 @@ def builder_cases():
 
 
 class TestBuilderPath:
-    """``output_family`` builds every state without the public validator;
-    every state must still pass it unchanged."""
+    """The array builders check traces only; every state they build must
+    still pass :class:`StateFamily`'s full check unchanged."""
+
+    @staticmethod
+    def built(f, amps, role):
+        """The builder's states for one case, as :func:`output_family` takes them."""
+        if role == "bob":
+            f = transpose(f)
+        if f.sided == "two":
+            return blackbox._two_sided_families(f.probabilities()[None], amps)[0]
+        return blackbox._one_sided_families(f.probabilities())[amps]
 
     def test_states_pass_public_validator(self):
         for f, amps, role in builder_cases():
             # numpy may fuse one side of c_i * conj(c_l) and not its mirror,
             # so complex amplitudes leave a defect of an ulp or so
             limit = 0.0 if not np.any(np.imag(amps)) else 4 * np.finfo(float).eps
-            for state in output_family(f, amps, role).states:
-                checked = qmat.DensityState(state.matrix, state.dims)
-                assert np.array_equal(checked.matrix, state.matrix)
-                assert checked.dims == state.dims
-                assert qmat.hermiticity_defect(state.matrix) <= limit
-                assert not state.matrix.flags.writeable
+            states = self.built(f, amps, role)
+            checked = StateFamily(states).states
+            assert np.array_equal(checked, states)
+            assert np.array_equal(checked, output_family(f, amps, role).states)
+            assert np.abs(states - qmat.dagger(states)).max() <= limit
+            assert not states.flags.writeable
+            assert not checked.flags.writeable
 
     def test_norm_within_tolerance_still_fails_trace_check(self):
         # norm 1 + 0.9e-10 passes amplitude_vector; the trace, 1 + 1.8e-10, does not
@@ -213,18 +220,10 @@ class TestBuilderPath:
             output_family(builtin("neq3"), amps)
         assert str(err.value) == "density matrix trace 1.00000000018+0j is not 1"
 
-    def test_private_path_keeps_shape_and_dims_checks(self):
-        with pytest.raises(ValueError, match="must be square"):
-            qmat.DensityState._from_outer_products(np.zeros((2, 3), complex), (6,))
-        with pytest.raises(ValueError, match="do not multiply"):
-            qmat.DensityState._from_outer_products(np.eye(4, dtype=complex) / 4, (2, 3))
-        with pytest.raises(ValueError, match="must be positive"):
-            qmat.DensityState._from_outer_products(np.eye(1, dtype=complex), (0,))
-
 
 class TestStackedBuilder:
     """``blackbox._two_sided_families`` builds a stack of same-shape tables
-    at once, as the 3x3 sweep does; ``output_family`` is its one-table case."""
+    at once, as the 3x3 sweep does; ``output_family`` checks its one-table case."""
 
     @staticmethod
     def stacks():
@@ -247,22 +246,21 @@ class TestStackedBuilder:
             stack = self.build(tables, amps)
             assert not stack.flags.writeable
             for f, family in zip(tables, stack, strict=True):
-                single = output_family(f, amps)
+                single = output_family(f, amps).states
                 d = f.alice_arity * f.outcome_count
-                assert family.shape == (len(single), d, d) == (f.bob_arity, d, d)
-                for stacked, alone in zip(family, single.states):
-                    assert alone.dims == (f.alice_arity, f.outcome_count)
-                    assert stacked.tobytes() == alone.matrix.tobytes()
-                    assert not alone.matrix.flags.writeable
+                assert family.shape == single.shape == (f.bob_arity, d, d)
+                for stacked, alone in zip(family, single):
+                    assert stacked.tobytes() == alone.tobytes()
+                    assert not alone.flags.writeable
 
     def test_stack_matches_purification_oracle(self):
         tol = active()
         for tables, amps in self.stacks():
             for f, family in zip(tables, self.build(tables, amps), strict=True):
                 for j, state in enumerate(family):
-                    oracle = purified_reduced_state(f, amps, j)
-                    assert oracle.dims == (f.alice_arity, f.outcome_count)
-                    assert np.abs(state - oracle.matrix).max() <= tol.recon
+                    oracle, dims = purified_reduced_state(f, amps, j)
+                    assert dims == (f.alice_arity, f.outcome_count)
+                    assert np.abs(state - oracle).max() <= tol.recon
 
     def test_bad_table_in_stack_fails_its_trace_check(self):
         rng = np.random.default_rng(SEED + 32)
@@ -280,17 +278,16 @@ class TestStackedBuilder:
 class TestOneSidedStates:
     def test_ot_states(self):
         f = transpose(builtin("ot"))  # receiver plays the alice slot
-        psi0 = alice_reduced_state_one_sided(f, 0, 0)
-        psi1 = alice_reduced_state_one_sided(f, 0, 1)
+        psi0, psi1 = output_family(f, 0).states
         e0 = np.array([1, 0, 1]) / np.sqrt(2)
         e1 = np.array([0, 1, 1]) / np.sqrt(2)
-        np.testing.assert_allclose(psi0.matrix, np.outer(e0, e0), atol=1e-12)
-        np.testing.assert_allclose(psi1.matrix, np.outer(e1, e1), atol=1e-12)
+        np.testing.assert_allclose(psi0, np.outer(e0, e0), atol=1e-12)
+        np.testing.assert_allclose(psi1, np.outer(e1, e1), atol=1e-12)
 
     def test_deterministic_limit(self):
         f = funcspec.one_sided_binary([[1, 1], [1, 1]])
-        rho = alice_reduced_state_one_sided(f, 0, 0)
-        np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        rho = output_family(f, 0).states[0]
+        np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_outputs_are_pure(self):
         rng = np.random.default_rng(SEED + 3)
@@ -300,13 +297,13 @@ class TestOneSidedStates:
             f = funcspec.one_sided_binary(rows)
             i = int(rng.integers(2))
             j = int(rng.integers(2))
-            rho = alice_reduced_state_one_sided(f, i, j)
-            purity = float(np.trace(rho.matrix @ rho.matrix).real)
+            rho = output_family(f, i).states[j]
+            purity = float(np.trace(rho @ rho).real)
             assert abs(purity - 1.0) <= tol.recon
 
     def test_stacked_builder_equals_one_state_bitwise(self):
-        # _one_sided_families against alice_reduced_state_one_sided and the
-        # outer product of sqrt(p(k|i,j)), state by state, to the bit
+        # _one_sided_families against output_family and the outer product
+        # of sqrt(p(k|i,j)), state by state, to the bit
         rng = np.random.default_rng(SEED + 5)
         tables = [funcspec.one_sided_binary(rng.uniform(0.0, 1.0, size=(2, 2))) for _ in range(20)]
         tables += [builtin("ot"), transpose(builtin("ot"))]  # either party as the receiver
@@ -317,8 +314,8 @@ class TestOneSidedStates:
             for i, j in itertools.product(range(f.alice_arity), range(f.bob_arity)):
                 c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)]).astype(complex)
                 assert stack[i, j].tobytes() == np.outer(c, c.conj()).tobytes()
-                state = alice_reduced_state_one_sided(f, i, j)
-                assert state.matrix.tobytes() == stack[i, j].tobytes()
+                state = output_family(f, i).states[j]
+                assert state.tobytes() == stack[i, j].tobytes()
 
     def test_stacked_builder_checks_every_trace(self):
         p = transpose(builtin("ot")).probabilities()
@@ -327,30 +324,29 @@ class TestOneSidedStates:
         with pytest.raises(ValueError, match=message):
             blackbox._one_sided_families(p)
 
-    def test_rejects_two_sided_function(self):
-        with pytest.raises(ValueError):
-            alice_reduced_state_one_sided(builtin("counterexample"), 0, 0)
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_rejects_honest_input_out_of_range(self, i):
+        f = funcspec.one_sided_binary([[0.5, 0.2], [0.3, 0.9]])
+        assert len(output_family(f, 1).states) == 2
+        with pytest.raises(ValueError, match=re.escape(f"honest input {i} out of range [0, 2)")):
+            output_family(f, i)
 
 
 class TestOutputFamily:
     def test_ot_family_for_cheating_receiver(self):
         family = output_family(builtin("ot"), 0, role="bob")
-        assert len(family) == 2
-        assert family.states[0].dims == (3,)
+        assert family.states.shape == (2, 3, 3)
         e0 = np.array([1, 0, 1]) / np.sqrt(2)
-        np.testing.assert_allclose(family.states[0].matrix, np.outer(e0, e0), atol=1e-12)
+        np.testing.assert_allclose(family.states[0], np.outer(e0, e0), atol=1e-12)
 
     def test_two_sided_uniform_superposition_family(self):
         f = builtin("counterexample")
         family = output_family(f, uniform_superposition(2))
-        assert len(family) == 2
-        assert family.states[0].dims == (2, 2)
+        assert family.states.shape == (2, 4, 4)
         for j, state in enumerate(family.states):
-            np.testing.assert_allclose(
-                state.matrix,
-                purified_reduced_state(f, uniform_superposition(2), j).matrix,
-                atol=1e-12,
-            )
+            oracle, dims = purified_reduced_state(f, uniform_superposition(2), j)
+            assert dims == (2, 2)
+            np.testing.assert_allclose(state, oracle, atol=1e-12)
 
     def test_role_swap_matches_transposed_table(self):
         rng = np.random.default_rng(SEED + 4)
@@ -359,9 +355,9 @@ class TestOutputFamily:
             amps = random_amplitudes(rng, f.bob_arity)
             swapped = output_family(f, amps, role="bob")
             direct = output_family(transpose(f), amps, role="alice")
-            assert len(swapped) == len(direct)
+            assert len(swapped.states) == len(direct.states)
             for s, d in zip(swapped.states, direct.states):
-                np.testing.assert_allclose(s.matrix, d.matrix, atol=1e-12)
+                np.testing.assert_allclose(s, d, atol=1e-12)
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError):

@@ -331,6 +331,32 @@ class TestTwoStatePins:
         assert out.read_text() == (pins / f"{case}.report").read_text()
 
 
+# ``tpc certify``'s pinned outputs: tests/data/certify/<case>.stdout, .stderr
+# and .exit, from these calls on the function and POVM files stored there.
+CERTIFY_PINS = {
+    "ot": ["@ot", "ot.povm"],
+    "counterexample": ["@counterexample", "counterexample.povm"],
+    "neq3": ["neq3.fn", "neq3.povm"],
+    "one_sided_prior": ["one_sided.fn", "one_sided.povm", "--prior", "0.3,0.7"],
+    "dimension_mismatch": ["@ot", "small.povm"],
+}
+
+
+class TestCertifyPins:
+    @pytest.mark.parametrize("case", sorted(CERTIFY_PINS))
+    def test_output_and_exit_code_pinned_byte_for_byte(self, case, capsys, monkeypatch):
+        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+        pins = DATA / "certify"
+        function, povm, *options = CERTIFY_PINS[case]
+        if function.endswith(".fn"):
+            function = str(pins / function)
+        code = main(["certify", function, "--povm", str(pins / povm)] + options)
+        captured = capsys.readouterr()
+        assert f"{code}\n" == (pins / f"{case}.exit").read_text()
+        assert captured.out == (pins / f"{case}.stdout").read_text()
+        assert captured.err == (pins / f"{case}.stderr").read_text()
+
+
 class TestOtDemo:
     def test_values_and_matrix_printed(self, capsys):
         assert main(["ot-demo"]) == EXIT_OK

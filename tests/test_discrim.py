@@ -16,7 +16,6 @@ from tpc.discrim import (
     basis_measurement_optimal,
     certify_optimal,
     helstrom,
-    honest_probability,
     optimize_povm,
     povm_success,
     square_root_measurement,
@@ -25,7 +24,7 @@ from tpc.discrim import (
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import honest_family_povm, pure_state, reference_helstrom
+from oracles import honest_family_povm, loop_honest_probability, pure_state, reference_helstrom
 
 SEED = 424242
 
@@ -43,7 +42,7 @@ def random_mixed_pair(rng, dim=4):
     for _ in range(2):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
-        states.append(qmat.DensityState(m / np.trace(m).real, (dim,)))
+        states.append(m / np.trace(m).real)
     return states
 
 
@@ -52,7 +51,7 @@ def random_mixed_family(rng, dim, count):
     for _ in range(count):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
-        states.append(qmat.DensityState(m / np.trace(m).real, (dim,)))
+        states.append(m / np.trace(m).real)
     w = rng.uniform(0.1, 1.0, size=count)
     return states, tuple(w / w.sum())
 
@@ -60,13 +59,13 @@ def random_mixed_family(rng, dim, count):
 def reference_dual_gap(states, prior, labels, elements):
     """Independent oracle for the bracket width: ``d * shift`` for the
     dual-feasible ``Herm(sum_e E_e q_e rho_e) + shift I``, one state at a time."""
-    y = sum(e @ (prior[lab] * states[lab].matrix) for e, lab in zip(elements, labels))
+    y = sum(e @ (prior[lab] * states[lab]) for e, lab in zip(elements, labels))
     y = (y + y.conj().T) / 2
     lowest = min(
-        float(np.linalg.eigvalsh(y - prior[l] * state.matrix).min())
+        float(np.linalg.eigvalsh(y - prior[l] * state).min())
         for l, state in enumerate(states)
     )
-    return states[0].dim * max(-lowest, 0.0)
+    return len(states[0]) * max(-lowest, 0.0)
 
 
 def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
@@ -76,13 +75,13 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
     a polish block.  Returns the value, the elements, the sweeps run, the
     stop reason, the final certificate flag and the bracket's upper end."""
     labels = seed.labels
-    weighted = [prior[lab] * states[lab].matrix for lab in labels]
+    weighted = [prior[lab] * states[lab] for lab in labels]
     kernel_slot = int(np.argmax([prior[lab] for lab in labels]))
     cert_tol = active().cert
 
     def success(elements):
         return sum(
-            prior[lab] * float(np.trace(e @ states[lab].matrix).real)
+            prior[lab] * float(np.trace(e @ states[lab]).real)
             for e, lab in zip(elements, labels)
         )
 
@@ -90,10 +89,10 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
     current, last_residual, steps, reason = success(elements), math.inf, 0, "max_iters"
     while steps < max_iters:
         gram = sum(w @ e @ w for e, w in zip(elements, weighted))
-        root = qmat.inv_sqrt_on_support((gram + gram.conj().T) / 2)
+        root = qmat._inv_sqrt((gram + gram.conj().T) / 2)
         updated = [root @ w @ e @ w @ root for e, w in zip(elements, weighted)]
         updated = [(e + e.conj().T) / 2 for e in updated]
-        defect = np.eye(states[0].dim, dtype=complex) - sum(updated)
+        defect = np.eye(len(states[0]), dtype=complex) - sum(updated)
         updated[kernel_slot] = updated[kernel_slot] + defect
         value = success(updated)
         elements, improved, current = updated, value - current, value
@@ -120,7 +119,7 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
 def reference_certificate(states, prior, povm):
     """Independent oracle: the optimality residuals one pair and one state
     at a time."""
-    weighted = [prior[lab] * states[lab].matrix for lab in povm.labels]
+    weighted = [prior[lab] * states[lab] for lab in povm.labels]
     pairwise = max(
         float(np.abs(ej @ (wj - wl) @ el).max())
         for ej, wj in zip(povm.elements, weighted)
@@ -129,7 +128,7 @@ def reference_certificate(states, prior, povm):
     lagrange = sum(e @ w for e, w in zip(povm.elements, weighted))
     min_eig, anti = math.inf, 0.0
     for q, state in zip(prior, states):
-        gap = lagrange - q * state.matrix
+        gap = lagrange - q * state
         anti = max(anti, float(np.abs(gap - gap.conj().T).max()) / 2)
         min_eig = min(min_eig, float(np.linalg.eigvalsh((gap + gap.conj().T) / 2).min()))
     return pairwise, min_eig, anti
@@ -151,17 +150,9 @@ def brute_force_honest(f, prior):
     return best
 
 
-def loop_honest_probability(f, prior):
-    """Oracle: ``max_i sum_k max_j p(k|i,j) q_j`` cell by cell, through
-    :meth:`FunctionSpec.prob`, in the same order of operations."""
-    q = funcspec.validate_prior(prior, f.bob_arity)
-    best = 0.0
-    for i in range(f.alice_arity):
-        total = 0.0
-        for k in range(f.outcome_count):
-            total += max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
-        best = max(best, total)
-    return best
+def honest_value(f, prior):
+    """``discrim._honest`` of one table under a checked prior, as a float."""
+    return float(discrim._honest(f.probabilities(), funcspec.validate_prior(prior, f.bob_arity)))
 
 
 def loop_basis_rate(f, i, prior):
@@ -205,7 +196,7 @@ class TestHonestProbability:
         cases = 0
         for f, prior in honest_baseline_cases():
             cases += 1
-            assert honest_probability(f, prior) == loop_honest_probability(f, prior)
+            assert honest_value(f, prior) == loop_honest_probability(f, prior)
             rates = discrim._basis_rates(f.probabilities(), funcspec.validate_prior(prior, f.bob_arity))
             for i in range(f.alice_arity):
                 assert rates[i] == loop_basis_rate(f, i, prior)
@@ -221,22 +212,22 @@ class TestHonestProbability:
         for (_, prior), tables in stacks.items():
             q = funcspec.validate_prior(prior, tables[0].bob_arity)
             stacked = discrim._honest(np.array([f.probabilities() for f in tables]), q)
-            assert stacked.tolist() == [honest_probability(f, prior) for f in tables]
+            assert stacked.tolist() == [honest_value(f, prior) for f in tables]
 
     def test_skewed_prior_reduces_to_largest_weight(self):
         f = two_sided_binary([[0.3, 0.6], [0.7, 0.2]])
         for eps in (1e-2, 1e-3):
-            assert honest_probability(f, (1 - eps, eps)) == pytest.approx(1 - eps)
+            assert honest_value(f, (1 - eps, eps)) == pytest.approx(1 - eps)
 
     def test_neq3_uniform_is_two_thirds(self):
         f = builtin("neq3")
         prior = (1 / 3, 1 / 3, 1 / 3)
-        assert honest_probability(f, prior) == pytest.approx(2 / 3, abs=1e-15)
+        assert honest_value(f, prior) == pytest.approx(2 / 3, abs=1e-15)
         assert brute_force_honest(f, prior) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_ot_receiver_guesses_three_quarters(self):
         f = transpose(builtin("ot"))
-        assert honest_probability(f, (0.5, 0.5)) == pytest.approx(0.75, abs=0)
+        assert honest_value(f, (0.5, 0.5)) == pytest.approx(0.75, abs=0)
 
     def test_matches_brute_force_on_random_tables(self):
         rng = np.random.default_rng(SEED)
@@ -245,7 +236,7 @@ class TestHonestProbability:
             f = two_sided_binary(rows)
             q0 = rng.uniform(0, 1)
             prior = (q0, 1 - q0)
-            assert honest_probability(f, prior) == pytest.approx(
+            assert honest_value(f, prior) == pytest.approx(
                 brute_force_honest(f, prior), abs=1e-12
             )
 
@@ -286,8 +277,18 @@ class TestHelstrom:
         assert (result.iterations, result.stop_reason, result.p_upper) == (0, None, None)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state dimensions differ: 2 vs 3"):
             helstrom(pure_state([1.0, 0.0]), pure_state([1.0, 0.0, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("q0", [-0.1, 1.5, math.nan])
+    def test_prior_weight_outside_unit_interval_rejected(self, q0):
+        rho = pure_state([1.0, 0.0])
+        with pytest.raises(ValueError, match=f"prior weight q0={q0} outside"):
+            helstrom(rho, rho, q0)
+
+    def test_states_are_checked_as_one_family(self):
+        with pytest.raises(ValueError, match="density matrix has negative eigenvalue -0.5"):
+            helstrom(pure_state([1.0, 0.0]), np.diag([1.5, -0.5]), 0.5)
 
     @staticmethod
     def two_state_families():
@@ -325,10 +326,10 @@ class TestHelstrom:
         # the attacks' path: one stack per dimension, checked and certified at once
         by_dim = {}
         for states, q0 in self.two_state_families():
-            by_dim.setdefault(states[0].dim, []).append((states, q0))
+            by_dim.setdefault(len(states[0]), []).append((states, q0))
         assert sorted(by_dim) == [2, 3, 4]
         for cases in by_dim.values():
-            stack = np.array([[s.matrix for s in states] for states, _ in cases])
+            stack = np.array([states for states, _ in cases])
             priors = np.array([(q0, 1.0 - q0) for _, q0 in cases])
             elements, successes, verdicts = discrim._measure_stack(stack, priors)
             assert elements.shape == stack.shape
@@ -341,13 +342,13 @@ class TestSquareRootMeasurement:
         r0 = pure_state([1.0, 0.0])
         r1 = pure_state([0.0, 1.0])
         povm = square_root_measurement((r0, r1), (0.5, 0.5))
-        np.testing.assert_allclose(povm.elements[0], r0.matrix, atol=1e-12)
-        np.testing.assert_allclose(povm.elements[1], r1.matrix, atol=1e-12)
+        np.testing.assert_allclose(povm.elements[0], r0, atol=1e-12)
+        np.testing.assert_allclose(povm.elements[1], r1, atol=1e-12)
 
     def test_identical_rank_deficient_states(self):
         sigma = pure_state([1.0, 0.0, 0.0])
         povm = square_root_measurement((sigma, sigma, sigma), (0.2, 0.5, 0.3))
-        support = sigma.matrix
+        support = sigma
         kernel = np.eye(3) - support
         np.testing.assert_allclose(povm.elements[0], support / 3, atol=1e-12)
         np.testing.assert_allclose(povm.elements[1], support / 3 + kernel, atol=1e-12)
@@ -356,8 +357,8 @@ class TestSquareRootMeasurement:
     def test_kernel_tie_breaks_to_lowest_index(self):
         sigma = pure_state([1.0, 0.0])
         povm = square_root_measurement((sigma, sigma), (0.5, 0.5))
-        kernel = np.eye(2) - sigma.matrix
-        np.testing.assert_allclose(povm.elements[0], sigma.matrix / 2 + kernel, atol=1e-12)
+        kernel = np.eye(2) - sigma
+        np.testing.assert_allclose(povm.elements[0], sigma / 2 + kernel, atol=1e-12)
 
     def test_beats_honest_for_every_valid_3x3(self):
         prior = (1 / 3, 1 / 3, 1 / 3)
@@ -365,7 +366,7 @@ class TestSquareRootMeasurement:
             base = canonicalize_3x3(f).base
             family = output_family(base, uniform_superposition(3))
             povm = square_root_measurement(family, prior)
-            assert povm_success(family, prior, povm) > honest_probability(base, prior)
+            assert povm_success(family, prior, povm) > honest_value(base, prior)
 
     def test_valid_on_random_rank_deficient_families(self):
         rng = np.random.default_rng(SEED + 5)
@@ -377,7 +378,7 @@ class TestSquareRootMeasurement:
                 rank = int(rng.integers(1, 3))
                 g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
                 m = g @ g.conj().T
-                states.append(qmat.DensityState(m / np.trace(m).real, (dim,)))
+                states.append(m / np.trace(m).real)
             w = rng.uniform(0.1, 1.0, size=count)
             povm = square_root_measurement(states, tuple(w / w.sum()))
             assert povm.dim == dim  # Povm construction enforces PSD + completeness
@@ -401,7 +402,7 @@ class TestPovmSuccess:
         for f in funcspec.enumerate_valid_3x3():
             canon = canonicalize_3x3(f)
             family = output_family(canon.base, amps)
-            expected = honest_probability(canon.base, prior)
+            expected = honest_value(canon.base, prior)
             for a1 in grid:
                 for ab in grid:
                     alphas = [a1, ab, ab, ab, ab]
@@ -522,7 +523,7 @@ class TestOptimizePovm:
         family = output_family(f, uniform_superposition(2))
         result = optimize_povm(family, (0.5, 0.5))
         assert result.certified_optimal
-        assert result.success_probability <= honest_probability(f, (0.5, 0.5)) + 1e-9
+        assert result.success_probability <= honest_value(f, (0.5, 0.5)) + 1e-9
 
     def test_never_below_seed(self):
         rng = np.random.default_rng(SEED + 3)
@@ -612,7 +613,7 @@ class TestOptimizePovm:
             results = [optimum] + [optimize_povm(states, prior, max_iters=k) for k in (0, 1, 3)]
             for result in results:
                 shift = max(0.0, -result.residuals.min_eigenvalue)
-                assert result.p_upper == result.success_probability + states[0].dim * shift
+                assert result.p_upper == result.success_probability + len(states[0]) * shift
 
     def test_upper_bound_covers_states_the_seed_never_guesses(self):
         # three orthogonal states are perfectly distinguishable, but this seed
@@ -670,8 +671,8 @@ class TestOptimizePovm:
     def test_complex_search_matches_real_search_on_the_18_classes(self):
         prior = (1 / 3, 1 / 3, 1 / 3)
         for real, phased in self.phased_class_families():
-            assert not any(s.matrix.imag.any() for s in real.states)
-            assert any(s.matrix.imag.any() for s in phased.states)
+            assert not any(s.imag.any() for s in real.states)
+            assert any(s.imag.any() for s in phased.states)
             a, b = optimize_povm(real, prior), optimize_povm(phased, prior)
             assert (b.iterations, b.stop_reason) == (a.iterations, a.stop_reason)
             assert b.certified_optimal == a.certified_optimal
@@ -732,7 +733,7 @@ class TestWeightedDifferenceEigenvalues:
             assert ev.b_bar == pytest.approx(0.0, abs=1e-15)
             family = output_family(f, uniform_superposition(2))
             p_c = helstrom(family.states[0], family.states[1], q0).success_probability
-            assert p_c == pytest.approx(honest_probability(f, (q0, 1 - q0)), abs=1e-12)
+            assert p_c == pytest.approx(honest_value(f, (q0, 1 - q0)), abs=1e-12)
 
     def test_all_half_table_gives_zero_spectrum(self):
         f = two_sided_binary([[0.5, 0.5], [0.5, 0.5]])
@@ -750,7 +751,7 @@ class TestWeightedDifferenceEigenvalues:
             q0 = float(rng.uniform(0, 1))
             ev = weighted_difference_eigenvalues(f, q0)
             family = output_family(f, uniform_superposition(2))
-            delta = q0 * family.states[0].matrix - (1 - q0) * family.states[1].matrix
+            delta = q0 * family.states[0] - (1 - q0) * family.states[1]
             direct = np.sort(np.linalg.eigvalsh(delta))
             closed = np.sort([ev.lam_plus, ev.lam_minus, ev.mu_plus, ev.mu_minus])
             assert np.abs(direct - closed).max() <= 1e-10
@@ -811,7 +812,7 @@ class TestPovmValidation:
         for states, _, result in searched_families:
             elements = result.povm.elements
             assert isinstance(elements, np.ndarray) and not elements.flags.writeable
-            assert elements.shape == (len(result.povm.labels),) + states[0].matrix.shape
+            assert elements.shape == (len(result.povm.labels),) + states[0].shape
 
     def test_accepts_negative_eigenvalue_within_tolerance(self):
         slack = active().psd / 2

@@ -23,7 +23,6 @@ from tpc.funcspec import (
     parse_function_file,
     transpose,
     two_sided_binary,
-    validate_conditions,
     validate_prior,
 )
 
@@ -98,26 +97,34 @@ def all_class_relabelings():
                     yield deterministic(apply_table_transform(f.det_table, rp, cp, relabel))
 
 
+def conditions(f):
+    """``funcspec._conditions`` of one deterministic table, as a ConditionCheck."""
+    concealing, non_degenerate = funcspec._conditions(np.array(f.det_table))
+    return funcspec.ConditionCheck(bool(concealing), bool(non_degenerate))
+
+
 class TestConditions:
     def test_neq3_satisfies_both(self):
-        check = validate_conditions(neq3())
+        check = conditions(neq3())
         assert check.potentially_concealing and check.non_degenerate
 
     def test_identity_columns_not_concealing(self):
         # f(i,j) = i: columns are constant but every row is (0,1,2)
         f = deterministic(((0, 1, 2), (0, 1, 2), (0, 1, 2)))
-        assert not validate_conditions(f).potentially_concealing
+        assert not conditions(f).potentially_concealing
 
     def test_two_equal_rows_degenerate(self):
         f = deterministic(((0, 0, 1), (0, 0, 1), (1, 1, 0)))
-        assert not validate_conditions(f).non_degenerate
+        assert not conditions(f).non_degenerate
 
     def test_probabilistic_rejected(self):
-        with pytest.raises(ValueError):
-            validate_conditions(builtin("counterexample"))
+        # the conditions are defined on outcome matrices: the canonicalizer,
+        # which checks them, refuses a probabilistic table first
+        with pytest.raises(ValueError, match="requires a 3x3 deterministic function"):
+            canonicalize_3x3(builtin("counterexample"))
 
     def test_matches_set_oracle_on_random_shapes(self):
-        # the masks behind validate_conditions against sets of rows and columns
+        # the masks of _conditions against sets of rows and columns
         rng = np.random.default_rng(SEED_PROBABILITIES + 1)
         for _ in range(2000):
             rows, cols, count = (int(x) for x in rng.integers(1, 5, size=3))
@@ -126,15 +133,15 @@ class TestConditions:
             lines_r, lines_c = [tuple(r) for r in table], list(zip(*table))
             concealing = all(len(set(line)) < len(line) for line in lines_r + lines_c)
             non_degenerate = len(set(lines_r)) == rows and len(set(lines_c)) == cols
-            assert validate_conditions(f) == funcspec.ConditionCheck(concealing, non_degenerate)
+            assert conditions(f) == funcspec.ConditionCheck(concealing, non_degenerate)
 
     def test_invariant_under_relabelings(self):
         f = neq3()
-        base = validate_conditions(f)
+        base = conditions(f)
         for rp in itertools.permutations(range(3)):
             for cp in itertools.permutations(range(3)):
                 table = apply_table_transform(f.det_table, rp, cp, {0: 1, 1: 0})
-                assert validate_conditions(deterministic(table)) == base
+                assert conditions(deterministic(table)) == base
 
 
 class TestCanonicalize:
@@ -263,7 +270,7 @@ class TestCanonicalize:
                 funcspec._canonical_forms(
                     label_array(classes[:3] + [first] + classes[3:9] + [second])
                 )
-            assert str(err.value).endswith(f"got {validate_conditions(first)}")
+            assert str(err.value).endswith(f"got {conditions(first)}")
 
 
 def label_array(fs):
@@ -364,7 +371,7 @@ class TestEnumeration:
 
     def test_all_listed_functions_are_valid(self):
         for f in enumerate_valid_3x3():
-            assert bool(validate_conditions(f))
+            assert bool(conditions(f))
 
     def test_pairwise_inequivalent(self):
         canons = [canonicalize_3x3(f).base.det_table for f in enumerate_valid_3x3()]
