@@ -13,10 +13,11 @@ two states, else the pretty-good measurement, optionally polished by the
 fixed-point search, each stack checked and certified once.  The 3x3 sweep
 carries its class tables, families and candidates as arrays from
 enumeration to measurement; each two-state attack reads its parsed table
-once into a float array and builds its candidates' states with the
-:mod:`blackbox` array builders (the oblivious-transfer attack checks its
-family once as a :class:`blackbox.StateFamily`, for the public closed-form
-cross-check).  Entry points keep their scope checks, notes and oracles.
+once into a float array.  The :mod:`blackbox` array builders emit float64
+states for real families, else complex128, and the whole path follows that
+dtype (the oblivious-transfer attack checks its family once as a complex
+:class:`blackbox.StateFamily`, for the public closed-form cross-check).
+Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations

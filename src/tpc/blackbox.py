@@ -76,11 +76,12 @@ def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
     outcome label, with block k equal to the outer product of the vector
     ``a_i * sqrt(p(k|i,j))``: PSD by construction, so it skips the
     eigenvalue check, but every state's trace is checked (:func:`_unit_traces`).
+    Float64 when no amplitude has an imaginary part, else complex128.
     """
     tables, kdim, bob, n = p.shape
     a = amplitude_vector(amplitudes, n)
-    c = a * np.sqrt(p)
-    m = np.zeros((tables, bob, n, kdim, n, kdim), dtype=complex)
+    c = (a if a.imag.any() else a.real) * np.sqrt(p)
+    m = np.zeros((tables, bob, n, kdim, n, kdim), dtype=c.dtype)
     k = np.arange(kdim)
     m[:, :, :, k, :, k] += (c[..., :, None] * c[..., None, :].conj()).swapaxes(0, 1)
     return _unit_traces(m.reshape(tables, bob, n * kdim, n * kdim))
@@ -88,11 +89,11 @@ def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
 
 def _one_sided_families(p: np.ndarray) -> np.ndarray:
     """The receiver's pure outcome-register states after each honest input,
-    for one table ``p(k|i,j)`` indexed ``[k][j][i]``: one read-only array
-    ``(i, j, k, k)`` of the outer products of ``sqrt(p(k|i,j))``, PSD by
-    construction, each state's trace checked (:func:`_unit_traces`)."""
-    c = np.sqrt(p.T).astype(complex)
-    return _unit_traces(c[..., :, None] * c[..., None, :].conj())
+    for one table ``p(k|i,j)`` indexed ``[k][j][i]``: one read-only float64
+    array ``(i, j, k, k)`` of the outer products of ``sqrt(p(k|i,j))``, PSD
+    by construction, each state's trace checked (:func:`_unit_traces`)."""
+    c = np.sqrt(p.T)
+    return _unit_traces(c[..., :, None] * c[..., None, :])
 
 
 def _unit_traces(m: np.ndarray) -> np.ndarray:

@@ -267,7 +267,7 @@ def _measure_stack(states: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, 
     """Elements (element e guesses state e), successes and certificate
     verdicts for validated families ``(n, m, d, d)`` under validated priors
     ``(n, m)``: Helstrom for two states, else pretty-good, with one POVM
-    check for the whole stack."""
+    check for the whole stack, in the dtype of ``states`` (float64 if real)."""
     if states.shape[1] == 2:
         elements, successes = _helstrom_stack(states, priors)
     else:
@@ -290,7 +290,7 @@ def optimize_povm(
 
     Each sweep applies ``E_e <- R^-1 (w_e rho_e) E_e (w_e rho_e) R^-1`` with
     ``R = (sum_e w_e rho_e E_e w_e rho_e)^(1/2)`` on its support, seeded by
-    the pretty-good measurement, on one stacked array, in real arithmetic
+    the pretty-good measurement, on one stacked array, cast once to float64
     when the family and seed are real; every iterate passes :class:`Povm`'s
     checks.  The success probability never decreases (checked each step
     within 1e-12).  After every sweep :func:`_lagrange` brackets the optimum
@@ -306,10 +306,10 @@ def optimize_povm(
     """
     if seed_povm is None:
         seed_povm = square_root_measurement(family, prior)
-    matrices, priors, family_weighted = _checked_inputs(family, prior, seed_povm)
-    return _fixed_point(
-        seed_povm.elements, seed_povm.labels, matrices, priors, family_weighted, max_iters, step_tol
-    )
+    inputs = (seed_povm.elements, *_checked_inputs(family, prior, seed_povm))
+    if not any(a.imag.any() for a in inputs):
+        inputs = tuple(a.real.copy() for a in inputs)
+    return _fixed_point(inputs[0], seed_povm.labels, *inputs[1:], max_iters, step_tol)
 
 
 def _fixed_point(
@@ -319,11 +319,8 @@ def _fixed_point(
     """:func:`optimize_povm`'s search from checked seed elements ``(m, d, d)``
     with the labels, guessed states, priors and weighted family states of
     :func:`_checked_inputs`.  Each iterate is a bare stack checked by
-    :func:`_check_povm_stack`; only the last becomes a :class:`Povm`.  Real
-    symmetric inputs give real symmetric iterates, so they run in float64."""
-    inputs = (elements, matrices, family_weighted)
-    if not any(a.imag.any() for a in inputs):
-        elements, matrices, family_weighted = (a.real.copy() for a in inputs)
+    :func:`_check_povm_stack`; only the last becomes a :class:`Povm`.  The
+    iterates follow the inputs' dtype, real symmetric for float64 inputs."""
     dim = elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra on small Hilbert spaces.
+"""Dense linear algebra on small Hilbert spaces.
 
-Operators are plain complex ndarrays, one matrix ``(d, d)`` or a stack
+Operators are plain ndarrays, one matrix ``(d, d)`` or a stack
 ``(..., d, d)``; a family of states is one such stack, checked once by
-:class:`tpc.blackbox.StateFamily`.  All functions are pure and safe to call
-from many threads.
+:class:`tpc.blackbox.StateFamily`.  Its builders pick float64 for real
+families, the measurement path follows their dtype, and the public objects
+stay complex.  All functions are pure and safe to call from many threads.
 """
 
 from __future__ import annotations

@@ -13,10 +13,12 @@ Bob input and traces the other party out.  They must agree entrywise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import mpmath
 import numpy as np
 
 from tpc import qmat
@@ -87,6 +89,39 @@ def loop_honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
             total += max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
         best = max(best, total)
     return best
+
+
+def mp_pretty_good_success(f: FunctionSpec, dps: int = 50) -> mpmath.mpf:
+    """The pretty-good success of a two-sided table under the uniform
+    superposition and the uniform prior, in ``dps``-digit mpmath arithmetic
+    from the exact ``p(k|i,j)``: each state ``rho_j`` on (input, outcome) is
+    ``sum_k |v_jk><v_jk|`` with ``v_jk = sum_i sqrt(p(k|i,j) / n) |i, k>``,
+    ``S = sum_j rho_j`` is inverted on its support by ``mpmath.eigsy``, and
+    the value is ``sum_j tr(S^-1/2 rho_j S^-1/2 rho_j) / m``.  The element
+    absorbing the kernel of S adds nothing, as every ``rho_j`` lies in S's
+    support."""
+    if f.sided != "two":
+        raise ValueError("pretty-good oracle requires a two-sided function")
+    n, m, kdim = f.alice_arity, f.bob_arity, f.outcome_count
+    d = n * kdim
+    with mpmath.workdps(dps):
+        states = []
+        for j in range(m):
+            rho = mpmath.zeros(d, d)
+            for k in range(kdim):
+                amps = (f.prob(k, i, j) / n for i in range(n))
+                v = [mpmath.sqrt(mpmath.mpf(a.numerator) / a.denominator) for a in amps]
+                for i, l in itertools.product(range(n), repeat=2):
+                    rho[i * kdim + k, l * kdim + k] = v[i] * v[l]
+            states.append(rho)
+        w, u = mpmath.eigsy(sum(states[1:], states[0]))
+        cutoff = mpmath.mpf(10) ** (-dps // 2) * max(w)
+        root = u * mpmath.diag([1 / mpmath.sqrt(x) if x > cutoff else 0 for x in w]) * u.T
+        total = mpmath.mpf(0)
+        for rho in states:
+            product = root * rho * root * rho
+            total += sum(product[i, i] for i in range(d))
+        return total / m
 
 
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:

@@ -22,7 +22,7 @@ from tpc.attacks import (
 from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import fraction_slope_bound, loop_honest_probability
+from oracles import fraction_slope_bound, loop_honest_probability, mp_pretty_good_success
 
 SEED = 8091
 
@@ -502,6 +502,70 @@ class TestTwoStateArrays:
         assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
 
 
+class TestArithmetic:
+    TWO = two_sided_binary([[Fraction(2, 9), Fraction(1, 2)], [Fraction(5, 8), Fraction(1, 6)]])
+    ONE = one_sided_binary([[Fraction(1, 6), Fraction(3, 14)], [Fraction(3, 5), Fraction(5, 9)]])
+    CASES = {
+        "sweep": (sweep_all_3x3, np.float64),
+        "3x3 optimize": (lambda: attack_deterministic_3x3(builtin("neq3"), optimize=True), np.float64),
+        "3x3 real superposition": (
+            lambda: attack_deterministic_3x3(builtin("neq3"), superposition=(0.8, 0.6, 0.0)), np.float64
+        ),
+        "3x3 complex superposition optimize": (
+            lambda: attack_deterministic_3x3(builtin("neq3"), superposition=(0.6, 0.8j, 0.0), optimize=True),
+            np.complex128,
+        ),
+        "two-sided": (lambda: attack_nondet_two_sided(TestArithmetic.TWO), np.float64),
+        "two-sided complex superposition": (
+            lambda: attack_nondet_two_sided(TestArithmetic.TWO, superposition=(0.6, 0.8j)), np.complex128
+        ),
+        "one-sided": (lambda: attack_nondet_one_sided(TestArithmetic.ONE, 0.3), np.float64),
+        "oblivious transfer": (attack_oblivious_transfer, np.float64),
+        "counterexample": (verify_counterexample, np.float64),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_builders_decide_the_arithmetic(self, case, monkeypatch):
+        # inside candidate selection and measurement, every scoring,
+        # measurement, check and search stage sees the dtype the builders
+        # picked: no cast inside the pipeline (the public cross-check of the
+        # oblivious-transfer attack runs on its complex StateFamily)
+        seen, inside = [], []
+
+        def enter(name):
+            stage = getattr(attacks, name)
+
+            def wrapper(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return stage(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(attacks, name, wrapper)
+
+        def record(module, name):
+            stage = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if inside:
+                    seen.append((name, args[0].dtype))
+                return stage(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        enter("_select")
+        enter("_measure")
+        record(attacks, "_score")
+        for name in ("_measure_stack", "_check_povm_stack", "_lagrange", "_fixed_point"):
+            record(discrim, name)
+        run, dtype = self.CASES[case]
+        run()
+        assert {"_measure_stack", "_check_povm_stack", "_lagrange"} <= {name for name, _ in seen}
+        assert "optimize" not in case or ("_fixed_point", np.dtype(dtype)) in seen
+        assert {d for _, d in seen} == {np.dtype(dtype)}
+
+
 class TestSweep:
     def test_headline_unchanged(self):
         reports = sweep_all_3x3()
@@ -619,6 +683,16 @@ class TestSweep:
         # the same elements are refused with the same text one class at a time
         with pytest.raises(ValueError, match=f"^{message}$"):
             discrim.Povm(perturbed[0], (0, 1, 2))
+
+    def test_p_attack_within_8_ulps_of_50_digit_oracle(self):
+        # the float64 measurement path against the exact value, class by class
+        distances = {}
+        for r in sweep_all_3x3():
+            digits = [int(x) for x in r.function_id.split(":")[1]]
+            exact = mp_pretty_good_success(funcspec.deterministic([digits[:3], digits[3:6], digits[6:]]))
+            distances[r.function_id] = float(abs(r.p_attack - exact)) / np.spacing(float(exact))
+        assert len(distances) == funcspec.VALID_3X3_CLASS_COUNT
+        assert max(distances.values()) <= 8, distances
 
     def test_summary_statistics(self):
         reports = sweep_all_3x3()

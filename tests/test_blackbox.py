@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpc import blackbox, funcspec, qmat
+from tpc import blackbox, cli, funcspec, qmat
 from tpc.blackbox import StateFamily, amplitude_vector, output_family, uniform_superposition
 from tpc.funcspec import builtin, canonicalize_3x3, deterministic, transpose
 from tpc.tolerances import active
@@ -262,6 +262,21 @@ class TestStackedBuilder:
                     assert dims == (f.alice_arity, f.outcome_count)
                     assert np.abs(state - oracle).max() <= tol.recon
 
+    @pytest.mark.parametrize(
+        "text, dtype",
+        [("uniform", np.float64), ("1,0", np.float64), ("0.6,0.8", np.float64), ("0.6,0.8j", np.complex128)],
+    )
+    def test_dtype_follows_the_amplitudes(self, text, dtype):
+        # float64 exactly when no amplitude (here as --superposition parses
+        # it) has an imaginary part; output_family's public stack stays complex
+        amps = uniform_superposition(2) if text == "uniform" else cli._parse_amplitudes(text)
+        f = builtin("counterexample")
+        stack = blackbox._two_sided_families(f.probabilities()[None], amps)
+        assert stack.dtype == dtype
+        public = output_family(f, amps).states
+        assert public.dtype == np.complex128
+        assert public.tobytes() == stack[0].astype(complex).tobytes()
+
     def test_bad_table_in_stack_fails_its_trace_check(self):
         rng = np.random.default_rng(SEED + 32)
         amps = uniform_superposition(3)
@@ -302,20 +317,23 @@ class TestOneSidedStates:
             assert abs(purity - 1.0) <= tol.recon
 
     def test_stacked_builder_equals_one_state_bitwise(self):
-        # _one_sided_families against output_family and the outer product
-        # of sqrt(p(k|i,j)), state by state, to the bit
+        # _one_sided_families against the float64 outer product of
+        # sqrt(p(k|i,j)), and output_family against the stack's complex cast,
+        # state by state, to the bit
         rng = np.random.default_rng(SEED + 5)
         tables = [funcspec.one_sided_binary(rng.uniform(0.0, 1.0, size=(2, 2))) for _ in range(20)]
         tables += [builtin("ot"), transpose(builtin("ot"))]  # either party as the receiver
         for f in tables:
             stack = blackbox._one_sided_families(f.probabilities())
             assert stack.shape == (f.alice_arity, f.bob_arity, f.outcome_count, f.outcome_count)
+            assert stack.dtype == np.float64
             assert not stack.flags.writeable
             for i, j in itertools.product(range(f.alice_arity), range(f.bob_arity)):
-                c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)]).astype(complex)
-                assert stack[i, j].tobytes() == np.outer(c, c.conj()).tobytes()
+                c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)])
+                assert stack[i, j].tobytes() == np.outer(c, c).tobytes()
                 state = output_family(f, i).states[j]
-                assert state.tobytes() == stack[i, j].tobytes()
+                assert state.dtype == np.complex128
+                assert state.tobytes() == stack[i, j].astype(complex).tobytes()
 
     def test_stacked_builder_checks_every_trace(self):
         p = transpose(builtin("ot")).probabilities()

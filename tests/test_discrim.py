@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpc import attacks, discrim, funcspec, qmat
+from tpc import attacks, blackbox, discrim, funcspec, qmat
 from tpc.attacks import ot_explicit_povm
 from tpc.blackbox import output_family, uniform_superposition
 from tpc.discrim import (
@@ -335,6 +335,48 @@ class TestHelstrom:
             assert elements.shape == stack.shape
             for (states, q0), e, p, (ok, residuals) in zip(cases, elements, successes, verdicts):
                 self.assert_equals_oracle(reference_helstrom(*states, q0), p, e, ok, residuals)
+
+
+class TestRealMeasurePath:
+    """The builders hand real families to ``discrim._measure_stack`` as
+    float64 stacks; their complex128 casts must measure the same."""
+
+    @staticmethod
+    def real_stacks():
+        """The 18 class stacks, one per outcome count, under the uniform
+        prior, and seeded stacks of 2x2 two-sided tables and of one-sided
+        tables at each honest input, under seeded priors."""
+        classes = {}
+        for f in funcspec.enumerate_valid_3x3():
+            classes.setdefault(f.outcome_count, []).append(f.probabilities())
+        for tables in classes.values():
+            stack = blackbox._two_sided_families(np.array(tables), uniform_superposition(3))
+            yield stack, np.full(stack.shape[:2], 1 / 3)
+        rng = np.random.default_rng(SEED + 17)
+        rows = [[[Fraction(int(x), 24) for x in r] for r in rng.integers(0, 25, size=(2, 2))] for _ in range(40)]
+        q0 = rng.uniform(0.05, 0.95, size=len(rows))
+        priors = np.stack([q0, 1.0 - q0], axis=1)
+        p = np.array([two_sided_binary(r).probabilities() for r in rows])
+        yield blackbox._two_sided_families(p, uniform_superposition(2)), priors
+        p = np.array([one_sided_binary(r).probabilities() for r in rows])
+        for i in range(2):
+            yield np.array([blackbox._one_sided_families(table)[i] for table in p]), priors
+
+    def test_complex_cast_measures_the_same(self):
+        shapes = []
+        for stack, priors in self.real_stacks():
+            assert stack.dtype == np.float64
+            elements, successes, verdicts = discrim._measure_stack(stack, priors)
+            cast = discrim._measure_stack(stack.astype(complex), priors)
+            assert elements.dtype == np.float64 and cast[0].dtype == np.complex128
+            for p, q in zip(successes, cast[1], strict=True):
+                assert abs(p - q) <= 8 * np.spacing(max(p, q))
+            for (ok, residuals), (cast_ok, cast_residuals) in zip(verdicts, cast[2], strict=True):
+                assert ok == cast_ok
+                assert np.abs(np.subtract(residuals, cast_residuals)).max() <= 1e-15
+            shapes.append(stack.shape)
+        assert sum(s[0] for s in shapes[:-3]) == funcspec.VALID_3X3_CLASS_COUNT
+        assert [s[-1] for s in shapes[-3:]] == [4, 2, 2]
 
 
 class TestSquareRootMeasurement:
