@@ -1,19 +1,22 @@
 """One attack pipeline and its report packaging.
 
 Every attack follows one recipe.  An entry point lists candidates: the
-states ``(m, d, d)`` the cheater may hold after a superposed (or, for
-one-sided functions, honest) input, one per input of the guessed party, the
-prior over those inputs, the honest guessing probability to beat, and the
-input used.  :func:`_select` scores each candidate by the Helstrom value of
-its two states, without building a measurement, and keeps the largest
-advantage, the first on a tie; the 3x3 and oblivious-transfer attacks have
-one candidate and skip it.  :func:`_measure` then measures the kept
-candidates on one stacked path, one stack per shape: Helstrom elements for
-two states, else the pretty-good measurement, optionally polished by the
+states the cheater may hold after a superposed (or, for one-sided
+functions, honest) input, one per input of the guessed party, as their
+outcome blocks ``(K, m, b, b)`` (:mod:`tpc.qmat`; a one-sided family is one
+block), the prior over those inputs, the honest guessing probability to
+beat, and the input used.  :func:`_select` scores each candidate by the
+Helstrom value of its two states, without building a measurement, and
+keeps the largest advantage, the first on a tie; the 3x3 and
+oblivious-transfer attacks have one candidate and skip it.
+:func:`_measure` then measures the kept candidates on one stacked path,
+one block stack per block shape ``(m, b)``: Helstrom elements for two
+states, else the pretty-good measurement, optionally polished by the
 fixed-point search, each stack checked and certified once.  The 3x3 sweep
 carries its class tables, families and candidates as arrays from
-enumeration to measurement; each two-state attack reads its parsed table
-once into a float array.  The :mod:`blackbox` array builders emit float64
+enumeration to measurement, its 50 outcome blocks as one stack; each
+two-state attack reads its parsed table once into a float array.  No
+dense state is assembled here.  The :mod:`blackbox` array builders emit float64
 states for real families, else complex128, and the whole path follows that
 dtype (the oblivious-transfer attack checks its family once as a complex
 :class:`blackbox.StateFamily`, for the public closed-form cross-check).
@@ -29,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import blackbox, discrim, funcspec
+from . import blackbox, discrim, funcspec, qmat
 from .discrim import CertificateResiduals
 from .funcspec import FunctionSpec
 from .tolerances import active
@@ -92,27 +95,35 @@ def _rational_id(f: FunctionSpec) -> str:
 
 
 class _Candidate(NamedTuple):
-    states: np.ndarray  # (m, d, d), one per input of the guessed party
+    blocks: np.ndarray  # (K, m, b, b): outcome blocks of one state per input of the guessed party
     prior: tuple[float, ...]
     p_honest: float
     input_used: tuple[complex, ...] | int
 
 
-def _score(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """Helstrom values ``(1 + tr|q0 rho0 - q1 rho1|) / 2`` for a stack of
-    state pairs ``(n, 2, d, d)`` under priors ``(n, 2)``, with one stacked
-    ``eigvalsh``: no measurement is built and no certificate is run."""
-    q = np.asarray(priors, dtype=float)[:, :, None, None]
+def _stack(candidates: Sequence[_Candidate]) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates' blocks as one stack ``(N, m, b, b)``, and where each
+    candidate's blocks start."""
+    counts = [0] + [len(c.blocks) for c in candidates[:-1]]
+    return np.concatenate([c.blocks for c in candidates]), np.array(counts).cumsum()
+
+
+def _score(states: np.ndarray, starts: np.ndarray, priors) -> np.ndarray:
+    """Helstrom values ``(1 + tr|q0 rho0 - q1 rho1|) / 2`` for state pair
+    blocks ``(N, 2, b, b)`` of pairs starting at ``starts``, under priors
+    ``(F, 2)``, with one stacked ``eigvalsh``, each trace norm summed over
+    the pair's blocks: no measurement is built and no certificate is run."""
+    q = qmat._per_block(np.asarray(priors, dtype=float), starts, len(states))[:, :, None, None]
     delta = q[:, 0] * states[:, 0]
     delta -= q[:, 1] * states[:, 1]
-    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1))
+    norms = np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+    return 0.5 * (1.0 + np.add.reduceat(norms, starts))
 
 
 def _select(candidates: Sequence[_Candidate]) -> tuple[_Candidate, list[float]]:
     """Score every candidate and keep the largest advantage, the first on a
     tie; the scores are returned for the caller's notes and oracles."""
-    states, priors = np.array([c.states for c in candidates]), [c.prior for c in candidates]
-    scores = _score(states, priors).tolist()
+    scores = _score(*_stack(candidates), [c.prior for c in candidates]).tolist()
     advantages = [s - c.p_honest for s, c in zip(scores, candidates)]
     return candidates[advantages.index(max(advantages))], scores
 
@@ -125,22 +136,27 @@ class _Job(NamedTuple):
 
 def _measure(scenario: str, jobs: Sequence[_Job], optimize: bool = False) -> list[AttackReport]:
     """Build, evaluate and certify the measurement for each job's candidate,
-    one report per job: the candidates of one shape are measured, checked
-    and certified as one stack by :func:`discrim._measure_stack` (Helstrom
-    for two states, else pretty-good); ``optimize`` also runs the fixed-point
-    search from each candidate's checked elements."""
+    one report per job: the candidates whose blocks share one shape
+    ``(m, b)`` are measured, checked and certified as one block stack by
+    :func:`discrim._measure_stack` (Helstrom for two states, else
+    pretty-good); ``optimize`` also runs the fixed-point search from each
+    candidate's checked element blocks."""
     measured, notes, stacks = [None] * len(jobs), [list(job.notes) for job in jobs], {}
     for n, job in enumerate(jobs):
-        stacks.setdefault(job.candidate.states.shape, []).append(n)
+        stacks.setdefault(job.candidate.blocks.shape[1:], []).append(n)
     for members in stacks.values():
-        states = np.array([jobs[n].candidate.states for n in members])
+        states, starts = _stack([jobs[n].candidate for n in members])
         priors = np.array([jobs[n].candidate.prior for n in members], dtype=float)
-        elements, successes, verdicts = discrim._measure_stack(states, priors)
-        for n, s, q, e, p, verdict in zip(members, states, priors, elements, successes, verdicts):
+        elements, successes, verdicts = discrim._measure_stack(states, starts, priors)
+        bounds = starts.tolist() + [len(states)]
+        for n, start, end, q, p, verdict in zip(
+            members, bounds, bounds[1:], priors, successes, verdicts
+        ):
             measured[n] = p, verdict
             if optimize:
-                # seeded by the elements the stack has just checked
-                refined = discrim._fixed_point(e, range(len(e)), s, q, q[:, None, None] * s)
+                # seeded by the element blocks the stack has just checked
+                s = states[start:end]
+                refined = discrim._fixed_point(elements[start:end], s, q, q[:, None, None] * s)
                 notes[n].append(
                     f"fixed-point optimum p={refined.success_probability:.17g}"
                     f" certified={refined.certified_optimal}"
@@ -178,19 +194,24 @@ def attack_deterministic_3x3(
     runs the fixed-point search and reports its value in the notes; the
     headline attack number stays the pretty-good-measurement success.
     """
-    flat = funcspec._labels_3x3(f)
-    jobs = _det3x3_jobs(np.array(flat)[:, None], [f.outcome_count], superposition, prior)
+    tables = np.array(funcspec._labels_3x3(f))[:, None]
+    bases, _ = funcspec._canonical_forms(tables)
+    jobs = _det3x3_jobs(tables, bases, [f.outcome_count], superposition, prior)
     return _measure("deterministic-3x3", jobs, optimize)[0]
 
 
 def _det3x3_jobs(
-    tables: np.ndarray, outcome_counts: Sequence[int], superposition=None, prior=None
+    tables: np.ndarray,
+    bases: np.ndarray,
+    outcome_counts: Sequence[int],
+    superposition=None,
+    prior=None,
 ) -> list[_Job]:
     """:func:`attack_deterministic_3x3`'s candidates for row-major label tables
-    ``(9, n)``, ready for :func:`_measure`: one canonicalizer call names them
-    all, and those of one outcome count share one family builder call and one
-    stacked honest baseline, with ``p(k|i,j)`` read off the labels."""
-    bases, _ = funcspec._canonical_forms(tables)
+    ``(9, n)`` named by their canonical base tables ``(n, 9)``, ready for
+    :func:`_measure`: ``p(k|i,j)`` read off the labels, zero-padded to the
+    largest outcome count for one stacked honest baseline, and the present
+    outcomes' rows built as one block stack by one family builder call."""
     amps = (
         blackbox.uniform_superposition(3)
         if superposition is None
@@ -198,17 +219,22 @@ def _det3x3_jobs(
     )
     q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
     inputs, prior_used = tuple(complex(x) for x in amps), tuple(q)
-    candidates = [None] * len(outcome_counts)
-    for count in set(outcome_counts):
-        members = [n for n, c in enumerate(outcome_counts) if c == count]
-        labels = tables[:, members].T[:, None]  # (t, 1, cells)
-        p = (labels == np.arange(count)[:, None]).reshape(-1, count, 3, 3) * 1.0
-        families = blackbox._two_sided_families(p, amps)
-        for n, states, p_honest in zip(members, families, discrim._honest(p, q).tolist()):
-            candidates[n] = _Candidate(states, prior_used, p_honest, inputs)
+    # (t, k, j, i), the rows of absent outcomes all zero; the baseline adds them as 0.0
+    labels = tables.T[:, None]  # (t, 1, cells)
+    p = (labels == np.arange(max(outcome_counts))[:, None]).reshape(len(labels), -1, 3, 3) * 1.0
+    present = np.arange(p.shape[1]) < np.array(outcome_counts)[:, None]
+    starts = np.cumsum([0] + list(outcome_counts[:-1]))
+    blocks = blackbox._two_sided_families(p[present], amps, starts)
+    bounds = starts.tolist() + [len(blocks)]
     return [
-        _Job(_det3x3_id(base), candidate, [f"canonical labels a={base[1]} b={base[4]}"])
-        for base, candidate in zip(bases.tolist(), candidates)
+        _Job(
+            _det3x3_id(base),
+            _Candidate(blocks[start:end], prior_used, p_honest, inputs),
+            [f"canonical labels a={base[1]} b={base[4]}"],
+        )
+        for base, start, end, p_honest in zip(
+            bases.tolist(), bounds, bounds[1:], discrim._honest(p, q).tolist()
+        )
     ]
 
 
@@ -260,9 +286,9 @@ def attack_nondet_two_sided(
         if superposition is None
         else blackbox.amplitude_vector(superposition, 2)
     )
-    states = blackbox._two_sided_families(p[None], amps)[0]
+    blocks = blackbox._two_sided_families(p, amps)
     inputs = tuple(complex(x) for x in amps)
-    candidates = [_Candidate(states, q, h, inputs) for q, h in zip(priors, honest)]
+    candidates = [_Candidate(blocks, q, h, inputs) for q, h in zip(priors, honest)]
     best, scores = _select(candidates)
     lines = []
     for c, score in zip(candidates, scores):
@@ -294,15 +320,15 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
     rates = discrim._basis_rates(p, funcspec.validate_prior(prior, 2)).tolist()
     p_honest = max(rates)
     candidates = [
-        _Candidate(states, prior, p_honest, i)
+        _Candidate(states[None], prior, p_honest, i)
         for i, states in enumerate(blackbox._one_sided_families(p))
     ]
     best, scores = _select(candidates)
     lines = [
         f"i={i} basis_rate={rate:.17g}"
         f" optimal={score:.17g}"
-        f" basis_measurement_optimal={discrim.basis_measurement_optimal(f, i, q0)}"
-        for i, (rate, score) in enumerate(zip(rates, scores))
+        f" basis_measurement_optimal={flag}"
+        for i, (rate, score, flag) in enumerate(zip(rates, scores, discrim._basis_flags(p, q0)))
     ]
     return _measure("nondet-one-sided", [_Job(f"nondet1sided:{_rational_id(f)}", best, lines)])[0]
 
@@ -337,7 +363,8 @@ def attack_oblivious_transfer() -> AttackReport:
     p = f.probabilities()
     states = blackbox._one_sided_families(p)[0]
     p_honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
-    report = _measure("oblivious-transfer", [_Job("ot", _Candidate(states, prior, p_honest, 0), [])])[0]
+    job = _Job("ot", _Candidate(states[None], prior, p_honest, 0), [])
+    report = _measure("oblivious-transfer", [job])[0]
     explicit = ot_explicit_povm()
     family = blackbox.StateFamily(states)
     explicit_success = discrim.povm_success(family, prior, explicit)
@@ -430,7 +457,7 @@ def verify_counterexample() -> AttackReport:
     )
     p = f.probabilities()
     best = _Candidate(
-        blackbox._two_sided_families(p[None], (1.0, 0.0))[0],
+        blackbox._two_sided_families(p, (1.0, 0.0)),
         prior,
         float(discrim._honest(p, funcspec.validate_prior(prior, 2))),
         (1 + 0j, 0j),
@@ -449,9 +476,9 @@ def sweep_all_3x3() -> list[AttackReport]:
     Results are sorted by canonical identifier.  A non-positive advantage
     anywhere raises :class:`SweepFailure` with the offending tables.
     """
-    tables = funcspec._class_tables()
+    tables, bases = funcspec._class_tables()
     counts = (tables.max(axis=0) + 1).tolist()
-    reports = _measure("deterministic-3x3", _det3x3_jobs(tables, counts))
+    reports = _measure("deterministic-3x3", _det3x3_jobs(tables, bases, counts))
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

@@ -5,6 +5,12 @@ it writes outcome ``k`` with amplitude ``sqrt(p(k|i,j))`` to both parties'
 outcome registers (two-sided) or to the receiver's register only
 (one-sided).  Amplitudes are fixed to the nonnegative real root; the
 effect of complex phases on the amplitudes is not explored.
+
+The builders emit each family as its outcome blocks (the layout of
+:mod:`tpc.qmat`): a two-sided state is block-diagonal in the outcome, one
+``i x i`` outer product per outcome, and a one-sided state is one block.
+Only :func:`output_family` assembles a dense ``(m, d, d)`` stack, in
+(input, outcome) register order, for the public :class:`StateFamily`.
 """
 
 from __future__ import annotations
@@ -67,45 +73,62 @@ def uniform_superposition(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-def _two_sided_families(p: np.ndarray, amplitudes) -> np.ndarray:
-    """Alice's reduced states after a superposed input, for a stack of
-    same-shape tables ``p(k|i,j)`` indexed ``[t][k][j][i]``: one read-only
-    array ``(t, j, d, d)``, one family per table and one state per Bob input.
+def _two_sided_families(
+    p: np.ndarray, amplitudes, starts: np.ndarray = qmat.ONE_FAMILY
+) -> np.ndarray:
+    """Alice's reduced states after a superposed input, as outcome blocks:
+    ``p`` holds the rows ``p(k|i,j)``, indexed ``[k][j][i]``, of the
+    outcomes of each table of a stack, table by table, and ``starts`` where
+    each table's outcomes begin (one table by default).  Returns one
+    read-only array ``(N, j, i, i)``, one block per outcome row and one
+    state per Bob input.
 
-    Register order is (input, outcome); each state is block-diagonal in the
-    outcome label, with block k equal to the outer product of the vector
-    ``a_i * sqrt(p(k|i,j))``: PSD by construction, so it skips the
-    eigenvalue check, but every state's trace is checked (:func:`_unit_traces`).
-    Float64 when no amplitude has an imaginary part, else complex128.
+    Each state is block-diagonal in the outcome label: block k is the outer
+    product of the vector ``a_i * sqrt(p(k|i,j))``, so PSD by construction
+    and it skips the eigenvalue check, but every state's trace, the sum of
+    its blocks' traces, is checked (:func:`_unit_traces`).  Float64 when no
+    amplitude has an imaginary part, else complex128.
     """
-    tables, kdim, bob, n = p.shape
-    a = amplitude_vector(amplitudes, n)
+    a = amplitude_vector(amplitudes, p.shape[-1])
     c = (a if a.imag.any() else a.real) * np.sqrt(p)
-    m = np.zeros((tables, bob, n, kdim, n, kdim), dtype=c.dtype)
-    k = np.arange(kdim)
-    m[:, :, :, k, :, k] += (c[..., :, None] * c[..., None, :].conj()).swapaxes(0, 1)
-    return _unit_traces(m.reshape(tables, bob, n * kdim, n * kdim))
+    return _unit_traces(c[..., :, None] * c[..., None, :].conj(), starts)
 
 
 def _one_sided_families(p: np.ndarray) -> np.ndarray:
     """The receiver's pure outcome-register states after each honest input,
     for one table ``p(k|i,j)`` indexed ``[k][j][i]``: one read-only float64
-    array ``(i, j, k, k)`` of the outer products of ``sqrt(p(k|i,j))``, PSD
-    by construction, each state's trace checked (:func:`_unit_traces`)."""
+    array ``(i, j, k, k)`` of the outer products of ``sqrt(p(k|i,j))``, one
+    one-block family per honest input, PSD by construction, each state's
+    trace checked (:func:`_unit_traces`)."""
     c = np.sqrt(p.T)
     return _unit_traces(c[..., :, None] * c[..., None, :])
 
 
-def _unit_traces(m: np.ndarray) -> np.ndarray:
-    """``m``, a stack of states ``(..., d, d)``, made read-only once every
-    trace is 1, else :class:`StateFamily`'s message for the first that is
-    not."""
-    traces = np.trace(m, axis1=-2, axis2=-1)
+def _unit_traces(blocks: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """``blocks``, a stack of states ``(..., b, b)``, or, given ``starts``,
+    of the blocks ``(N, m, b, b)`` of families that start there, made
+    read-only once every state's trace (the sum of its blocks' traces) is 1,
+    else :class:`StateFamily`'s message for the first that is not."""
+    traces = np.trace(blocks, axis1=-2, axis2=-1)
+    if starts is not None:
+        traces = np.add.reduceat(traces, starts)
     failed = traces[np.abs(traces - 1.0) > active().trace]
     if failed.size:
         raise ValueError(f"density matrix trace {complex(failed[0]):.12g} is not 1")
-    m.setflags(write=False)
-    return m
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _assemble(blocks: np.ndarray) -> np.ndarray:
+    """The dense states ``(m, d, d)`` of one two-sided family from its
+    outcome blocks ``(k, m, i, i)``, in (input, outcome) register order."""
+    kdim, bob, n, _ = blocks.shape
+    dense = np.zeros((bob, n, kdim, n, kdim), dtype=blocks.dtype)
+    k = np.arange(kdim)
+    dense[:, :, k, :, k] += blocks
+    dense = dense.reshape(bob, n * kdim, n * kdim)
+    dense.setflags(write=False)
+    return dense
 
 
 def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFamily:
@@ -121,7 +144,7 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
     elif role != "alice":
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
-        return StateFamily(_two_sided_families(f.probabilities()[None], alice_input)[0])
+        return StateFamily(_assemble(_two_sided_families(f.probabilities(), alice_input)))
     i = int(alice_input)
     if not 0 <= i < f.alice_arity:
         raise ValueError(f"honest input {i} out of range [0, {f.alice_arity})")

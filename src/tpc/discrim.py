@@ -11,6 +11,18 @@ conditions for minimum-error discrimination of states ``rho_l`` with priors
 The operator in the second condition need not come out Hermitian for an
 arbitrary POVM; its Hermitian part is tested and the anti-Hermitian part's
 magnitude is reported as a residual.
+
+For block-diagonal states both conditions, the success and the dual bound
+split block by block (Eldar, Megretski & Verghese, IEEE Trans. Inf. Theory
+49, 1007), and so does every measurement built here.  The private helpers
+therefore work on the block stacks of :mod:`tpc.qmat`: elements and states
+``(N, m, b, b)``, the ``starts`` of each family's blocks, and one prior row
+per family ``(F, m)`` (per block ``(N, m)`` for the Helstrom and
+pretty-good elements); each per-family number (success, residuals, lowest
+Lagrange eigenvalue, support cutoff, the dimension ``d = sum b``) is a
+segment reduction over the family's blocks.  The public functions pass a
+dense family as the one-block case.  Every helper runs in the dtype of the
+states it is given: float64 for real families, complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ class Povm:
         if any(shape != (d, d) for shape in shapes):
             raise ValueError("POVM elements must share one square dimension")
         stack = np.array(self.elements, dtype=complex)
-        _check_povm_stack(stack)
+        _check_povm_stack(stack[None], qmat.ONE_FAMILY)
         labels = tuple(int(x) for x in self.labels)
         if len(labels) != len(stack):
             raise ValueError("need exactly one label per POVM element")
@@ -74,22 +86,25 @@ class Povm:
         return self.elements.shape[1]
 
 
-def _check_povm_stack(stack: np.ndarray) -> None:
-    """:class:`Povm`'s checks on one element set ``(m, d, d)`` or a stack of
-    them ``(..., m, d, d)``: finite entries, Hermiticity, PSD (one stacked
-    ``eigvalsh``) and completeness, naming the first failing defect."""
+def _check_povm_stack(stack: np.ndarray, starts: np.ndarray) -> None:
+    """:class:`Povm`'s checks on the element blocks ``(N, m, b, b)`` of the
+    element sets that start at ``starts``: finite entries, Hermiticity, PSD
+    (one stacked ``eigvalsh``) and completeness, naming the first failing
+    defect as the dense check of each set would."""
     if not np.isfinite(stack).all():
         raise ValueError("matrix contains non-finite entries")
     tol = active()
     herm = np.abs(stack - qmat.dagger(stack)).max(axis=(-2, -1))
-    herm = herm[herm > tol.herm]
-    if herm.size:
+    if herm[herm > tol.herm].size:
+        herm = np.maximum.reduceat(herm, starts)  # each set's defect, as its dense check gives it
+        herm = herm[herm > tol.herm]
         raise ValueError(f"POVM element is not Hermitian (defect {herm[0]:.3g} > {tol.herm:.3g})")
     if np.linalg.eigvalsh(stack).min() < -tol.psd:
         raise ValueError("POVM element is not PSD within tolerance")
     defect = np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
-    defect = defect[defect > tol.recon]
-    if defect.size:
+    if defect[defect > tol.recon].size:
+        defect = np.maximum.reduceat(defect, starts)
+        defect = defect[defect > tol.recon]
         raise ValueError(f"POVM elements sum to identity only within {defect[0]:.3g}")
 
 
@@ -155,52 +170,61 @@ def _basis_rates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def povm_success(family, prior: Sequence[float], povm: Povm) -> float:
     """Born-rule success probability ``sum_e q[label_e] tr(E_e rho_label_e)``."""
     matrices, priors, _ = _checked_inputs(family, prior, povm)
-    return float(_success(povm.elements, matrices, priors))
+    return float(_success(povm.elements[None], matrices[None], priors[None], qmat.ONE_FAMILY)[0])
 
 
-def _success(elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """``sum_e q_e tr(E_e rho_e)`` over ``(..., m, d, d)`` stacks with
-    priors ``(..., m)``, summed in element order."""
-    return (priors * np.trace(elements @ matrices, axis1=-2, axis2=-1).real).sum(axis=-1)
+def _success(
+    elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """``sum_e q_e tr(E_e rho_e)`` of each family, over element and state
+    blocks ``(N, m, b, b)`` with priors ``(F, m)``: each element's trace
+    summed over its family's blocks, then the terms in element order."""
+    traces = np.trace(elements @ matrices, axis1=-2, axis2=-1).real
+    return (priors * np.add.reduceat(traces, starts)).sum(axis=-1)
 
 
 def _lagrange(
-    elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray
+    elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gap operators ``sum_e E_e w_e - q_l rho_l``, one per family state,
     and the lowest eigenvalue of their Hermitian parts: the certificate's PSD
     test, and the search's bound, as with ``shift = max(0, -lowest)``
     ``Herm(sum_e E_e w_e) + shift I`` is dual-feasible (Eldar, Megretski &
     Verghese, IEEE Trans. Inf. Theory 49, 1007), so ``p + d * shift`` bounds
-    every POVM's success.  Works on one element set ``(m, d, d)`` or a stack
-    ``(..., m, d, d)``, with one lowest eigenvalue per set."""
+    every POVM's success.  Works on element blocks ``(N, m, b, b)``, with
+    the gap operators' blocks ``(N, n, b, b)`` and one lowest eigenvalue per
+    family, the least over its blocks."""
     gap = (elements @ weighted).sum(axis=-3)[..., None, :, :] - family_weighted
-    return gap, np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min(axis=(-2, -1))
+    lowest = np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min(axis=(-2, -1))
+    return gap, np.minimum.reduceat(lowest, starts)
 
 
 def _certify(
-    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, min_eig: np.ndarray
+    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, min_eig: np.ndarray,
+    starts: np.ndarray,
 ) -> list[tuple[bool, CertificateResiduals]]:
-    """Both optimality conditions for elements ``E_e`` with weighted states
-    ``w_e``, given their :func:`_lagrange` operators: one verdict for one
-    element set ``(m, d, d)``, or one per set of a stack ``(..., m, d, d)``."""
+    """Both optimality conditions for element blocks ``E_e`` with weighted
+    state blocks ``w_e`` ``(N, m, b, b)``, given their :func:`_lagrange`
+    operators: one verdict per family, each residual the largest over the
+    family's blocks."""
     tol = active()
     # every pair (j, l) at once, each product associated as (E_j (w_j - w_l)) E_l
     differences = weighted[..., :, None, :, :] - weighted[..., None, :, :, :]
     products = elements[..., :, None, :, :] @ differences @ elements[..., None, :, :, :]
-    pairwise = np.abs(products).max(axis=(-4, -3, -2, -1))
-    anti = np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)) / 2
+    pairwise = np.maximum.reduceat(np.abs(products).max(axis=(-4, -3, -2, -1)), starts)
+    anti = np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
     return [
         (p <= tol.cert and e >= -tol.cert and a <= tol.cert, CertificateResiduals(p, e, a))
-        for p, e, a in zip(*(np.ravel(x).tolist() for x in (pairwise, min_eig, anti)))
+        for p, e, a in zip(pairwise.tolist(), min_eig.tolist(), anti.tolist())
     ]
 
 
 def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, CertificateResiduals]:
     """Check the minimum-error optimality conditions for a POVM."""
     matrices, priors, family_weighted = _checked_inputs(family, prior, povm)
-    weighted = priors[:, None, None] * matrices
-    return _certify(povm.elements, weighted, *_lagrange(povm.elements, weighted, family_weighted))[0]
+    elements, weighted = povm.elements[None], (priors[:, None, None] * matrices)[None]
+    lagrange = _lagrange(elements, weighted, family_weighted[None], qmat.ONE_FAMILY)
+    return _certify(elements, weighted, *lagrange, qmat.ONE_FAMILY)[0]
 
 
 def helstrom(rho0, rho1, q0: float) -> DiscriminationResult:
@@ -218,23 +242,28 @@ def helstrom(rho0, rho1, q0: float) -> DiscriminationResult:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
     family = StateFamily((rho0, rho1))
     prior = (q0, 1.0 - q0)
-    elements, success = _helstrom_stack(family.states[None], np.array([prior]))
+    elements, success = _helstrom_stack(family.states[None], qmat.ONE_FAMILY, np.array([prior]))
     povm = Povm(elements[0], (0, 1))
     ok, residuals = certify_optimal(family, prior, povm)
     return DiscriminationResult(float(success[0]), povm, ok, residuals)
 
 
-def _helstrom_stack(states: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`helstrom`'s elements and values for each pair of a stack
-    ``(n, 2, d, d)`` under priors ``(n, 2)``, with one stacked ``eigh``;
-    the caller checks them."""
+def _helstrom_stack(
+    states: np.ndarray, starts: np.ndarray, priors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`helstrom`'s element blocks and each pair's value, for state
+    pair blocks ``(N, 2, b, b)`` of pairs starting at ``starts``, under each
+    block's pair's priors ``(N, 2)``, with one stacked ``eigh``: the
+    projector onto the nonnegative eigenspace of each block's weighted
+    difference, and half of one plus the trace norms summed over the pair's
+    blocks.  The caller checks them."""
     delta = priors[:, 0, None, None] * states[:, 0] - priors[:, 1, None, None] * states[:, 1]
     w, v = np.linalg.eigh(delta)
     # mask, not select, the nonnegative eigenvectors: one matmul for the whole stack
     e0 = (v * (w >= 0)[:, None, :]) @ qmat.dagger(v)
     e0 = (e0 + qmat.dagger(e0)) / 2
     elements = np.stack([e0, np.eye(states.shape[-1]) - e0], axis=1)
-    return elements, 0.5 * (1.0 + np.abs(w).sum(axis=-1))
+    return elements, 0.5 * (1.0 + np.add.reduceat(np.abs(w).sum(axis=-1), starts))
 
 
 def square_root_measurement(family, prior: Sequence[float]) -> Povm:
@@ -246,37 +275,43 @@ def square_root_measurement(family, prior: Sequence[float]) -> Povm:
     """
     states = _family_states(family)
     q = validate_prior(prior, len(states))
-    elements = _pretty_good(states[None], q[None])[0]
+    elements = _pretty_good(states[None], qmat.ONE_FAMILY, q[None])[0]
     return Povm(elements, tuple(range(len(states))))
 
 
-def _pretty_good(states: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """:func:`square_root_measurement`'s elements for each family of a stack
-    ``(n, m, d, d)`` under priors ``(n, m)``, with one stacked inverse root;
-    the caller checks them."""
-    n, m, d, _ = states.shape
+def _pretty_good(states: np.ndarray, starts: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """:func:`square_root_measurement`'s element blocks for state blocks
+    ``(N, m, b, b)`` of families starting at ``starts``, under each block's
+    family's priors ``(N, m)``, with one stacked inverse root whose support
+    cutoff is each family's; the caller checks them."""
+    blocks, m, b, _ = states.shape
     if m < 2:
         raise ValueError("need at least two states to discriminate")
-    root = qmat._inv_sqrt(states.sum(axis=1))[:, None]
+    root = qmat._inv_sqrt(states.sum(axis=1), starts)[:, None]
     elements = root @ states @ root
-    elements[np.arange(n), np.argmax(priors, axis=1)] += np.eye(d) - elements.sum(axis=1)
+    elements[np.arange(blocks), np.argmax(priors, axis=1)] += np.eye(b) - elements.sum(axis=1)
     return (elements + qmat.dagger(elements)) / 2
 
 
-def _measure_stack(states: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Elements (element e guesses state e), successes and certificate
-    verdicts for validated families ``(n, m, d, d)`` under validated priors
-    ``(n, m)``: Helstrom for two states, else pretty-good, with one POVM
-    check for the whole stack, in the dtype of ``states`` (float64 if real)."""
+def _measure_stack(
+    states: np.ndarray, starts: np.ndarray, priors: np.ndarray
+) -> tuple[np.ndarray, list, list]:
+    """Element blocks (element e guesses state e), successes and certificate
+    verdicts for the validated state blocks ``(N, m, b, b)`` of families
+    starting at ``starts``, under validated priors ``(F, m)``: Helstrom for
+    two states, else pretty-good, with one POVM check for the whole stack,
+    in the dtype of ``states`` (float64 if real); one success and verdict
+    per family."""
+    block_priors = qmat._per_block(priors, starts, len(states))
     if states.shape[1] == 2:
-        elements, successes = _helstrom_stack(states, priors)
+        elements, successes = _helstrom_stack(states, starts, block_priors)
     else:
-        elements = _pretty_good(states, priors)
-        successes = _success(elements, states, priors)
-    _check_povm_stack(elements)
-    weighted = priors[..., None, None] * states
-    verdicts = _certify(elements, weighted, *_lagrange(elements, weighted, weighted))
-    return elements, successes.tolist(), verdicts
+        elements = _pretty_good(states, starts, block_priors)
+        successes = _success(elements, states, priors, starts)
+    _check_povm_stack(elements, starts)
+    weighted = block_priors[..., None, None] * states
+    lagrange = _lagrange(elements, weighted, weighted, starts)
+    return elements, successes.tolist(), _certify(elements, weighted, *lagrange, starts)
 
 
 def optimize_povm(
@@ -309,45 +344,66 @@ def optimize_povm(
     inputs = (seed_povm.elements, *_checked_inputs(family, prior, seed_povm))
     if not any(a.imag.any() for a in inputs):
         inputs = tuple(a.real.copy() for a in inputs)
-    return _fixed_point(inputs[0], seed_povm.labels, *inputs[1:], max_iters, step_tol)
+    elements, matrices, priors, family_weighted = inputs
+    search = _fixed_point(
+        elements[None], matrices[None], priors, family_weighted[None], max_iters, step_tol
+    )
+    povm = Povm._of_checked(search.elements[0], seed_povm.labels)
+    return DiscriminationResult(search.success_probability, povm, *search[2:])
+
+
+class _Search(NamedTuple):
+    """:func:`_fixed_point`'s last iterate ``(K, m, b, b)`` and the fields
+    of its :class:`DiscriminationResult` after the POVM."""
+
+    elements: np.ndarray
+    success_probability: float
+    certified_optimal: bool
+    residuals: CertificateResiduals
+    iterations: int
+    stop_reason: str
+    p_upper: float
 
 
 def _fixed_point(
-    elements: np.ndarray, labels: Sequence[int], matrices: np.ndarray, priors: np.ndarray,
+    elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray,
     family_weighted: np.ndarray, max_iters: int = 10000, step_tol: float = 1e-12,
-) -> DiscriminationResult:
-    """:func:`optimize_povm`'s search from checked seed elements ``(m, d, d)``
-    with the labels, guessed states, priors and weighted family states of
-    :func:`_checked_inputs`.  Each iterate is a bare stack checked by
-    :func:`_check_povm_stack`; only the last becomes a :class:`Povm`.  The
-    iterates follow the inputs' dtype, real symmetric for float64 inputs."""
-    dim = elements.shape[-1]
+) -> _Search:
+    """:func:`optimize_povm`'s search on one family's blocks: checked seed
+    element blocks ``(K, m, b, b)``, the guessed states' blocks, their
+    priors ``(m,)`` and the weighted family state blocks ``(K, n, b, b)``,
+    as :func:`_checked_inputs` gives them for a dense family (``K = 1``).
+    Each iterate is a bare block stack checked by :func:`_check_povm_stack`,
+    its inverse root cut off at the family's support, and ``p_upper``
+    counts the dimension ``d = K b``.  The iterates follow the inputs'
+    dtype, real symmetric for float64 inputs."""
+    one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
-    current = float(_success(elements, matrices, priors))
-    polish_block, last_residual, identity = 100, math.inf, np.eye(dim)
+    current = float(_success(elements, matrices, priors[None], one)[0])
+    polish_block, last_residual, identity = 100, math.inf, np.eye(elements.shape[-1])
     steps, stop_reason, residuals = 0, "max_iters", None
     while steps < max_iters:
         sandwiched = weighted @ elements @ weighted
-        gram = sandwiched.sum(axis=0)
-        root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2)
+        gram = sandwiched.sum(axis=1)
+        root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2, one)[:, None]
         elements = root @ sandwiched @ root
         elements = (elements + qmat.dagger(elements)) / 2
-        elements[kernel_slot] += identity - elements.sum(axis=0)
-        _check_povm_stack(elements)
-        value = float(_success(elements, matrices, priors))
+        elements[:, kernel_slot] += identity - elements.sum(axis=1)
+        _check_povm_stack(elements, one)
+        value = float(_success(elements, matrices, priors[None], one)[0])
         if value < current - 1e-12:
             raise ArithmeticError(
                 f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
             )
         improved, current, residuals = value - current, value, None
         steps += 1
-        lagrange = _lagrange(elements, weighted, family_weighted)
-        closed = dim * max(-lagrange[1], 0.0) <= active().cert
+        lagrange = _lagrange(elements, weighted, family_weighted, one)
+        closed = dim * max(-float(lagrange[1][0]), 0.0) <= active().cert
         polish = improved < step_tol and steps % polish_block == 0
         if not (closed or polish):
             continue
-        ok, residuals = _certify(elements, weighted, *lagrange)[0]
+        ok, residuals = _certify(elements, weighted, *lagrange, one)[0]
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if (ok and closed) or (polish and residual >= 0.9 * last_residual):
             stop_reason = "converged" if ok and closed else "stalled"
@@ -355,11 +411,10 @@ def _fixed_point(
         if polish:
             last_residual = residual
     if residuals is None:
-        lagrange = _lagrange(elements, weighted, family_weighted)
-        ok, residuals = _certify(elements, weighted, *lagrange)[0]
+        lagrange = _lagrange(elements, weighted, family_weighted, one)
+        ok, residuals = _certify(elements, weighted, *lagrange, one)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
-    povm = Povm._of_checked(elements, labels)
-    return DiscriminationResult(current, povm, ok, residuals, steps, stop_reason, p_upper)
+    return _Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
 
 
 class WeightedDifferenceEigenvalues(NamedTuple):
@@ -416,8 +471,11 @@ def basis_measurement_optimal(f: FunctionSpec, i: int, q0: float, tol: float = 1
         raise ValueError("basis check requires a binary-output table with two partner inputs")
     if not 0 <= i < f.alice_arity:
         raise ValueError(f"honest input {i} out of range")
-    p_i0 = float(f.prob(0, i, 0))
-    p_i1 = float(f.prob(0, i, 1))
-    lhs = q0 * math.sqrt(p_i0 * (1.0 - p_i0))
-    rhs = (1.0 - q0) * math.sqrt(p_i1 * (1.0 - p_i1))
-    return abs(lhs - rhs) <= tol
+    return _basis_flags(f.probabilities(), q0, tol)[i]
+
+
+def _basis_flags(p: np.ndarray, q0: float, tol: float = 1e-10) -> list[bool]:
+    """:func:`basis_measurement_optimal` for every honest input of a binary
+    one-sided table read once into floats ``p(k|i,j)``, indexed ``[k, j, i]``."""
+    sides = np.sqrt(p[0] * (1.0 - p[0]))  # (j, i)
+    return (np.abs(q0 * sides[0] - (1.0 - q0) * sides[1]) <= tol).tolist()

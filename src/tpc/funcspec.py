@@ -341,11 +341,13 @@ def enumerate_valid_3x3() -> list[FunctionSpec]:
     """All potentially concealing, non-degenerate 3x3 deterministic functions,
     one per equivalence class, with outcome labels in first-appearance order:
     :func:`_class_tables` as function specs."""
-    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in _class_tables().T.tolist()]
+    return [deterministic((r[0:3], r[3:6], r[6:9])) for r in _class_tables()[0].T.tolist()]
 
 
-def _class_tables() -> np.ndarray:
-    """:func:`enumerate_valid_3x3` as row-major tables of labels ``(9, 18)``.
+def _class_tables() -> tuple[np.ndarray, np.ndarray]:
+    """:func:`enumerate_valid_3x3` as row-major tables of labels ``(9, 18)``,
+    and from the same pass each class's base table ``(18, 9)`` as
+    :func:`_canonical_forms` names it.
 
     Only the 512 tables already in the reference layout are checked.  Every
     valid table has a relabeling in that layout (:func:`canonicalize_3x3`
@@ -353,19 +355,29 @@ def _class_tables() -> np.ndarray:
     walk), with the first column's labels set to 0 and 1.  A valid table
     has at most 4 distinct outcomes: each row repeats an element, and a
     fifth value would force some column to hold three distinct entries.
-    So labels 0-3 in the five free cells reach every class.  The 76 valid
-    tables are gathered under all 36 input permutations at once, each keyed
-    by the smallest base-4 key of its first-appearance forms; the 18
-    distinct keys, sorted, are the classes, each its orbit's smallest table.
+    So labels 0-3 in the five free cells reach every class, and every
+    member of a class in the reference layout, relabeled as the layout
+    fixes, is among them.  The 76 valid tables are gathered under all 36
+    input permutations at once, each keyed by the smallest base-4 key of
+    its first-appearance forms; the 18 distinct keys, sorted, are the
+    classes, each its orbit's smallest table.  A class's base table is the
+    smallest reference-labelled key among its members.
     """
     a, c02, b, c12, c22 = np.indices((4,) * 5, dtype=np.int8).reshape(5, -1)
     zero = np.zeros_like(a)
     tables = np.stack([zero, a, c02, zero, b, c12, zero + 1, b, c22])
     tables = np.compress(_in_reference_layout(tables), tables, axis=1)
     tables = np.compress(np.logical_and(*_conditions(tables.reshape(3, 3, -1))), tables, axis=1)
-    # a set, not np.unique: numpy's first sort loads its sort kernels, ~1 MB resident
-    keys = np.array(sorted(set(_keys(tables[_GATHER], _KEY).min(axis=0).tolist())))
-    return keys // _KEY[:, None] % 4
+    orbits = _keys(tables[_GATHER], _KEY).min(axis=0).tolist()
+    bases = {}
+    for orbit, own in zip(orbits, _keys(tables[_REFERENCE_ORDER], _REFERENCE_KEY).tolist()):
+        bases[orbit] = min(bases.get(orbit, own), own)
+    # a dict and sorted(), not np.unique: numpy's first sort loads its sort kernels, ~1 MB resident
+    classes = sorted(bases)
+    return (
+        np.array(classes) // _KEY[:, None] % 4,
+        np.array([bases[c] for c in classes])[:, None] // _KEY % 4,
+    )
 
 
 # --- function-spec file format -------------------------------------------

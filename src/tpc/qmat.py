@@ -1,10 +1,17 @@
 """Dense linear algebra on small Hilbert spaces.
 
 Operators are plain ndarrays, one matrix ``(d, d)`` or a stack
-``(..., d, d)``; a family of states is one such stack, checked once by
-:class:`tpc.blackbox.StateFamily`.  Its builders pick float64 for real
-families, the measurement path follows their dtype, and the public objects
-stay complex.  All functions are pure and safe to call from many threads.
+``(..., d, d)``.  The attack pipeline carries block-diagonal families as
+their blocks: one ``(N, m, b, b)`` array holds the ``b x b`` outcome blocks
+of every family of a stack, family by family, and an index array
+``starts`` says where each family's blocks begin; a dense family
+``(m, d, d)`` is the one-block case ``(1, m, d, d)`` with ``starts``
+:data:`ONE_FAMILY`.  Only :func:`tpc.blackbox.output_family` assembles dense
+stacks from blocks, checked once by :class:`tpc.blackbox.StateFamily`.
+Every per-family number is a segment reduction over its blocks.  The
+builders pick float64 for real families, the measurement path follows
+their dtype, and the public objects stay complex.  All functions are pure
+and safe to call from many threads.
 """
 
 from __future__ import annotations
@@ -13,22 +20,42 @@ import numpy as np
 
 from .tolerances import active
 
+# ``starts`` of a stack that holds one family
+ONE_FAMILY = np.zeros(1, dtype=np.intp)
+
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return m.swapaxes(-1, -2).conj()
 
 
-def _inv_sqrt(a: np.ndarray) -> np.ndarray:
+def _per_block(x: np.ndarray, starts: np.ndarray, blocks: int) -> np.ndarray:
+    """Each family's row of ``x`` for each block of a stack of ``blocks``
+    blocks whose families start at ``starts``, as an array that broadcasts
+    along the block axis: ``x`` itself when each block is a family or one
+    family holds them all, else its rows repeated."""
+    if len(starts) in (1, blocks):
+        return x
+    bounds = starts.tolist() + [blocks]
+    return np.repeat(x, [end - start for start, end in zip(bounds, bounds[1:])], axis=0)
+
+
+def _inv_sqrt(a: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """Pseudo-inverse square root of each Hermitian matrix in a stack
-    ``(..., d, d)``: eigenvalues above the matrix's own support cutoff map
-    to ``1/sqrt(lam)``, the rest to 0.  Hermiticity is the caller's to
+    ``(..., d, d)``: eigenvalues above the support cutoff map to
+    ``1/sqrt(lam)``, the rest to 0.  The cutoff is ``rank`` times the
+    largest eigenvalue of each matrix, or, given the ``starts`` of block
+    families in a stack ``(N, b, b)``, of each family over all its blocks,
+    as for the dense matrix they form.  Hermiticity is the caller's to
     ensure; negative eigenvalues are checked in every matrix."""
     tol = active()
     w, v = np.linalg.eigh(a)
     lowest = w[..., :1][w[..., :1] < -tol.psd]
     if lowest.size:
         raise ValueError(f"matrix has negative eigenvalue {lowest[0]:.3g} beyond tolerance; not PSD")
-    cutoff = tol.rank * np.maximum(w[..., -1:], 0.0)
+    top = w[..., -1:]
+    if starts is not None:
+        top = _per_block(np.maximum.reduceat(top, starts), starts, len(w))
+    cutoff = tol.rank * np.maximum(top, 0.0)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
     return (v * inv[..., None, :]) @ dagger(v)

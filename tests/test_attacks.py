@@ -28,10 +28,12 @@ SEED = 8091
 
 
 def det3x3_jobs(tables, **kwargs):
-    """``attacks._det3x3_jobs`` on 3x3 function specs, whose labels and
-    outcome counts it takes as arrays, as ``attack_deterministic_3x3`` does."""
+    """``attacks._det3x3_jobs`` on 3x3 function specs, whose labels, canonical
+    bases and outcome counts it takes as arrays, as ``attack_deterministic_3x3``
+    does."""
     labels = np.array([funcspec._labels_3x3(f) for f in tables]).T
-    return attacks._det3x3_jobs(labels, [f.outcome_count for f in tables], **kwargs)
+    bases, _ = funcspec._canonical_forms(labels)
+    return attacks._det3x3_jobs(labels, bases, [f.outcome_count for f in tables], **kwargs)
 
 
 def random_two_input_table(rng, n, kdim):
@@ -72,9 +74,11 @@ def closed_form_value(f, q0, u):
 
 
 def spectral_values(f, q0, amplitude_rows):
-    """``attacks._score`` of the built states, one value per input row."""
-    states = np.array([blackbox.output_family(f, a).states for a in amplitude_rows])
-    return attacks._score(states, [(q0, 1.0 - q0)] * len(states))
+    """``attacks._score`` of the built states' outcome blocks, one value per
+    input row."""
+    blocks = [blackbox._two_sided_families(f.probabilities(), a) for a in amplitude_rows]
+    starts = np.arange(len(blocks)) * f.outcome_count
+    return attacks._score(np.concatenate(blocks), starts, [(q0, 1.0 - q0)] * len(blocks))
 
 
 def exact_fields(report):
@@ -120,9 +124,9 @@ class TestDeterministic3x3:
         checks, sweeps = [], []
         check, search = discrim._check_povm_stack, discrim._fixed_point
 
-        def counted_check(stack):
+        def counted_check(stack, starts):
             checks.append(stack.shape)
-            return check(stack)
+            return check(stack, starts)
 
         def counted_search(*args, **kwargs):
             result = search(*args, **kwargs)
@@ -133,7 +137,8 @@ class TestDeterministic3x3:
         monkeypatch.setattr(discrim, "_fixed_point", counted_search)
         attack_deterministic_3x3(builtin("neq3"), optimize=True)
         assert len(sweeps) == 1 and sweeps[0] >= 1
-        assert checks == [(1, 3, 6, 6)] + [(3, 6, 6)] * sweeps[0]
+        # neq3 has two outcomes: two 3x3 blocks per state, for the stack and the search
+        assert checks == [(2, 3, 3, 3)] + [(2, 3, 3, 3)] * sweeps[0]
 
     def test_invariant_advantage_definition(self):
         report = attack_deterministic_3x3(builtin("neq3"))
@@ -621,7 +626,7 @@ class TestSweep:
             calls.append((g, options[n % len(options)]))
         calls = [calls[n] for n in rng.permutation(len(calls))]
         jobs = [det3x3_jobs([g], **kwargs)[0] for g, kwargs in calls]
-        assert len({job.candidate.states.shape[-1] for job in jobs}) == 3
+        assert len({len(job.candidate.blocks) for job in jobs}) == 3
         stacked = attacks._measure("deterministic-3x3", jobs, optimize)
         single = [attack_deterministic_3x3(g, optimize=optimize, **kwargs) for g, kwargs in calls]
         assert [exact_fields(r) for r in stacked] == [exact_fields(r) for r in single]
@@ -652,10 +657,10 @@ class TestSweep:
                 assert b.candidate.prior == s.candidate.prior
                 assert b.candidate.input_used == s.candidate.input_used
                 assert float(b.candidate.p_honest).hex() == float(s.candidate.p_honest).hex()
-                assert b.candidate.states.shape == (3, 3 * f.outcome_count, 3 * f.outcome_count)
-                assert b.candidate.states.shape == s.candidate.states.shape
-                assert b.candidate.states.tobytes() == s.candidate.states.tobytes()
-                assert not b.candidate.states.flags.writeable
+                assert b.candidate.blocks.shape == (f.outcome_count, 3, 3, 3)
+                assert b.candidate.blocks.shape == s.candidate.blocks.shape
+                assert b.candidate.blocks.tobytes() == s.candidate.blocks.tobytes()
+                assert not b.candidate.blocks.flags.writeable
 
     @pytest.mark.parametrize(
         "perturb, message",
@@ -670,17 +675,19 @@ class TestSweep:
         true_pretty_good = discrim._pretty_good
         perturbed = []
 
-        def pretty_good(states, priors):
-            elements = true_pretty_good(states, priors)
-            if states.shape[-1] == 9:  # one class among the 3-outcome classes
-                perturb(elements[-1])
-                perturbed.append(elements[-1].copy())
+        def pretty_good(states, starts, priors):
+            elements = true_pretty_good(states, starts, priors)
+            # the last block of the last class, one of the 3-outcome classes
+            assert len(states) - starts[-1] == 3
+            perturb(elements[-1])
+            perturbed.append(blackbox._assemble(elements[starts[-1]:]))
             return elements
 
         monkeypatch.setattr(discrim, "_pretty_good", pretty_good)
         with pytest.raises(ValueError, match=f"^{message}$"):
             sweep_all_3x3()
-        # the same elements are refused with the same text one class at a time
+        # the same elements, assembled dense, are refused with the same text one class at a time
+        assert perturbed[0].shape == (3, 9, 9)
         with pytest.raises(ValueError, match=f"^{message}$"):
             discrim.Povm(perturbed[0], (0, 1, 2))
 

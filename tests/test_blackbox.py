@@ -192,11 +192,12 @@ class TestBuilderPath:
 
     @staticmethod
     def built(f, amps, role):
-        """The builder's states for one case, as :func:`output_family` takes them."""
+        """The builder's states for one case, as :func:`output_family` takes
+        them: a two-sided family's outcome blocks assembled dense."""
         if role == "bob":
             f = transpose(f)
         if f.sided == "two":
-            return blackbox._two_sided_families(f.probabilities()[None], amps)[0]
+            return blackbox._assemble(blackbox._two_sided_families(f.probabilities(), amps))
         return blackbox._one_sided_families(f.probabilities())[amps]
 
     def test_states_pass_public_validator(self):
@@ -221,9 +222,23 @@ class TestBuilderPath:
         assert str(err.value) == "density matrix trace 1.00000000018+0j is not 1"
 
 
+def dense_scatter(p, amps):
+    """Oracle for the dense two-sided states of one table ``p(k|i,j)``
+    ``[k][j][i]``: each outcome's outer product added into a zero
+    ``(j, i, k, i, k)`` array, in (input, outcome) register order."""
+    kdim, bob, n = p.shape
+    a = amplitude_vector(amps, n)
+    c = (a if a.imag.any() else a.real) * np.sqrt(p)
+    m = np.zeros((bob, n, kdim, n, kdim), dtype=c.dtype)
+    k = np.arange(kdim)
+    m[:, :, k, :, k] += c[..., :, None] * c[..., None, :].conj()
+    return m.reshape(bob, n * kdim, n * kdim)
+
+
 class TestStackedBuilder:
-    """``blackbox._two_sided_families`` builds a stack of same-shape tables
-    at once, as the 3x3 sweep does; ``output_family`` checks its one-table case."""
+    """``blackbox._two_sided_families`` builds the outcome blocks of a stack
+    of tables at once, as the 3x3 sweep does; ``output_family`` assembles
+    and checks its one-table case."""
 
     @staticmethod
     def stacks():
@@ -239,25 +254,41 @@ class TestStackedBuilder:
 
     @staticmethod
     def build(tables, amps):
-        return blackbox._two_sided_families(np.array([f.probabilities() for f in tables]), amps)
+        """The builder's block stack for same-shape tables, and each table's
+        blocks ``(k, j, i, i)``."""
+        p = np.array([f.probabilities() for f in tables])
+        kdim = p.shape[1]
+        blocks = blackbox._two_sided_families(p.reshape(-1, *p.shape[2:]), amps, np.arange(len(p)) * kdim)
+        return blocks, blocks.reshape(len(p), kdim, *blocks.shape[1:])
 
     def test_stack_equals_one_table_builder_bitwise(self):
         for tables, amps in self.stacks():
-            stack = self.build(tables, amps)
+            stack, families = self.build(tables, amps)
             assert not stack.flags.writeable
-            for f, family in zip(tables, stack, strict=True):
+            for f, family in zip(tables, families, strict=True):
+                assert family.tobytes() == blackbox._two_sided_families(f.probabilities(), amps).tobytes()
                 single = output_family(f, amps).states
                 d = f.alice_arity * f.outcome_count
-                assert family.shape == single.shape == (f.bob_arity, d, d)
-                for stacked, alone in zip(family, single):
-                    assert stacked.tobytes() == alone.tobytes()
+                assert family.shape == (f.outcome_count, f.bob_arity, f.alice_arity, f.alice_arity)
+                assert blackbox._assemble(family).shape == single.shape == (f.bob_arity, d, d)
+                for stacked, alone in zip(blackbox._assemble(family), single):
+                    assert stacked.astype(complex).tobytes() == alone.tobytes()
                     assert not alone.flags.writeable
+
+    def test_output_family_equals_the_dense_scatter_bitwise(self):
+        # the one dense assembly, against the outer products scattered into
+        # a zero array, complex and real amplitudes, two- and three-input tables
+        for tables, amps in self.stacks():
+            for f in tables:
+                for a in (amps, np.abs(amps)):
+                    states = output_family(f, a).states
+                    assert states.tobytes() == dense_scatter(f.probabilities(), a).astype(complex).tobytes()
 
     def test_stack_matches_purification_oracle(self):
         tol = active()
         for tables, amps in self.stacks():
-            for f, family in zip(tables, self.build(tables, amps), strict=True):
-                for j, state in enumerate(family):
+            for f, family in zip(tables, self.build(tables, amps)[1], strict=True):
+                for j, state in enumerate(blackbox._assemble(family)):
                     oracle, dims = purified_reduced_state(f, amps, j)
                     assert dims == (f.alice_arity, f.outcome_count)
                     assert np.abs(state - oracle).max() <= tol.recon
@@ -271,23 +302,43 @@ class TestStackedBuilder:
         # it) has an imaginary part; output_family's public stack stays complex
         amps = uniform_superposition(2) if text == "uniform" else cli._parse_amplitudes(text)
         f = builtin("counterexample")
-        stack = blackbox._two_sided_families(f.probabilities()[None], amps)
+        stack = blackbox._two_sided_families(f.probabilities(), amps)
         assert stack.dtype == dtype
         public = output_family(f, amps).states
         assert public.dtype == np.complex128
-        assert public.tobytes() == stack[0].astype(complex).tobytes()
+        assert public.tobytes() == blackbox._assemble(stack).astype(complex).tobytes()
 
     def test_bad_table_in_stack_fails_its_trace_check(self):
         rng = np.random.default_rng(SEED + 32)
         amps = uniform_superposition(3)
         p = np.array([random_table(rng, n=3, nb=3, kdim=3).probabilities() for _ in range(4)])
         p[2] *= 1 + 3e-9  # every state of table 2 has trace 1 + 3e-9
-        assert len(blackbox._two_sided_families(np.delete(p, 2, axis=0), amps)) == 3
+        rows, starts = np.delete(p, 2, axis=0).reshape(-1, 3, 3), np.arange(3) * 3
+        assert len(blackbox._two_sided_families(rows, amps, starts)) == 3 * 3
         message = f"^{re.escape('density matrix trace 1.000000003+0j is not 1')}$"
         with pytest.raises(ValueError, match=message):
-            blackbox._two_sided_families(p, amps)
+            blackbox._two_sided_families(p.reshape(-1, 3, 3), amps, np.arange(4) * 3)
         with pytest.raises(ValueError, match=message):
-            blackbox._two_sided_families(p[2:3], amps)
+            blackbox._two_sided_families(p[2], amps)
+
+    def test_bad_last_block_of_the_sweep_is_named_as_dense(self):
+        # the 18 classes' 50 outcome rows, the last row of the last class
+        # scaled: each state's trace is the sum over its blocks, and the
+        # message is the one StateFamily gives that class's dense states
+        tables, _ = funcspec._class_tables()
+        counts = (tables.max(axis=0) + 1).tolist()
+        rows = np.concatenate(
+            [(t == np.arange(c)[:, None]).reshape(c, 3, 3) * 1.0 for t, c in zip(tables.T, counts)]
+        )
+        starts = np.cumsum([0] + counts[:-1])
+        amps = uniform_superposition(3)
+        assert len(blackbox._two_sided_families(rows, amps, starts)) == 50
+        rows[-1] *= 1 + 3e-9
+        with pytest.raises(ValueError) as dense:
+            StateFamily(dense_scatter(rows[starts[-1]:], amps))
+        assert str(dense.value) == "density matrix trace 1.000000002+0j is not 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(dense.value))}$"):
+            blackbox._two_sided_families(rows, amps, starts)
 
 
 class TestOneSidedStates:
