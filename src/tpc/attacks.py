@@ -294,7 +294,7 @@ def attack_nondet_two_sided(
     for c, score in zip(candidates, scores):
         q0 = c.prior[0]
         if superposition is None:
-            ev = discrim.weighted_difference_eigenvalues(f, q0)
+            ev = discrim._weighted_difference(p, q0)
             closed = 0.5 * (1.0 + ev.lam_plus - ev.lam_minus + ev.mu_plus - ev.mu_minus)
             gap = abs(closed - score)
             if gap > 1e-10:

@@ -90,20 +90,22 @@ def _check_povm_stack(stack: np.ndarray, starts: np.ndarray) -> None:
     """:class:`Povm`'s checks on the element blocks ``(N, m, b, b)`` of the
     element sets that start at ``starts``: finite entries, Hermiticity, PSD
     (one stacked ``eigvalsh``) and completeness, naming the first failing
-    defect as the dense check of each set would."""
+    defect as the dense check of each set would.  Each check passes on one
+    whole-stack ``max``; only a failing one reduces per set to name it."""
     if not np.isfinite(stack).all():
         raise ValueError("matrix contains non-finite entries")
     tol = active()
-    herm = np.abs(stack - qmat.dagger(stack)).max(axis=(-2, -1))
-    if herm[herm > tol.herm].size:
-        herm = np.maximum.reduceat(herm, starts)  # each set's defect, as its dense check gives it
+    herm = np.abs(stack - qmat.dagger(stack))
+    if herm.max() > tol.herm:
+        # each set's defect, as its dense check gives it
+        herm = np.maximum.reduceat(herm.max(axis=(-2, -1)), starts)
         herm = herm[herm > tol.herm]
         raise ValueError(f"POVM element is not Hermitian (defect {herm[0]:.3g} > {tol.herm:.3g})")
     if np.linalg.eigvalsh(stack).min() < -tol.psd:
         raise ValueError("POVM element is not PSD within tolerance")
-    defect = np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
-    if defect[defect > tol.recon].size:
-        defect = np.maximum.reduceat(defect, starts)
+    defect = np.abs(stack.sum(axis=-3) - qmat.identity(stack.shape[-1]))
+    if defect.max() > tol.recon:
+        defect = np.maximum.reduceat(defect.max(axis=(-2, -1)), starts)
         defect = defect[defect > tol.recon]
         raise ValueError(f"POVM elements sum to identity only within {defect[0]:.3g}")
 
@@ -179,29 +181,81 @@ def _success(
     """``sum_e q_e tr(E_e rho_e)`` of each family, over element and state
     blocks ``(N, m, b, b)`` with priors ``(F, m)``: each element's trace
     summed over its family's blocks, then the terms in element order."""
-    traces = np.trace(elements @ matrices, axis1=-2, axis2=-1).real
+    traces = (elements @ matrices).trace(axis1=-2, axis2=-1).real
     return (priors * np.add.reduceat(traces, starts)).sum(axis=-1)
+
+
+class _Lagrange(NamedTuple):
+    """:func:`_lagrange`'s operators for element blocks ``(N, m, b, b)``."""
+
+    product: np.ndarray  # Y = sum_e E_e w_e, per block (N, b, b)
+    gap: np.ndarray      # Y - q_l rho_l, per block and family state (N, n, b, b)
+    lowest: np.ndarray   # least eigenvalue of Herm(gap) over each family's blocks (F,)
 
 
 def _lagrange(
     elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The gap operators ``sum_e E_e w_e - q_l rho_l``, one per family state,
-    and the lowest eigenvalue of their Hermitian parts: the certificate's PSD
-    test, and the search's bound, as with ``shift = max(0, -lowest)``
-    ``Herm(sum_e E_e w_e) + shift I`` is dual-feasible (Eldar, Megretski &
-    Verghese, IEEE Trans. Inf. Theory 49, 1007), so ``p + d * shift`` bounds
-    every POVM's success.  Works on element blocks ``(N, m, b, b)``, with
-    the gap operators' blocks ``(N, n, b, b)`` and one lowest eigenvalue per
-    family, the least over its blocks."""
-    gap = (elements @ weighted).sum(axis=-3)[..., None, :, :] - family_weighted
+) -> _Lagrange:
+    """The product ``Y = sum_e E_e w_e``, the gap operators ``Y - q_l rho_l``,
+    one per family state, and the lowest eigenvalue of their Hermitian parts:
+    the certificate's PSD test, and the search's bound, as with
+    ``shift = max(0, -lowest)`` ``Herm(Y) + shift I`` is dual-feasible
+    (Eldar, Megretski & Verghese, IEEE Trans. Inf. Theory 49, 1007), so
+    ``p + d * shift`` bounds every POVM's success.  Works on element blocks
+    ``(N, m, b, b)``, with one lowest eigenvalue per family, the least over
+    its blocks."""
+    product = (elements @ weighted).sum(axis=-3)
+    gap = product[..., None, :, :] - family_weighted
     lowest = np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min(axis=(-2, -1))
-    return gap, np.minimum.reduceat(lowest, starts)
+    return _Lagrange(product, gap, np.minimum.reduceat(lowest, starts))
+
+
+def _anti_hermitian(gap: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The certificate's anti-Hermitian residual of each family: half the
+    largest entry of ``gap - gap^dag`` over its :func:`_lagrange` gap blocks."""
+    return np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
+
+
+def _pairwise_screen(
+    elements: np.ndarray, weighted: np.ndarray, product: np.ndarray
+) -> tuple[float, float]:
+    """``max|(Y - w_l) E_l|`` and ``max|D w_l E_l|`` over one family's
+    element blocks ``E_l`` and weighted state blocks ``w_l`` ``(K, m, b, b)``,
+    with :func:`_lagrange` product ``Y`` ``(K, b, b)`` and
+    ``D = I - sum_j E_j``.  As
+    ``sum_j E_j (w_j - w_l) E_l = (Y - w_l) E_l + D w_l E_l``, the first is
+    at most m times the pairwise residual plus the second."""
+    defect = qmat.identity(elements.shape[-1]) - elements.sum(axis=-3)
+    return (
+        float(np.abs((product[..., None, :, :] - weighted) @ elements).max()),
+        float(np.abs(defect[..., None, :, :] @ weighted @ elements).max()),
+    )
+
+
+# Rounding slack of the pairwise screen.  Each entry it and :func:`_certify`
+# compare is a short sum of products of entries of E_e, w_e, Y and D, all
+# at most about 1 in magnitude (E_e <= I, and w_e is a prior times a
+# unit-trace state), so on the operators of at most 12 dimensions this
+# package handles their rounding stays below 1e-13.
+_SCREEN_SLACK = 1e-12
+
+
+def _certificate_fails(elements: np.ndarray, weighted: np.ndarray, lagrange: _Lagrange) -> bool:
+    """Whether :func:`_certify` must reject one family's element blocks
+    ``(K, m, b, b)``, without running it: its anti-Hermitian residual,
+    computed as :func:`_certify` computes it, exceeds the certificate
+    tolerance, or by :func:`_pairwise_screen` its pairwise residual must,
+    when ``max|(Y - w_l) E_l|`` exceeds ``m CERT_TOL + max|D w_l E_l|`` and
+    the rounding slack."""
+    tol = active()
+    if _anti_hermitian(lagrange.gap, qmat.ONE_FAMILY)[0] > tol.cert:
+        return True
+    screen, defect = _pairwise_screen(elements, weighted, lagrange.product)
+    return screen > elements.shape[-3] * tol.cert + defect + _SCREEN_SLACK
 
 
 def _certify(
-    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, min_eig: np.ndarray,
-    starts: np.ndarray,
+    elements: np.ndarray, weighted: np.ndarray, lagrange: _Lagrange, starts: np.ndarray,
 ) -> list[tuple[bool, CertificateResiduals]]:
     """Both optimality conditions for element blocks ``E_e`` with weighted
     state blocks ``w_e`` ``(N, m, b, b)``, given their :func:`_lagrange`
@@ -212,10 +266,10 @@ def _certify(
     differences = weighted[..., :, None, :, :] - weighted[..., None, :, :, :]
     products = elements[..., :, None, :, :] @ differences @ elements[..., None, :, :, :]
     pairwise = np.maximum.reduceat(np.abs(products).max(axis=(-4, -3, -2, -1)), starts)
-    anti = np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
+    anti = _anti_hermitian(lagrange.gap, starts)
     return [
         (p <= tol.cert and e >= -tol.cert and a <= tol.cert, CertificateResiduals(p, e, a))
-        for p, e, a in zip(pairwise.tolist(), min_eig.tolist(), anti.tolist())
+        for p, e, a in zip(pairwise.tolist(), lagrange.lowest.tolist(), anti.tolist())
     ]
 
 
@@ -224,7 +278,7 @@ def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, C
     matrices, priors, family_weighted = _checked_inputs(family, prior, povm)
     elements, weighted = povm.elements[None], (priors[:, None, None] * matrices)[None]
     lagrange = _lagrange(elements, weighted, family_weighted[None], qmat.ONE_FAMILY)
-    return _certify(elements, weighted, *lagrange, qmat.ONE_FAMILY)[0]
+    return _certify(elements, weighted, lagrange, qmat.ONE_FAMILY)[0]
 
 
 def helstrom(rho0, rho1, q0: float) -> DiscriminationResult:
@@ -262,7 +316,7 @@ def _helstrom_stack(
     # mask, not select, the nonnegative eigenvectors: one matmul for the whole stack
     e0 = (v * (w >= 0)[:, None, :]) @ qmat.dagger(v)
     e0 = (e0 + qmat.dagger(e0)) / 2
-    elements = np.stack([e0, np.eye(states.shape[-1]) - e0], axis=1)
+    elements = np.stack([e0, qmat.identity(states.shape[-1]) - e0], axis=1)
     return elements, 0.5 * (1.0 + np.add.reduceat(np.abs(w).sum(axis=-1), starts))
 
 
@@ -289,7 +343,7 @@ def _pretty_good(states: np.ndarray, starts: np.ndarray, priors: np.ndarray) -> 
         raise ValueError("need at least two states to discriminate")
     root = qmat._inv_sqrt(states.sum(axis=1), starts)[:, None]
     elements = root @ states @ root
-    elements[np.arange(blocks), np.argmax(priors, axis=1)] += np.eye(b) - elements.sum(axis=1)
+    elements[np.arange(blocks), np.argmax(priors, axis=1)] += qmat.identity(b) - elements.sum(axis=1)
     return (elements + qmat.dagger(elements)) / 2
 
 
@@ -311,7 +365,7 @@ def _measure_stack(
     _check_povm_stack(elements, starts)
     weighted = block_priors[..., None, None] * states
     lagrange = _lagrange(elements, weighted, weighted, starts)
-    return elements, successes.tolist(), _certify(elements, weighted, *lagrange, starts)
+    return elements, successes.tolist(), _certify(elements, weighted, lagrange, starts)
 
 
 def optimize_povm(
@@ -330,8 +384,10 @@ def optimize_povm(
     checks.  The success probability never decreases (checked each step
     within 1e-12).  After every sweep :func:`_lagrange` brackets the optimum
     between the value and ``p_upper``; once the bracket is no wider than the
-    certificate tolerance the iterate is certified, and the search stops
-    (``"converged"``) when that passes.  The value gap scales like the
+    certificate tolerance the iterate is certified, unless
+    :func:`_certificate_fails` shows from the same Lagrange operators that
+    the certificate must fail, and the search stops (``"converged"``) when
+    that passes.  The value gap scales like the
     square of the certificate residual, so the operators may still be far
     from the fixed point when the value has converged: once a sweep
     improves by less than ``step_tol``, the certificate at the end of each
@@ -381,7 +437,7 @@ def _fixed_point(
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
     current = float(_success(elements, matrices, priors[None], one)[0])
-    polish_block, last_residual, identity = 100, math.inf, np.eye(elements.shape[-1])
+    polish_block, last_residual, identity = 100, math.inf, qmat.identity(elements.shape[-1])
     steps, stop_reason, residuals = 0, "max_iters", None
     while steps < max_iters:
         sandwiched = weighted @ elements @ weighted
@@ -399,11 +455,12 @@ def _fixed_point(
         improved, current, residuals = value - current, value, None
         steps += 1
         lagrange = _lagrange(elements, weighted, family_weighted, one)
-        closed = dim * max(-float(lagrange[1][0]), 0.0) <= active().cert
+        closed = dim * max(-float(lagrange.lowest[0]), 0.0) <= active().cert
         polish = improved < step_tol and steps % polish_block == 0
-        if not (closed or polish):
+        # a polish block's certificate feeds the stall rule, so it always runs
+        if not polish and (not closed or _certificate_fails(elements, weighted, lagrange)):
             continue
-        ok, residuals = _certify(elements, weighted, *lagrange, one)[0]
+        ok, residuals = _certify(elements, weighted, lagrange, one)[0]
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if (ok and closed) or (polish and residual >= 0.9 * last_residual):
             stop_reason = "converged" if ok and closed else "stalled"
@@ -412,7 +469,7 @@ def _fixed_point(
             last_residual = residual
     if residuals is None:
         lagrange = _lagrange(elements, weighted, family_weighted, one)
-        ok, residuals = _certify(elements, weighted, *lagrange, one)[0]
+        ok, residuals = _certify(elements, weighted, lagrange, one)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
     return _Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
 
@@ -443,19 +500,24 @@ def weighted_difference_eigenvalues(f: FunctionSpec, q0: float) -> WeightedDiffe
         raise ValueError("closed form requires a binary-output 2x2 table")
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
-    q1 = 1.0 - q0
-    p = {(i, j): float(f.prob(0, i, j)) for i in range(2) for j in range(2)}
+    return _weighted_difference(f.probabilities(), q0)
 
-    def pair(t):
-        a_val = (t[(0, 0)] + t[(1, 0)]) * q0 - (t[(0, 1)] + t[(1, 1)]) * q1
-        root_gap = math.sqrt(t[(0, 1)] * t[(1, 0)]) - math.sqrt(t[(0, 0)] * t[(1, 1)])
+
+def _weighted_difference(p: np.ndarray, q0: float) -> WeightedDifferenceEigenvalues:
+    """:func:`weighted_difference_eigenvalues` of a binary-output 2x2
+    two-sided table read once into floats ``p(k|i,j)``, indexed ``[k, j, i]``."""
+    q1 = 1.0 - q0
+
+    def pair(t):  # t[j][i] = p(0|i,j), or its complement
+        a_val = (t[0][0] + t[0][1]) * q0 - (t[1][0] + t[1][1]) * q1
+        root_gap = math.sqrt(t[1][0] * t[0][1]) - math.sqrt(t[0][0] * t[1][1])
         b_val = 4.0 * root_gap**2 * q0 * q1
         disc = math.sqrt(a_val * a_val + b_val)
         return 0.25 * (a_val + disc), 0.25 * (a_val - disc), a_val, b_val
 
-    lam_plus, lam_minus, a_val, b_val = pair(p)
-    pbar = {key: 1.0 - val for key, val in p.items()}
-    mu_plus, mu_minus, a_bar, b_bar = pair(pbar)
+    zero = p[0].tolist()
+    lam_plus, lam_minus, a_val, b_val = pair(zero)
+    mu_plus, mu_minus, a_bar, b_bar = pair([[1.0 - x for x in row] for row in zero])
     return WeightedDifferenceEigenvalues(
         lam_plus, lam_minus, mu_plus, mu_minus, a_val, b_val, a_bar, b_bar
     )

@@ -16,6 +16,8 @@ and safe to call from many threads.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tolerances import active
@@ -25,8 +27,18 @@ ONE_FAMILY = np.zeros(1, dtype=np.intp)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return m.swapaxes(-1, -2).conj()
+    """Conjugate transpose of a matrix, or of each matrix in a stack; of a
+    real stack, its transposed view with no copy, so callers never write
+    into the result."""
+    return m.swapaxes(-1, -2).conj() if m.dtype.kind == "c" else m.swapaxes(-1, -2)
+
+
+@functools.cache
+def identity(d: int) -> np.ndarray:
+    """The read-only ``d x d`` identity, built once per dimension."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 def _per_block(x: np.ndarray, starts: np.ndarray, blocks: int) -> np.ndarray:
@@ -50,12 +62,15 @@ def _inv_sqrt(a: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     ensure; negative eigenvalues are checked in every matrix."""
     tol = active()
     w, v = np.linalg.eigh(a)
-    lowest = w[..., :1][w[..., :1] < -tol.psd]
-    if lowest.size:
+    if w[..., 0].min() < -tol.psd:
+        lowest = w[..., 0][w[..., 0] < -tol.psd]
         raise ValueError(f"matrix has negative eigenvalue {lowest[0]:.3g} beyond tolerance; not PSD")
-    top = w[..., -1:]
-    if starts is not None:
-        top = _per_block(np.maximum.reduceat(top, starts), starts, len(w))
-    cutoff = tol.rank * np.maximum(top, 0.0)
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
+    if starts is None:
+        top = w[..., -1:]
+    elif len(starts) == 1:
+        top = w[..., -1].max()
+    else:
+        top = _per_block(np.maximum.reduceat(w[..., -1:], starts), starts, len(w))
+    # off the support 1/sqrt(inf) is exactly 0
+    inv = 1.0 / np.sqrt(np.where(w > tol.rank * np.maximum(top, 0.0), w, np.inf))
     return (v * inv[..., None, :]) @ dagger(v)

@@ -331,6 +331,26 @@ class TestTwoStatePins:
         assert out.read_text() == (pins / f"{case}.report").read_text()
 
 
+# ``tpc analyze --optimize``'s pinned stdout: tests/data/optimize3x3/<case>.stdout,
+# from these calls: the 18 canonical classes stored there, and @neq3 under a
+# complex superposition and under a non-uniform prior.
+OPTIMIZE_PINS = {
+    **{f"class{n:02d}": [f"class{n:02d}.fn"] for n in range(funcspec.VALID_3X3_CLASS_COUNT)},
+    "neq3_superposition": ["@neq3", "--superposition", "0.6,0.8j,0"],
+    "neq3_prior": ["@neq3", "--prior", "0.2,0.3,0.5"],
+}
+
+
+class TestOptimizePins:
+    @pytest.mark.parametrize("case", sorted(OPTIMIZE_PINS))
+    def test_stdout_pinned_byte_for_byte(self, case, capsys, monkeypatch):
+        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+        pins = DATA / "optimize3x3"
+        argv = [str(pins / a) if a.endswith(".fn") else a for a in OPTIMIZE_PINS[case]]
+        assert main(["analyze"] + argv + ["--optimize"]) == EXIT_OK
+        assert capsys.readouterr().out == (pins / f"{case}.stdout").read_text()
+
+
 # ``tpc certify``'s pinned outputs: tests/data/certify/<case>.stdout, .stderr
 # and .exit, from these calls on the function and POVM files stored there.
 CERTIFY_PINS = {

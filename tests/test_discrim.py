@@ -3,12 +3,14 @@ measurement, certification, and the fixed-point search."""
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpc import attacks, blackbox, discrim, funcspec, qmat
+from tpc import attacks, blackbox, discrim, funcspec, qmat, tolerances
 from tpc.attacks import ot_explicit_povm
 from tpc.blackbox import output_family, uniform_superposition
 from tpc.discrim import (
@@ -27,6 +29,8 @@ from tpc.tolerances import active
 from oracles import honest_family_povm, loop_honest_probability, pure_state, reference_helstrom
 
 SEED = 424242
+# the 18 canonical class files and the pinned fields of their searches
+OPTIMIZE_PINS = Path(__file__).parent / "data" / "optimize3x3"
 
 
 def random_pure_pair(rng, dim=3):
@@ -697,6 +701,21 @@ class TestOptimizePovm:
     def slow_class_family(self):
         return output_family(funcspec.deterministic(self.SLOW_CLASS), uniform_superposition(3))
 
+    def test_search_fields_pinned_on_the_18_classes(self, monkeypatch):
+        # tests/data/optimize3x3/search.txt: the search on each class file's
+        # family at the uniform prior, as iterations, stop reason, repr(p)
+        # and repr(p_upper); a changed digit must be deliberate
+        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+        lines = []
+        for n in range(funcspec.VALID_3X3_CLASS_COUNT):
+            f = funcspec.parse_function_file((OPTIMIZE_PINS / f"class{n:02d}.fn").read_text())
+            result = optimize_povm(output_family(f, uniform_superposition(3)), (1 / 3, 1 / 3, 1 / 3))
+            lines.append(
+                f"class{n:02d} {result.iterations} {result.stop_reason} "
+                f"{result.success_probability!r} {result.p_upper!r}\n"
+            )
+        assert "".join(lines) == (OPTIMIZE_PINS / "search.txt").read_text()
+
     def test_stop_reason_converged(self):
         family, prior = self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3)
         seed = square_root_measurement(family, prior)
@@ -855,6 +874,116 @@ class TestOptimizePovm:
         assert built == []
 
 
+def one_family_blocks(states, prior, elements, labels):
+    """The search's one-family inputs for a dense family and POVM elements
+    with their labels: element and weighted state blocks ``(1, m, d, d)``
+    and their :func:`discrim._lagrange` operators."""
+    states, q, labels = np.asarray(states), np.asarray(prior), list(labels)
+    blocks = np.asarray(elements)[None]
+    weighted = (q[labels, None, None] * states[labels])[None]
+    family_weighted = (q[:, None, None] * states)[None]
+    return blocks, weighted, discrim._lagrange(blocks, weighted, family_weighted, qmat.ONE_FAMILY)
+
+
+class TestCertificateScreen:
+    """The search skips a certificate that provably fails: its
+    anti-Hermitian residual exceeds the tolerance, or the pairwise screen
+    ``max|(Y - w_l) E_l| > m CERT_TOL + max|D w_l E_l| + slack`` holds."""
+
+    @staticmethod
+    def random_povm(rng, dim, size, real):
+        """``S^-1/2 A_e S^-1/2`` for seeded PSD ``A_e``, Hermitized."""
+        g = rng.normal(size=(size, dim, dim))
+        if not real:
+            g = g + 1j * rng.normal(size=(size, dim, dim))
+        a = g @ qmat.dagger(g)
+        root = qmat._inv_sqrt(a.sum(axis=0))
+        elements = root @ a @ root
+        return (elements + qmat.dagger(elements)) / 2
+
+    def test_screen_is_bounded_by_the_pairwise_residual(self):
+        # sum_j E_j (w_j - w_l) E_l = (Y - w_l) E_l + D w_l E_l: the screen's
+        # left side is at most m times the certificate's pairwise residual
+        # plus its D term, on real and complex families, labels that repeat
+        # or skip states, random and optimal POVMs, and completeness defects
+        # near RECON and far beyond it
+        rng = np.random.default_rng(SEED + 15)
+        tol = active()
+        for n in range(240):
+            dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            states, prior = random_mixed_family(rng, dim, count)
+            real = n % 3 == 0
+            if real:
+                states = [s.real for s in states]
+            if n % 4 == 0:
+                labels = tuple(range(count))
+                elements = np.array(optimize_povm(states, prior).povm.elements)
+                elements = elements.real if real else elements
+            else:
+                labels = tuple(int(x) for x in rng.integers(0, count, size=int(rng.integers(2, 5))))
+                elements = self.random_povm(rng, dim, len(labels), real)
+            h = rng.normal(size=(dim, dim))
+            h = (h + h.T) / 2
+            scale = tol.recon * rng.uniform(0.5, 1.0) if n % 5 else [1e-6, 1e-3][n % 2]
+            elements[int(rng.integers(len(labels)))] += scale * h / np.abs(h).max()
+            blocks, weighted, lagrange = one_family_blocks(states, prior, elements, labels)
+            screen, defect = discrim._pairwise_screen(blocks, weighted, lagrange.product)
+            [(_, residuals)] = discrim._certify(blocks, weighted, lagrange, qmat.ONE_FAMILY)
+            assert screen <= len(labels) * residuals.pairwise_max + defect + discrim._SCREEN_SLACK
+
+    def test_pairwise_screen_alone_rejects_only_failing_certificates(self, searched_families):
+        # with the gap operators' anti-Hermitian part removed, only the
+        # pairwise screen can reject a pretty-good measurement
+        tol, rejected = active(), 0
+        for states, prior, _ in searched_families:
+            povm = square_root_measurement(states, prior)
+            blocks, weighted, lagrange = one_family_blocks(states, prior, povm.elements, povm.labels)
+            hermitian = lagrange._replace(gap=(lagrange.gap + qmat.dagger(lagrange.gap)) / 2)
+            if discrim._certificate_fails(blocks, weighted, hermitian):
+                rejected += 1
+                [(_, residuals)] = discrim._certify(blocks, weighted, lagrange, qmat.ONE_FAMILY)
+                assert residuals.pairwise_max > tol.cert
+        assert rejected >= 10
+
+    @pytest.mark.parametrize("tol", [tolerances.Tolerances(), replace(tolerances.Tolerances(), cert=1e-6, recon=1e-7)])
+    def test_every_skipped_certificate_fails(self, monkeypatch, searched_families, tol):
+        # the 18 classes and 50 random families, at the default tolerances
+        # and under a loosened certificate and completeness tolerance
+        monkeypatch.setattr(tolerances, "_ACTIVE", tol)
+        verdicts, screen = [], discrim._certificate_fails
+
+        def recording_screen(elements, weighted, lagrange):
+            fails = screen(elements, weighted, lagrange)
+            if fails:
+                [(ok, _)] = discrim._certify(elements, weighted, lagrange, qmat.ONE_FAMILY)
+                verdicts.append(ok)
+            return fails
+
+        monkeypatch.setattr(discrim, "_certificate_fails", recording_screen)
+        for states, prior, _ in searched_families:
+            optimize_povm(states, prior)
+        assert len(verdicts) >= 50 and not any(verdicts)
+
+    def test_the_18_searches_certify_at_most_31_times(self, monkeypatch):
+        # 74 certificates before the screen; the pinned search fields (and
+        # so every stop sweep) are unchanged, 167 sweeps in all
+        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+        calls, certify = [], discrim._certify
+
+        def counted_certify(*args):
+            calls.append(args[0].shape)
+            return certify(*args)
+
+        monkeypatch.setattr(discrim, "_certify", counted_certify)
+        fields = [line.split()[1:3] for line in (OPTIMIZE_PINS / "search.txt").read_text().splitlines()]
+        for n, (iterations, stop_reason) in enumerate(fields):
+            f = funcspec.parse_function_file((OPTIMIZE_PINS / f"class{n:02d}.fn").read_text())
+            result = optimize_povm(output_family(f, uniform_superposition(3)), (1 / 3, 1 / 3, 1 / 3))
+            assert (str(result.iterations), result.stop_reason) == (iterations, stop_reason)
+        assert sum(int(iterations) for iterations, _ in fields) == 167
+        assert len(calls) <= 31
+
+
 class TestWeightedDifferenceEigenvalues:
     def test_one_input_table_collapses(self):
         # rows constant across the guessed input: both coefficients vanish
@@ -887,6 +1016,50 @@ class TestWeightedDifferenceEigenvalues:
             direct = np.sort(np.linalg.eigvalsh(delta))
             closed = np.sort([ev.lam_plus, ev.lam_minus, ev.mu_plus, ev.mu_minus])
             assert np.abs(direct - closed).max() <= 1e-10
+
+    @staticmethod
+    def cell_by_cell(f, q0):
+        """Oracle: the closed form on the exact table read one cell at a time."""
+        q1 = 1.0 - q0
+
+        def pair(t):
+            a_val = (t[0, 0] + t[1, 0]) * q0 - (t[0, 1] + t[1, 1]) * q1
+            root_gap = math.sqrt(t[0, 1] * t[1, 0]) - math.sqrt(t[0, 0] * t[1, 1])
+            b_val = 4.0 * root_gap**2 * q0 * q1
+            disc = math.sqrt(a_val * a_val + b_val)
+            return 0.25 * (a_val + disc), 0.25 * (a_val - disc), a_val, b_val
+
+        zero = {(i, j): float(f.prob(0, i, j)) for i in range(2) for j in range(2)}
+        lam_plus, lam_minus, a_val, b_val = pair(zero)
+        mu_plus, mu_minus, a_bar, b_bar = pair({key: 1.0 - v for key, v in zero.items()})
+        return (lam_plus, lam_minus, mu_plus, mu_minus, a_val, b_val, a_bar, b_bar)
+
+    def test_held_array_equals_the_exact_table_bitwise(self):
+        # the attack's cross-check reads the float array it already holds;
+        # on seeded rational tables that array is the exact table cell for
+        # cell, so the closed form on it is the cell-by-cell one, bit for bit
+        rng = np.random.default_rng(SEED + 14)
+        for _ in range(2000):
+            den = int(rng.integers(1, 1000))
+            rows = [[Fraction(int(rng.integers(0, den + 1)), den) for _ in range(2)] for _ in range(2)]
+            f = two_sided_binary(rows)
+            p = f.probabilities()
+            for i, j in itertools.product(range(2), repeat=2):
+                assert p[0, j, i] == float(f.prob(0, i, j))
+            q0 = float(rng.uniform(0, 1))
+            expected = self.cell_by_cell(f, q0)
+            assert tuple(discrim._weighted_difference(p, q0)) == expected
+            assert tuple(weighted_difference_eigenvalues(f, q0)) == expected
+
+    def test_two_sided_attack_does_not_reread_the_table(self, monkeypatch):
+        f = two_sided_binary([[0.3, 0.7], [0.9, 0.2]])
+        expected = attacks.attack_nondet_two_sided(f)
+
+        def no_cell_reads(*args):
+            raise AssertionError("exact table re-read")
+
+        monkeypatch.setattr(funcspec.FunctionSpec, "prob", no_cell_reads)
+        assert attacks.attack_nondet_two_sided(f) == expected
 
     def test_trace_identity(self):
         rng = np.random.default_rng(SEED + 5)

@@ -23,6 +23,7 @@ ALLOWED_UNREFERENCED = {
     "cli.parse_report_document",        # inverse of the --out document (README)
     "cli.render_povm",                  # writes the POVM file format certify reads
     "discrim.basis_measurement_optimal",  # one input's _basis_flags on a FunctionSpec (acceptance tests)
+    "discrim.weighted_difference_eigenvalues",  # _weighted_difference on a FunctionSpec (acceptance tests)
     "funcspec.FunctionSpec.outcome",    # deterministic table lookup
     "funcspec.builtin_text",            # source text of the @name tables
     "funcspec.one_sided_binary",        # table constructors for binary functions
