@@ -1,26 +1,25 @@
 """One attack pipeline and its report packaging.
 
-Every attack follows one recipe.  An entry point lists candidates: the
-states the cheater may hold after a superposed (or, for one-sided
-functions, honest) input, one per input of the guessed party, as their
-outcome blocks ``(K, m, b, b)`` (:mod:`tpc.qmat`; a one-sided family is one
-block), the prior over those inputs, the honest guessing probability to
-beat, and the input used.  :func:`_select` scores each candidate by the
-Helstrom value of its two states, without building a measurement, and
-keeps the largest advantage, the first on a tie; the 3x3 and
-oblivious-transfer attacks have one candidate and skip it.
-:func:`_measure` then measures the kept candidates on one stacked path,
-one block stack per block shape ``(m, b)``: Helstrom elements for two
-states, else the pretty-good measurement, optionally polished by the
-fixed-point search, each stack checked and certified once.  The 3x3 sweep
-carries its class tables, families and candidates as arrays from
-enumeration to measurement, its 50 outcome blocks as one stack; each
-two-state attack reads its parsed table once into a float array.  No
-dense state is assembled here.  The :mod:`blackbox` array builders emit float64
-states for real families, else complex128, and the whole path follows that
-dtype (the oblivious-transfer attack checks its family once as a complex
+Every attack follows one recipe.  An entry point lists its candidates as
+jobs: the states the cheater may hold after a superposed (or, for
+one-sided functions, honest) input, one per input of the guessed party, as
+their outcome blocks ``(K, m, b, b)`` (:mod:`tpc.qmat`; a one-sided family
+is one block), the prior over those inputs, the honest guessing
+probability to beat, and the input used.  A two-sided attack has one job
+per prior weight of its sweep, a one-sided attack one per honest input,
+the other attacks one per table.  :func:`_measure` measures all the jobs
+of one call as one block stack of one shape ``(m, b)``: Helstrom elements
+for two states, else the pretty-good measurement, optionally polished by
+the fixed-point search, checked and certified once, one report per job.
+An attack with several jobs keeps the report of the largest advantage,
+the first on a tie.  The 3x3 sweep carries its class tables, families and
+candidates as arrays from enumeration to measurement, its 50 outcome
+blocks as one stack; each two-state attack reads its parsed table once
+into a float array.  No dense state is assembled here.  The
+:mod:`blackbox` array builders emit float64 states for real families,
+else complex128, and the whole path follows that dtype (the
+oblivious-transfer attack checks its family once as a complex
 :class:`blackbox.StateFamily`, for the public closed-form cross-check).
-Entry points keep their scope checks, notes and oracles.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import blackbox, discrim, funcspec, qmat
+from . import blackbox, discrim, funcspec
 from .discrim import CertificateResiduals
 from .funcspec import FunctionSpec
 from .tolerances import active
@@ -94,88 +93,61 @@ def _rational_id(f: FunctionSpec) -> str:
     return ",".join(str(x) for row in f.prob_table[0] for x in row)
 
 
-class _Candidate(NamedTuple):
+class _Job(NamedTuple):
+    function_id: str
     blocks: np.ndarray  # (K, m, b, b): outcome blocks of one state per input of the guessed party
     prior: tuple[float, ...]
     p_honest: float
     input_used: tuple[complex, ...] | int
-
-
-def _stack(candidates: Sequence[_Candidate]) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates' blocks as one stack ``(N, m, b, b)``, and where each
-    candidate's blocks start."""
-    counts = [0] + [len(c.blocks) for c in candidates[:-1]]
-    return np.concatenate([c.blocks for c in candidates]), np.array(counts).cumsum()
-
-
-def _score(states: np.ndarray, starts: np.ndarray, priors) -> np.ndarray:
-    """Helstrom values ``(1 + tr|q0 rho0 - q1 rho1|) / 2`` for state pair
-    blocks ``(N, 2, b, b)`` of pairs starting at ``starts``, under priors
-    ``(F, 2)``, with one stacked ``eigvalsh``, each trace norm summed over
-    the pair's blocks: no measurement is built and no certificate is run."""
-    q = qmat._per_block(np.asarray(priors, dtype=float), starts, len(states))[:, :, None, None]
-    delta = q[:, 0] * states[:, 0]
-    delta -= q[:, 1] * states[:, 1]
-    norms = np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
-    return 0.5 * (1.0 + np.add.reduceat(norms, starts))
-
-
-def _select(candidates: Sequence[_Candidate]) -> tuple[_Candidate, list[float]]:
-    """Score every candidate and keep the largest advantage, the first on a
-    tie; the scores are returned for the caller's notes and oracles."""
-    scores = _score(*_stack(candidates), [c.prior for c in candidates]).tolist()
-    advantages = [s - c.p_honest for s, c in zip(scores, candidates)]
-    return candidates[advantages.index(max(advantages))], scores
-
-
-class _Job(NamedTuple):
-    function_id: str
-    candidate: _Candidate
     notes: list[str]
+
+
+def _stack(jobs: Sequence[_Job]) -> tuple[np.ndarray, np.ndarray]:
+    """The jobs' blocks as one stack ``(N, m, b, b)``, and where each job's
+    blocks start."""
+    counts = [0] + [len(job.blocks) for job in jobs[:-1]]
+    return np.concatenate([job.blocks for job in jobs]), np.array(counts).cumsum()
 
 
 def _measure(scenario: str, jobs: Sequence[_Job], optimize: bool = False) -> list[AttackReport]:
     """Build, evaluate and certify the measurement for each job's candidate,
-    one report per job: the candidates whose blocks share one shape
-    ``(m, b)`` are measured, checked and certified as one block stack by
+    one report per job: the candidates, whose blocks share one shape
+    ``(m, b)``, are measured, checked and certified as one block stack by
     :func:`discrim._measure_stack` (Helstrom for two states, else
     pretty-good); ``optimize`` also runs the fixed-point search from each
     candidate's checked element blocks."""
-    measured, notes, stacks = [None] * len(jobs), [list(job.notes) for job in jobs], {}
-    for n, job in enumerate(jobs):
-        stacks.setdefault(job.candidate.blocks.shape[1:], []).append(n)
-    for members in stacks.values():
-        states, starts = _stack([jobs[n].candidate for n in members])
-        priors = np.array([jobs[n].candidate.prior for n in members], dtype=float)
-        elements, successes, verdicts = discrim._measure_stack(states, starts, priors)
-        bounds = starts.tolist() + [len(states)]
-        for n, start, end, q, p, verdict in zip(
-            members, bounds, bounds[1:], priors, successes, verdicts
-        ):
-            measured[n] = p, verdict
-            if optimize:
-                # seeded by the element blocks the stack has just checked
-                s = states[start:end]
-                refined = discrim._fixed_point(elements[start:end], s, q, q[:, None, None] * s)
-                notes[n].append(
-                    f"fixed-point optimum p={refined.success_probability:.17g}"
-                    f" certified={refined.certified_optimal}"
-                )
-    return [
-        AttackReport(
-            function_id=job.function_id,
-            scenario=scenario,
-            prior=job.candidate.prior,
-            input_used=job.candidate.input_used,
-            p_honest=job.candidate.p_honest,
-            p_attack=p_attack,
-            advantage=p_attack - job.candidate.p_honest,
-            certified=certified,
-            residuals=residuals,
-            notes="; ".join(note),
+    states, starts = _stack(jobs)
+    priors = np.array([job.prior for job in jobs], dtype=float)
+    elements, successes, verdicts = discrim._measure_stack(states, starts, priors)
+    bounds = starts.tolist() + [len(states)]
+    reports = []
+    for job, start, end, q, p_attack, (certified, residuals) in zip(
+        jobs, bounds, bounds[1:], priors, successes, verdicts
+    ):
+        notes = list(job.notes)
+        if optimize:
+            # seeded by the element blocks the stack has just checked
+            s = states[start:end]
+            refined = discrim._fixed_point(elements[start:end], s, q, q[:, None, None] * s)
+            notes.append(
+                f"fixed-point optimum p={refined.success_probability:.17g}"
+                f" certified={refined.certified_optimal}"
+            )
+        reports.append(
+            AttackReport(
+                function_id=job.function_id,
+                scenario=scenario,
+                prior=job.prior,
+                input_used=job.input_used,
+                p_honest=job.p_honest,
+                p_attack=p_attack,
+                advantage=p_attack - job.p_honest,
+                certified=certified,
+                residuals=residuals,
+                notes="; ".join(notes),
+            )
         )
-        for job, (p_attack, (certified, residuals)), note in zip(jobs, measured, notes)
-    ]
+    return reports
 
 
 def attack_deterministic_3x3(
@@ -229,7 +201,10 @@ def _det3x3_jobs(
     return [
         _Job(
             _det3x3_id(base),
-            _Candidate(blocks[start:end], prior_used, p_honest, inputs),
+            blocks[start:end],
+            prior_used,
+            p_honest,
+            inputs,
             [f"canonical labels a={base[1]} b={base[4]}"],
         )
         for base, start, end, p_honest in zip(
@@ -288,21 +263,21 @@ def attack_nondet_two_sided(
     )
     blocks = blackbox._two_sided_families(p, amps)
     inputs = tuple(complex(x) for x in amps)
-    candidates = [_Candidate(blocks, q, h, inputs) for q, h in zip(priors, honest)]
-    best, scores = _select(candidates)
+    jobs = [_Job(function_id, blocks, q, h, inputs, []) for q, h in zip(priors, honest)]
+    reports = _measure("nondet-two-sided", jobs)
     lines = []
-    for c, score in zip(candidates, scores):
-        q0 = c.prior[0]
+    for r in reports:
+        q0 = r.prior[0]
         if superposition is None:
             ev = discrim._weighted_difference(p, q0)
             closed = 0.5 * (1.0 + ev.lam_plus - ev.lam_minus + ev.mu_plus - ev.mu_minus)
-            gap = abs(closed - score)
+            gap = abs(closed - r.p_attack)
             if gap > 1e-10:
                 raise ArithmeticError(
                     f"closed-form and spectral success disagree by {gap:.3g} at q0={q0}"
                 )
-        lines.append(f"q0={q0:.17g} advantage={score - c.p_honest:.17g}")
-    return _measure("nondet-two-sided", [_Job(function_id, best, lines)])[0]
+        lines.append(f"q0={q0:.17g} advantage={r.advantage:.17g}")
+    return replace(max(reports, key=lambda r: r.advantage), notes="; ".join(lines))
 
 
 def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
@@ -319,18 +294,19 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
     p = f.probabilities()
     rates = discrim._basis_rates(p, funcspec.validate_prior(prior, 2)).tolist()
     p_honest = max(rates)
-    candidates = [
-        _Candidate(states[None], prior, p_honest, i)
+    function_id = f"nondet1sided:{_rational_id(f)}"
+    jobs = [
+        _Job(function_id, states[None], prior, p_honest, i, [])
         for i, states in enumerate(blackbox._one_sided_families(p))
     ]
-    best, scores = _select(candidates)
+    reports = _measure("nondet-one-sided", jobs)
     lines = [
         f"i={i} basis_rate={rate:.17g}"
-        f" optimal={score:.17g}"
+        f" optimal={r.p_attack:.17g}"
         f" basis_measurement_optimal={flag}"
-        for i, (rate, score, flag) in enumerate(zip(rates, scores, discrim._basis_flags(p, q0)))
+        for i, (r, rate, flag) in enumerate(zip(reports, rates, discrim._basis_flags(p, q0)))
     ]
-    return _measure("nondet-one-sided", [_Job(f"nondet1sided:{_rational_id(f)}", best, lines)])[0]
+    return replace(max(reports, key=lambda r: r.advantage), notes="; ".join(lines))
 
 
 def ot_explicit_povm() -> discrim.Povm:
@@ -363,7 +339,7 @@ def attack_oblivious_transfer() -> AttackReport:
     p = f.probabilities()
     states = blackbox._one_sided_families(p)[0]
     p_honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
-    job = _Job("ot", _Candidate(states[None], prior, p_honest, 0), [])
+    job = _Job("ot", states[None], prior, p_honest, 0, [])
     report = _measure("oblivious-transfer", [job])[0]
     explicit = ot_explicit_povm()
     family = blackbox.StateFamily(states)
@@ -456,13 +432,15 @@ def verify_counterexample() -> AttackReport:
         f" from |0> toward |1> <= {float(bound):.17g}; no superposition, real or complex, helps"
     )
     p = f.probabilities()
-    best = _Candidate(
+    job = _Job(
+        "counterexample",
         blackbox._two_sided_families(p, (1.0, 0.0)),
         prior,
         float(discrim._honest(p, funcspec.validate_prior(prior, 2))),
         (1 + 0j, 0j),
+        [notes],
     )
-    report = _measure("counterexample", [_Job("counterexample", best, [notes])])[0]
+    report = _measure("counterexample", [job])[0]
     if report.advantage > active().adv_min:
         raise ArithmeticError(
             f"counterexample admits advantage {report.advantage:.3g} at input |0>"

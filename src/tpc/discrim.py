@@ -216,42 +216,12 @@ def _anti_hermitian(gap: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
 
 
-def _pairwise_screen(
-    elements: np.ndarray, weighted: np.ndarray, product: np.ndarray
-) -> tuple[float, float]:
-    """``max|(Y - w_l) E_l|`` and ``max|D w_l E_l|`` over one family's
-    element blocks ``E_l`` and weighted state blocks ``w_l`` ``(K, m, b, b)``,
-    with :func:`_lagrange` product ``Y`` ``(K, b, b)`` and
-    ``D = I - sum_j E_j``.  As
-    ``sum_j E_j (w_j - w_l) E_l = (Y - w_l) E_l + D w_l E_l``, the first is
-    at most m times the pairwise residual plus the second."""
-    defect = qmat.identity(elements.shape[-1]) - elements.sum(axis=-3)
-    return (
-        float(np.abs((product[..., None, :, :] - weighted) @ elements).max()),
-        float(np.abs(defect[..., None, :, :] @ weighted @ elements).max()),
-    )
-
-
-# Rounding slack of the pairwise screen.  Each entry it and :func:`_certify`
-# compare is a short sum of products of entries of E_e, w_e, Y and D, all
-# at most about 1 in magnitude (E_e <= I, and w_e is a prior times a
-# unit-trace state), so on the operators of at most 12 dimensions this
-# package handles their rounding stays below 1e-13.
-_SCREEN_SLACK = 1e-12
-
-
-def _certificate_fails(elements: np.ndarray, weighted: np.ndarray, lagrange: _Lagrange) -> bool:
-    """Whether :func:`_certify` must reject one family's element blocks
-    ``(K, m, b, b)``, without running it: its anti-Hermitian residual,
-    computed as :func:`_certify` computes it, exceeds the certificate
-    tolerance, or by :func:`_pairwise_screen` its pairwise residual must,
-    when ``max|(Y - w_l) E_l|`` exceeds ``m CERT_TOL + max|D w_l E_l|`` and
-    the rounding slack."""
-    tol = active()
-    if _anti_hermitian(lagrange.gap, qmat.ONE_FAMILY)[0] > tol.cert:
-        return True
-    screen, defect = _pairwise_screen(elements, weighted, lagrange.product)
-    return screen > elements.shape[-3] * tol.cert + defect + _SCREEN_SLACK
+def _certificate_fails(lagrange: _Lagrange) -> bool:
+    """Whether :func:`_certify` must reject the one family whose
+    :func:`_lagrange` operators these are, without running it: its
+    anti-Hermitian residual, computed as :func:`_certify` computes it,
+    exceeds the certificate tolerance."""
+    return _anti_hermitian(lagrange.gap, qmat.ONE_FAMILY)[0] > active().cert
 
 
 def _certify(
@@ -384,10 +354,10 @@ def optimize_povm(
     checks.  The success probability never decreases (checked each step
     within 1e-12).  After every sweep :func:`_lagrange` brackets the optimum
     between the value and ``p_upper``; once the bracket is no wider than the
-    certificate tolerance the iterate is certified, unless
-    :func:`_certificate_fails` shows from the same Lagrange operators that
-    the certificate must fail, and the search stops (``"converged"``) when
-    that passes.  The value gap scales like the
+    certificate tolerance the iterate is certified, unless the same Lagrange
+    operators' anti-Hermitian residual already fails the certificate
+    (:func:`_certificate_fails`), and the search stops (``"converged"``)
+    when that passes.  The value gap scales like the
     square of the certificate residual, so the operators may still be far
     from the fixed point when the value has converged: once a sweep
     improves by less than ``step_tol``, the certificate at the end of each
@@ -458,7 +428,7 @@ def _fixed_point(
         closed = dim * max(-float(lagrange.lowest[0]), 0.0) <= active().cert
         polish = improved < step_tol and steps % polish_block == 0
         # a polish block's certificate feeds the stall rule, so it always runs
-        if not polish and (not closed or _certificate_fails(elements, weighted, lagrange)):
+        if not polish and (not closed or _certificate_fails(lagrange)):
             continue
         ok, residuals = _certify(elements, weighted, lagrange, one)[0]
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)

@@ -52,22 +52,20 @@ def _per_block(x: np.ndarray, starts: np.ndarray, blocks: int) -> np.ndarray:
     return np.repeat(x, [end - start for start, end in zip(bounds, bounds[1:])], axis=0)
 
 
-def _inv_sqrt(a: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+def _inv_sqrt(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of each Hermitian matrix in a stack
     ``(..., d, d)``: eigenvalues above the support cutoff map to
     ``1/sqrt(lam)``, the rest to 0.  The cutoff is ``rank`` times the
-    largest eigenvalue of each matrix, or, given the ``starts`` of block
-    families in a stack ``(N, b, b)``, of each family over all its blocks,
-    as for the dense matrix they form.  Hermiticity is the caller's to
-    ensure; negative eigenvalues are checked in every matrix."""
+    largest eigenvalue of each family, over its blocks ``(N, b, b)`` from
+    its ``starts``, as for the dense matrix they form (:data:`ONE_FAMILY`
+    for the whole stack, ``np.arange(N)`` for each matrix).  Hermiticity is
+    the caller's to ensure; negative eigenvalues are checked in every matrix."""
     tol = active()
     w, v = np.linalg.eigh(a)
     if w[..., 0].min() < -tol.psd:
         lowest = w[..., 0][w[..., 0] < -tol.psd]
         raise ValueError(f"matrix has negative eigenvalue {lowest[0]:.3g} beyond tolerance; not PSD")
-    if starts is None:
-        top = w[..., -1:]
-    elif len(starts) == 1:
+    if len(starts) == 1:
         top = w[..., -1].max()
     else:
         top = _per_block(np.maximum.reduceat(w[..., -1:], starts), starts, len(w))

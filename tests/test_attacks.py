@@ -74,11 +74,13 @@ def closed_form_value(f, q0, u):
 
 
 def spectral_values(f, q0, amplitude_rows):
-    """``attacks._score`` of the built states' outcome blocks, one value per
-    input row."""
-    blocks = [blackbox._two_sided_families(f.probabilities(), a) for a in amplitude_rows]
-    starts = np.arange(len(blocks)) * f.outcome_count
-    return attacks._score(np.concatenate(blocks), starts, [(q0, 1.0 - q0)] * len(blocks))
+    """``discrim._helstrom_stack``'s Helstrom value of the built states'
+    outcome blocks, one value per input row."""
+    blocks = np.concatenate(
+        [blackbox._two_sided_families(f.probabilities(), a) for a in amplitude_rows]
+    )
+    starts = np.arange(len(amplitude_rows)) * f.outcome_count
+    return discrim._helstrom_stack(blocks, starts, np.array([[q0, 1.0 - q0]] * len(blocks)))[1]
 
 
 def exact_fields(report):
@@ -507,6 +509,55 @@ class TestTwoStateArrays:
         assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
 
 
+class TestOneReportPerCandidate:
+    """A two-state attack measures every candidate once, on one stack, and
+    keeps the report of the largest advantage."""
+
+    TWO = two_sided_binary([["2/9", "1/2"], ["5/8", "1/6"]])
+    ONE = one_sided_binary([["1/6", "3/14"], ["3/5", "5/9"]])
+
+    @pytest.mark.parametrize(
+        "attack",
+        [lambda: attack_nondet_two_sided(TestOneReportPerCandidate.TWO),
+         lambda: attack_nondet_one_sided(TestOneReportPerCandidate.ONE, 0.3)],
+        ids=["two-sided", "one-sided"],
+    )
+    def test_one_eigh_and_two_eigvalsh_per_attack(self, monkeypatch, attack):
+        # the Helstrom elements (eigh), the POVM check and the Lagrange
+        # operator (eigvalsh each), for all candidates at once
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        attack()
+        assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh"]
+
+    def test_tie_keeps_the_first_candidate(self):
+        # p(k|0,j) = p(k|1,j): both honest inputs leave the same states
+        f = one_sided_binary([["1/5", "1/5"], ["3/4", "3/4"]])
+        for q0 in (0.3, 0.5, 0.8):
+            report = attack_nondet_one_sided(f, q0)
+            assert report.input_used == 0
+            first, second = (line.split()[2] for line in report.notes.split("; "))
+            assert first == second == f"optimal={report.p_attack:.17g}"
+
+    def test_kept_candidate_note_prints_the_report(self):
+        rng = np.random.default_rng(SEED + 23)
+        for _ in range(200):
+            two = two_sided_binary(rng.uniform(0, 1, size=(2, 2)))
+            report = attack_nondet_two_sided(two)
+            line = f"q0={report.prior[0]:.17g} advantage={report.advantage:.17g}"
+            assert line in report.notes.split("; ")
+            one = one_sided_binary(rng.uniform(0, 1, size=(2, 2)))
+            report = attack_nondet_one_sided(one, float(rng.uniform(0, 1)))
+            line = report.notes.split("; ")[report.input_used]
+            assert line.split()[2] == f"optimal={report.p_attack:.17g}"
+
+
 class TestArithmetic:
     TWO = two_sided_binary([[Fraction(2, 9), Fraction(1, 2)], [Fraction(5, 8), Fraction(1, 6)]])
     ONE = one_sided_binary([[Fraction(1, 6), Fraction(3, 14)], [Fraction(3, 5), Fraction(5, 9)]])
@@ -531,10 +582,10 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_builders_decide_the_arithmetic(self, case, monkeypatch):
-        # inside candidate selection and measurement, every scoring,
-        # measurement, check and search stage sees the dtype the builders
-        # picked: no cast inside the pipeline (the public cross-check of the
-        # oblivious-transfer attack runs on its complex StateFamily)
+        # inside measurement, every measurement, check and search stage sees
+        # the dtype the builders picked: no cast inside the pipeline (the
+        # public cross-check of the oblivious-transfer attack runs on its
+        # complex StateFamily)
         seen, inside = [], []
 
         def enter(name):
@@ -559,9 +610,7 @@ class TestArithmetic:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        enter("_select")
         enter("_measure")
-        record(attacks, "_score")
         for name in ("_measure_stack", "_check_povm_stack", "_lagrange", "_fixed_point"):
             record(discrim, name)
         run, dtype = self.CASES[case]
@@ -626,7 +675,7 @@ class TestSweep:
             calls.append((g, options[n % len(options)]))
         calls = [calls[n] for n in rng.permutation(len(calls))]
         jobs = [det3x3_jobs([g], **kwargs)[0] for g, kwargs in calls]
-        assert len({len(job.candidate.blocks) for job in jobs}) == 3
+        assert len({len(job.blocks) for job in jobs}) == 3
         stacked = attacks._measure("deterministic-3x3", jobs, optimize)
         single = [attack_deterministic_3x3(g, optimize=optimize, **kwargs) for g, kwargs in calls]
         assert [exact_fields(r) for r in stacked] == [exact_fields(r) for r in single]
@@ -654,13 +703,13 @@ class TestSweep:
             assert len(batch) == len(single) == len(tables)
             for f, b, s in zip(tables, batch, single):
                 assert (b.function_id, b.notes) == (s.function_id, s.notes)
-                assert b.candidate.prior == s.candidate.prior
-                assert b.candidate.input_used == s.candidate.input_used
-                assert float(b.candidate.p_honest).hex() == float(s.candidate.p_honest).hex()
-                assert b.candidate.blocks.shape == (f.outcome_count, 3, 3, 3)
-                assert b.candidate.blocks.shape == s.candidate.blocks.shape
-                assert b.candidate.blocks.tobytes() == s.candidate.blocks.tobytes()
-                assert not b.candidate.blocks.flags.writeable
+                assert b.prior == s.prior
+                assert b.input_used == s.input_used
+                assert float(b.p_honest).hex() == float(s.p_honest).hex()
+                assert b.blocks.shape == (f.outcome_count, 3, 3, 3)
+                assert b.blocks.shape == s.blocks.shape
+                assert b.blocks.tobytes() == s.blocks.tobytes()
+                assert not b.blocks.flags.writeable
 
     @pytest.mark.parametrize(
         "perturb, message",

@@ -93,7 +93,7 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
     current, last_residual, steps, reason = success(elements), math.inf, 0, "max_iters"
     while steps < max_iters:
         gram = sum(w @ e @ w for e, w in zip(elements, weighted))
-        root = qmat._inv_sqrt((gram + gram.conj().T) / 2)
+        root = qmat._inv_sqrt((gram + gram.conj().T) / 2, qmat.ONE_FAMILY)
         updated = [root @ w @ e @ w @ root for e, w in zip(elements, weighted)]
         updated = [(e + e.conj().T) / 2 for e in updated]
         defect = np.eye(len(states[0]), dtype=complex) - sum(updated)
@@ -793,7 +793,7 @@ class TestOptimizePovm:
         prior = (1 / 3, 1 / 3, 1 / 3)
         seed = square_root_measurement(family, prior)
         true_root = qmat._inv_sqrt
-        monkeypatch.setattr(discrim.qmat, "_inv_sqrt", lambda m, *starts: scale * true_root(m, *starts))
+        monkeypatch.setattr(discrim.qmat, "_inv_sqrt", lambda m, starts: scale * true_root(m, starts))
         with pytest.raises(ValueError, match=message):
             optimize_povm(family, prior, seed_povm=seed)
 
@@ -874,91 +874,32 @@ class TestOptimizePovm:
         assert built == []
 
 
-def one_family_blocks(states, prior, elements, labels):
-    """The search's one-family inputs for a dense family and POVM elements
-    with their labels: element and weighted state blocks ``(1, m, d, d)``
-    and their :func:`discrim._lagrange` operators."""
-    states, q, labels = np.asarray(states), np.asarray(prior), list(labels)
-    blocks = np.asarray(elements)[None]
-    weighted = (q[labels, None, None] * states[labels])[None]
-    family_weighted = (q[:, None, None] * states)[None]
-    return blocks, weighted, discrim._lagrange(blocks, weighted, family_weighted, qmat.ONE_FAMILY)
-
-
 class TestCertificateScreen:
     """The search skips a certificate that provably fails: its
-    anti-Hermitian residual exceeds the tolerance, or the pairwise screen
-    ``max|(Y - w_l) E_l| > m CERT_TOL + max|D w_l E_l| + slack`` holds."""
-
-    @staticmethod
-    def random_povm(rng, dim, size, real):
-        """``S^-1/2 A_e S^-1/2`` for seeded PSD ``A_e``, Hermitized."""
-        g = rng.normal(size=(size, dim, dim))
-        if not real:
-            g = g + 1j * rng.normal(size=(size, dim, dim))
-        a = g @ qmat.dagger(g)
-        root = qmat._inv_sqrt(a.sum(axis=0))
-        elements = root @ a @ root
-        return (elements + qmat.dagger(elements)) / 2
-
-    def test_screen_is_bounded_by_the_pairwise_residual(self):
-        # sum_j E_j (w_j - w_l) E_l = (Y - w_l) E_l + D w_l E_l: the screen's
-        # left side is at most m times the certificate's pairwise residual
-        # plus its D term, on real and complex families, labels that repeat
-        # or skip states, random and optimal POVMs, and completeness defects
-        # near RECON and far beyond it
-        rng = np.random.default_rng(SEED + 15)
-        tol = active()
-        for n in range(240):
-            dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-            states, prior = random_mixed_family(rng, dim, count)
-            real = n % 3 == 0
-            if real:
-                states = [s.real for s in states]
-            if n % 4 == 0:
-                labels = tuple(range(count))
-                elements = np.array(optimize_povm(states, prior).povm.elements)
-                elements = elements.real if real else elements
-            else:
-                labels = tuple(int(x) for x in rng.integers(0, count, size=int(rng.integers(2, 5))))
-                elements = self.random_povm(rng, dim, len(labels), real)
-            h = rng.normal(size=(dim, dim))
-            h = (h + h.T) / 2
-            scale = tol.recon * rng.uniform(0.5, 1.0) if n % 5 else [1e-6, 1e-3][n % 2]
-            elements[int(rng.integers(len(labels)))] += scale * h / np.abs(h).max()
-            blocks, weighted, lagrange = one_family_blocks(states, prior, elements, labels)
-            screen, defect = discrim._pairwise_screen(blocks, weighted, lagrange.product)
-            [(_, residuals)] = discrim._certify(blocks, weighted, lagrange, qmat.ONE_FAMILY)
-            assert screen <= len(labels) * residuals.pairwise_max + defect + discrim._SCREEN_SLACK
-
-    def test_pairwise_screen_alone_rejects_only_failing_certificates(self, searched_families):
-        # with the gap operators' anti-Hermitian part removed, only the
-        # pairwise screen can reject a pretty-good measurement
-        tol, rejected = active(), 0
-        for states, prior, _ in searched_families:
-            povm = square_root_measurement(states, prior)
-            blocks, weighted, lagrange = one_family_blocks(states, prior, povm.elements, povm.labels)
-            hermitian = lagrange._replace(gap=(lagrange.gap + qmat.dagger(lagrange.gap)) / 2)
-            if discrim._certificate_fails(blocks, weighted, hermitian):
-                rejected += 1
-                [(_, residuals)] = discrim._certify(blocks, weighted, lagrange, qmat.ONE_FAMILY)
-                assert residuals.pairwise_max > tol.cert
-        assert rejected >= 10
+    anti-Hermitian residual exceeds the tolerance."""
 
     @pytest.mark.parametrize("tol", [tolerances.Tolerances(), replace(tolerances.Tolerances(), cert=1e-6, recon=1e-7)])
     def test_every_skipped_certificate_fails(self, monkeypatch, searched_families, tol):
         # the 18 classes and 50 random families, at the default tolerances
         # and under a loosened certificate and completeness tolerance
         monkeypatch.setattr(tolerances, "_ACTIVE", tol)
-        verdicts, screen = [], discrim._certificate_fails
+        verdicts, screen, lagrange_of, last = [], discrim._certificate_fails, discrim._lagrange, []
 
-        def recording_screen(elements, weighted, lagrange):
-            fails = screen(elements, weighted, lagrange)
+        def recording_lagrange(elements, weighted, *rest):
+            # the screen reads only the operators; certify their inputs too
+            last[:] = lagrange_of(elements, weighted, *rest), elements, weighted
+            return last[0]
+
+        def recording_screen(lagrange):
+            fails = screen(lagrange)
             if fails:
+                made, elements, weighted = last
+                assert made is lagrange
                 [(ok, _)] = discrim._certify(elements, weighted, lagrange, qmat.ONE_FAMILY)
                 verdicts.append(ok)
             return fails
 
+        monkeypatch.setattr(discrim, "_lagrange", recording_lagrange)
         monkeypatch.setattr(discrim, "_certificate_fails", recording_screen)
         for states, prior, _ in searched_families:
             optimize_povm(states, prior)

@@ -96,10 +96,10 @@ class TestInvSqrtOnSupport:
     """``qmat._inv_sqrt``, on one matrix ``(d, d)`` or a stack."""
 
     def test_identity(self):
-        np.testing.assert_allclose(qmat._inv_sqrt(np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(qmat._inv_sqrt(np.eye(3), qmat.ONE_FAMILY), np.eye(3))
 
     def test_rank_deficient_diagonal(self):
-        out = qmat._inv_sqrt(np.diag([4.0, 0.0]))
+        out = qmat._inv_sqrt(np.diag([4.0, 0.0]), qmat.ONE_FAMILY)
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]))
 
     def test_projector_identity_oracle(self):
@@ -110,7 +110,7 @@ class TestInvSqrtOnSupport:
             rank = int(rng.integers(1, n + 1))
             g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
             m = g @ g.conj().T
-            root = qmat._inv_sqrt(m)
+            root = qmat._inv_sqrt(m, qmat.ONE_FAMILY)
             w, v = np.linalg.eigh(m)
             support = (v[:, w > tol.rank * w[-1]] @ v[:, w > tol.rank * w[-1]].conj().T)
             assert np.abs(root @ m @ root - support).max() <= tol.recon
@@ -119,7 +119,7 @@ class TestInvSqrtOnSupport:
 
     def test_negative_matrix_rejected(self):
         with pytest.raises(ValueError):
-            qmat._inv_sqrt(np.diag([1.0, -1.0]))
+            qmat._inv_sqrt(np.diag([1.0, -1.0]), qmat.ONE_FAMILY)
 
     def test_non_hermitian_rejected(self):
         # the inverse root trusts its callers; a non-Hermitian matrix is
@@ -135,15 +135,15 @@ class TestInvSqrtOnSupport:
         g = rng.normal(size=(7, 5, 3)) + 1j * rng.normal(size=(7, 5, 3))
         stack = (g @ g.conj().swapaxes(-1, -2)) * np.logspace(-6, 6, 7)[:, None, None]
         stack = (stack + qmat.dagger(stack)) / 2
-        roots = qmat._inv_sqrt(stack)
+        roots = qmat._inv_sqrt(stack, np.arange(len(stack)))
         for m, root in zip(stack, roots):
-            assert np.array_equal(root, qmat._inv_sqrt(m))
+            assert np.array_equal(root, qmat._inv_sqrt(m, qmat.ONE_FAMILY))
             assert np.linalg.matrix_rank(root, tol=1e-3 * np.abs(root).max()) == 3
 
     def test_stack_checks_every_matrix(self):
         stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
         with pytest.raises(ValueError, match="negative eigenvalue -0.5 beyond tolerance"):
-            qmat._inv_sqrt(stack)
+            qmat._inv_sqrt(stack, np.arange(len(stack)))
 
 
 class TestDensityState:
