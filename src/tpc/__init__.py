@@ -16,9 +16,7 @@ from .discrim import (
     Povm,
     certify_optimal,
     helstrom,
-    optimize_povm,
     povm_success,
-    square_root_measurement,
 )
 from .funcspec import (
     CanonicalForm3x3,
@@ -45,11 +43,9 @@ __all__ = [
     "certify_optimal",
     "enumerate_valid_3x3",
     "helstrom",
-    "optimize_povm",
     "output_family",
     "parse_function_file",
     "povm_success",
-    "square_root_measurement",
     "sweep_all_3x3",
     "verify_counterexample",
 ]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,15 +222,6 @@ def parse_povm_file(text: str) -> discrim.Povm:
         entries.append(row)
     count = len(entries) // dim
     return discrim.Povm(np.array(entries, dtype=complex).reshape(count, dim, dim), range(count))
-
-
-def render_povm(povm: discrim.Povm) -> str:
-    lines = [f"dim: {povm.dim}"]
-    for idx, e in enumerate(povm.elements):
-        lines.append(f"# element {idx}")
-        for row in e:
-            lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
-    return "\n".join(lines) + "\n"
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -492,7 +484,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    for n in range(len(tokens) - 1, 0, -1):
+        # join a value such as -0.6,0.8 to its option, or argparse reads it as one
+        if tokens[n - 1] in ("--prior", "--superposition", "--q0-sweep", "--q0") and re.match(r"-[\d.]", tokens[n]):
+            tokens[n - 1 : n + 1] = [f"{tokens[n - 1]}={tokens[n]}"]
+    args = _parser().parse_args(tokens)
     return args.func(args)
 
 

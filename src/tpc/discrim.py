@@ -1,5 +1,5 @@
 """State discrimination: honest baseline, two-state optimum, pretty-good
-measurement, optimality certification, and an iterative POVM search.
+measurement, optimality certification, and the ``--optimize`` POVM search.
 
 The optimality certificate implements the standard necessary-and-sufficient
 conditions for minimum-error discrimination of states ``rho_l`` with priors
@@ -72,15 +72,6 @@ class Povm:
         object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def _of_checked(cls, stack: np.ndarray, labels: Sequence[int]) -> Povm:
-        """A Povm of a stack that :func:`_check_povm_stack` passed, copied, not re-checked."""
-        povm = object.__new__(cls)
-        object.__setattr__(povm, "elements", stack.astype(complex))
-        object.__setattr__(povm, "labels", tuple(labels))
-        povm.elements.setflags(write=False)
-        return povm
-
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
@@ -122,9 +113,6 @@ class DiscriminationResult:
     povm: Povm
     certified_optimal: bool
     residuals: CertificateResiduals
-    iterations: int = 0                # fixed-point sweeps run
-    stop_reason: str | None = None     # "converged", "stalled" or "max_iters"
-    p_upper: float | None = None       # fixed-point search: dual bound on the optimum
 
 
 def _family_states(family) -> np.ndarray:
@@ -135,8 +123,8 @@ def _family_states(family) -> np.ndarray:
 
 
 def _checked_inputs(family, prior: Sequence[float], povm: Povm) -> tuple[np.ndarray, ...]:
-    """The boundary checks of :func:`povm_success`, :func:`certify_optimal`
-    and :func:`optimize_povm`: a valid family, a prior over its states, and a
+    """The boundary checks of :func:`povm_success` and
+    :func:`certify_optimal`: a valid family, a prior over its states, and a
     POVM of the states' dimension whose labels index them.  Returns the
     state each element guesses ``(m, d, d)``, its prior ``(m,)``, and
     ``q_l rho_l`` for every family state ``(n, d, d)``."""
@@ -290,24 +278,11 @@ def _helstrom_stack(
     return elements, 0.5 * (1.0 + np.add.reduceat(np.abs(w).sum(axis=-1), starts))
 
 
-def square_root_measurement(family, prior: Sequence[float]) -> Povm:
-    """Pretty-good measurement ``S^-1/2 sigma_j S^-1/2`` with the unweighted
-    sum ``S = sum_j sigma_j``.
-
-    Any kernel of S is absorbed into the element of the highest-prior state
-    (ties broken by lowest index), where the states have no support.
-    """
-    states = _family_states(family)
-    q = validate_prior(prior, len(states))
-    elements = _pretty_good(states[None], qmat.ONE_FAMILY, q[None])[0]
-    return Povm(elements, tuple(range(len(states))))
-
-
 def _pretty_good(states: np.ndarray, starts: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """:func:`square_root_measurement`'s element blocks for state blocks
-    ``(N, m, b, b)`` of families starting at ``starts``, under each block's
-    family's priors ``(N, m)``, with one stacked inverse root whose support
-    cutoff is each family's; the caller checks them."""
+    """Pretty-good element blocks ``S^-1/2 rho_j S^-1/2``, ``S = sum_j rho_j``,
+    for state blocks ``(N, m, b, b)`` of families starting at ``starts``, one
+    stacked inverse root cut off at each family's support.  S's kernel goes to
+    each block's highest prior ``(N, m)``, the first on a tie; unchecked."""
     blocks, m, b, _ = states.shape
     if m < 2:
         raise ValueError("need at least two states to discriminate")
@@ -338,49 +313,9 @@ def _measure_stack(
     return elements, successes.tolist(), _certify(elements, weighted, lagrange, starts)
 
 
-def optimize_povm(
-    family,
-    prior: Sequence[float],
-    seed_povm: Povm | None = None,
-    max_iters: int = 10000,
-    step_tol: float = 1e-12,
-) -> DiscriminationResult:
-    """Monotone fixed-point search for a minimum-error POVM.
-
-    Each sweep applies ``E_e <- R^-1 (w_e rho_e) E_e (w_e rho_e) R^-1`` with
-    ``R = (sum_e w_e rho_e E_e w_e rho_e)^(1/2)`` on its support, seeded by
-    the pretty-good measurement, on one stacked array, cast once to float64
-    when the family and seed are real; every iterate passes :class:`Povm`'s
-    checks.  The success probability never decreases (checked each step
-    within 1e-12).  After every sweep :func:`_lagrange` brackets the optimum
-    between the value and ``p_upper``; once the bracket is no wider than the
-    certificate tolerance the iterate is certified, unless the same Lagrange
-    operators' anti-Hermitian residual already fails the certificate
-    (:func:`_certificate_fails`), and the search stops (``"converged"``)
-    when that passes.  The value gap scales like the
-    square of the certificate residual, so the operators may still be far
-    from the fixed point when the value has converged: once a sweep
-    improves by less than ``step_tol``, the certificate at the end of each
-    100-sweep polish block stops the search when its residual shrinks by
-    less than 10% (``"stalled"``).  ``max_iters`` bounds the search either
-    way, and the final flag is reported honestly.
-    """
-    if seed_povm is None:
-        seed_povm = square_root_measurement(family, prior)
-    inputs = (seed_povm.elements, *_checked_inputs(family, prior, seed_povm))
-    if not any(a.imag.any() for a in inputs):
-        inputs = tuple(a.real.copy() for a in inputs)
-    elements, matrices, priors, family_weighted = inputs
-    search = _fixed_point(
-        elements[None], matrices[None], priors, family_weighted[None], max_iters, step_tol
-    )
-    povm = Povm._of_checked(search.elements[0], seed_povm.labels)
-    return DiscriminationResult(search.success_probability, povm, *search[2:])
-
-
 class _Search(NamedTuple):
-    """:func:`_fixed_point`'s last iterate ``(K, m, b, b)`` and the fields
-    of its :class:`DiscriminationResult` after the POVM."""
+    """:func:`_fixed_point`'s last iterate ``(K, m, b, b)``, its value and
+    certificate, sweeps, stop reason and dual bound ``p_upper``."""
 
     elements: np.ndarray
     success_probability: float
@@ -395,14 +330,13 @@ def _fixed_point(
     elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray,
     family_weighted: np.ndarray, max_iters: int = 10000, step_tol: float = 1e-12,
 ) -> _Search:
-    """:func:`optimize_povm`'s search on one family's blocks: checked seed
-    element blocks ``(K, m, b, b)``, the guessed states' blocks, their
-    priors ``(m,)`` and the weighted family state blocks ``(K, n, b, b)``,
-    as :func:`_checked_inputs` gives them for a dense family (``K = 1``).
-    Each iterate is a bare block stack checked by :func:`_check_povm_stack`,
-    its inverse root cut off at the family's support, and ``p_upper``
-    counts the dimension ``d = K b``.  The iterates follow the inputs'
-    dtype, real symmetric for float64 inputs."""
+    """The fixed-point search ``--optimize`` runs on one family's outcome
+    blocks: checked seed element blocks ``(K, m, b, b)``, the guessed states'
+    blocks, their priors ``(m,)`` and the weighted family state blocks
+    ``(K, n, b, b)``.  Each sweep checks its bare iterate stack with
+    :func:`_check_povm_stack`, in the inputs' dtype, and never lowers the
+    value; ``p_upper`` (:func:`_lagrange`, counting ``d = K b``) bounds the
+    optimum.  It stops on a certified closed bracket or a stalled polish."""
     one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
@@ -455,27 +389,10 @@ class WeightedDifferenceEigenvalues(NamedTuple):
     b_bar: float
 
 
-def weighted_difference_eigenvalues(f: FunctionSpec, q0: float) -> WeightedDifferenceEigenvalues:
-    """Closed-form eigenvalues of ``q0 rho0 - q1 rho1`` for a binary-output
-    2x2 two-sided table probed with the balanced superposition.
-
-    With ``a = (p00 + p10) q0 - (p01 + p11) q1`` and
-    ``b = 4 (sqrt(p01 p10) - sqrt(p00 p11))^2 q0 q1`` (``p_ij = p(0|i,j)``),
-    the outcome-0 block contributes ``(a +- sqrt(a^2 + b)) / 4`` and the
-    outcome-1 block the same with every probability complemented.
-    """
-    if f.kind != "probabilistic" or f.sided != "two":
-        raise ValueError("closed form requires a probabilistic two-sided function")
-    if (f.alice_arity, f.bob_arity, f.outcome_count) != (2, 2, 2):
-        raise ValueError("closed form requires a binary-output 2x2 table")
-    if not 0.0 <= q0 <= 1.0:
-        raise ValueError(f"prior weight q0={q0} outside [0, 1]")
-    return _weighted_difference(f.probabilities(), q0)
-
-
 def _weighted_difference(p: np.ndarray, q0: float) -> WeightedDifferenceEigenvalues:
-    """:func:`weighted_difference_eigenvalues` of a binary-output 2x2
-    two-sided table read once into floats ``p(k|i,j)``, indexed ``[k, j, i]``."""
+    """Closed-form eigenvalues of ``q0 rho0 - q1 rho1``, outcome block by
+    outcome block, for a binary-output 2x2 two-sided table under the balanced
+    superposition, read once into floats ``p(k|i,j)`` indexed ``[k, j, i]``."""
     q1 = 1.0 - q0
 
     def pair(t):  # t[j][i] = p(0|i,j), or its complement

@@ -120,12 +120,6 @@ class FunctionSpec:
                         )
             object.__setattr__(self, "prob_table", p)
 
-    def outcome(self, i: int, j: int) -> int:
-        """Deterministic outcome f(i, j)."""
-        if self.det_table is None:
-            raise ValueError("outcome() is only defined for deterministic functions")
-        return self.det_table[j][i]
-
     def prob(self, k: int, i: int, j: int) -> Fraction:
         """Exact probability p(k|i,j); deterministic tables give 0/1."""
         if self.det_table is not None:
@@ -582,7 +576,3 @@ def builtin(name: str) -> FunctionSpec:
     if key not in _BUILTIN_TEXT:
         raise KeyError(f"unknown built-in function {name!r}; have {builtin_names()}")
     return parse_function_file(_BUILTIN_TEXT[key])
-
-
-def builtin_text(name: str) -> str:
-    return _BUILTIN_TEXT[name.lstrip("@")]

@@ -1,7 +1,9 @@
 """Independent routes the suite checks the library against.
 
 None of these is called by ``src/tpc``; each rebuilds a number the library
-computes another way.
+computes another way, except :func:`pretty_good_povm` and
+:func:`dense_search`, which run the library's own private stages on one
+dense family.
 
 States are plain density matrices; the oracles that split a matrix into
 subsystems take their dimensions explicitly.  The two-sided states have two
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 import mpmath
 import numpy as np
 
-from tpc import qmat
+from tpc import discrim, qmat
 from tpc.blackbox import amplitude_vector
 from tpc.discrim import Povm, certify_optimal
 from tpc.funcspec import FunctionSpec, validate_prior
@@ -148,6 +150,23 @@ def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float]
     e1 = (1.0 - al[0]) * proj(0, 0) + al[1 + b] * proj(1, b)
     e2 = np.eye(dim, dtype=complex) - e0 - e1
     return Povm((e0, e1, e2), (0, 1, 2))
+
+
+def pretty_good_povm(family, prior: Sequence[float]) -> Povm:
+    """The pretty-good measurement of one dense family as a checked
+    :class:`Povm`: :func:`tpc.discrim._pretty_good` on a single block."""
+    states = discrim._family_states(family)
+    elements = discrim._pretty_good(states[None], qmat.ONE_FAMILY, np.array([prior], dtype=float))
+    return Povm(elements[0], range(len(states)))
+
+
+def dense_search(family, prior: Sequence[float], seed: Povm | None = None, max_iters: int = 10000):
+    """:func:`tpc.discrim._fixed_point` on one dense family, a single block,
+    from ``seed`` or the pretty-good measurement, with the family, prior and
+    seed checked by :func:`tpc.discrim._checked_inputs`."""
+    seed = pretty_good_povm(family, prior) if seed is None else seed
+    matrices, priors, family_weighted = discrim._checked_inputs(family, prior, seed)
+    return discrim._fixed_point(seed.elements[None], matrices[None], priors, family_weighted[None], max_iters)
 
 
 def reference_helstrom(rho0: np.ndarray, rho1: np.ndarray, q0: float):

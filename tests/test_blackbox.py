@@ -68,7 +68,7 @@ class TestTwoSidedStates:
             amps[i] = 1.0
             for j, rho in enumerate(output_family(f, amps).states):
                 expected = np.zeros((6, 6))
-                expected[2 * i + f.outcome(i, j), 2 * i + f.outcome(i, j)] = 1.0
+                expected[2 * i + f.det_table[j][i], 2 * i + f.det_table[j][i]] = 1.0
                 np.testing.assert_allclose(rho, expected, atol=1e-12)
 
     def test_canonical_proof_states_without_cross_term(self):

@@ -3,6 +3,7 @@
 import argparse
 import math
 import re
+import sys
 import traceback
 from pathlib import Path
 
@@ -20,11 +21,19 @@ from tpc.cli import (
     main,
     parse_povm_file,
     parse_report_document,
-    render_povm,
     render_report_document,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def render_povm(povm):
+    """A POVM file as ``tpc certify --povm`` reads it, every entry to 17 digits."""
+    lines = [f"dim: {povm.dim}"]
+    for idx, e in enumerate(povm.elements):
+        lines.append(f"# element {idx}")
+        lines += [" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in e]
+    return "\n".join(lines) + "\n"
 
 
 def write(tmp_path, name, text):
@@ -65,7 +74,7 @@ class TestAnalyze:
         assert "nondet-two-sided" in stdout
 
     def test_counterexample_file_at_balanced_prior(self, tmp_path, capsys):
-        path = write(tmp_path, "cx.fn", funcspec.builtin_text("counterexample"))
+        path = write(tmp_path, "cx.fn", funcspec._BUILTIN_TEXT["counterexample"])
         assert main(["analyze", path, "--q0", "0.5"]) == EXIT_OK
         assert "counterexample" in capsys.readouterr().out
 
@@ -122,7 +131,7 @@ class TestAnalyze:
         assert main(["analyze", path, "--q0", "0.3"]) == EXIT_OK
 
     def test_ot_file_round_trip(self, tmp_path, capsys):
-        path = write(tmp_path, "ot.fn", funcspec.builtin_text("ot"))
+        path = write(tmp_path, "ot.fn", funcspec._BUILTIN_TEXT["ot"])
         assert main(["analyze", path]) == EXIT_OK
         assert "oblivious-transfer" in capsys.readouterr().out
 
@@ -228,6 +237,41 @@ class TestAnalyze:
     def test_superposition_flag(self, capsys):
         assert main(["analyze", "@neq3", "--superposition", "0.8,0.6,0"]) == EXIT_OK
         assert "amps:0.8" in capsys.readouterr().out
+
+
+class TestNegativeFirstValue:
+    """A value that starts with ``-`` and a digit or ``.`` is read as the
+    value of ``--prior``, ``--superposition``, ``--q0-sweep`` or ``--q0``,
+    not as an option."""
+
+    @pytest.mark.parametrize("value", ["-0.6,0.8,0", "-.6,.8,0"])
+    def test_superposition_prints_as_the_joined_form(self, value, capsys, monkeypatch):
+        assert main(["analyze", "@neq3", f"--superposition={value}"]) == EXIT_OK
+        joined = capsys.readouterr()
+        assert main(["analyze", "@neq3", "--superposition", value]) == EXIT_OK
+        assert capsys.readouterr() == joined
+        # the console script's path: arguments from sys.argv
+        monkeypatch.setattr(sys, "argv", ["tpc", "analyze", "@neq3", "--superposition", value])
+        assert main() == EXIT_OK
+        assert capsys.readouterr() == joined
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--q0-sweep", "-0.5,0.3", "sweep weight q0=-0.5 outside [0, 1]"),
+            ("--prior", "-0.5,1.5", "prior weights must be nonnegative"),
+            ("--q0", "-0.5", "sweep weight q0=-0.5 outside [0, 1]"),
+        ],
+    )
+    def test_out_of_range_values_exit_one(self, option, value, message, capsys):
+        assert main(["analyze", "@counterexample", option, value]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_a_missing_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "@counterexample", "--prior", "--optimize"])
+        assert exc.value.code == 2
+        assert "argument --prior: expected one argument" in capsys.readouterr().err
 
 
 TWO_STATE_TABLES = {

@@ -18,15 +18,19 @@ from tpc.discrim import (
     basis_measurement_optimal,
     certify_optimal,
     helstrom,
-    optimize_povm,
     povm_success,
-    square_root_measurement,
-    weighted_difference_eigenvalues,
 )
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import honest_family_povm, loop_honest_probability, pure_state, reference_helstrom
+from oracles import (
+    dense_search,
+    honest_family_povm,
+    loop_honest_probability,
+    pretty_good_povm,
+    pure_state,
+    reference_helstrom,
+)
 
 SEED = 424242
 # the 18 canonical class files and the pinned fields of their searches
@@ -275,11 +279,6 @@ class TestHelstrom:
             assert result.residuals.pairwise_max < tol.cert
             assert result.residuals.min_eigenvalue > -tol.cert
 
-    def test_reports_no_iterations(self):
-        r0, r1 = random_mixed_pair(np.random.default_rng(SEED))
-        result = helstrom(r0, r1, 0.5)
-        assert (result.iterations, result.stop_reason, result.p_upper) == (0, None, None)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="state dimensions differ: 2 vs 3"):
             helstrom(pure_state([1.0, 0.0]), pure_state([1.0, 0.0, 0.0]), 0.5)
@@ -471,16 +470,18 @@ class TestBlockMeasurePath:
 
 
 class TestSquareRootMeasurement:
+    """The pretty-good measurement, ``discrim._pretty_good``, on dense families."""
+
     def test_orthogonal_pure_states_give_projectors(self):
         r0 = pure_state([1.0, 0.0])
         r1 = pure_state([0.0, 1.0])
-        povm = square_root_measurement((r0, r1), (0.5, 0.5))
+        povm = pretty_good_povm((r0, r1), (0.5, 0.5))
         np.testing.assert_allclose(povm.elements[0], r0, atol=1e-12)
         np.testing.assert_allclose(povm.elements[1], r1, atol=1e-12)
 
     def test_identical_rank_deficient_states(self):
         sigma = pure_state([1.0, 0.0, 0.0])
-        povm = square_root_measurement((sigma, sigma, sigma), (0.2, 0.5, 0.3))
+        povm = pretty_good_povm((sigma, sigma, sigma), (0.2, 0.5, 0.3))
         support = sigma
         kernel = np.eye(3) - support
         np.testing.assert_allclose(povm.elements[0], support / 3, atol=1e-12)
@@ -489,7 +490,7 @@ class TestSquareRootMeasurement:
 
     def test_kernel_tie_breaks_to_lowest_index(self):
         sigma = pure_state([1.0, 0.0])
-        povm = square_root_measurement((sigma, sigma), (0.5, 0.5))
+        povm = pretty_good_povm((sigma, sigma), (0.5, 0.5))
         kernel = np.eye(2) - sigma
         np.testing.assert_allclose(povm.elements[0], sigma / 2 + kernel, atol=1e-12)
 
@@ -498,7 +499,7 @@ class TestSquareRootMeasurement:
         for f in funcspec.enumerate_valid_3x3():
             base = canonicalize_3x3(f).base
             family = output_family(base, uniform_superposition(3))
-            povm = square_root_measurement(family, prior)
+            povm = pretty_good_povm(family, prior)
             assert povm_success(family, prior, povm) > honest_value(base, prior)
 
     def test_valid_on_random_rank_deficient_families(self):
@@ -513,7 +514,7 @@ class TestSquareRootMeasurement:
                 m = g @ g.conj().T
                 states.append(m / np.trace(m).real)
             w = rng.uniform(0.1, 1.0, size=count)
-            povm = square_root_measurement(states, tuple(w / w.sum()))
+            povm = pretty_good_povm(states, tuple(w / w.sum()))
             assert povm.dim == dim  # Povm construction enforces PSD + completeness
 
 
@@ -597,14 +598,14 @@ class TestCertifyOptimal:
             canon = canonicalize_3x3(f)
             family = output_family(canon.base, uniform_superposition(3))
             prior = (1 / 3, 1 / 3, 1 / 3)
-            cases.append((family.states, prior, square_root_measurement(family, prior)))
+            cases.append((family.states, prior, pretty_good_povm(family, prior)))
             honest = honest_family_povm(canon.a, canon.b, canon.base.outcome_count, [0.5] * 5)
             cases.append((family.states, prior, honest))
         rng = np.random.default_rng(SEED + 8)
         for _ in range(50):
             dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             states, prior = random_mixed_family(rng, dim, count)
-            cases.append((states, prior, square_root_measurement(states, prior)))
+            cases.append((states, prior, pretty_good_povm(states, prior)))
             if count == 2:
                 cases.append((states, prior, helstrom(*states, prior[0]).povm))
         for states, prior, povm in cases:
@@ -616,6 +617,24 @@ class TestCertifyOptimal:
         ok, residuals = certify_optimal(family, (0.5, 0.5), ot_explicit_povm())
         assert ok
         assert residuals.pairwise_max < 1e-12
+
+
+def class_search(f, superposition=None):
+    """The search ``tpc analyze <3x3> --optimize`` runs on ``f``, as
+    :func:`attacks._measure` runs it: :func:`discrim._fixed_point` on the
+    outcome blocks :func:`attacks._det3x3_jobs` builds, seeded by their
+    pretty-good element blocks."""
+    tables = np.array(funcspec._labels_3x3(f))[:, None]
+    [job] = attacks._det3x3_jobs(tables, funcspec._canonical_forms(tables)[0], [f.outcome_count], superposition)
+    q, blocks, one = np.array(job.prior), job.blocks, qmat.ONE_FAMILY
+    seed = discrim._pretty_good(blocks, one, qmat._per_block(q[None], one, len(blocks)))
+    return discrim._fixed_point(seed, blocks, q, q[:, None, None] * blocks)
+
+
+def class_files():
+    """The 18 canonical class files of ``tests/data/optimize3x3``, in order."""
+    for n in range(funcspec.VALID_3X3_CLASS_COUNT):
+        yield funcspec.parse_function_file((OPTIMIZE_PINS / f"class{n:02d}.fn").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -630,22 +649,26 @@ def searched_families():
     for _ in range(50):
         dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         cases.append(random_mixed_family(rng, dim, count))
-    return [(states, prior, optimize_povm(states, prior)) for states, prior in cases]
+    return [(states, prior, dense_search(states, prior)) for states, prior in cases]
 
 
 class TestOptimizePovm:
+    """The fixed-point search, ``discrim._fixed_point``: on dense families
+    against the reference search, and on a class's outcome blocks as
+    ``--optimize`` runs it."""
+
     def test_two_state_families_reach_helstrom(self):
         rng = np.random.default_rng(SEED + 2)
         for _ in range(25):
             r0, r1 = random_mixed_pair(rng, dim=3)
             q0 = float(rng.uniform(0.1, 0.9))
             target = helstrom(r0, r1, q0).success_probability
-            result = optimize_povm((r0, r1), (q0, 1 - q0))
+            result = dense_search((r0, r1), (q0, 1 - q0))
             assert result.success_probability == pytest.approx(target, abs=1e-8)
 
     def test_ot_family_reaches_closed_form(self):
         family = output_family(builtin("ot"), 0, role="bob")
-        result = optimize_povm(family, (0.5, 0.5))
+        result = dense_search(family, (0.5, 0.5))
         assert result.success_probability == pytest.approx(
             0.5 + math.sqrt(3) / 4, abs=1e-8
         )
@@ -654,7 +677,7 @@ class TestOptimizePovm:
     def test_counterexample_optimum_never_beats_honest(self):
         f = builtin("counterexample")
         family = output_family(f, uniform_superposition(2))
-        result = optimize_povm(family, (0.5, 0.5))
+        result = dense_search(family, (0.5, 0.5))
         assert result.certified_optimal
         assert result.success_probability <= honest_value(f, (0.5, 0.5)) + 1e-9
 
@@ -663,22 +686,22 @@ class TestOptimizePovm:
         for _ in range(200):
             dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             states, prior = random_mixed_family(rng, dim, count)
-            seed = square_root_measurement(states, prior)
+            seed = pretty_good_povm(states, prior)
             baseline = povm_success(states, prior, seed)
-            result = optimize_povm(states, prior, seed_povm=seed, max_iters=200)
+            result = dense_search(states, prior, seed, max_iters=200)
             assert result.success_probability >= baseline - 1e-12
 
     @staticmethod
     def assert_matches_reference(states, prior):
-        seed = square_root_measurement(states, prior)
+        seed = pretty_good_povm(states, prior)
         value, elements, steps, reason, ok, upper = reference_fixed_point(states, prior, seed)
-        result = optimize_povm(states, prior, seed_povm=seed)
+        result = dense_search(states, prior, seed)
         assert (result.iterations, result.stop_reason) == (steps, reason)
         assert result.certified_optimal == ok
         assert abs(result.success_probability - value) <= 1e-12
         assert abs(result.p_upper - upper) <= 1e-12
         np.testing.assert_allclose(
-            np.array(result.povm.elements), np.array(elements), rtol=0, atol=1e-10
+            result.elements[0], np.array(elements), rtol=0, atol=1e-10
         )
 
     def test_matches_reference_on_the_18_classes(self):
@@ -702,31 +725,35 @@ class TestOptimizePovm:
         return output_family(funcspec.deterministic(self.SLOW_CLASS), uniform_superposition(3))
 
     def test_search_fields_pinned_on_the_18_classes(self, monkeypatch):
-        # tests/data/optimize3x3/search.txt: the search on each class file's
-        # family at the uniform prior, as iterations, stop reason, repr(p)
-        # and repr(p_upper); a changed digit must be deliberate
+        # tests/data/optimize3x3/search.txt: the --optimize search on each
+        # class file's outcome blocks at the uniform prior, as iterations,
+        # stop reason, repr(p) and repr(p_upper); a changed digit must be
+        # deliberate
         monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
         lines = []
-        for n in range(funcspec.VALID_3X3_CLASS_COUNT):
-            f = funcspec.parse_function_file((OPTIMIZE_PINS / f"class{n:02d}.fn").read_text())
-            result = optimize_povm(output_family(f, uniform_superposition(3)), (1 / 3, 1 / 3, 1 / 3))
+        for n, f in enumerate(class_files()):
+            result = class_search(f)
             lines.append(
                 f"class{n:02d} {result.iterations} {result.stop_reason} "
                 f"{result.success_probability!r} {result.p_upper!r}\n"
             )
+            # the attack's note reports this very search
+            note = f"fixed-point optimum p={result.success_probability:.17g}"
+            assert note in attacks.attack_deterministic_3x3(f, optimize=True).notes
         assert "".join(lines) == (OPTIMIZE_PINS / "search.txt").read_text()
 
     def test_stop_reason_converged(self):
         family, prior = self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3)
-        seed = square_root_measurement(family, prior)
+        seed = pretty_good_povm(family, prior)
         _, _, steps, reason, _, _ = reference_fixed_point(family.states, prior, seed)
         assert (steps, reason) == (self.SLOW_CLASS_SWEEPS, "converged")
-        result = optimize_povm(family, prior)
-        assert (result.iterations, result.stop_reason) == (self.SLOW_CLASS_SWEEPS, "converged")
-        assert result.certified_optimal
+        # the dense search, and the --optimize search on the class's outcome blocks
+        for result in (dense_search(family, prior), class_search(funcspec.deterministic(self.SLOW_CLASS))):
+            assert (result.iterations, result.stop_reason) == (self.SLOW_CLASS_SWEEPS, "converged")
+            assert result.certified_optimal
 
     def test_stop_reason_max_iters(self):
-        result = optimize_povm(self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3), max_iters=7)
+        result = dense_search(self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3), max_iters=7)
         assert (result.iterations, result.stop_reason) == (7, "max_iters")
         assert result.p_upper - result.success_probability > active().cert
 
@@ -735,7 +762,7 @@ class TestOptimizePovm:
         # fixed point that is not optimal and its residual never shrinks
         states = (pure_state([1.0, 0.0]), pure_state([0.0, 1.0]))
         seed = Povm((np.eye(2), np.zeros((2, 2))), (0, 1))
-        result = optimize_povm(states, (0.5, 0.5), seed_povm=seed)
+        result = dense_search(states, (0.5, 0.5), seed)
         assert (result.iterations, result.stop_reason) == (200, "stalled")
         assert not result.certified_optimal
         assert result.success_probability == 0.5
@@ -745,7 +772,7 @@ class TestOptimizePovm:
         for states, prior, optimum in searched_families:
             assert optimum.certified_optimal
             for max_iters in range(1, 6):
-                result = optimize_povm(states, prior, max_iters=max_iters)
+                result = dense_search(states, prior, max_iters=max_iters)
                 assert result.p_upper >= optimum.success_probability - 1e-12
 
     def test_converged_brackets_are_closed(self, searched_families):
@@ -758,7 +785,7 @@ class TestOptimizePovm:
         # one Lagrange operator serves both: the bracket's width is d times
         # the certificate's most negative eigenvalue, bit for bit
         for states, prior, optimum in searched_families:
-            results = [optimum] + [optimize_povm(states, prior, max_iters=k) for k in (0, 1, 3)]
+            results = [optimum] + [dense_search(states, prior, max_iters=k) for k in (0, 1, 3)]
             for result in results:
                 shift = max(0.0, -result.residuals.min_eigenvalue)
                 assert result.p_upper == result.success_probability + len(states[0]) * shift
@@ -769,7 +796,7 @@ class TestOptimizePovm:
         states = tuple(pure_state(np.eye(3)[k]) for k in range(3))
         seed = Povm((np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])), (0, 1))
         for max_iters in (0, 1, 3):
-            result = optimize_povm(states, (1 / 3, 1 / 3, 1 / 3), seed, max_iters=max_iters)
+            result = dense_search(states, (1 / 3, 1 / 3, 1 / 3), seed, max_iters=max_iters)
             assert result.success_probability == pytest.approx(2 / 3)
             assert result.p_upper >= 1.0 - 1e-12
 
@@ -780,7 +807,7 @@ class TestOptimizePovm:
             q0 = float(rng.uniform(0.1, 0.9))
             target = helstrom(r0, r1, q0).success_probability
             for max_iters in (0, 1, 3, 10000):
-                result = optimize_povm((r0, r1), (q0, 1 - q0), max_iters=max_iters)
+                result = dense_search((r0, r1), (q0, 1 - q0), max_iters=max_iters)
                 assert result.p_upper >= target - 1e-12
 
     @pytest.mark.parametrize(
@@ -791,37 +818,35 @@ class TestOptimizePovm:
     def test_every_sweep_is_validated(self, monkeypatch, scale, message):
         family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
         prior = (1 / 3, 1 / 3, 1 / 3)
-        seed = square_root_measurement(family, prior)
+        seed = pretty_good_povm(family, prior)
         true_root = qmat._inv_sqrt
         monkeypatch.setattr(discrim.qmat, "_inv_sqrt", lambda m, starts: scale * true_root(m, starts))
         with pytest.raises(ValueError, match=message):
-            optimize_povm(family, prior, seed_povm=seed)
+            dense_search(family, prior, seed)
 
     def test_improves_on_seed_for_three_state_family(self):
         canon = canonicalize_3x3(builtin("neq3"))
         prior = (1 / 3, 1 / 3, 1 / 3)
         family = output_family(canon.base, uniform_superposition(3))
-        seed = square_root_measurement(family, prior)
-        result = optimize_povm(family, prior, seed_povm=seed)
+        seed = pretty_good_povm(family, prior)
+        result = dense_search(family, prior, seed)
         assert result.success_probability >= povm_success(family, prior, seed) - 1e-12
 
     @staticmethod
-    def phased_class_families():
-        """Each class under the uniform superposition, and under the same
-        magnitudes with seeded per-component phases: a diagonal unitary on
-        the input register, so the complex family is equivalent to the real."""
+    def phased_classes():
+        """Each class's base table with the uniform superposition and the
+        same magnitudes under seeded per-component phases: a diagonal
+        unitary on the input register, so the complex family is equivalent
+        to the real."""
         rng = np.random.default_rng(SEED + 9)
         for f in funcspec.enumerate_valid_3x3():
-            base = canonicalize_3x3(f).base
             phased = uniform_superposition(3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-            yield output_family(base, uniform_superposition(3)), output_family(base, phased)
+            yield canonicalize_3x3(f).base, uniform_superposition(3), phased
 
     def test_complex_search_matches_real_search_on_the_18_classes(self):
-        prior = (1 / 3, 1 / 3, 1 / 3)
-        for real, phased in self.phased_class_families():
-            assert not any(s.imag.any() for s in real.states)
-            assert any(s.imag.any() for s in phased.states)
-            a, b = optimize_povm(real, prior), optimize_povm(phased, prior)
+        for base, real, phased in self.phased_classes():
+            a, b = class_search(base, real), class_search(base, phased)
+            assert a.elements.dtype == np.float64 and b.elements.dtype == np.complex128
             assert (b.iterations, b.stop_reason) == (a.iterations, a.stop_reason)
             assert b.certified_optimal == a.certified_optimal
             assert abs(b.success_probability - a.success_probability) <= 1e-12
@@ -833,44 +858,47 @@ class TestOptimizePovm:
             checked.append(stack.copy())
             return check(stack, starts)
 
+        searches, search = [], discrim._fixed_point
+
+        def recording_search(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
         monkeypatch.setattr(discrim, "_check_povm_stack", recording_check)
-        prior = (1 / 3, 1 / 3, 1 / 3)
-        for family, dtype in zip(next(self.phased_class_families()), (np.float64, np.complex128)):
-            seed = square_root_measurement(family, prior)
+        monkeypatch.setattr(discrim, "_fixed_point", recording_search)
+        base, *superpositions = next(self.phased_classes())
+        for superposition, dtype in zip(superpositions, (np.float64, np.complex128)):
             checked.clear()
-            result = optimize_povm(family, prior, seed_povm=seed)
-            # one check per sweep, and the returned POVM is the last checked
-            # stack, a dense family's one block
-            assert len(checked) == result.iterations >= 1
+            searches.clear()
+            attacks.attack_deterministic_3x3(base, superposition, optimize=True)
+            # the seed's check with the measured stack, then one per sweep;
+            # the search ends on the last checked stack, the class's blocks
+            [result] = searches
+            assert len(checked) == 1 + result.iterations >= 2
             assert all(stack.dtype == dtype for stack in checked)
-            assert result.povm.elements.dtype == np.complex128
-            assert checked[-1].shape[0] == 1
-            assert np.array_equal(result.povm.elements, checked[-1][0])
+            assert checked[-1].shape == result.elements.shape == (base.outcome_count, 3, 3, 3)
+            assert np.array_equal(result.elements, checked[-1])
 
     @pytest.mark.parametrize("max_iters", [0, 1, 10000])
     def test_each_search_builds_one_povm(self, monkeypatch, max_iters):
-        built = []
-        post_init, of_checked = Povm.__post_init__, Povm._of_checked.__func__
+        built, post_init = [], Povm.__post_init__
 
         def counted_post_init(self):
             built.append("checked")
             post_init(self)
 
-        def counted_of_checked(cls, stack, labels):
-            built.append("wrapped")
-            return of_checked(cls, stack, labels)
-
         family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
         prior = (1 / 3, 1 / 3, 1 / 3)
-        seed = square_root_measurement(family, prior)
         monkeypatch.setattr(Povm, "__post_init__", counted_post_init)
-        monkeypatch.setattr(Povm, "_of_checked", classmethod(counted_of_checked))
-        result = optimize_povm(family, prior, seed_povm=seed, max_iters=max_iters)
-        assert built == ["wrapped"]
-        assert result.povm.labels == seed.labels
+        # the dense search builds its pretty-good seed and no Povm per sweep
+        result = dense_search(family, prior, max_iters=max_iters)
+        assert built == ["checked"]
+        assert result.elements.shape == (1, *family.states.shape)
+        assert result.iterations <= max_iters
         built.clear()
         # the attack's search runs on blocks and reports numbers only: no Povm at all
-        attacks.attack_deterministic_3x3(builtin("neq3"), optimize=True)
+        report = attacks.attack_deterministic_3x3(builtin("neq3"), optimize=True)
+        assert "fixed-point optimum" in report.notes
         assert built == []
 
 
@@ -902,7 +930,7 @@ class TestCertificateScreen:
         monkeypatch.setattr(discrim, "_lagrange", recording_lagrange)
         monkeypatch.setattr(discrim, "_certificate_fails", recording_screen)
         for states, prior, _ in searched_families:
-            optimize_povm(states, prior)
+            dense_search(states, prior)
         assert len(verdicts) >= 50 and not any(verdicts)
 
     def test_the_18_searches_certify_at_most_31_times(self, monkeypatch):
@@ -917,20 +945,22 @@ class TestCertificateScreen:
 
         monkeypatch.setattr(discrim, "_certify", counted_certify)
         fields = [line.split()[1:3] for line in (OPTIMIZE_PINS / "search.txt").read_text().splitlines()]
-        for n, (iterations, stop_reason) in enumerate(fields):
-            f = funcspec.parse_function_file((OPTIMIZE_PINS / f"class{n:02d}.fn").read_text())
-            result = optimize_povm(output_family(f, uniform_superposition(3)), (1 / 3, 1 / 3, 1 / 3))
+        for f, (iterations, stop_reason) in zip(class_files(), fields, strict=True):
+            result = class_search(f)
             assert (str(result.iterations), result.stop_reason) == (iterations, stop_reason)
         assert sum(int(iterations) for iterations, _ in fields) == 167
         assert len(calls) <= 31
 
 
 class TestWeightedDifferenceEigenvalues:
+    """The closed-form spectrum ``discrim._weighted_difference``, the
+    two-sided attack's cross-check."""
+
     def test_one_input_table_collapses(self):
         # rows constant across the guessed input: both coefficients vanish
         f = two_sided_binary([[0.3, 0.3], [0.8, 0.8]])
         for q0 in (0.3, 0.7, 0.99):
-            ev = weighted_difference_eigenvalues(f, q0)
+            ev = discrim._weighted_difference(f.probabilities(), q0)
             assert ev.b_val == pytest.approx(0.0, abs=1e-15)
             assert ev.b_bar == pytest.approx(0.0, abs=1e-15)
             family = output_family(f, uniform_superposition(2))
@@ -939,7 +969,7 @@ class TestWeightedDifferenceEigenvalues:
 
     def test_all_half_table_gives_zero_spectrum(self):
         f = two_sided_binary([[0.5, 0.5], [0.5, 0.5]])
-        ev = weighted_difference_eigenvalues(f, 0.5)
+        ev = discrim._weighted_difference(f.probabilities(), 0.5)
         for value in (ev.lam_plus, ev.lam_minus, ev.mu_plus, ev.mu_minus):
             assert value == pytest.approx(0.0, abs=1e-15)
         family = output_family(f, uniform_superposition(2))
@@ -951,7 +981,7 @@ class TestWeightedDifferenceEigenvalues:
             rows = rng.uniform(0, 1, size=(2, 2))
             f = two_sided_binary(rows)
             q0 = float(rng.uniform(0, 1))
-            ev = weighted_difference_eigenvalues(f, q0)
+            ev = discrim._weighted_difference(f.probabilities(), q0)
             family = output_family(f, uniform_superposition(2))
             delta = q0 * family.states[0] - (1 - q0) * family.states[1]
             direct = np.sort(np.linalg.eigvalsh(delta))
@@ -990,7 +1020,6 @@ class TestWeightedDifferenceEigenvalues:
             q0 = float(rng.uniform(0, 1))
             expected = self.cell_by_cell(f, q0)
             assert tuple(discrim._weighted_difference(p, q0)) == expected
-            assert tuple(weighted_difference_eigenvalues(f, q0)) == expected
 
     def test_two_sided_attack_does_not_reread_the_table(self, monkeypatch):
         f = two_sided_binary([[0.3, 0.7], [0.9, 0.2]])
@@ -1008,7 +1037,7 @@ class TestWeightedDifferenceEigenvalues:
             rows = rng.uniform(0, 1, size=(2, 2))
             f = two_sided_binary(rows)
             q0 = float(rng.uniform(0, 1))
-            ev = weighted_difference_eigenvalues(f, q0)
+            ev = discrim._weighted_difference(f.probabilities(), q0)
             total = ev.lam_plus + ev.lam_minus + ev.mu_plus + ev.mu_minus
             assert total == pytest.approx(2 * q0 - 1, abs=1e-10)
 
@@ -1045,7 +1074,7 @@ class TestPovmValidation:
         with pytest.raises(ValueError):
             Povm((np.eye(2),), (0, 1))
 
-    def test_elements_are_one_read_only_stack(self, searched_families):
+    def test_elements_are_one_read_only_stack(self):
         source = [np.eye(2) / 2, np.eye(2) / 2]
         povm = Povm(source, [0, 1])
         source[0][0, 0] = 7.0
@@ -1055,10 +1084,6 @@ class TestPovmValidation:
         with pytest.raises(ValueError):
             povm.elements[0, 0, 0] = 0.0
         assert povm != Povm(povm.elements, povm.labels)  # compared by identity
-        for states, _, result in searched_families:
-            elements = result.povm.elements
-            assert isinstance(elements, np.ndarray) and not elements.flags.writeable
-            assert elements.shape == (len(result.povm.labels),) + states[0].shape
 
     def test_accepts_negative_eigenvalue_within_tolerance(self):
         slack = active().psd / 2

@@ -16,7 +16,6 @@ from tpc.funcspec import (
     FunctionFileError,
     FunctionSpec,
     builtin,
-    builtin_text,
     canonicalize_3x3,
     deterministic,
     enumerate_valid_3x3,
@@ -427,7 +426,7 @@ class TestParser:
         assert f.prob(1, 0, 1) == Fraction(9, 10)
 
     def test_comments_and_blanks_ignored(self):
-        f = parse_function_file("# c\n\n" + builtin_text("neq3") + "\n# trailing\n")
+        f = parse_function_file("# c\n\n" + funcspec._BUILTIN_TEXT["neq3"] + "\n# trailing\n")
         assert f == builtin("neq3")
 
     def test_malformed_header_reports_line(self):
@@ -611,7 +610,7 @@ class TestSpecHelpers:
         f = neq3()
         assert f.prob(0, 0, 0) == 1
         assert f.prob(1, 0, 0) == 0
-        assert f.outcome(1, 2) == 1
+        assert f.det_table[2][1] == 1
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):

