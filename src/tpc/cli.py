@@ -5,7 +5,7 @@ Subcommands::
     tpc analyze <file|@name> [--prior q0,q1,...] [--superposition a0,a1,...]
                 [--q0-sweep v1,v2,...] [--q0 v] [--role alice|bob]
                 [--optimize] [--out <path>]
-    tpc sweep3x3 [--out <path>]          (--workers N is accepted and ignored)
+    tpc sweep3x3 [--out <path>]
     tpc ot-demo [--out <path>]
     tpc certify <file|@name> --povm <path> [--prior q0,q1,...]
 
@@ -170,8 +170,12 @@ def parse_report_document(text: str) -> ReportDocument:
             raise FunctionFileError(pos, f"bad {key} field: {exc}") from None
 
     version = field("schema_version", int)
+    if version != SCHEMA_VERSION:
+        raise FunctionFileError(pos, f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
     environment = field("environment")
     count = field("report_count", int)
+    if count < 0:
+        raise FunctionFileError(pos, f"report_count must not be negative, got {count}")
     reports = []
     for _ in range(count):
         line = take("report separator")
@@ -349,16 +353,11 @@ def _two_state_q0(q0: float | None, prior: tuple[float, ...] | None) -> float | 
 
 def cmd_analyze(args) -> int:
     try:
-        f = _load_spec(args.function)
-    except FunctionFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = _dispatch_analyze(f, args)
+        report = _dispatch_analyze(_load_spec(args.function), args)
     except ScopeError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return EXIT_SCOPE
-    except (FunctionFileError, ValueError) as exc:
+    except ValueError as exc:  # a FunctionFileError, or a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _print_report(report)
@@ -460,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda args: cmd_analyze(args))
 
     p = sub.add_parser("sweep3x3", help="attack every valid 3x3 deterministic function")
-    p.add_argument("--workers", type=int, default=None, help="accepted and ignored; the sweep is serial")
     p.add_argument("--out", help="write a machine-readable report document")
     p.set_defaults(func=lambda args: cmd_sweep3x3(args))
 
@@ -490,7 +488,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if tokens[n - 1] in ("--prior", "--superposition", "--q0-sweep", "--q0") and re.match(r"-[\d.]", tokens[n]):
             tokens[n - 1 : n + 1] = [f"{tokens[n - 1]}={tokens[n]}"]
     args = _parser().parse_args(tokens)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input file that cannot be read, an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint() -> None:

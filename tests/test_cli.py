@@ -2,7 +2,9 @@
 
 import argparse
 import math
+import os
 import re
+import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpc import attacks, blackbox, cli, discrim, funcspec, tolerances
+from tpc import attacks, blackbox, cli, discrim, funcspec
 from tpc.cli import (
     EXIT_INPUT,
     EXIT_NOT_OPTIMAL,
@@ -208,6 +210,13 @@ class TestAnalyze:
         assert main(["analyze", "/nonexistent/path.fn"]) == EXIT_INPUT
         assert "no such function file" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.fn"
+        path.write_bytes(b"type: deterministic\nsided: two\n\xff\n")
+        assert main(["analyze", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_unknown_builtin_exits_one(self, capsys):
         assert main(["analyze", "@missing"]) == EXIT_INPUT
 
@@ -322,17 +331,8 @@ class TestSweepCommand:
         assert f"functions={funcspec.VALID_3X3_CLASS_COUNT}" in out
         assert "min_adv=" in out and "median_adv=" in out and "max_adv=" in out
 
-    def test_worker_counts_produce_identical_documents(self, tmp_path, capsys):
-        out1 = str(tmp_path / "w1.txt")
-        out8 = str(tmp_path / "w8.txt")
-        assert main(["sweep3x3", "--workers", "1", "--out", out1]) == EXIT_OK
-        assert main(["sweep3x3", "--workers", "8", "--out", out8]) == EXIT_OK
-        capsys.readouterr()
-        assert (tmp_path / "w1.txt").read_text() == (tmp_path / "w8.txt").read_text()
-
-    def test_stdout_and_document_pinned_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+    def test_stdout_and_document_pinned_byte_for_byte(self, tmp_path, capsys):
         # pinned output of the headline sweep: a changed digit must be deliberate
-        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
         out = tmp_path / "sweep.txt"
         assert main(["sweep3x3", "--out", str(out)]) == EXIT_OK
         stdout = capsys.readouterr().out
@@ -346,6 +346,12 @@ class TestSweepCommand:
         capsys.readouterr()
         doc = parse_report_document((tmp_path / "sweep.txt").read_text())
         assert len(doc.reports) == funcspec.VALID_3X3_CLASS_COUNT
+
+
+@pytest.mark.parametrize("argv", [["analyze", "@neq3"], ["sweep3x3"], ["ot-demo"]])
+def test_out_into_a_missing_directory_exits_one(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "missing" / "r.txt")]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # The two-state attacks' pinned outputs: tests/data/two_state/<case>.stdout
@@ -365,8 +371,7 @@ TWO_STATE_PINS = {
 
 class TestTwoStatePins:
     @pytest.mark.parametrize("case", sorted(TWO_STATE_PINS))
-    def test_stdout_and_document_pinned_byte_for_byte(self, case, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+    def test_stdout_and_document_pinned_byte_for_byte(self, case, tmp_path, capsys):
         pins = DATA / "two_state"
         argv = [str(pins / a) if a.endswith(".fn") else a for a in TWO_STATE_PINS[case]]
         out = tmp_path / "report.txt"
@@ -387,8 +392,7 @@ OPTIMIZE_PINS = {
 
 class TestOptimizePins:
     @pytest.mark.parametrize("case", sorted(OPTIMIZE_PINS))
-    def test_stdout_pinned_byte_for_byte(self, case, capsys, monkeypatch):
-        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+    def test_stdout_pinned_byte_for_byte(self, case, capsys):
         pins = DATA / "optimize3x3"
         argv = [str(pins / a) if a.endswith(".fn") else a for a in OPTIMIZE_PINS[case]]
         assert main(["analyze"] + argv + ["--optimize"]) == EXIT_OK
@@ -408,8 +412,7 @@ CERTIFY_PINS = {
 
 class TestCertifyPins:
     @pytest.mark.parametrize("case", sorted(CERTIFY_PINS))
-    def test_output_and_exit_code_pinned_byte_for_byte(self, case, capsys, monkeypatch):
-        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
+    def test_output_and_exit_code_pinned_byte_for_byte(self, case, capsys):
         pins = DATA / "certify"
         function, povm, *options = CERTIFY_PINS[case]
         if function.endswith(".fn"):
@@ -419,6 +422,23 @@ class TestCertifyPins:
         assert f"{code}\n" == (pins / f"{case}.exit").read_text()
         assert captured.out == (pins / f"{case}.stdout").read_text()
         assert captured.err == (pins / f"{case}.stderr").read_text()
+
+
+@pytest.mark.parametrize("setting", ["FOO=1", "CERT_TOL=1"])
+def test_tolerances_ignore_the_environment(setting, tmp_path):
+    # the tolerances are fixed: no environment variable moves a verdict or a document
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "TPC_TOL_OVERRIDE": setting}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "report.txt"
+    run = subprocess.run(
+        [sys.executable, "-m", "tpc.cli", "ot-demo", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    pins = DATA / "two_state"
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    assert run.stdout == (pins / "ot_demo.stdout").read_text()
+    assert out.read_text() == (pins / "ot_demo.report").read_text()
 
 
 class TestOtDemo:
@@ -535,6 +555,17 @@ class TestReportDocument:
             parse_report_document("\n".join(lines + ["---"]))
         assert info.value.line_no == 15
 
+    @pytest.mark.parametrize(
+        "key, value, line_no",
+        [("schema_version", "9", 1), ("schema_version", "-1", 1), ("report_count", "-3", 3)],
+    )
+    def test_bad_header_value_names_the_line(self, key, value, line_no):
+        text = render_report_document([attacks.attack_oblivious_transfer()])
+        text = re.sub(rf"^{key}: .*$", f"{key}: {value}", text, count=1, flags=re.M)
+        with pytest.raises(funcspec.FunctionFileError) as info:
+            parse_report_document(text)
+        assert info.value.line_no == line_no
+
     def test_povm_file_round_trip(self):
         povm = attacks.ot_explicit_povm()
         parsed = parse_povm_file(render_povm(povm))
@@ -567,9 +598,6 @@ class TestUsageText:
         # options shown for each subcommand in its ``tpc <command> ...`` block
         blocks = re.split(r"^\s*tpc ", text, flags=re.M)[1:]
         documented = {b.split()[0]: set(re.findall(r"--[a-z0-9-]+", b)) for b in blocks}
-        if source == "README":
-            # the README explains --workers in prose under the block
-            documented["sweep3x3"].add("--workers")
         assert documented == accepted
 
 
@@ -610,24 +638,6 @@ class TestParserReuse:
         capsys.readouterr()
         monkeypatch.setattr(cli, "cmd_ot_demo", lambda args: 7)
         assert main(["ot-demo"]) == 7
-
-
-class TestToleranceOverride:
-    def test_override_parsing(self):
-        from tpc.tolerances import parse_overrides
-
-        values = parse_overrides("TOL_PSD=1e-8, CERT_TOL=2e-7")
-        assert values == {"psd": 1e-8, "cert": 2e-7}
-        with pytest.raises(ValueError):
-            parse_overrides("NOT_A_NAME=1")
-
-    def test_environment_recorded_in_documents(self, monkeypatch):
-        from tpc import tolerances
-
-        monkeypatch.setenv("TPC_TOL_OVERRIDE", "CERT_TOL=5e-7")
-        fresh = tolerances.from_env()
-        assert fresh.cert == 5e-7
-        assert "CERT_TOL=4.9999999999999998e-07" in tolerances.environment_summary(fresh)
 
 
 # short text over the characters the POVM format gives meaning to,

@@ -724,12 +724,11 @@ class TestOptimizePovm:
     def slow_class_family(self):
         return output_family(funcspec.deterministic(self.SLOW_CLASS), uniform_superposition(3))
 
-    def test_search_fields_pinned_on_the_18_classes(self, monkeypatch):
+    def test_search_fields_pinned_on_the_18_classes(self):
         # tests/data/optimize3x3/search.txt: the --optimize search on each
         # class file's outcome blocks at the uniform prior, as iterations,
         # stop reason, repr(p) and repr(p_upper); a changed digit must be
         # deliberate
-        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
         lines = []
         for n, f in enumerate(class_files()):
             result = class_search(f)
@@ -936,7 +935,6 @@ class TestCertificateScreen:
     def test_the_18_searches_certify_at_most_31_times(self, monkeypatch):
         # 74 certificates before the screen; the pinned search fields (and
         # so every stop sweep) are unchanged, 167 sweeps in all
-        monkeypatch.setattr(tolerances, "_ACTIVE", tolerances.Tolerances())
         calls, certify = [], discrim._certify
 
         def counted_certify(*args):
