@@ -94,6 +94,12 @@ def _parse_input(text: str):
     raise ValueError(f"cannot parse input_used field {text!r}")
 
 
+def _parse_certified(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
@@ -140,7 +146,7 @@ _REPORT_FIELDS = (
     ("p_honest", float),
     ("p_attack", float),
     ("advantage", float),
-    ("certified", lambda t: t == "true"),
+    ("certified", _parse_certified),
     ("residuals", lambda t: None if t == "-" else CertificateResiduals(*_parse_floats(t))),
     ("notes", _unescape),
 )

@@ -47,7 +47,7 @@ class Povm:
 
     The constructor checks all elements at once: matrices with finite
     entries, one shared square shape, Hermiticity, PSD (one stacked
-    ``eigvalsh``) and completeness.  Povms compare by identity.
+    Cholesky of ``E + psd I``) and completeness.  Povms compare by identity.
     """
 
     elements: np.ndarray
@@ -80,9 +80,13 @@ class Povm:
 def _check_povm_stack(stack: np.ndarray, starts: np.ndarray) -> None:
     """:class:`Povm`'s checks on the element blocks ``(N, m, b, b)`` of the
     element sets that start at ``starts``: finite entries, Hermiticity, PSD
-    (one stacked ``eigvalsh``) and completeness, naming the first failing
-    defect as the dense check of each set would.  Each check passes on one
-    whole-stack ``max``; only a failing one reduces per set to name it."""
+    and completeness, naming the first failing defect as the dense check of
+    each set would.  Each check passes on one whole-stack ``max``; only a
+    failing one reduces per set to name it.  PSD is one stacked Cholesky of
+    ``E + psd I``, which factors, up to rounding, exactly when no element
+    has an eigenvalue below ``-psd`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 10); like ``eigvalsh`` it reads only
+    the lower triangle."""
     if not np.isfinite(stack).all():
         raise ValueError("matrix contains non-finite entries")
     tol = active()
@@ -92,8 +96,10 @@ def _check_povm_stack(stack: np.ndarray, starts: np.ndarray) -> None:
         herm = np.maximum.reduceat(herm.max(axis=(-2, -1)), starts)
         herm = herm[herm > tol.herm]
         raise ValueError(f"POVM element is not Hermitian (defect {herm[0]:.3g} > {tol.herm:.3g})")
-    if np.linalg.eigvalsh(stack).min() < -tol.psd:
-        raise ValueError("POVM element is not PSD within tolerance")
+    try:
+        np.linalg.cholesky(stack + tol.psd * qmat.identity(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("POVM element is not PSD within tolerance") from None
     defect = np.abs(stack.sum(axis=-3) - qmat.identity(stack.shape[-1]))
     if defect.max() > tol.recon:
         defect = np.maximum.reduceat(defect.max(axis=(-2, -1)), starts)

@@ -265,9 +265,9 @@ def _keys(t: np.ndarray, place: np.ndarray) -> np.ndarray:
     """``place @ labels`` for every column of ``t`` ``(cells, ...)``, its
     labels renumbered 0, 1, 2, ... in order of first appearance down the
     cells.  Labels are small non-negative integers: the work grows with the
-    largest."""
+    largest.  They are compared in their own dtype, so int8 tables stay int8."""
     flat = t.reshape(len(t), 1, -1)
-    hits = flat == np.arange(t.max() + 1)[:, None]
+    hits = flat == np.arange(t.max() + 1, dtype=t.dtype)[:, None]
     # how early each label first appears: the last cell scores 1, absence 0
     early = (hits * np.arange(len(t), 0, -1, dtype=np.int8)[:, None, None]).max(axis=0)
     rank = (early[:, None] > early).sum(axis=0, dtype=np.int8)

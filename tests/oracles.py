@@ -152,6 +152,12 @@ def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float]
     return Povm((e0, e1, e2), (0, 1, 2))
 
 
+def below_psd_tolerance(elements: np.ndarray) -> bool:
+    """Whether some Hermitian element of a stack ``(..., b, b)`` has an
+    eigenvalue below ``-TOL_PSD``, from its full spectrum (``eigvalsh``)."""
+    return bool(np.linalg.eigvalsh(elements).min() < -active().psd)
+
+
 def pretty_good_povm(family, prior: Sequence[float]) -> Povm:
     """The pretty-good measurement of one dense family as a checked
     :class:`Povm`: :func:`tpc.discrim._pretty_good` on a single block."""

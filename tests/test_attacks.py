@@ -22,7 +22,13 @@ from tpc.attacks import (
 from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
-from oracles import fraction_slope_bound, loop_honest_probability, mp_pretty_good_success, pretty_good_povm
+from oracles import (
+    dense_search,
+    fraction_slope_bound,
+    loop_honest_probability,
+    mp_pretty_good_success,
+    pretty_good_povm,
+)
 
 SEED = 8091
 
@@ -486,6 +492,25 @@ def count_constructions(monkeypatch) -> list[str]:
     return calls
 
 
+# one Helstrom or inverse root (eigh), one POVM check (cholesky) and one
+# Lagrange operator (eigvalsh), for a whole stack at once
+ONE_OF_EACH_KERNEL = ["cholesky", "eigh", "eigvalsh"]
+
+
+def count_kernels(monkeypatch) -> list[str]:
+    """Record every ``np.linalg`` eigen-solve and Cholesky factorization
+    run from here on, by name, in one list."""
+    calls = []
+    for name in ONE_OF_EACH_KERNEL:
+
+        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestTwoStateArrays:
     def test_attacks_build_no_state_objects_after_parsing(self, monkeypatch):
         # the two-state attacks carry the parsed table's states as arrays to
@@ -522,19 +547,11 @@ class TestOneReportPerCandidate:
          lambda: attack_nondet_one_sided(TestOneReportPerCandidate.ONE, 0.3)],
         ids=["two-sided", "one-sided"],
     )
-    def test_one_eigh_and_two_eigvalsh_per_attack(self, monkeypatch, attack):
-        # the Helstrom elements (eigh), the POVM check and the Lagrange
-        # operator (eigvalsh each), for all candidates at once
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-
-            def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_one_kernel_of_each_per_attack(self, monkeypatch, attack):
+        # all candidates at once
+        calls = count_kernels(monkeypatch)
         attack()
-        assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh"]
+        assert sorted(calls) == ONE_OF_EACH_KERNEL
 
     def test_tie_keeps_the_first_candidate(self):
         # p(k|0,j) = p(k|1,j): both honest inputs leave the same states
@@ -638,6 +655,24 @@ class TestSweep:
         f = funcspec.deterministic(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
         blackbox.output_family(f, blackbox.uniform_superposition(3))
         assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
+
+    def test_one_kernel_of_each_per_sweep(self, monkeypatch):
+        # the 18 classes' pretty-good elements, checked and certified as one stack
+        calls = count_kernels(monkeypatch)
+        sweep_all_3x3()
+        assert sorted(calls) == ONE_OF_EACH_KERNEL
+
+    def test_one_kernel_of_each_per_fixed_point_sweep(self, monkeypatch):
+        family = blackbox.output_family(
+            funcspec.canonicalize_3x3(builtin("neq3")).base, blackbox.uniform_superposition(3)
+        )
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        seed = pretty_good_povm(family, prior)
+        calls = count_kernels(monkeypatch)
+        # the sweep closes the bracket, so its certificate is the search's last
+        result = dense_search(family, prior, seed, max_iters=1)
+        assert (result.iterations, result.stop_reason) == (1, "converged")
+        assert sorted(calls) == ONE_OF_EACH_KERNEL
 
     def test_sweep_covers_every_class_with_positive_advantage(self):
         reports = sweep_all_3x3()

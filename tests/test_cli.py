@@ -566,6 +566,14 @@ class TestReportDocument:
             parse_report_document(text)
         assert info.value.line_no == line_no
 
+    @pytest.mark.parametrize("value", ["banana", "True"])
+    def test_certified_is_true_or_false(self, value):
+        text = render_report_document([attacks.attack_oblivious_transfer()])
+        assert "\ncertified: true\n" in text
+        with pytest.raises(funcspec.FunctionFileError, match="bad certified field") as info:
+            parse_report_document(text.replace("\ncertified: true\n", f"\ncertified: {value}\n"))
+        assert info.value.line_no == 12
+
     def test_povm_file_round_trip(self):
         povm = attacks.ot_explicit_povm()
         parsed = parse_povm_file(render_povm(povm))

@@ -24,6 +24,7 @@ from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose,
 from tpc.tolerances import active
 
 from oracles import (
+    below_psd_tolerance,
     dense_search,
     honest_family_povm,
     loop_honest_probability,
@@ -365,6 +366,36 @@ def block_stacks(superposition=None):
         yield np.array([blackbox._one_sided_families(table)[i] for table in p]), np.arange(40), priors
 
 
+def random_basis(rng, b: int, complex_: bool) -> np.ndarray:
+    """A seeded orthonormal basis of dimension ``b``, as matrix columns."""
+    z = rng.normal(size=(b, b)) + (1j * rng.normal(size=(b, b)) if complex_ else 0)
+    return np.linalg.qr(z)[0]
+
+
+def boundary_povm_stack(rng, blocks: int, m: int, b: int, lowest: float, complex_: bool) -> np.ndarray:
+    """Element blocks ``(blocks, m, b, b)`` that sum to the identity in each
+    block, with one seeded element whose lowest eigenvalue is ``lowest`` and
+    every other eigenvalue of the stack at or above 0.  Each block holds a
+    projective measurement of rank-one pieces on a random basis (so some
+    elements are rank-deficient, some zero) sandwiched in the root of what
+    its first element leaves; the marked element is the first of a seeded
+    block, moved to a seeded place."""
+    stack = np.empty((blocks, m, b, b), dtype=complex if complex_ else float)
+    marked = int(rng.integers(blocks))
+    for n in range(blocks):
+        spectrum = rng.uniform(0, 0.5, size=b)
+        spectrum[rng.integers(b)] = lowest if n == marked else 0.0
+        v = random_basis(rng, b, complex_)
+        first = (v * spectrum) @ v.conj().T
+        rest = (v * np.sqrt(1 - spectrum)) @ v.conj().T
+        u = random_basis(rng, b, complex_)
+        owner = rng.integers(1, m, size=b)
+        pieces = [(u[:, owner == k] @ u[:, owner == k].conj().T) for k in range(1, m)]
+        stack[n] = [first] + [rest @ piece @ rest for piece in pieces]
+    stack[marked] = np.roll(stack[marked], int(rng.integers(m)), axis=0)
+    return (stack + qmat.dagger(stack)) / 2
+
+
 class TestRealMeasurePath:
     """The builders hand real families to ``discrim._measure_stack`` as
     float64 block stacks; their complex128 casts must measure the same."""
@@ -442,6 +473,32 @@ class TestBlockMeasurePath:
             discrim._check_povm_stack(elements, starts)
         with pytest.raises(ValueError, match=f"^{message}$"):
             Povm(blackbox._assemble(elements[starts[-1]:]), (0, 1, 2))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("b", [2, 3, 6])
+    def test_psd_verdict_matches_the_eigvalsh_oracle(self, b, complex_):
+        # the lowest eigenvalue at 0 and just inside and just outside -TOL_PSD
+        psd = active().psd
+        rng = np.random.default_rng(SEED + 31 + b + 10 * complex_)
+        verdicts = []
+        for lowest in (0.0, -psd * (1 - 1e-3), -psd * (1 + 1e-3)):
+            for blocks in (1, 7, 50):
+                m = int(rng.integers(2, 5))
+                stack = boundary_povm_stack(rng, blocks, m, b, lowest, complex_)
+                starts = np.arange(0, blocks, 3)
+                fails = below_psd_tolerance(stack)
+                assert fails == (lowest < -psd)
+                verdicts.append(fails)
+                marked = int(np.argmin(np.linalg.eigvalsh(stack).min(axis=(-2, -1))))
+                if fails:
+                    with pytest.raises(ValueError, match="^POVM element is not PSD within tolerance$"):
+                        discrim._check_povm_stack(stack, starts)
+                    with pytest.raises(ValueError, match="^POVM element is not PSD within tolerance$"):
+                        Povm(stack[marked], range(m))
+                else:
+                    discrim._check_povm_stack(stack, starts)
+                    Povm(stack[marked], range(m))
+        assert verdicts == [False] * 6 + [True] * 3
 
     def test_search_on_blocks_matches_the_dense_search(self):
         # the dense search is the one-block case on the assembled float64

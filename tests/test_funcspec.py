@@ -351,13 +351,25 @@ class TestEnumeration:
         assert enumerate_valid_3x3() == full_walk_classes()
 
     def test_class_representative_matches_oracle(self):
-        # enumerate_valid_3x3 keys each valid table by the smallest key of this set
+        # enumerate_valid_3x3 keys each valid table by the smallest key of
+        # this set, on int8 labels; the canonicalizer's labels are int64
         for flat in normalized_flat_tables():
             if conditions_ok_flat(flat):
-                keys = funcspec._keys(np.array(flat)[funcspec._GATHER], funcspec._KEY)
-                orbit = {tuple(int(x) for x in key // funcspec._KEY % 4) for key in keys}
-                assert orbit == set(permuted_tables(flat))
-                assert min(orbit) == class_representative(flat)
+                for dtype in (np.int64, np.int8):
+                    keys = funcspec._keys(np.array(flat, dtype=dtype)[funcspec._GATHER], funcspec._KEY)
+                    orbit = {tuple(int(x) for x in key // funcspec._KEY % 4) for key in keys}
+                    assert orbit == set(permuted_tables(flat))
+                    assert min(orbit) == class_representative(flat)
+
+    @pytest.mark.parametrize("top", [3, 8])
+    def test_int8_and_int64_labels_give_equal_keys(self, top):
+        rng = np.random.default_rng(top)
+        for shape in ((9, 200), (9, 36, 40)):
+            labels = rng.integers(0, top + 1, size=shape)
+            wide = funcspec._keys(labels.astype(np.int64), funcspec._KEY)
+            narrow = funcspec._keys(labels.astype(np.int8), funcspec._KEY)
+            assert wide.shape == shape[1:]
+            assert narrow.dtype == wide.dtype and np.array_equal(narrow, wide)
 
     def test_contains_neq3_class_exactly_once(self):
         target = class_representative(sum(neq3().det_table, ()))
