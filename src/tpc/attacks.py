@@ -63,7 +63,8 @@ class AttackReport:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if abs(self.advantage - (self.p_attack - self.p_honest)) > 1e-12:
+        # written so that a NaN advantage fails too
+        if not abs(self.advantage - (self.p_attack - self.p_honest)) <= 1e-12:
             raise ValueError("advantage must equal p_attack - p_honest")
         for p in (self.p_honest, self.p_attack):
             if not -1e-12 <= p <= 1.0 + 1e-12:

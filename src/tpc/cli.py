@@ -84,6 +84,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(","))
 
 
+def _parse_prior(text: str) -> tuple[float, ...]:
+    prior = _parse_floats(text)
+    funcspec.validate_prior(prior, len(prior))
+    return prior
+
+
 def _parse_input(text: str):
     if text == "-":
         return None
@@ -141,7 +147,7 @@ def render_report_document(reports: Sequence[AttackReport]) -> str:
 _REPORT_FIELDS = (
     ("function_id", str),
     ("scenario", str),
-    ("prior", _parse_floats),
+    ("prior", _parse_prior),
     ("input_used", _parse_input),
     ("p_honest", float),
     ("p_attack", float),
@@ -490,8 +496,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     for n in range(len(tokens) - 1, 0, -1):
-        # join a value such as -0.6,0.8 to its option, or argparse reads it as one
-        if tokens[n - 1] in ("--prior", "--superposition", "--q0-sweep", "--q0") and re.match(r"-[\d.]", tokens[n]):
+        # join a value such as -0.6,0.8 or -inf to its option, or argparse reads it as one
+        negative = re.match(r"-([\d.]|inf|nan)", tokens[n], re.IGNORECASE)
+        if tokens[n - 1] in ("--prior", "--superposition", "--q0-sweep", "--q0") and negative:
             tokens[n - 1 : n + 1] = [f"{tokens[n - 1]}={tokens[n]}"]
     args = _parser().parse_args(tokens)
     try:

@@ -179,61 +179,55 @@ def _success(
     return (priors * np.add.reduceat(traces, starts)).sum(axis=-1)
 
 
-class _Lagrange(NamedTuple):
-    """:func:`_lagrange`'s operators for element blocks ``(N, m, b, b)``."""
-
-    product: np.ndarray  # Y = sum_e E_e w_e, per block (N, b, b)
-    gap: np.ndarray      # Y - q_l rho_l, per block and family state (N, n, b, b)
-    lowest: np.ndarray   # least eigenvalue of Herm(gap) over each family's blocks (F,)
-
-
-def _lagrange(
-    elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray, starts: np.ndarray
-) -> _Lagrange:
-    """The product ``Y = sum_e E_e w_e``, the gap operators ``Y - q_l rho_l``,
-    one per family state, and the lowest eigenvalue of their Hermitian parts:
-    the certificate's PSD test, and the search's bound, as with
-    ``shift = max(0, -lowest)`` ``Herm(Y) + shift I`` is dual-feasible
-    (Eldar, Megretski & Verghese, IEEE Trans. Inf. Theory 49, 1007), so
-    ``p + d * shift`` bounds every POVM's success.  Works on element blocks
-    ``(N, m, b, b)``, with one lowest eigenvalue per family, the least over
-    its blocks."""
+def _gap(elements: np.ndarray, weighted: np.ndarray, family_weighted: np.ndarray) -> np.ndarray:
+    """The Lagrange gap operators ``Y - q_l rho_l`` of element blocks
+    ``(N, m, b, b)``, one per family state ``(N, n, b, b)``, with
+    ``Y = sum_e E_e w_e`` per block."""
     product = (elements @ weighted).sum(axis=-3)
-    gap = product[..., None, :, :] - family_weighted
+    return product[..., None, :, :] - family_weighted
+
+
+def _lagrange(gap: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of the Hermitian parts of :func:`_gap`'s
+    operators, one stacked ``eigvalsh``, the least over each family's
+    blocks ``(F,)``: the certificate's PSD test, and the search's bound, as
+    with ``shift = max(0, -lowest)`` ``Herm(Y) + shift I`` is dual-feasible
+    (Eldar, Megretski & Verghese, IEEE Trans. Inf. Theory 49, 1007), so
+    ``p + d * shift`` bounds every POVM's success."""
     lowest = np.linalg.eigvalsh((gap + qmat.dagger(gap)) / 2).min(axis=(-2, -1))
-    return _Lagrange(product, gap, np.minimum.reduceat(lowest, starts))
+    return np.minimum.reduceat(lowest, starts)
 
 
 def _anti_hermitian(gap: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The certificate's anti-Hermitian residual of each family: half the
-    largest entry of ``gap - gap^dag`` over its :func:`_lagrange` gap blocks."""
+    largest entry of ``gap - gap^dag`` over its :func:`_gap` blocks."""
     return np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
 
 
-def _certificate_fails(lagrange: _Lagrange) -> bool:
+def _certificate_fails(gap: np.ndarray) -> bool:
     """Whether :func:`_certify` must reject the one family whose
-    :func:`_lagrange` operators these are, without running it: its
-    anti-Hermitian residual, computed as :func:`_certify` computes it,
-    exceeds the certificate tolerance."""
-    return _anti_hermitian(lagrange.gap, qmat.ONE_FAMILY)[0] > active().cert
+    :func:`_gap` operators these are, without running it or solving for
+    their lowest eigenvalue: its anti-Hermitian residual, computed as
+    :func:`_certify` computes it, exceeds the certificate tolerance."""
+    return _anti_hermitian(gap, qmat.ONE_FAMILY)[0] > active().cert
 
 
 def _certify(
-    elements: np.ndarray, weighted: np.ndarray, lagrange: _Lagrange, starts: np.ndarray,
+    elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, lowest: np.ndarray, starts: np.ndarray,
 ) -> list[tuple[bool, CertificateResiduals]]:
     """Both optimality conditions for element blocks ``E_e`` with weighted
-    state blocks ``w_e`` ``(N, m, b, b)``, given their :func:`_lagrange`
-    operators: one verdict per family, each residual the largest over the
-    family's blocks."""
+    state blocks ``w_e`` ``(N, m, b, b)``, given their :func:`_gap`
+    operators and :func:`_lagrange` eigenvalues: one verdict per family,
+    each residual the largest over the family's blocks."""
     tol = active()
     # every pair (j, l) at once, each product associated as (E_j (w_j - w_l)) E_l
     differences = weighted[..., :, None, :, :] - weighted[..., None, :, :, :]
     products = elements[..., :, None, :, :] @ differences @ elements[..., None, :, :, :]
     pairwise = np.maximum.reduceat(np.abs(products).max(axis=(-4, -3, -2, -1)), starts)
-    anti = _anti_hermitian(lagrange.gap, starts)
+    anti = _anti_hermitian(gap, starts)
     return [
         (p <= tol.cert and e >= -tol.cert and a <= tol.cert, CertificateResiduals(p, e, a))
-        for p, e, a in zip(pairwise.tolist(), lagrange.lowest.tolist(), anti.tolist())
+        for p, e, a in zip(pairwise.tolist(), lowest.tolist(), anti.tolist())
     ]
 
 
@@ -241,8 +235,8 @@ def certify_optimal(family, prior: Sequence[float], povm: Povm) -> tuple[bool, C
     """Check the minimum-error optimality conditions for a POVM."""
     matrices, priors, family_weighted = _checked_inputs(family, prior, povm)
     elements, weighted = povm.elements[None], (priors[:, None, None] * matrices)[None]
-    lagrange = _lagrange(elements, weighted, family_weighted[None], qmat.ONE_FAMILY)
-    return _certify(elements, weighted, lagrange, qmat.ONE_FAMILY)[0]
+    gap = _gap(elements, weighted, family_weighted[None])
+    return _certify(elements, weighted, gap, _lagrange(gap, qmat.ONE_FAMILY), qmat.ONE_FAMILY)[0]
 
 
 def helstrom(rho0, rho1, q0: float) -> DiscriminationResult:
@@ -315,8 +309,8 @@ def _measure_stack(
         successes = _success(elements, states, priors, starts)
     _check_povm_stack(elements, starts)
     weighted = block_priors[..., None, None] * states
-    lagrange = _lagrange(elements, weighted, weighted, starts)
-    return elements, successes.tolist(), _certify(elements, weighted, lagrange, starts)
+    gap = _gap(elements, weighted, weighted)
+    return elements, successes.tolist(), _certify(elements, weighted, gap, _lagrange(gap, starts), starts)
 
 
 class _Search(NamedTuple):
@@ -342,7 +336,9 @@ def _fixed_point(
     ``(K, n, b, b)``.  Each sweep checks its bare iterate stack with
     :func:`_check_povm_stack`, in the inputs' dtype, and never lowers the
     value; ``p_upper`` (:func:`_lagrange`, counting ``d = K b``) bounds the
-    optimum.  It stops on a certified closed bracket or a stalled polish."""
+    optimum.  It stops on a certified closed bracket or a stalled polish.
+    The Lagrange eigen-solve runs only on a polish sweep or one whose gap
+    operators pass :func:`_certificate_fails`: no other sweep can stop."""
     one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
@@ -364,13 +360,16 @@ def _fixed_point(
             )
         improved, current, residuals = value - current, value, None
         steps += 1
-        lagrange = _lagrange(elements, weighted, family_weighted, one)
-        closed = dim * max(-float(lagrange.lowest[0]), 0.0) <= active().cert
+        gap = _gap(elements, weighted, family_weighted)
         polish = improved < step_tol and steps % polish_block == 0
         # a polish block's certificate feeds the stall rule, so it always runs
-        if not polish and (not closed or _certificate_fails(lagrange)):
+        if not polish and _certificate_fails(gap):
             continue
-        ok, residuals = _certify(elements, weighted, lagrange, one)[0]
+        lowest = _lagrange(gap, one)
+        closed = dim * max(-float(lowest[0]), 0.0) <= active().cert
+        if not polish and not closed:
+            continue
+        ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
         residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
         if (ok and closed) or (polish and residual >= 0.9 * last_residual):
             stop_reason = "converged" if ok and closed else "stalled"
@@ -378,8 +377,8 @@ def _fixed_point(
         if polish:
             last_residual = residual
     if residuals is None:
-        lagrange = _lagrange(elements, weighted, family_weighted, one)
-        ok, residuals = _certify(elements, weighted, lagrange, one)[0]
+        gap = _gap(elements, weighted, family_weighted)
+        ok, residuals = _certify(elements, weighted, gap, _lagrange(gap, one), one)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
     return _Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
 

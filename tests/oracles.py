@@ -3,7 +3,8 @@
 None of these is called by ``src/tpc``; each rebuilds a number the library
 computes another way, except :func:`pretty_good_povm` and
 :func:`dense_search`, which run the library's own private stages on one
-dense family.
+dense family, :func:`eager_search`, which runs them in another order, and
+:func:`count_kernels`, which counts the linear-algebra kernels they run.
 
 States are plain density matrices; the oracles that split a matrix into
 subsystems take their dimensions explicitly.  The two-sided states have two
@@ -152,6 +153,20 @@ def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float]
     return Povm((e0, e1, e2), (0, 1, 2))
 
 
+def count_kernels(monkeypatch) -> list[str]:
+    """Record every ``np.linalg`` eigen-solve and Cholesky factorization
+    run from here on, by name, in one list."""
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
+
+        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def below_psd_tolerance(elements: np.ndarray) -> bool:
     """Whether some Hermitian element of a stack ``(..., b, b)`` has an
     eigenvalue below ``-TOL_PSD``, from its full spectrum (``eigvalsh``)."""
@@ -166,13 +181,65 @@ def pretty_good_povm(family, prior: Sequence[float]) -> Povm:
     return Povm(elements[0], range(len(states)))
 
 
-def dense_search(family, prior: Sequence[float], seed: Povm | None = None, max_iters: int = 10000):
-    """:func:`tpc.discrim._fixed_point` on one dense family, a single block,
-    from ``seed`` or the pretty-good measurement, with the family, prior and
-    seed checked by :func:`tpc.discrim._checked_inputs`."""
+def dense_inputs(family, prior: Sequence[float], seed: Povm | None = None) -> tuple[np.ndarray, ...]:
+    """The arguments of :func:`tpc.discrim._fixed_point` on one dense family,
+    a single block, from ``seed`` or the pretty-good measurement, with the
+    family, prior and seed checked by :func:`tpc.discrim._checked_inputs`."""
     seed = pretty_good_povm(family, prior) if seed is None else seed
     matrices, priors, family_weighted = discrim._checked_inputs(family, prior, seed)
-    return discrim._fixed_point(seed.elements[None], matrices[None], priors, family_weighted[None], max_iters)
+    return seed.elements[None], matrices[None], priors, family_weighted[None]
+
+
+def dense_search(family, prior: Sequence[float], seed: Povm | None = None, max_iters: int = 10000):
+    """:func:`tpc.discrim._fixed_point` on :func:`dense_inputs`."""
+    return discrim._fixed_point(*dense_inputs(family, prior, seed), max_iters)
+
+
+def eager_search(
+    elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray,
+    family_weighted: np.ndarray, max_iters: int = 10000, step_tol: float = 1e-12,
+):
+    """:func:`tpc.discrim._fixed_point` in its eager order: the Lagrange
+    eigen-solve on every sweep, and the certificate screen only after the
+    bracket test, on a sweep that closes it.  The sweeps, iterates and stop
+    rule are the library's own, so every field of the two searches must
+    agree bit for bit."""
+    one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
+    weighted = priors[:, None, None] * matrices
+    kernel_slot = int(np.argmax(priors))
+    current = float(discrim._success(elements, matrices, priors[None], one)[0])
+    polish_block, last_residual, identity = 100, math.inf, qmat.identity(elements.shape[-1])
+    steps, stop_reason, residuals = 0, "max_iters", None
+    while steps < max_iters:
+        sandwiched = weighted @ elements @ weighted
+        gram = sandwiched.sum(axis=1)
+        root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2, one)[:, None]
+        elements = root @ sandwiched @ root
+        elements = (elements + qmat.dagger(elements)) / 2
+        elements[:, kernel_slot] += identity - elements.sum(axis=1)
+        discrim._check_povm_stack(elements, one)
+        value = float(discrim._success(elements, matrices, priors[None], one)[0])
+        assert value >= current - 1e-12
+        improved, current, residuals = value - current, value, None
+        steps += 1
+        gap = discrim._gap(elements, weighted, family_weighted)
+        lowest = discrim._lagrange(gap, one)
+        closed = dim * max(-float(lowest[0]), 0.0) <= active().cert
+        polish = improved < step_tol and steps % polish_block == 0
+        if not polish and (not closed or discrim._certificate_fails(gap)):
+            continue
+        ok, residuals = discrim._certify(elements, weighted, gap, lowest, one)[0]
+        residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
+        if (ok and closed) or (polish and residual >= 0.9 * last_residual):
+            stop_reason = "converged" if ok and closed else "stalled"
+            break
+        if polish:
+            last_residual = residual
+    if residuals is None:
+        gap = discrim._gap(elements, weighted, family_weighted)
+        ok, residuals = discrim._certify(elements, weighted, gap, discrim._lagrange(gap, one), one)[0]
+    p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
+    return discrim._Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
 
 
 def reference_helstrom(rho0: np.ndarray, rho1: np.ndarray, q0: float):

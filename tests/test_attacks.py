@@ -23,6 +23,7 @@ from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
 from oracles import (
+    count_kernels,
     dense_search,
     fraction_slope_bound,
     loop_honest_probability,
@@ -495,20 +496,6 @@ def count_constructions(monkeypatch) -> list[str]:
 # one Helstrom or inverse root (eigh), one POVM check (cholesky) and one
 # Lagrange operator (eigvalsh), for a whole stack at once
 ONE_OF_EACH_KERNEL = ["cholesky", "eigh", "eigvalsh"]
-
-
-def count_kernels(monkeypatch) -> list[str]:
-    """Record every ``np.linalg`` eigen-solve and Cholesky factorization
-    run from here on, by name, in one list."""
-    calls = []
-    for name in ONE_OF_EACH_KERNEL:
-
-        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 class TestTwoStateArrays:

@@ -249,9 +249,9 @@ class TestAnalyze:
 
 
 class TestNegativeFirstValue:
-    """A value that starts with ``-`` and a digit or ``.`` is read as the
-    value of ``--prior``, ``--superposition``, ``--q0-sweep`` or ``--q0``,
-    not as an option."""
+    """A value that starts with ``-`` and a digit, ``.``, ``inf`` or ``nan``
+    (in any case) is read as the value of ``--prior``, ``--superposition``,
+    ``--q0-sweep`` or ``--q0``, not as an option."""
 
     @pytest.mark.parametrize("value", ["-0.6,0.8,0", "-.6,.8,0"])
     def test_superposition_prints_as_the_joined_form(self, value, capsys, monkeypatch):
@@ -270,6 +270,9 @@ class TestNegativeFirstValue:
             ("--q0-sweep", "-0.5,0.3", "sweep weight q0=-0.5 outside [0, 1]"),
             ("--prior", "-0.5,1.5", "prior weights must be nonnegative"),
             ("--q0", "-0.5", "sweep weight q0=-0.5 outside [0, 1]"),
+            ("--q0", "-inf", "sweep weight q0=-inf outside [0, 1]"),
+            ("--q0-sweep", "-inf,0.3", "sweep weight q0=-inf outside [0, 1]"),
+            ("--prior", "-nan,0.5", "prior weights sum to nan, expected 1"),
         ],
     )
     def test_out_of_range_values_exit_one(self, option, value, message, capsys):
@@ -557,7 +560,10 @@ class TestReportDocument:
 
     @pytest.mark.parametrize(
         "key, value, line_no",
-        [("schema_version", "9", 1), ("schema_version", "-1", 1), ("report_count", "-3", 3)],
+        [("schema_version", "9", 1), ("schema_version", "-1", 1), ("report_count", "-3", 3),
+         # a NaN advantage fails the report's own check, named at the
+         # report's separator line; a prior is checked as one on its line
+         ("advantage", "nan", 4), ("prior", "nan,7", 7), ("prior", "0.5,0.6", 7)],
     )
     def test_bad_header_value_names_the_line(self, key, value, line_no):
         text = render_report_document([attacks.attack_oblivious_transfer()])

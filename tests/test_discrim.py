@@ -3,6 +3,7 @@ measurement, certification, and the fixed-point search."""
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,10 @@ from tpc.tolerances import active
 
 from oracles import (
     below_psd_tolerance,
+    count_kernels,
+    dense_inputs,
     dense_search,
+    eager_search,
     honest_family_povm,
     loop_honest_probability,
     pretty_good_povm,
@@ -676,16 +680,21 @@ class TestCertifyOptimal:
         assert residuals.pairwise_max < 1e-12
 
 
-def class_search(f, superposition=None):
-    """The search ``tpc analyze <3x3> --optimize`` runs on ``f``, as
-    :func:`attacks._measure` runs it: :func:`discrim._fixed_point` on the
-    outcome blocks :func:`attacks._det3x3_jobs` builds, seeded by their
-    pretty-good element blocks."""
+def class_search_inputs(f, superposition=None):
+    """The arguments of the search ``tpc analyze <3x3> --optimize`` runs on
+    ``f``, as :func:`attacks._measure` runs it: the outcome blocks
+    :func:`attacks._det3x3_jobs` builds, seeded by their pretty-good element
+    blocks."""
     tables = np.array(funcspec._labels_3x3(f))[:, None]
     [job] = attacks._det3x3_jobs(tables, funcspec._canonical_forms(tables)[0], [f.outcome_count], superposition)
     q, blocks, one = np.array(job.prior), job.blocks, qmat.ONE_FAMILY
     seed = discrim._pretty_good(blocks, one, qmat._per_block(q[None], one, len(blocks)))
-    return discrim._fixed_point(seed, blocks, q, q[:, None, None] * blocks)
+    return seed, blocks, q, q[:, None, None] * blocks
+
+
+def class_search(f, superposition=None):
+    """:func:`discrim._fixed_point` on :func:`class_search_inputs`."""
+    return discrim._fixed_point(*class_search_inputs(f, superposition))
 
 
 def class_files():
@@ -967,23 +976,24 @@ class TestCertificateScreen:
         # the 18 classes and 50 random families, at the default tolerances
         # and under a loosened certificate and completeness tolerance
         monkeypatch.setattr(tolerances, "_ACTIVE", tol)
-        verdicts, screen, lagrange_of, last = [], discrim._certificate_fails, discrim._lagrange, []
+        verdicts, screen, gap_of, last = [], discrim._certificate_fails, discrim._gap, []
 
-        def recording_lagrange(elements, weighted, *rest):
-            # the screen reads only the operators; certify their inputs too
-            last[:] = lagrange_of(elements, weighted, *rest), elements, weighted
+        def recording_gap(elements, weighted, *rest):
+            # the screen reads only the gap operators; certify their inputs too
+            last[:] = gap_of(elements, weighted, *rest), elements, weighted
             return last[0]
 
-        def recording_screen(lagrange):
-            fails = screen(lagrange)
+        def recording_screen(gap):
+            fails = screen(gap)
             if fails:
                 made, elements, weighted = last
-                assert made is lagrange
-                [(ok, _)] = discrim._certify(elements, weighted, lagrange, qmat.ONE_FAMILY)
+                assert made is gap
+                lowest = discrim._lagrange(gap, qmat.ONE_FAMILY)
+                [(ok, _)] = discrim._certify(elements, weighted, gap, lowest, qmat.ONE_FAMILY)
                 verdicts.append(ok)
             return fails
 
-        monkeypatch.setattr(discrim, "_lagrange", recording_lagrange)
+        monkeypatch.setattr(discrim, "_gap", recording_gap)
         monkeypatch.setattr(discrim, "_certificate_fails", recording_screen)
         for states, prior, _ in searched_families:
             dense_search(states, prior)
@@ -1005,6 +1015,56 @@ class TestCertificateScreen:
             assert (str(result.iterations), result.stop_reason) == (iterations, stop_reason)
         assert sum(int(iterations) for iterations, _ in fields) == 167
         assert len(calls) <= 31
+
+    def test_the_18_searches_solve_for_the_bound_48_times(self, monkeypatch):
+        # one inverse root (eigh) and one POVM check (cholesky) per sweep;
+        # the Lagrange eigen-solve (eigvalsh) only on the 48 sweeps that
+        # pass the screen, of 167
+        inputs = [class_search_inputs(f) for f in class_files()]
+        calls = count_kernels(monkeypatch)
+        for args in inputs:
+            discrim._fixed_point(*args)
+        assert Counter(calls) == {"eigh": 167, "cholesky": 167, "eigvalsh": 48}
+
+
+class TestEagerOrder:
+    """The search solves for the lowest Lagrange eigenvalue only on sweeps
+    that pass the certificate screen or polish; every field of its result
+    equals :func:`oracles.eager_search`'s, which solves on every sweep."""
+
+    @staticmethod
+    def assert_same_search(args, max_iters=10000) -> str:
+        lazy, eager = discrim._fixed_point(*args, max_iters), eager_search(*args, max_iters)
+        assert lazy.elements.dtype == eager.elements.dtype
+        assert np.array_equal(lazy.elements, eager.elements)
+        assert lazy._replace(elements=None) == eager._replace(elements=None)
+        return lazy.stop_reason
+
+    def test_the_18_class_searches_real_and_complex(self):
+        for base, real, phased in TestOptimizePovm.phased_classes():
+            for superposition in (real, phased):
+                assert self.assert_same_search(class_search_inputs(base, superposition)) == "converged"
+
+    def test_searched_families(self, searched_families):
+        # the 18 classes as dense families and 50 complex random families
+        for states, prior, _ in searched_families:
+            assert self.assert_same_search(dense_inputs(states, prior)) == "converged"
+
+    def test_max_iters_and_polish_exits(self, searched_families):
+        reasons = set()
+        for states, prior, _ in searched_families[::7]:
+            for max_iters in (0, 1, 3):
+                reasons.add(self.assert_same_search(dense_inputs(states, prior), max_iters))
+        # the slow class stops on max_iters at 7 and converges on its last
+        # allowed sweep at 16; the stalled seed polishes at sweeps 100 and
+        # 200 and stalls on the second
+        slow = TestOptimizePovm().slow_class_family()
+        for max_iters in (7, TestOptimizePovm.SLOW_CLASS_SWEEPS):
+            reasons.add(self.assert_same_search(dense_inputs(slow, (1 / 3, 1 / 3, 1 / 3)), max_iters))
+        states = (pure_state([1.0, 0.0]), pure_state([0.0, 1.0]))
+        seed = Povm((np.eye(2), np.zeros((2, 2))), (0, 1))
+        reasons.add(self.assert_same_search(dense_inputs(states, (0.5, 0.5), seed)))
+        assert reasons == {"converged", "max_iters", "stalled"}
 
 
 class TestWeightedDifferenceEigenvalues:
