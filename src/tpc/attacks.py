@@ -37,6 +37,7 @@ from .funcspec import FunctionSpec
 from .tolerances import active
 
 DEFAULT_Q0_SWEEP = (1.0 - 1e-2, 1.0 - 1e-3, 1.0 - 1e-4)
+_SURD_BITS = 64  # the bits after the binary point of every surd bound
 
 SCENARIOS = (
     "deterministic-3x3",
@@ -399,12 +400,12 @@ def _endpoint_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
     return Fraction(num, total_den)
 
 
-def _surd_below(n: int, d: int, bits: int = 64) -> tuple[int, int]:
-    """``sqrt(n / d)`` (``n >= 0``, ``d > 0``) from below, within ``2**-bits``: with
-    ``n / d`` in lowest terms, the numerator ``isqrt(n d 4**bits)`` over ``d 2**bits``."""
+def _surd_below(n: int, d: int) -> tuple[int, int]:
+    """``sqrt(n / d)`` (``n >= 0``, ``d > 0``) from below, within ``2**-b``, ``b = _SURD_BITS``:
+    with ``n / d`` in lowest terms, the numerator ``isqrt(n d 4**b)`` over ``d 2**b``."""
     g = math.gcd(n, d)
     n, d = n // g, d // g
-    return math.isqrt((n * d) << (2 * bits)), d << bits
+    return math.isqrt((n * d) << (2 * _SURD_BITS)), d << _SURD_BITS
 
 
 def verify_counterexample() -> AttackReport:

@@ -34,6 +34,7 @@ round-trips losslessly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import re
 import sys
@@ -84,6 +85,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(","))
 
 
+def _parse_finite(text: str, convert=float) -> tuple:
+    values = tuple(convert(t) for t in text.split(","))
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return values
+
+
 def _parse_prior(text: str) -> tuple[float, ...]:
     prior = _parse_floats(text)
     funcspec.validate_prior(prior, len(prior))
@@ -96,7 +104,7 @@ def _parse_input(text: str):
     if text.startswith("honest:"):
         return int(text.split(":", 1)[1])
     if text.startswith("amps:"):
-        return tuple(complex(t) for t in text.split(":", 1)[1].split(","))
+        return _parse_finite(text.split(":", 1)[1], complex)
     raise ValueError(f"cannot parse input_used field {text!r}")
 
 
@@ -106,19 +114,30 @@ def _parse_certified(text: str) -> bool:
     return text == "true"
 
 
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _unescape(text: str) -> str:
-    return text.replace("\\n", "\n").replace("\\\\", "\\")
-
-
 @dataclass(frozen=True)
 class ReportDocument:
     schema_version: int
     environment: str
     reports: tuple[AttackReport, ...]
+
+
+# a report's lines in order, each (key, render, parse), numbers with 17 significant digits
+_REPORT_FIELDS = (
+    ("function_id", str, str),
+    ("scenario", str, str),
+    ("prior", lambda prior: ",".join(map(_fmt, prior)), _parse_prior),
+    ("input_used", _fmt_input, _parse_input),
+    ("p_honest", _fmt, float),
+    ("p_attack", _fmt, float),
+    ("advantage", _fmt, float),
+    ("certified", lambda certified: "true" if certified else "false", _parse_certified),
+    # pairwise_max, min_eigenvalue, anti_hermitian_max, in field order
+    ("residuals", lambda r: "-" if r is None else ",".join(map(_fmt, r)),
+     lambda t: None if t == "-" else CertificateResiduals(*_parse_finite(t))),
+    # a backslash and a line break escaped, so that a note stays on its line
+    ("notes", lambda t: t.replace("\\", "\\\\").replace("\n", "\\n"),
+     lambda t: t.replace("\\n", "\n").replace("\\\\", "\\")),
+)
 
 
 def render_report_document(reports: Sequence[AttackReport]) -> str:
@@ -129,33 +148,8 @@ def render_report_document(reports: Sequence[AttackReport]) -> str:
     ]
     for r in reports:
         lines.append("---")
-        lines.append(f"function_id: {r.function_id}")
-        lines.append(f"scenario: {r.scenario}")
-        lines.append("prior: " + ",".join(_fmt(p) for p in r.prior))
-        lines.append(f"input_used: {_fmt_input(r.input_used)}")
-        lines.append(f"p_honest: {_fmt(r.p_honest)}")
-        lines.append(f"p_attack: {_fmt(r.p_attack)}")
-        lines.append(f"advantage: {_fmt(r.advantage)}")
-        lines.append(f"certified: {'true' if r.certified else 'false'}")
-        # pairwise_max, min_eigenvalue, anti_hermitian_max, in field order
-        residuals = "-" if r.residuals is None else ",".join(_fmt(x) for x in r.residuals)
-        lines.append(f"residuals: {residuals}")
-        lines.append(f"notes: {_escape(r.notes)}")
+        lines += [f"{key}: {render(getattr(r, key))}" for key, render, _ in _REPORT_FIELDS]
     return "\n".join(lines) + "\n"
-
-
-_REPORT_FIELDS = (
-    ("function_id", str),
-    ("scenario", str),
-    ("prior", _parse_prior),
-    ("input_used", _parse_input),
-    ("p_honest", float),
-    ("p_attack", float),
-    ("advantage", float),
-    ("certified", _parse_certified),
-    ("residuals", lambda t: None if t == "-" else CertificateResiduals(*_parse_floats(t))),
-    ("notes", _unescape),
-)
 
 
 def parse_report_document(text: str) -> ReportDocument:
@@ -194,7 +188,7 @@ def parse_report_document(text: str) -> ReportDocument:
         if line != "---":
             raise FunctionFileError(pos, f"expected report separator, got {line!r}")
         start = pos
-        values = {key: field(key, convert) for key, convert in _REPORT_FIELDS}
+        values = {key: field(key, parse) for key, _, parse in _REPORT_FIELDS}
         try:
             reports.append(AttackReport(**values))
         except ValueError as exc:
@@ -224,20 +218,16 @@ def parse_povm_file(text: str) -> discrim.Povm:
         raise FunctionFileError(
             rows[-1][0], f"expected a multiple of {dim} matrix rows, got {len(body)}"
         )
-    entries = []
-    for ln, s in body:
-        toks = s.split()
-        if len(toks) != dim:
-            raise FunctionFileError(ln, f"expected {dim} entries, got {len(toks)}")
-        row = []
-        for t in toks:
-            try:
-                row.append(complex(t.replace("i", "j")))
-            except ValueError:
-                raise FunctionFileError(ln, f"cannot parse complex entry {t!r}") from None
-        entries.append(row)
+    entries = np.array([funcspec._row(ln, s, dim, _parse_entry) for ln, s in body], dtype=complex)
     count = len(entries) // dim
-    return discrim.Povm(np.array(entries, dtype=complex).reshape(count, dim, dim), range(count))
+    return discrim.Povm(entries.reshape(count, dim, dim), range(count))
+
+
+def _parse_entry(ln: int, token: str) -> complex:
+    try:
+        return complex(token.replace("i", "j"))
+    except ValueError:
+        raise FunctionFileError(ln, f"cannot parse complex entry {token!r}") from None
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -287,7 +277,7 @@ def _write_out(path: str | None, reports: Sequence[AttackReport]) -> None:
 
 def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if args.role not in ("alice", "bob"):
-        raise FunctionFileError(1, f"role must be alice or bob, got {args.role!r}")
+        raise ValueError(f"role must be alice or bob, got {args.role!r}")
     if f == funcspec.builtin("ot"):
         _reject(args, ("prior", "q0", "q0_sweep", "superposition"), "the oblivious-transfer"
                 " table: its attack fixes the balanced prior and the receiver's honest input 0")

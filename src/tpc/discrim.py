@@ -38,6 +38,9 @@ from .blackbox import StateFamily
 from .funcspec import FunctionSpec, validate_prior
 from .tolerances import active
 
+_STEP_TOL = 1e-12  # a polish sweep that gains less stalls unless its residual shrinks
+_BASIS_TOL = 1e-10  # the tolerance of basis_measurement_optimal's pairwise condition
+
 
 @dataclass(frozen=True, eq=False)
 class Povm:
@@ -328,7 +331,7 @@ class _Search(NamedTuple):
 
 def _fixed_point(
     elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray,
-    family_weighted: np.ndarray, max_iters: int = 10000, step_tol: float = 1e-12,
+    family_weighted: np.ndarray, max_iters: int = 10000,
 ) -> _Search:
     """The fixed-point search ``--optimize`` runs on one family's outcome
     blocks: checked seed element blocks ``(K, m, b, b)``, the guessed states'
@@ -344,7 +347,7 @@ def _fixed_point(
     kernel_slot = int(np.argmax(priors))
     current = float(_success(elements, matrices, priors[None], one)[0])
     polish_block, last_residual, identity = 100, math.inf, qmat.identity(elements.shape[-1])
-    steps, stop_reason, residuals = 0, "max_iters", None
+    steps, stop_reason, residuals, gap, lowest = 0, "max_iters", None, None, None
     while steps < max_iters:
         sandwiched = weighted @ elements @ weighted
         gram = sandwiched.sum(axis=1)
@@ -360,8 +363,8 @@ def _fixed_point(
             )
         improved, current, residuals = value - current, value, None
         steps += 1
-        gap = _gap(elements, weighted, family_weighted)
-        polish = improved < step_tol and steps % polish_block == 0
+        gap, lowest = _gap(elements, weighted, family_weighted), None
+        polish = improved < _STEP_TOL and steps % polish_block == 0
         # a polish block's certificate feeds the stall rule, so it always runs
         if not polish and _certificate_fails(gap):
             continue
@@ -376,9 +379,10 @@ def _fixed_point(
             break
         if polish:
             last_residual = residual
-    if residuals is None:
-        gap = _gap(elements, weighted, family_weighted)
-        ok, residuals = _certify(elements, weighted, gap, _lagrange(gap, one), one)[0]
+    if residuals is None:  # the last sweep's operators, formed here if it had none
+        gap = _gap(elements, weighted, family_weighted) if gap is None else gap
+        lowest = _lagrange(gap, one) if lowest is None else lowest
+        ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
     return _Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
 
@@ -415,7 +419,7 @@ def _weighted_difference(p: np.ndarray, q0: float) -> WeightedDifferenceEigenval
     )
 
 
-def basis_measurement_optimal(f: FunctionSpec, i: int, q0: float, tol: float = 1e-10) -> bool:
+def basis_measurement_optimal(f: FunctionSpec, i: int, q0: float) -> bool:
     """Whether the outcome-basis measurement satisfies the pairwise
     optimality condition for honest input ``i`` of a binary one-sided table:
     ``q0 sqrt(p_i0 (1-p_i0)) == q1 sqrt(p_i1 (1-p_i1))``."""
@@ -425,11 +429,11 @@ def basis_measurement_optimal(f: FunctionSpec, i: int, q0: float, tol: float = 1
         raise ValueError("basis check requires a binary-output table with two partner inputs")
     if not 0 <= i < f.alice_arity:
         raise ValueError(f"honest input {i} out of range")
-    return _basis_flags(f.probabilities(), q0, tol)[i]
+    return _basis_flags(f.probabilities(), q0)[i]
 
 
-def _basis_flags(p: np.ndarray, q0: float, tol: float = 1e-10) -> list[bool]:
+def _basis_flags(p: np.ndarray, q0: float) -> list[bool]:
     """:func:`basis_measurement_optimal` for every honest input of a binary
     one-sided table read once into floats ``p(k|i,j)``, indexed ``[k, j, i]``."""
     sides = np.sqrt(p[0] * (1.0 - p[0]))  # (j, i)
-    return (np.abs(q0 * sides[0] - (1.0 - q0) * sides[1]) <= tol).tolist()
+    return (np.abs(q0 * sides[0] - (1.0 - q0) * sides[1]) <= _BASIS_TOL).tolist()

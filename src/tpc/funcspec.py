@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,12 +119,6 @@ class FunctionSpec:
                             f" {Fraction(sum(col), den)}, expected 1"
                         )
             object.__setattr__(self, "prob_table", p)
-
-    def prob(self, k: int, i: int, j: int) -> Fraction:
-        """Exact probability p(k|i,j); deterministic tables give 0/1."""
-        if self.det_table is not None:
-            return Fraction(1) if self.det_table[j][i] == k else Fraction(0)
-        return self.prob_table[k][j][i]
 
     def probabilities(self) -> np.ndarray:
         """Every ``p(k|i,j)`` as one float array indexed ``[k][j][i]``."""
@@ -415,6 +409,15 @@ def _parse_fraction(ln: int, token: str) -> Fraction:
     return value
 
 
+def _row(ln: int, text: str, n: int, parse: Callable[[int, str], object]) -> tuple:
+    """One body row of a function or POVM file: ``n`` whitespace-separated
+    entries, each read by ``parse(ln, token)``."""
+    tokens = text.split()
+    if len(tokens) != n:
+        raise FunctionFileError(ln, f"expected {n} entries, got {len(tokens)}")
+    return tuple(parse(ln, token) for token in tokens)
+
+
 def parse_function_file(text: str) -> FunctionSpec:
     """Parse the line-oriented function-spec format.
 
@@ -453,22 +456,18 @@ def parse_function_file(text: str) -> FunctionSpec:
         if len(body) != bob_arity:
             at = body[-1][0] if body else lines[3][0]
             raise FunctionFileError(at, f"expected {bob_arity} outcome rows, got {len(body)}")
-        table = []
-        for ln, s in body:
-            toks = s.split()
-            if len(toks) != alice_arity:
-                raise FunctionFileError(ln, f"expected {alice_arity} entries, got {len(toks)}")
-            row = []
-            for t in toks:
-                try:
-                    x = int(t)
-                except ValueError:
-                    raise FunctionFileError(ln, f"cannot parse outcome label {t!r}") from None
-                if not 0 <= x < outcome_count:
-                    raise FunctionFileError(ln, f"outcome label {x} out of range [0, {outcome_count})")
-                row.append(x)
-            table.append(tuple(row))
-        return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, det_table=tuple(table))
+
+        def read_label(ln: int, token: str) -> int:
+            try:
+                x = int(token)
+            except ValueError:
+                raise FunctionFileError(ln, f"cannot parse outcome label {token!r}") from None
+            if not 0 <= x < outcome_count:
+                raise FunctionFileError(ln, f"outcome label {x} out of range [0, {outcome_count})")
+            return x
+
+        table = tuple(_row(ln, s, alice_arity, read_label) for ln, s in body)
+        return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, det_table=table)
 
     blocks: dict[int, list[tuple[Fraction, ...]]] = {}
     pos = 0
@@ -489,12 +488,8 @@ def parse_function_file(text: str) -> FunctionSpec:
         for _ in range(bob_arity):
             if pos >= len(body):
                 raise FunctionFileError(ln, f"block for outcome {label} is missing rows")
-            rln, rs = body[pos]
-            toks = rs.split()
-            if len(toks) != alice_arity:
-                raise FunctionFileError(rln, f"expected {alice_arity} entries, got {len(toks)}")
-            rows.append(tuple(_parse_fraction(rln, t) for t in toks))
-            last_ln = rln
+            last_ln, row = body[pos]
+            rows.append(_row(last_ln, row, alice_arity, _parse_fraction))
             pos += 1
         blocks[label] = rows
 
@@ -515,9 +510,9 @@ def parse_function_file(text: str) -> FunctionSpec:
             if rest[j][i] < 0:
                 raise FunctionFileError(last_ln, f"probabilities at (i={i}, j={j}) exceed 1")
         blocks[missing[0]] = [tuple(row) for row in rest]
-    prob = tuple(tuple(blocks[k]) for k in range(outcome_count))
+    table = tuple(tuple(blocks[k]) for k in range(outcome_count))
     try:  # the constructor checks that every cell sums to 1
-        return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, prob_table=prob)
+        return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, prob_table=table)
     except ValueError as exc:
         raise FunctionFileError(last_ln, str(exc)) from None
 

@@ -53,22 +53,20 @@ def _per_block(x: np.ndarray, starts: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _inv_sqrt(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root of each Hermitian matrix in a stack
-    ``(..., d, d)``: eigenvalues above the support cutoff map to
-    ``1/sqrt(lam)``, the rest to 0.  The cutoff is ``rank`` times the
-    largest eigenvalue of each family, over its blocks ``(N, b, b)`` from
-    its ``starts``, as for the dense matrix they form (:data:`ONE_FAMILY`
-    for the whole stack, ``np.arange(N)`` for each matrix).  Hermiticity is
-    the caller's to ensure; negative eigenvalues are checked in every matrix."""
+    """Pseudo-inverse square root of each Hermitian matrix of a stack
+    ``(N, b, b)``, or of one matrix ``(d, d)``: eigenvalues above the
+    support cutoff map to ``1/sqrt(lam)``, the rest to 0.  The cutoff is
+    ``rank`` times the largest eigenvalue of each family, over its blocks
+    from its ``starts``, as for the dense matrix they form
+    (:data:`ONE_FAMILY` for the whole stack or the one matrix,
+    ``np.arange(N)`` for each matrix).  Hermiticity is the caller's to
+    ensure; negative eigenvalues are checked in every matrix."""
     tol = active()
     w, v = np.linalg.eigh(a)
     if w[..., 0].min() < -tol.psd:
         lowest = w[..., 0][w[..., 0] < -tol.psd]
         raise ValueError(f"matrix has negative eigenvalue {lowest[0]:.3g} beyond tolerance; not PSD")
-    if len(starts) == 1:
-        top = w[..., -1].max()
-    else:
-        top = _per_block(np.maximum.reduceat(w[..., -1:], starts), starts, len(w))
+    top = _per_block(np.maximum.reduceat(w[..., -1:], starts), starts, len(w))
     # off the support 1/sqrt(inf) is exactly 0
     inv = 1.0 / np.sqrt(np.where(w > tol.rank * np.maximum(top, 0.0), w, np.inf))
     return (v * inv[..., None, :]) @ dagger(v)

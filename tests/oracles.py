@@ -76,20 +76,28 @@ def purified_reduced_state(
     for i in range(n):
         for k in range(kdim):
             idx = ((i * nb + j) * kdim + k) * kdim + k
-            ket[idx] = a[i] * np.sqrt(float(f.prob(k, i, j)))
+            ket[idx] = a[i] * np.sqrt(float(exact_prob(f, k, i, j)))
     return partial_trace(pure_state(ket), (n, nb, kdim, kdim), keep=(0, 2))
+
+
+def exact_prob(f: FunctionSpec, k: int, i: int, j: int) -> Fraction:
+    """The exact ``p(k|i,j)`` of a table: its ``prob_table`` entry, or 0 or 1
+    from a deterministic table's outcome matrix."""
+    if f.det_table is None:
+        return f.prob_table[k][j][i]
+    return Fraction(int(f.det_table[j][i] == k))
 
 
 def loop_honest_probability(f: FunctionSpec, prior: Sequence[float]) -> float:
     """The honest guessing probability ``max_i sum_k max_j p(k|i,j) q_j``
-    cell by cell, through :meth:`FunctionSpec.prob`, in the order of
+    cell by cell, through :func:`exact_prob`, in the order of
     operations of :func:`tpc.discrim._honest`."""
     q = validate_prior(prior, f.bob_arity)
     best = 0.0
     for i in range(f.alice_arity):
         total = 0.0
         for k in range(f.outcome_count):
-            total += max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
+            total += max(float(exact_prob(f, k, i, j)) * q[j] for j in range(f.bob_arity))
         best = max(best, total)
     return best
 
@@ -112,7 +120,7 @@ def mp_pretty_good_success(f: FunctionSpec, dps: int = 50) -> mpmath.mpf:
         for j in range(m):
             rho = mpmath.zeros(d, d)
             for k in range(kdim):
-                amps = (f.prob(k, i, j) / n for i in range(n))
+                amps = (exact_prob(f, k, i, j) / n for i in range(n))
                 v = [mpmath.sqrt(mpmath.mpf(a.numerator) / a.denominator) for a in amps]
                 for i, l in itertools.product(range(n), repeat=2):
                     rho[i * kdim + k, l * kdim + k] = v[i] * v[l]
@@ -266,7 +274,7 @@ def fraction_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
     q1 = 1 - q0
     total = Fraction(0)
     for k in range(f.outcome_count):
-        p00, p01, p10, p11 = (f.prob(k, i, j) for i in (0, 1) for j in (0, 1))
+        p00, p01, p10, p11 = (f.prob_table[k][j][i] for i in (0, 1) for j in (0, 1))
         a = q0 * p00 - q1 * p01
         if a == 0:
             raise ArithmeticError(f"outcome {k} carries no weight difference at input |0>")

@@ -19,6 +19,7 @@ from tpc.tolerances import active
 
 from oracles import (
     dense_search,
+    exact_prob,
     honest_family_povm,
     loop_honest_probability,
     partial_trace,
@@ -206,7 +207,7 @@ def test_criterion_6_honest_baseline_consistency(capsys):
     for i in range(3):
         for rule in itertools.product(range(3), repeat=f.outcome_count):
             value = sum(
-                prior[j] * float(f.prob(k, i, j))
+                prior[j] * float(exact_prob(f, k, i, j))
                 for j in range(3)
                 for k in range(f.outcome_count)
                 if rule[k] == j

@@ -71,7 +71,7 @@ def closed_form_value(f, q0, u):
     q1 = 1.0 - q0
     p = np.array(
         [
-            [[float(f.prob(k, i, j)) for j in range(2)] for i in range(f.alice_arity)]
+            [[float(f.prob_table[k][j][i]) for j in range(2)] for i in range(f.alice_arity)]
             for k in range(f.outcome_count)
         ]
     )
@@ -365,7 +365,7 @@ class TestCounterexampleCertificate:
             f = random_two_input_table(rng, 2, int(rng.integers(2, 4)))
             q0 = Fraction(int(rng.integers(1, 20)), 20)
             a_k = [
-                q0 * f.prob(k, 0, 0) - (1 - q0) * f.prob(k, 0, 1)
+                q0 * f.prob_table[k][0][0] - (1 - q0) * f.prob_table[k][1][0]
                 for k in range(f.outcome_count)
             ]
             if min(abs(x) for x in a_k) < Fraction(1, 100):

@@ -13,7 +13,7 @@ from tpc.blackbox import StateFamily, amplitude_vector, output_family, uniform_s
 from tpc.funcspec import builtin, canonicalize_3x3, deterministic, transpose
 from tpc.tolerances import active
 
-from oracles import partial_trace, purified_reduced_state
+from oracles import exact_prob, partial_trace, purified_reduced_state
 
 SEED = 77
 
@@ -121,7 +121,7 @@ class TestTwoSidedStates:
             rho = output_family(f, amps).states[j]
             dims = (f.alice_arity, f.outcome_count)
             marginal = partial_trace(rho, dims, keep=[1])[0].diagonal().real
-            expected = [float(f.prob(k, i, j)) for k in range(f.outcome_count)]
+            expected = [float(exact_prob(f, k, i, j)) for k in range(f.outcome_count)]
             assert np.abs(marginal - expected).max() <= tol.trace
 
     def test_formula_matches_purification_oracle(self):
@@ -380,7 +380,7 @@ class TestOneSidedStates:
             assert stack.dtype == np.float64
             assert not stack.flags.writeable
             for i, j in itertools.product(range(f.alice_arity), range(f.bob_arity)):
-                c = np.sqrt([float(f.prob(k, i, j)) for k in range(f.outcome_count)])
+                c = np.sqrt([float(f.prob_table[k][j][i]) for k in range(f.outcome_count)])
                 assert stack[i, j].tobytes() == np.outer(c, c).tobytes()
                 state = output_family(f, i).states[j]
                 assert state.dtype == np.complex128

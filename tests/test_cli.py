@@ -26,6 +26,8 @@ from tpc.cli import (
     render_report_document,
 )
 
+from oracles import exact_prob
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -233,6 +235,11 @@ class TestAnalyze:
         assert main(["analyze", path, "--role", "bob", "--q0", "0.3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "nondet-one-sided" in out
+
+    def test_unknown_role_is_an_input_error_without_a_line(self, capsys):
+        # no file line is involved, so the message names none
+        assert main(["analyze", "@neq3", "--role", "carol"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: role must be alice or bob, got 'carol'\n")
 
     def test_three_outcome_probabilistic_is_out_of_scope(self, tmp_path, capsys):
         text = (
@@ -481,7 +488,7 @@ class TestCertify:
         elements = [np.zeros((3 * kdim, 3 * kdim), dtype=complex) for _ in range(3)]
         for i in range(3):
             for k in range(kdim):
-                weights = [float(base.prob(k, i, j)) * prior[j] for j in range(3)]
+                weights = [float(exact_prob(base, k, i, j)) * prior[j] for j in range(3)]
                 guess = int(np.argmax(weights))
                 elements[guess][i * kdim + k, i * kdim + k] = 1.0
         povm = discrim.Povm(tuple(elements), (0, 1, 2))
@@ -563,7 +570,10 @@ class TestReportDocument:
         [("schema_version", "9", 1), ("schema_version", "-1", 1), ("report_count", "-3", 3),
          # a NaN advantage fails the report's own check, named at the
          # report's separator line; a prior is checked as one on its line
-         ("advantage", "nan", 4), ("prior", "nan,7", 7), ("prior", "0.5,0.6", 7)],
+         ("advantage", "nan", 4), ("prior", "nan,7", 7), ("prior", "0.5,0.6", 7),
+         # residuals and amplitudes must be finite, each on its own line
+         ("residuals", "nan,nan,nan", 13), ("residuals", "inf,-inf,0", 13),
+         ("input_used", "amps:nan+0j,1+0j", 8)],
     )
     def test_bad_header_value_names_the_line(self, key, value, line_no):
         text = render_report_document([attacks.attack_oblivious_transfer()])

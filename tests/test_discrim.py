@@ -30,6 +30,7 @@ from oracles import (
     dense_inputs,
     dense_search,
     eager_search,
+    exact_prob,
     honest_family_povm,
     loop_honest_probability,
     pretty_good_povm,
@@ -154,7 +155,7 @@ def brute_force_honest(f, prior):
     for i in range(f.alice_arity):
         for rule in itertools.product(range(f.bob_arity), repeat=f.outcome_count):
             value = sum(
-                prior[j] * float(f.prob(k, i, j))
+                prior[j] * float(exact_prob(f, k, i, j))
                 for j in range(f.bob_arity)
                 for k in range(f.outcome_count)
                 if rule[k] == j
@@ -173,7 +174,7 @@ def loop_basis_rate(f, i, prior):
     q = funcspec.validate_prior(prior, f.bob_arity)
     return float(
         sum(
-            max(float(f.prob(k, i, j)) * q[j] for j in range(f.bob_arity))
+            max(float(exact_prob(f, k, i, j)) * q[j] for j in range(f.bob_arity))
             for k in range(f.outcome_count)
         )
     )
@@ -822,6 +823,26 @@ class TestOptimizePovm:
         assert (result.iterations, result.stop_reason) == (7, "max_iters")
         assert result.p_upper - result.success_probability > active().cert
 
+    def test_max_iters_exit_reuses_the_last_sweeps_operators(self, monkeypatch):
+        # every sweep of the slow class passes the screen and solves for its
+        # lowest Lagrange eigenvalue, so a max_iters exit certifies that
+        # sweep's gap operators and eigenvalue, forming neither again
+        args = dense_inputs(self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3))
+        gaps, gap = [], discrim._gap
+
+        def counted_gap(*gap_args):
+            gaps.append(gap_args)
+            return gap(*gap_args)
+
+        monkeypatch.setattr(discrim, "_gap", counted_gap)
+        calls = count_kernels(monkeypatch)
+        for max_iters in range(1, self.SLOW_CLASS_SWEEPS):
+            gaps.clear()
+            calls.clear()
+            result = discrim._fixed_point(*args, max_iters)
+            assert (result.iterations, result.stop_reason) == (max_iters, "max_iters")
+            assert (calls.count("eigvalsh"), len(gaps)) == (max_iters, max_iters)
+
     def test_stop_reason_stalled(self):
         # a zero element stays zero under every sweep, so this seed is a
         # fixed point that is not optimal and its residual never shrinks
@@ -1115,7 +1136,7 @@ class TestWeightedDifferenceEigenvalues:
             disc = math.sqrt(a_val * a_val + b_val)
             return 0.25 * (a_val + disc), 0.25 * (a_val - disc), a_val, b_val
 
-        zero = {(i, j): float(f.prob(0, i, j)) for i in range(2) for j in range(2)}
+        zero = {(i, j): float(f.prob_table[0][j][i]) for i in range(2) for j in range(2)}
         lam_plus, lam_minus, a_val, b_val = pair(zero)
         mu_plus, mu_minus, a_bar, b_bar = pair({key: 1.0 - v for key, v in zero.items()})
         return (lam_plus, lam_minus, mu_plus, mu_minus, a_val, b_val, a_bar, b_bar)
@@ -1131,7 +1152,7 @@ class TestWeightedDifferenceEigenvalues:
             f = two_sided_binary(rows)
             p = f.probabilities()
             for i, j in itertools.product(range(2), repeat=2):
-                assert p[0, j, i] == float(f.prob(0, i, j))
+                assert p[0, j, i] == float(f.prob_table[0][j][i])
             q0 = float(rng.uniform(0, 1))
             expected = self.cell_by_cell(f, q0)
             assert tuple(discrim._weighted_difference(p, q0)) == expected
@@ -1139,12 +1160,16 @@ class TestWeightedDifferenceEigenvalues:
     def test_two_sided_attack_does_not_reread_the_table(self, monkeypatch):
         f = two_sided_binary([[0.3, 0.7], [0.9, 0.2]])
         expected = attacks.attack_nondet_two_sided(f)
+        reads, probabilities = [], funcspec.FunctionSpec.probabilities
 
-        def no_cell_reads(*args):
-            raise AssertionError("exact table re-read")
+        def counted(spec):
+            reads.append(spec)
+            return probabilities(spec)
 
-        monkeypatch.setattr(funcspec.FunctionSpec, "prob", no_cell_reads)
+        # the attack reads the exact table into floats once, cross-check included
+        monkeypatch.setattr(funcspec.FunctionSpec, "probabilities", counted)
         assert attacks.attack_nondet_two_sided(f) == expected
+        assert reads == [f]
 
     def test_trace_identity(self):
         rng = np.random.default_rng(SEED + 5)

@@ -25,6 +25,8 @@ from tpc.funcspec import (
     validate_prior,
 )
 
+from oracles import exact_prob
+
 SEED_PROBABILITIES = 5150
 
 SEED_TABLES = [
@@ -408,12 +410,12 @@ class TestParser:
         f = builtin("ot")
         assert (f.kind, f.sided) == ("probabilistic", "one")
         assert (f.alice_arity, f.bob_arity, f.outcome_count) == (2, 1, 3)
-        assert f.prob(0, 0, 0) == Fraction(1, 2)
-        assert f.prob(1, 0, 0) == 0
-        assert f.prob(2, 0, 0) == Fraction(1, 2)
-        assert f.prob(0, 1, 0) == 0
-        assert f.prob(1, 1, 0) == Fraction(1, 2)
-        assert f.prob(2, 1, 0) == Fraction(1, 2)
+        assert f.prob_table[0][0][0] == Fraction(1, 2)
+        assert f.prob_table[1][0][0] == 0
+        assert f.prob_table[2][0][0] == Fraction(1, 2)
+        assert f.prob_table[0][0][1] == 0
+        assert f.prob_table[1][0][1] == Fraction(1, 2)
+        assert f.prob_table[2][0][1] == Fraction(1, 2)
 
     def test_neq3_builtin(self):
         f = builtin("neq3")
@@ -421,11 +423,11 @@ class TestParser:
 
     def test_counterexample_exact_rationals(self):
         f = builtin("counterexample")
-        assert f.prob(0, 0, 0) == Fraction(47, 150)
-        assert f.prob(0, 1, 0) == Fraction(103, 150)
-        assert f.prob(0, 0, 1) == Fraction(8, 9)
-        assert f.prob(0, 1, 1) == Fraction(5, 9)
-        assert f.prob(1, 0, 0) == Fraction(103, 150)
+        assert f.prob_table[0][0][0] == Fraction(47, 150)
+        assert f.prob_table[0][0][1] == Fraction(103, 150)
+        assert f.prob_table[0][1][0] == Fraction(8, 9)
+        assert f.prob_table[0][1][1] == Fraction(5, 9)
+        assert f.prob_table[1][0][0] == Fraction(103, 150)
 
     def test_decimals_parse_exactly(self):
         text = (
@@ -433,9 +435,9 @@ class TestParser:
             "k: 0\n0.25 0.5\n0.1 1\n"
         )
         f = parse_function_file(text)
-        assert f.prob(0, 0, 0) == Fraction(1, 4)
-        assert f.prob(0, 0, 1) == Fraction(1, 10)
-        assert f.prob(1, 0, 1) == Fraction(9, 10)
+        assert f.prob_table[0][0][0] == Fraction(1, 4)
+        assert f.prob_table[0][1][0] == Fraction(1, 10)
+        assert f.prob_table[1][1][0] == Fraction(9, 10)
 
     def test_comments_and_blanks_ignored(self):
         f = parse_function_file("# c\n\n" + funcspec._BUILTIN_TEXT["neq3"] + "\n# trailing\n")
@@ -527,7 +529,7 @@ class TestParser:
             "type: probabilistic\nsided: two\ninputs: 2 1\noutcomes: 2\n"
             f"k: 0\n{token} 1/2\n"
         )
-        assert parse_function_file(text).prob(0, 0, 0) == value
+        assert parse_function_file(text).prob_table[0][0][0] == value
 
     @pytest.mark.parametrize(
         "token",
@@ -604,7 +606,7 @@ class TestSpecHelpers:
         t = transpose(f)
         for i in range(2):
             for j in range(2):
-                assert t.prob(0, i, j) == f.prob(0, j, i)
+                assert t.prob_table[0][j][i] == f.prob_table[0][i][j]
 
     def test_prior_validation(self):
         validate_prior((0.5, 0.5), 2)
@@ -617,12 +619,6 @@ class TestSpecHelpers:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="prior"):
                 validate_prior((bad, 0.5, 0.5), 3)
-
-    def test_deterministic_prob_view(self):
-        f = neq3()
-        assert f.prob(0, 0, 0) == 1
-        assert f.prob(1, 0, 0) == 0
-        assert f.det_table[2][1] == 1
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
@@ -638,7 +634,7 @@ class TestSpecHelpers:
             assert p.dtype == float
             assert p.shape == (f.outcome_count, f.bob_arity, f.alice_arity)
             for k, j, i in itertools.product(*map(range, p.shape)):
-                assert p[k, j, i] == float(f.prob(k, i, j))
+                assert p[k, j, i] == float(exact_prob(f, k, i, j))
 
 
 # characters the format gives meaning to, non-ASCII digits, and line breaks
