@@ -1,25 +1,29 @@
 """One attack pipeline and its report packaging.
 
-Every attack follows one recipe.  An entry point lists its candidates as
-jobs: the states the cheater may hold after a superposed (or, for
-one-sided functions, honest) input, one per input of the guessed party, as
-their outcome blocks ``(K, m, b, b)`` (:mod:`tpc.qmat`; a one-sided family
-is one block), the prior over those inputs, the honest guessing
-probability to beat, and the input used.  A two-sided attack has one job
-per prior weight of its sweep, a one-sided attack one per honest input,
-the other attacks one per table.  :func:`_measure` measures all the jobs
-of one call as one block stack of one shape ``(m, b)``: Helstrom elements
-for two states, else the pretty-good measurement, optionally polished by
-the fixed-point search, checked and certified once, one report per job.
-An attack with several jobs keeps the report of the largest advantage,
-the first on a tie.  The 3x3 sweep carries its class tables, families and
-candidates as arrays from enumeration to measurement, its 50 outcome
-blocks as one stack; each two-state attack reads its parsed table once
-into a float array.  No dense state is assembled here.  The
-:mod:`blackbox` array builders emit float64 states for real families,
-else complex128, and the whole path follows that dtype (the
-oblivious-transfer attack checks its family once as a complex
-:class:`blackbox.StateFamily`, for the public closed-form cross-check).
+Every attack follows one recipe.  An entry point hands its candidates to
+:func:`_measure` as columns, one entry per family: the states the cheater
+may hold after a superposed (or, for one-sided functions, honest) input,
+one per input of the guessed party, as one block stack ``(N, m, b, b)``
+of every family's outcome blocks with the ``starts`` of each family
+(:mod:`tpc.qmat`; a one-sided family is one block), a prior row per
+family ``(F, m)``, and per family the honest guessing probability to
+beat, its name, the input used and its notes.  A two-sided attack has one
+family per prior weight of its sweep, a one-sided attack one per honest
+input, the other attacks one per table.  :func:`_measure` measures the
+whole stack at once, all of one shape ``(m, b)``: Helstrom elements for
+two states, else the pretty-good measurement, optionally polished by the
+fixed-point search, checked and certified once, one report per family.
+An attack with several families keeps the report of the largest
+advantage, the first on a tie.  The 3x3 sweep carries its class tables,
+families and candidates as arrays from enumeration to measurement: the
+block stack the family builder returns for the 50 outcome blocks of the
+18 classes is the stack measured, with no per-class slice.  Each
+two-state attack reads its parsed table once into a float array.  No
+dense state is assembled here.  The :mod:`blackbox` array builders emit
+float64 states for real families, else complex128, and the whole path
+follows that dtype (the oblivious-transfer attack checks its family once
+as a complex :class:`blackbox.StateFamily`, for the public closed-form
+cross-check).
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import blackbox, discrim, funcspec
+from . import blackbox, discrim, funcspec, qmat
 from .discrim import CertificateResiduals
 from .funcspec import FunctionSpec
 from .tolerances import active
@@ -95,58 +99,45 @@ def _rational_id(f: FunctionSpec) -> str:
     return ",".join(str(x) for row in f.prob_table[0] for x in row)
 
 
-class _Job(NamedTuple):
-    function_id: str
-    blocks: np.ndarray  # (K, m, b, b): outcome blocks of one state per input of the guessed party
-    prior: tuple[float, ...]
-    p_honest: float
-    input_used: tuple[complex, ...] | int
-    notes: list[str]
-
-
-def _stack(jobs: Sequence[_Job]) -> tuple[np.ndarray, np.ndarray]:
-    """The jobs' blocks as one stack ``(N, m, b, b)``, and where each job's
-    blocks start."""
-    counts = [0] + [len(job.blocks) for job in jobs[:-1]]
-    return np.concatenate([job.blocks for job in jobs]), np.array(counts).cumsum()
-
-
-def _measure(scenario: str, jobs: Sequence[_Job], optimize: bool = False) -> list[AttackReport]:
-    """Build, evaluate and certify the measurement for each job's candidate,
-    one report per job: the candidates, whose blocks share one shape
-    ``(m, b)``, are measured, checked and certified as one block stack by
+def _measure(
+    scenario: str, states: np.ndarray, starts: np.ndarray, priors: np.ndarray,
+    p_honest: Sequence[float], ids: Sequence[str], inputs: Sequence, notes: Sequence[str],
+    optimize: bool = False,
+) -> list[AttackReport]:
+    """Build, evaluate and certify the measurement of every candidate of one
+    attack call, one report per family: the state blocks ``(N, m, b, b)`` of
+    the families that start at ``starts``, under one prior row per family
+    ``(F, m)``, are measured, checked and certified as one stack by
     :func:`discrim._measure_stack` (Helstrom for two states, else
-    pretty-good); ``optimize`` also runs the fixed-point search from each
-    candidate's checked element blocks."""
-    states, starts = _stack(jobs)
-    priors = np.array([job.prior for job in jobs], dtype=float)
+    pretty-good); ``p_honest``, ``ids``, ``inputs`` and ``notes`` hold one
+    entry per family.  ``optimize`` also runs the fixed-point search from
+    each family's checked element blocks."""
     elements, successes, verdicts = discrim._measure_stack(states, starts, priors)
-    bounds = starts.tolist() + [len(states)]
+    bounds, rows = starts.tolist() + [len(states)], priors.tolist()
     reports = []
-    for job, start, end, q, p_attack, (certified, residuals) in zip(
-        jobs, bounds, bounds[1:], priors, successes, verdicts
-    ):
-        notes = list(job.notes)
+    for n, (p_attack, (certified, residuals)) in enumerate(zip(successes, verdicts)):
+        start, end, note = bounds[n], bounds[n + 1], notes[n]
         if optimize:
             # seeded by the element blocks the stack has just checked
-            s = states[start:end]
+            s, q = states[start:end], priors[n]
             refined = discrim._fixed_point(elements[start:end], s, q, q[:, None, None] * s)
-            notes.append(
+            found = (
                 f"fixed-point optimum p={refined.success_probability:.17g}"
                 f" certified={refined.certified_optimal}"
             )
+            note = f"{note}; {found}" if note else found
         reports.append(
             AttackReport(
-                function_id=job.function_id,
+                function_id=ids[n],
                 scenario=scenario,
-                prior=job.prior,
-                input_used=job.input_used,
-                p_honest=job.p_honest,
+                prior=tuple(rows[n]),
+                input_used=inputs[n],
+                p_honest=p_honest[n],
                 p_attack=p_attack,
-                advantage=p_attack - job.p_honest,
+                advantage=p_attack - p_honest[n],
                 certified=certified,
                 residuals=residuals,
-                notes="; ".join(notes),
+                notes=note,
             )
         )
     return reports
@@ -170,49 +161,44 @@ def attack_deterministic_3x3(
     """
     tables = np.array(funcspec._labels_3x3(f))[:, None]
     bases, _ = funcspec._canonical_forms(tables)
-    jobs = _det3x3_jobs(tables, bases, [f.outcome_count], superposition, prior)
-    return _measure("deterministic-3x3", jobs, optimize)[0]
+    candidates = _det3x3_candidates(tables, bases, [f.outcome_count], superposition, prior)
+    return _measure("deterministic-3x3", *candidates, optimize=optimize)[0]
 
 
-def _det3x3_jobs(
+def _det3x3_candidates(
     tables: np.ndarray,
     bases: np.ndarray,
     outcome_counts: Sequence[int],
     superposition=None,
     prior=None,
-) -> list[_Job]:
+) -> tuple:
     """:func:`attack_deterministic_3x3`'s candidates for row-major label tables
-    ``(9, n)`` named by their canonical base tables ``(n, 9)``, ready for
-    :func:`_measure`: ``p(k|i,j)`` read off the labels, zero-padded to the
-    largest outcome count for one stacked honest baseline, and the present
-    outcomes' rows built as one block stack by one family builder call."""
+    ``(9, n)`` named by their canonical base tables ``(n, 9)``, as the
+    columns :func:`_measure` takes after its scenario: ``p(k|i,j)`` read off
+    the labels, zero-padded to the largest outcome count for one stacked
+    honest baseline, and the present outcomes' rows built as one block
+    stack by one family builder call, which is the stack measured."""
     amps = (
         blackbox.uniform_superposition(3)
         if superposition is None
         else blackbox.amplitude_vector(superposition, 3)
     )
     q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
-    inputs, prior_used = tuple(complex(x) for x in amps), tuple(q)
     # (t, k, j, i), the rows of absent outcomes all zero; the baseline adds them as 0.0
     labels = tables.T[:, None]  # (t, 1, cells)
     p = (labels == np.arange(max(outcome_counts))[:, None]).reshape(len(labels), -1, 3, 3) * 1.0
     present = np.arange(p.shape[1]) < np.array(outcome_counts)[:, None]
     starts = np.cumsum([0] + list(outcome_counts[:-1]))
-    blocks = blackbox._two_sided_families(p[present], amps, starts)
-    bounds = starts.tolist() + [len(blocks)]
-    return [
-        _Job(
-            _det3x3_id(base),
-            blocks[start:end],
-            prior_used,
-            p_honest,
-            inputs,
-            [f"canonical labels a={base[1]} b={base[4]}"],
-        )
-        for base, start, end, p_honest in zip(
-            bases.tolist(), bounds, bounds[1:], discrim._honest(p, q).tolist()
-        )
-    ]
+    bases = bases.tolist()
+    return (
+        blackbox._two_sided_families(p[present], amps, starts),
+        starts,
+        q[None].repeat(len(bases), axis=0),
+        discrim._honest(p, q).tolist(),
+        [_det3x3_id(base) for base in bases],
+        [tuple(complex(x) for x in amps)] * len(bases),
+        [f"canonical labels a={base[1]} b={base[4]}" for base in bases],
+    )
 
 
 def _two_sided_exception(f: FunctionSpec) -> bool:
@@ -264,9 +250,11 @@ def attack_nondet_two_sided(
         else blackbox.amplitude_vector(superposition, 2)
     )
     blocks = blackbox._two_sided_families(p, amps)
-    inputs = tuple(complex(x) for x in amps)
-    jobs = [_Job(function_id, blocks, q, h, inputs, []) for q, h in zip(priors, honest)]
-    reports = _measure("nondet-two-sided", jobs)
+    n = len(priors)  # one family per prior weight, each the same states
+    reports = _measure(
+        "nondet-two-sided", np.concatenate([blocks] * n), np.arange(n) * len(blocks), np.array(priors),
+        honest, [function_id] * n, [tuple(complex(x) for x in amps)] * n, [""] * n,
+    )
     lines = []
     for r in reports:
         q0 = r.prior[0]
@@ -296,12 +284,12 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
     p = f.probabilities()
     rates = discrim._basis_rates(p, funcspec.validate_prior(prior, 2)).tolist()
     p_honest = max(rates)
-    function_id = f"nondet1sided:{_rational_id(f)}"
-    jobs = [
-        _Job(function_id, states[None], prior, p_honest, i, [])
-        for i, states in enumerate(blackbox._one_sided_families(p))
-    ]
-    reports = _measure("nondet-one-sided", jobs)
+    families = blackbox._one_sided_families(p)  # one one-block family per honest input
+    n = len(families)
+    reports = _measure(
+        "nondet-one-sided", families, np.arange(n), np.array([prior] * n),
+        [p_honest] * n, [f"nondet1sided:{_rational_id(f)}"] * n, range(n), [""] * n,
+    )
     lines = [
         f"i={i} basis_rate={rate:.17g}"
         f" optimal={r.p_attack:.17g}"
@@ -341,8 +329,10 @@ def attack_oblivious_transfer() -> AttackReport:
     p = f.probabilities()
     states = blackbox._one_sided_families(p)[0]
     p_honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
-    job = _Job("ot", states[None], prior, p_honest, 0, [])
-    report = _measure("oblivious-transfer", [job])[0]
+    report = _measure(
+        "oblivious-transfer", states[None], qmat.ONE_FAMILY, np.array([prior]),
+        [p_honest], ["ot"], [0], [""],
+    )[0]
     explicit = ot_explicit_povm()
     family = blackbox.StateFamily(states)
     explicit_success = discrim.povm_success(family, prior, explicit)
@@ -434,15 +424,12 @@ def verify_counterexample() -> AttackReport:
         f" from |0> toward |1> <= {float(bound):.17g}; no superposition, real or complex, helps"
     )
     p = f.probabilities()
-    job = _Job(
-        "counterexample",
-        blackbox._two_sided_families(p, (1.0, 0.0)),
-        prior,
-        float(discrim._honest(p, funcspec.validate_prior(prior, 2))),
-        (1 + 0j, 0j),
-        [notes],
-    )
-    report = _measure("counterexample", [job])[0]
+    honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
+    states = blackbox._two_sided_families(p, (1.0, 0.0))
+    report = _measure(
+        "counterexample", states, qmat.ONE_FAMILY, np.array([prior]), [honest], ["counterexample"],
+        [(1 + 0j, 0j)], [notes],
+    )[0]
     if report.advantage > active().adv_min:
         raise ArithmeticError(
             f"counterexample admits advantage {report.advantage:.3g} at input |0>"
@@ -458,7 +445,7 @@ def sweep_all_3x3() -> list[AttackReport]:
     """
     tables, bases = funcspec._class_tables()
     counts = (tables.max(axis=0) + 1).tolist()
-    reports = _measure("deterministic-3x3", _det3x3_jobs(tables, bases, counts))
+    reports = _measure("deterministic-3x3", *_det3x3_candidates(tables, bases, counts))
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

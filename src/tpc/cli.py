@@ -114,6 +114,22 @@ def _parse_certified(text: str) -> bool:
     return text == "true"
 
 
+_NOTE_ESCAPES = {"\\": "\\", "n": "\n"}
+
+
+def _parse_notes(text: str) -> str:
+    """The notes writer's escapes read in one left-to-right pass: ``\\\\``
+    is a backslash and ``\\n`` a line break; any other escape, a lone
+    trailing backslash included, is an error."""
+
+    def unescape(match: re.Match) -> str:
+        if match[1] not in _NOTE_ESCAPES:
+            raise ValueError(f"unknown escape {match[0]!r}")
+        return _NOTE_ESCAPES[match[1]]
+
+    return re.sub(r"\\(.?)", unescape, text, flags=re.DOTALL)
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     schema_version: int
@@ -135,8 +151,7 @@ _REPORT_FIELDS = (
     ("residuals", lambda r: "-" if r is None else ",".join(map(_fmt, r)),
      lambda t: None if t == "-" else CertificateResiduals(*_parse_finite(t))),
     # a backslash and a line break escaped, so that a note stays on its line
-    ("notes", lambda t: t.replace("\\", "\\\\").replace("\n", "\\n"),
-     lambda t: t.replace("\\n", "\n").replace("\\\\", "\\")),
+    ("notes", lambda t: t.replace("\\", "\\\\").replace("\n", "\\n"), _parse_notes),
 )
 
 
@@ -375,15 +390,15 @@ def cmd_sweep3x3(args) -> int:
         for r in exc.reports:
             print(f"  {r.function_id} advantage={_fmt(r.advantage)}", file=sys.stderr)
         return EXIT_SWEEP
-    for r in reports:
-        print(f"{r.function_id} advantage={_fmt(r.advantage)} p_attack={_fmt(r.p_attack)}")
     summary = attacks.summarize_sweep(reports)
-    print(
+    lines = [f"{r.function_id} advantage={_fmt(r.advantage)} p_attack={_fmt(r.p_attack)}" for r in reports]
+    lines.append(
         f"functions={int(summary['functions'])}"
         f" min_adv={_fmt(summary['min_adv'])}"
         f" median_adv={_fmt(summary['median_adv'])}"
         f" max_adv={_fmt(summary['max_adv'])}"
     )
+    sys.stdout.write("\n".join(lines) + "\n")  # one write for the 18 rows and the summary
     _write_out(args.out, reports)
     return EXIT_OK
 

@@ -337,28 +337,37 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     and from the same pass each class's base table ``(18, 9)`` as
     :func:`_canonical_forms` names it.
 
-    Only the 512 tables already in the reference layout are checked.  Every
-    valid table has a relabeling in that layout (:func:`canonicalize_3x3`
+    Only tables in the reference layout and in its labels are checked.
+    Every valid table has a relabeling in that layout (:func:`canonicalize_3x3`
     relies on this too, and the test suite checks it against the full
-    walk), with the first column's labels set to 0 and 1.  A valid table
-    has at most 4 distinct outcomes: each row repeats an element, and a
-    fifth value would force some column to hold three distinct entries.
-    So labels 0-3 in the five free cells reach every class, and every
-    member of a class in the reference layout, relabeled as the layout
-    fixes, is among them.  The 76 valid tables are gathered under all 36
-    input permutations at once, each keyed by the smallest base-4 key of
-    its first-appearance forms; the 18 distinct keys, sorted, are the
-    classes, each its orbit's smallest table.  A class's base table is the
-    smallest reference-labelled key among its members.
+    walk), and the layout's labels number the outcomes in order of first
+    appearance in the reference cell order, from 0 and 1 in the first
+    column.  A valid table has at most 4 distinct outcomes: each row
+    repeats an element, and a fifth value would force some column to hold
+    three distinct entries.  So the five free cells, in reference cell
+    order, take labels 0-3, each at most one above every label before it:
+    264 candidates fit the layout, and every member of a class in the
+    reference layout, reference-labelled, is among them.  The 44 valid
+    ones are gathered under all 36 input permutations at once, each keyed
+    by the smallest base-4 key of its first-appearance forms; the 18
+    distinct keys, sorted, are the classes, each its orbit's smallest
+    table.  A class's base table is its smallest member, each member's key
+    read off its labels as they stand.
     """
-    a, c02, b, c12, c22 = np.indices((4,) * 5, dtype=np.int8).reshape(5, -1)
+    free = np.indices((4,) * 5, dtype=np.int8).reshape(5, -1)  # a, (0,2), b, (1,2), (2,2)
+    # each label at most one above every label before it, the first column's 0 and 1
+    # included (so a < 3), and the layout's a != b with a == 0 or b in {0, 1}
+    seen = np.maximum(np.maximum.accumulate(free[:-1], axis=0), 1)
+    a, b = free[0], free[2]
+    fits = (free[1:] <= seen + 1).all(axis=0) & (a < 3) & (a != b) & ((a == 0) | (b < 2))
+    a, c02, b, c12, c22 = np.compress(fits, free, axis=1)
     zero = np.zeros_like(a)
     tables = np.stack([zero, a, c02, zero, b, c12, zero + 1, b, c22])
-    tables = np.compress(_in_reference_layout(tables), tables, axis=1)
     tables = np.compress(np.logical_and(*_conditions(tables.reshape(3, 3, -1))), tables, axis=1)
     orbits = _keys(tables[_GATHER], _KEY).min(axis=0).tolist()
     bases = {}
-    for orbit, own in zip(orbits, _keys(tables[_REFERENCE_ORDER], _REFERENCE_KEY).tolist()):
+    # each table is in reference labels already, so its key is its labels in cell order
+    for orbit, own in zip(orbits, (_KEY @ tables).tolist()):
         bases[orbit] = min(bases.get(orbit, own), own)
     # a dict and sorted(), not np.unique: numpy's first sort loads its sort kernels, ~1 MB resident
     classes = sorted(bases)

@@ -135,6 +135,24 @@ def mp_pretty_good_success(f: FunctionSpec, dps: int = 50) -> mpmath.mpf:
         return total / m
 
 
+def conditions_ok_flat(flat):
+    """Potentially concealing and non-degenerate, on a row-major 9-tuple."""
+    rows = (flat[0:3], flat[3:6], flat[6:9])
+    cols = (flat[0::3], flat[1::3], flat[2::3])
+    if any(len(set(line)) == 3 for line in rows + cols):
+        return False
+    return len(set(rows)) == 3 and len(set(cols)) == 3
+
+
+def normalized_flat_tables():
+    """All 9-cell tables with labels in first-appearance order and at most
+    4 distinct outcomes, built one cell per pass."""
+    out = [()]
+    for _ in range(9):
+        out = [t + (v,) for t in out for v in range(min(max(t, default=-1) + 2, 4))]
+    return out
+
+
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:
     """The family of measurements equivalent to honest play for canonical
     3x3 functions probed with the balanced two-term superposition.

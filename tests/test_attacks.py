@@ -23,24 +23,45 @@ from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
 from oracles import (
+    conditions_ok_flat,
     count_kernels,
     dense_search,
     fraction_slope_bound,
     loop_honest_probability,
     mp_pretty_good_success,
+    normalized_flat_tables,
     pretty_good_povm,
 )
 
 SEED = 8091
 
 
-def det3x3_jobs(tables, **kwargs):
-    """``attacks._det3x3_jobs`` on 3x3 function specs, whose labels, canonical
-    bases and outcome counts it takes as arrays, as ``attack_deterministic_3x3``
-    does."""
+def det3x3_candidates(tables, **kwargs):
+    """``attacks._det3x3_candidates`` on 3x3 function specs, whose labels,
+    canonical bases and outcome counts it takes as arrays, as
+    ``attack_deterministic_3x3`` does: the columns ``(states, starts,
+    priors, p_honest, ids, inputs, notes)`` that ``attacks._measure`` takes."""
     labels = np.array([funcspec._labels_3x3(f) for f in tables]).T
     bases, _ = funcspec._canonical_forms(labels)
-    return attacks._det3x3_jobs(labels, bases, [f.outcome_count for f in tables], **kwargs)
+    return attacks._det3x3_candidates(labels, bases, [f.outcome_count for f in tables], **kwargs)
+
+
+def family_columns(candidates):
+    """The candidate columns of ``attacks._measure`` split into one row per
+    family: its state blocks, then its prior row, ``p_honest``, id, input
+    and notes."""
+    states, starts, priors, *per_family = candidates
+    bounds = starts.tolist() + [len(states)]
+    blocks = [states[start:end] for start, end in zip(bounds, bounds[1:])]
+    return list(zip(blocks, priors.tolist(), *per_family))
+
+
+def joined_columns(families):
+    """:func:`family_columns` rows joined back into the columns of one
+    ``attacks._measure`` call."""
+    blocks, priors, *per_family = zip(*families)
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    return (np.concatenate(blocks), starts, np.array(priors), *map(list, per_family))
 
 
 def random_two_input_table(rng, n, kdim):
@@ -643,6 +664,48 @@ class TestSweep:
         blackbox.output_family(f, blackbox.uniform_superposition(3))
         assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
 
+    def test_sweep_measures_the_stack_the_builder_returned(self, monkeypatch):
+        # the 50 outcome blocks reach the measurement as the one array the
+        # family builder returned: no per-class slice, no concatenation
+        built, measured = [], []
+        build, measure = blackbox._two_sided_families, discrim._measure_stack
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def recording_measure(states, starts, priors):
+            measured.append((states, starts, priors))
+            return measure(states, starts, priors)
+
+        monkeypatch.setattr(blackbox, "_two_sided_families", recording_build)
+        monkeypatch.setattr(discrim, "_measure_stack", recording_measure)
+        sweep_all_3x3()
+        [(states, starts, priors)] = measured
+        assert len(built) == 1 and states is built[0]
+        assert states.shape == (50, 3, 3, 3) and len(starts) == len(priors) == 18
+
+    def test_every_valid_table_measures_as_its_class(self):
+        # "18 up to relabeling", checked directly: each of the 456 valid
+        # tables in first-appearance form, measured in one column stack per
+        # outcome count, gives its class's sweep values
+        classes = {r.function_id: r for r in sweep_all_3x3()}
+        by_count = {}
+        for flat in normalized_flat_tables():
+            if conditions_ok_flat(flat):
+                by_count.setdefault(max(flat) + 1, []).append(flat)
+        reports = []
+        for count, flats in sorted(by_count.items()):
+            labels = np.array(flats).T
+            bases, _ = funcspec._canonical_forms(labels)
+            candidates = attacks._det3x3_candidates(labels, bases, [count] * len(flats))
+            reports += attacks._measure("deterministic-3x3", *candidates)
+        assert len(reports) == 456
+        assert {r.function_id for r in reports} == set(classes)
+        for r in reports:
+            assert abs(r.p_attack - classes[r.function_id].p_attack) <= 1e-15
+            assert abs(r.p_honest - classes[r.function_id].p_honest) <= 1e-15
+
     def test_one_kernel_of_each_per_sweep(self, monkeypatch):
         # the 18 classes' pretty-good elements, checked and certified as one stack
         calls = count_kernels(monkeypatch)
@@ -696,9 +759,9 @@ class TestSweep:
             g = funcspec.deterministic([[relabel[f.det_table[r][c]] for c in cols] for r in rows])
             calls.append((g, options[n % len(options)]))
         calls = [calls[n] for n in rng.permutation(len(calls))]
-        jobs = [det3x3_jobs([g], **kwargs)[0] for g, kwargs in calls]
-        assert len({len(job.blocks) for job in jobs}) == 3
-        stacked = attacks._measure("deterministic-3x3", jobs, optimize)
+        families = [family_columns(det3x3_candidates([g], **kwargs))[0] for g, kwargs in calls]
+        assert len({len(family[0]) for family in families}) == 3
+        stacked = attacks._measure("deterministic-3x3", *joined_columns(families), optimize=optimize)
         single = [attack_deterministic_3x3(g, optimize=optimize, **kwargs) for g, kwargs in calls]
         assert [exact_fields(r) for r in stacked] == [exact_fields(r) for r in single]
 
@@ -720,18 +783,16 @@ class TestSweep:
             {"prior": tuple(rng.dirichlet(np.ones(3)))},
             {"prior": tuple(rng.dirichlet(np.ones(3))), "superposition": tuple(amps / np.linalg.norm(amps))},
         ):
-            batch = det3x3_jobs(tables, **kwargs)
-            single = [det3x3_jobs([g], **kwargs)[0] for g in tables]
+            candidates = det3x3_candidates(tables, **kwargs)
+            batch = family_columns(candidates)
+            single = [family_columns(det3x3_candidates([g], **kwargs))[0] for g in tables]
             assert len(batch) == len(single) == len(tables)
-            for f, b, s in zip(tables, batch, single):
-                assert (b.function_id, b.notes) == (s.function_id, s.notes)
-                assert b.prior == s.prior
-                assert b.input_used == s.input_used
-                assert float(b.p_honest).hex() == float(s.p_honest).hex()
-                assert b.blocks.shape == (f.outcome_count, 3, 3, 3)
-                assert b.blocks.shape == s.blocks.shape
-                assert b.blocks.tobytes() == s.blocks.tobytes()
-                assert not b.blocks.flags.writeable
+            assert not candidates[0].flags.writeable
+            for f, (b_blocks, *b), (s_blocks, *s) in zip(tables, batch, single):
+                assert b_blocks.shape == s_blocks.shape == (f.outcome_count, 3, 3, 3)
+                assert b_blocks.tobytes() == s_blocks.tobytes()
+                # the prior row, p_honest, id, input and notes, each float exactly
+                assert b == s
 
     @pytest.mark.parametrize(
         "perturb, message",

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, report documents."""
 
 import argparse
+import dataclasses
 import math
 import os
 import re
@@ -334,6 +335,43 @@ class TestTwoStatePrior:
         assert "prior: 0.29999999999999999, 0.69999999999999996" in expected
 
 
+class TestReadmeExceptions:
+    """The two tables the README names where no gain exists, each with the
+    verdict ``tpc analyze`` prints for it."""
+
+    def test_one_sided_table_whose_basis_reading_is_optimal(self, tmp_path, capsys):
+        text = "type: probabilistic\nsided: one\ninputs: 2 2\noutcomes: 2\nk: 0\n1/4 1/4\n3/4 3/4\n"
+        assert main(["analyze", write(tmp_path, "t.fn", text), "--q0", "0.5"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "function: nondet1sided:1/4,1/4,3/4,3/4 (nondet-one-sided)\n"
+            "prior: 0.5, 0.5\n"
+            "input: honest:0\n"
+            "p_honest: 0.75\n"
+            "p_attack: 0.75\n"
+            "advantage: 0\n"
+            "certified optimal: True (pairwise=0, min_eig=0, anti_herm=0)\n"
+            "notes: i=0 basis_rate=0.75 optimal=0.75 basis_measurement_optimal=True;"
+            " i=1 basis_rate=0.75 optimal=0.75 basis_measurement_optimal=True\n"
+        )
+
+    def test_two_sided_table_whose_honest_input_reveals_the_partner(self, tmp_path, capsys):
+        # honest input 1 reads p(0|1,0) = 0 and p(0|1,1) = 1: p_honest is 1 at every prior
+        text = "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n0 0\n0 1\n"
+        assert main(["analyze", write(tmp_path, "t.fn", text)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "function: nondet2x2:0,0,0,1 (nondet-two-sided)\n"
+            "prior: 0.99990000000000001, 9.9999999999988987e-05\n"
+            "input: amps:0.70710678118654746+0j,0.70710678118654746+0j\n"
+            "p_honest: 1\n"
+            "p_attack: 0.99997500062506239\n"
+            "advantage: -2.4999374937606511e-05\n"
+            "certified optimal: True (pairwise=7.39e-17, min_eig=0, anti_herm=5.55e-17)\n"
+            "notes: q0=0.98999999999999999 advantage=-0.0024936869089446922;"
+            " q0=0.999 advantage=-0.00024993743744150532;"
+            " q0=0.99990000000000001 advantage=-2.4999374937606511e-05\n"
+        )
+
+
 class TestSweepCommand:
     def test_exit_zero_and_summary(self, capsys):
         assert main(["sweep3x3"]) == EXIT_OK
@@ -550,6 +588,27 @@ class TestReportDocument:
         )
         doc = parse_report_document(render_report_document([report]))
         assert doc.reports[0].notes == report.notes
+
+    @pytest.mark.parametrize(
+        "notes", ["C:\\new", "trailing backslash \\", "literal \\\\n", "\\\n\\n\n"],
+        ids=["backslash-n", "trailing-backslash", "two-backslashes-n", "mixed"],
+    )
+    def test_notes_with_backslashes_survive(self, notes):
+        report = dataclasses.replace(attacks.attack_oblivious_transfer(), notes=notes)
+        text = render_report_document([report])
+        assert len(text.splitlines()) == 14
+        assert parse_report_document(text).reports[0].notes == notes
+
+    @pytest.mark.parametrize(
+        "value, escape", [("C:\\q", "\\q"), ("ends \\", "\\"), ("tab\\t", "\\t")]
+    )
+    def test_unknown_notes_escape_names_the_line(self, value, escape):
+        text = render_report_document([attacks.attack_oblivious_transfer()])
+        text = re.sub(r"^notes: .*$", lambda _: f"notes: {value}", text, count=1, flags=re.M)
+        with pytest.raises(funcspec.FunctionFileError) as info:
+            parse_report_document(text)
+        assert info.value.line_no == 14
+        assert str(info.value) == f"line 14: bad notes field: unknown escape {escape!r}"
 
     def test_truncated_document_names_the_line(self, tmp_path, capsys):
         out = tmp_path / "ot.txt"

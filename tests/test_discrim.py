@@ -684,11 +684,12 @@ class TestCertifyOptimal:
 def class_search_inputs(f, superposition=None):
     """The arguments of the search ``tpc analyze <3x3> --optimize`` runs on
     ``f``, as :func:`attacks._measure` runs it: the outcome blocks
-    :func:`attacks._det3x3_jobs` builds, seeded by their pretty-good element
-    blocks."""
+    :func:`attacks._det3x3_candidates` builds, seeded by their pretty-good
+    element blocks."""
     tables = np.array(funcspec._labels_3x3(f))[:, None]
-    [job] = attacks._det3x3_jobs(tables, funcspec._canonical_forms(tables)[0], [f.outcome_count], superposition)
-    q, blocks, one = np.array(job.prior), job.blocks, qmat.ONE_FAMILY
+    bases = funcspec._canonical_forms(tables)[0]
+    blocks, _, priors, *_ = attacks._det3x3_candidates(tables, bases, [f.outcome_count], superposition)
+    q, one = priors[0], qmat.ONE_FAMILY
     seed = discrim._pretty_good(blocks, one, qmat._per_block(q[None], one, len(blocks)))
     return seed, blocks, q, q[:, None, None] * blocks
 

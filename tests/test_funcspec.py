@@ -25,7 +25,7 @@ from tpc.funcspec import (
     validate_prior,
 )
 
-from oracles import exact_prob
+from oracles import conditions_ok_flat, exact_prob, normalized_flat_tables
 
 SEED_PROBABILITIES = 5150
 
@@ -286,15 +286,6 @@ def first_appearance(flat):
     return tuple(seen.setdefault(x, len(seen)) for x in flat)
 
 
-def conditions_ok_flat(flat):
-    """Potentially concealing and non-degenerate, on a row-major 9-tuple."""
-    rows = (flat[0:3], flat[3:6], flat[6:9])
-    cols = (flat[0::3], flat[1::3], flat[2::3])
-    if any(len(set(line)) == 3 for line in rows + cols):
-        return False
-    return len(set(rows)) == 3 and len(set(cols)) == 3
-
-
 def permuted_tables(flat):
     """The table under every row and column permutation, first-appearance
     normalized."""
@@ -307,15 +298,6 @@ def permuted_tables(flat):
 def class_representative(flat):
     """Smallest permuted form: a complete invariant of the class."""
     return min(permuted_tables(flat))
-
-
-def normalized_flat_tables():
-    """All 9-cell tables with labels in first-appearance order and at most
-    4 distinct outcomes, built one cell per pass."""
-    out = [()]
-    for _ in range(9):
-        out = [t + (v,) for t in out for v in range(min(max(t, default=-1) + 2, 4))]
-    return out
 
 
 def full_walk_classes():
@@ -351,6 +333,13 @@ class TestEnumeration:
 
     def test_layout_walk_matches_full_walk(self):
         assert enumerate_valid_3x3() == full_walk_classes()
+
+    def test_class_bases_are_the_canonical_forms(self):
+        # the enumeration names each class by its least reference-labelled
+        # member, the base table the canonicalizer picks for the class
+        tables, bases = funcspec._class_tables()
+        assert tables.shape == (9, 18) and bases.shape == (18, 9)
+        assert np.array_equal(bases, funcspec._canonical_forms(tables)[0])
 
     def test_class_representative_matches_oracle(self):
         # enumerate_valid_3x3 keys each valid table by the smallest key of
