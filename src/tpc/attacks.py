@@ -123,7 +123,8 @@ def _measure(
             refined = discrim._fixed_point(elements[start:end], s, q, q[:, None, None] * s)
             found = (
                 f"fixed-point optimum p={refined.success_probability:.17g}"
-                f" certified={refined.certified_optimal}"
+                f" certified={refined.certified_optimal} iterations={refined.iterations}"
+                f" stop={refined.stop_reason} p_upper={refined.p_upper:.17g}"
             )
             note = f"{note}; {found}" if note else found
         reports.append(
@@ -156,8 +157,9 @@ def attack_deterministic_3x3(
     uniform prior (or ``prior``); both index the rows and columns of ``f``
     as given.  The canonical form only names the class (``function_id``)
     and its ``a``/``b`` labels in the notes.  ``optimize=True`` additionally
-    runs the fixed-point search and reports its value in the notes; the
-    headline attack number stays the pretty-good-measurement success.
+    runs the fixed-point search and reports in the notes its value, sweep
+    count, stop reason and dual bound ``p_upper``; the headline attack
+    number stays the pretty-good-measurement success.
     """
     tables = np.array(funcspec._labels_3x3(f))[:, None]
     bases, _ = funcspec._canonical_forms(tables)

@@ -114,20 +114,25 @@ def _parse_certified(text: str) -> bool:
     return text == "true"
 
 
-_NOTE_ESCAPES = {"\\": "\\", "n": "\n"}
+# the backslash and every character str.splitlines() breaks a line at, each
+# with its Python escape, so that a note stays on its one line
+_NOTE_ESCAPES = str.maketrans(
+    {c: c.encode("unicode_escape").decode() for c in "\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+_NOTE_CHARS = {escape: chr(code) for code, escape in _NOTE_ESCAPES.items()}
+_NOTE_ESCAPE = re.compile("|".join(map(re.escape, _NOTE_CHARS)) + r"|\\.?", re.DOTALL)
 
 
 def _parse_notes(text: str) -> str:
-    """The notes writer's escapes read in one left-to-right pass: ``\\\\``
-    is a backslash and ``\\n`` a line break; any other escape, a lone
-    trailing backslash included, is an error."""
+    """The notes writer's escapes read in one left-to-right pass; any other
+    escape, a lone trailing backslash included, is an error."""
 
     def unescape(match: re.Match) -> str:
-        if match[1] not in _NOTE_ESCAPES:
+        if match[0] not in _NOTE_CHARS:
             raise ValueError(f"unknown escape {match[0]!r}")
-        return _NOTE_ESCAPES[match[1]]
+        return _NOTE_CHARS[match[0]]
 
-    return re.sub(r"\\(.?)", unescape, text, flags=re.DOTALL)
+    return _NOTE_ESCAPE.sub(unescape, text)
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,7 @@ _REPORT_FIELDS = (
     # pairwise_max, min_eigenvalue, anti_hermitian_max, in field order
     ("residuals", lambda r: "-" if r is None else ",".join(map(_fmt, r)),
      lambda t: None if t == "-" else CertificateResiduals(*_parse_finite(t))),
-    # a backslash and a line break escaped, so that a note stays on its line
-    ("notes", lambda t: t.replace("\\", "\\\\").replace("\n", "\\n"), _parse_notes),
+    ("notes", lambda t: t.translate(_NOTE_ESCAPES), _parse_notes),
 )
 
 
@@ -185,8 +189,8 @@ def parse_report_document(text: str) -> ReportDocument:
         name, sep, value = line.partition(":")
         if not sep or name.strip() != key:
             raise FunctionFileError(pos, f"expected '{key}:' line, got {line!r}")
-        try:
-            return convert(value.strip())
+        try:  # a note keeps its own leading and trailing spaces
+            return convert(value.removeprefix(" ") if key == "notes" else value.strip())
         except (TypeError, ValueError) as exc:
             raise FunctionFileError(pos, f"bad {key} field: {exc}") from None
 
@@ -263,24 +267,31 @@ def _parse_amplitudes(text: str) -> tuple[complex, ...]:
     return tuple(complex(t) for t in text.split(","))
 
 
-def _print_report(report: AttackReport) -> None:
-    print(f"function: {report.function_id} ({report.scenario})")
-    print("prior: " + ", ".join(_fmt(p) for p in report.prior))
-    print(f"input: {_fmt_input(report.input_used)}")
-    print(f"p_honest: {_fmt(report.p_honest)}")
-    print(f"p_attack: {_fmt(report.p_attack)}")
-    print(f"advantage: {_fmt(report.advantage)}")
+def _print_lines(lines: Sequence[str]) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")  # each command writes its stdout once
+
+
+def _report_lines(report: AttackReport) -> list[str]:
+    lines = [
+        f"function: {report.function_id} ({report.scenario})",
+        "prior: " + ", ".join(_fmt(p) for p in report.prior),
+        f"input: {_fmt_input(report.input_used)}",
+        f"p_honest: {_fmt(report.p_honest)}",
+        f"p_attack: {_fmt(report.p_attack)}",
+        f"advantage: {_fmt(report.advantage)}",
+    ]
     if report.residuals is None:
-        print(f"certified optimal: {report.certified}")
+        lines.append(f"certified optimal: {report.certified}")
     else:
-        print(
+        lines.append(
             f"certified optimal: {report.certified} "
             f"(pairwise={report.residuals.pairwise_max:.3g}, "
             f"min_eig={report.residuals.min_eigenvalue:.3g}, "
             f"anti_herm={report.residuals.anti_hermitian_max:.3g})"
         )
     if report.notes:
-        print(f"notes: {report.notes}")
+        lines.append(f"notes: {report.notes}")
+    return lines
 
 
 def _write_out(path: str | None, reports: Sequence[AttackReport]) -> None:
@@ -377,7 +388,7 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:  # a FunctionFileError, or a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _print_report(report)
+    _print_lines(_report_lines(report))
     _write_out(args.out, [report])
     return EXIT_OK
 
@@ -398,7 +409,7 @@ def cmd_sweep3x3(args) -> int:
         f" median_adv={_fmt(summary['median_adv'])}"
         f" max_adv={_fmt(summary['max_adv'])}"
     )
-    sys.stdout.write("\n".join(lines) + "\n")  # one write for the 18 rows and the summary
+    _print_lines(lines)
     _write_out(args.out, reports)
     return EXIT_OK
 
@@ -406,11 +417,12 @@ def cmd_sweep3x3(args) -> int:
 def cmd_ot_demo(args) -> int:
     report = attacks.attack_oblivious_transfer()
     povm = attacks.ot_explicit_povm()
-    print("oblivious transfer demo")
-    print("closed-form receiver measurement, first element (basis |0>, |1>, |?>):")
-    for row in povm.elements[0]:
-        print("  " + "  ".join(f"{z.real:+.12f}" for z in row))
-    _print_report(report)
+    _print_lines([
+        "oblivious transfer demo",
+        "closed-form receiver measurement, first element (basis |0>, |1>, |?>):",
+        *("  " + "  ".join(f"{z.real:+.12f}" for z in row) for row in povm.elements[0]),
+        *_report_lines(report),
+    ])
     _write_out(args.out, [report])
     return EXIT_OK
 
@@ -447,13 +459,13 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(f"success_probability: {_fmt(success)}")
-    print(
+    _print_lines([
+        f"success_probability: {_fmt(success)}",
         f"residuals: pairwise={_fmt(residuals.pairwise_max)}"
         f" min_eig={_fmt(residuals.min_eigenvalue)}"
-        f" anti_herm={_fmt(residuals.anti_hermitian_max)}"
-    )
-    print(f"certified optimal: {ok}")
+        f" anti_herm={_fmt(residuals.anti_hermitian_max)}",
+        f"certified optimal: {ok}",
+    ])
     return EXIT_OK if ok else EXIT_NOT_OPTIMAL
 
 
@@ -498,14 +510,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_NEGATIVE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     for n in range(len(tokens) - 1, 0, -1):
         # join a value such as -0.6,0.8 or -inf to its option, or argparse reads it as one
-        negative = re.match(r"-([\d.]|inf|nan)", tokens[n], re.IGNORECASE)
+        negative = _NEGATIVE.match(tokens[n])
         if tokens[n - 1] in ("--prior", "--superposition", "--q0-sweep", "--q0") and negative:
             tokens[n - 1 : n + 1] = [f"{tokens[n - 1]}={tokens[n]}"]
-    args = _parser().parse_args(tokens)
+    # the named command's parser reads the rest in one pass; the full parser
+    # runs only when no command is named or tokens are left over, and words
+    # the usage and error text
+    parser = _parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices.get(tokens[0]) if tokens else None
+    args, extra = command.parse_known_args(tokens[1:]) if command else (None, None)
+    if args is None or extra:
+        args = parser.parse_args(tokens)
     try:
         return args.func(args)
     except OSError as exc:  # an input file that cannot be read, an --out that cannot be written

@@ -446,6 +446,23 @@ class TestOptimizePins:
         assert main(["analyze"] + argv + ["--optimize"]) == EXIT_OK
         assert capsys.readouterr().out == (pins / f"{case}.stdout").read_text()
 
+    def test_search_fields_printed_as_pinned(self, capsys):
+        # each class's note prints the fields search.txt pins for its search
+        pins = DATA / "optimize3x3"
+        for line in (pins / "search.txt").read_text().splitlines():
+            case, iterations, stop, p, p_upper = line.split()
+            assert main(["analyze", str(pins / f"{case}.fn"), "--optimize"]) == EXIT_OK
+            printed = re.search(
+                r"fixed-point optimum p=(\S+) certified=True iterations=(\d+) stop=(\w+)"
+                r" p_upper=(\S+)$",
+                capsys.readouterr().out,
+                re.M,
+            )
+            assert printed is not None, case
+            fields = printed.groups()
+            assert fields[1:3] == (iterations, stop)
+            assert (float(fields[0]), float(fields[3])) == (float(p), float(p_upper))
+
 
 # ``tpc certify``'s pinned outputs: tests/data/certify/<case>.stdout, .stderr
 # and .exit, from these calls on the function and POVM files stored there.
@@ -589,9 +606,14 @@ class TestReportDocument:
         doc = parse_report_document(render_report_document([report]))
         assert doc.reports[0].notes == report.notes
 
+    # backslashes, the other characters str.splitlines() breaks a line at,
+    # and the spaces at a note's ends all survive on the note's one line
     @pytest.mark.parametrize(
-        "notes", ["C:\\new", "trailing backslash \\", "literal \\\\n", "\\\n\\n\n"],
-        ids=["backslash-n", "trailing-backslash", "two-backslashes-n", "mixed"],
+        "notes",
+        ["C:\\new", "trailing backslash \\", "literal \\\\n", "\\\n\\n\n",
+         "a\rb", "x\u2028y", "p\x0bq", " padded "],
+        ids=["backslash-n", "trailing-backslash", "two-backslashes-n", "mixed",
+             "carriage-return", "line-separator", "vertical-tab", "padded"],
     )
     def test_notes_with_backslashes_survive(self, notes):
         report = dataclasses.replace(attacks.attack_oblivious_transfer(), notes=notes)
@@ -684,6 +706,43 @@ class TestUsageText:
         assert documented == accepted
 
 
+def fresh_main(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def run_entry(entry, argv, out, capsys):
+    """Exit code, stdout, stderr and ``--out`` document of one call."""
+    try:
+        rc = entry(argv)
+    except SystemExit as exc:  # argparse rejects its arguments this way
+        rc = exc.code
+    captured = capsys.readouterr()
+    document = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return rc, captured.out, captured.err, document
+
+
+# argvs that the full parser words (no command, help, usage errors, tokens
+# left over, an option before the command) and that a command's parser reads
+PARSE_CASES = {
+    "empty": [],
+    "help": ["--help"],
+    "analyze-help": ["analyze", "--help"],
+    "unknown-command": ["bogus"],
+    "no-function": ["analyze"],
+    "extra-positional": ["analyze", "@neq3", "extra"],
+    "unknown-option": ["analyze", "@neq3", "--no-such-option"],
+    "bad-float": ["analyze", "@neq3", "--q0", "x"],
+    "abbreviation": ["analyze", "@neq3", "--optim"],
+    "double-dash": ["analyze", "--", "@neq3"],
+    "certify-without-povm": ["certify", "@ot"],
+    "option-before-command": ["--optimize", "analyze", "@neq3"],
+    "out-before-command": ["--out", "OUT", "ot-demo"],
+    "out-after-command": ["ot-demo", "--out", "OUT"],
+}
+
+
 class TestParserReuse:
     def test_mixed_sequence_matches_fresh_parsers(self, tmp_path, capsys):
         out = tmp_path / "ot.txt"
@@ -695,25 +754,32 @@ class TestParserReuse:
             ["analyze", "@neq3", "--no-such-option"],
             ["analyze", "@neq3", "--optimize"],
         )
-
-        def fresh_main(argv):
-            args = cli.build_parser().parse_args(argv)
-            return args.func(args)
-
-        def run(entry, argv):
-            try:
-                rc = entry(argv)
-            except SystemExit as exc:  # argparse rejects its arguments this way
-                rc = exc.code
-            captured = capsys.readouterr()
-            document = out.read_text() if out.exists() else None
-            out.unlink(missing_ok=True)
-            return rc, captured.out, captured.err, document
-
-        reused = [run(main, argv) for argv in sequence]
+        reused = [run_entry(main, argv, out, capsys) for argv in sequence]
         assert cli._parser() is cli._parser()
         assert [rc for rc, *_ in reused] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, 2, EXIT_OK]
-        assert reused == [run(fresh_main, argv) for argv in sequence]
+        assert reused == [run_entry(fresh_main, argv, out, capsys) for argv in sequence]
+
+    @pytest.mark.parametrize("case", PARSE_CASES)
+    def test_argv_matches_a_fresh_full_parse(self, case, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        argv = [str(out) if a == "OUT" else a for a in PARSE_CASES[case]]
+        assert run_entry(main, argv, out, capsys) == run_entry(fresh_main, argv, out, capsys)
+
+    def test_a_valid_call_parses_once_with_its_command_parser(self, monkeypatch, capsys):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            parsed.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        certify = ["certify", "@ot", "--povm", str(DATA / "certify" / "ot.povm")]
+        for argv in (["analyze", "@neq3"], ["sweep3x3"], ["ot-demo"], certify):
+            parsed.clear()
+            assert main(argv) == EXIT_OK
+            assert parsed == [f"tpc {argv[0]}"]
+        capsys.readouterr()
 
     def test_commands_are_looked_up_when_they_run(self, monkeypatch, capsys):
         # tracing and tests rebind module functions after the parser is built
