@@ -231,13 +231,14 @@ def attack_nondet_two_sided(
             raise ValueError(f"sweep weight q0={q0} outside [0, 1]")
     function_id = f"nondet2x2:{_rational_id(f)}"
     p = f.probabilities()
-    priors = [(q0, 1.0 - q0) for q0 in sweep]
-    honest = [float(discrim._honest(p, funcspec.validate_prior(q, 2))) for q in priors]
+    # one prior row per sweep weight, checked and given its honest baseline at once
+    priors = funcspec._checked_priors(np.array([(q0, 1.0 - q0) for q0 in sweep], dtype=float), 2)
+    honest = discrim._honest(p, priors[:, None]).tolist()  # (F, 1, 2): each row across the outcomes
     if _two_sided_exception(f):
         return AttackReport(
             function_id=function_id,
             scenario="nondet-two-sided",
-            prior=priors[0],
+            prior=tuple(priors[0].tolist()),
             input_used=None,
             p_honest=honest[0],
             p_attack=honest[0],
@@ -254,7 +255,7 @@ def attack_nondet_two_sided(
     blocks = blackbox._two_sided_families(p, amps)
     n = len(priors)  # one family per prior weight, each the same states
     reports = _measure(
-        "nondet-two-sided", np.concatenate([blocks] * n), np.arange(n) * len(blocks), np.array(priors),
+        "nondet-two-sided", np.concatenate([blocks] * n), np.arange(n) * len(blocks), priors,
         honest, [function_id] * n, [tuple(complex(x) for x in amps)] * n, [""] * n,
     )
     lines = []

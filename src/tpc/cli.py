@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import functools
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -251,16 +253,36 @@ def _parse_entry(ln: int, token: str) -> complex:
 
 # --- shared helpers ---------------------------------------------------------
 
+def _read_input(path: str, what: str) -> str:
+    """The text of the regular file at ``path``, decoded as UTF-8, from one
+    open: a missing path, a directory or any other file that is not regular
+    is an input error naming ``what``.  The open does not wait for a FIFO's
+    writer, and any other failure to open or read propagates."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):  # a path naming no file
+            raise
+    else:
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                chunks = []  # until a read sees the end; a /proc file reports size 0
+                while chunk := os.read(fd, max(info.st_size, 4096) + 1):
+                    chunks.append(chunk)
+                return b"".join(chunks).decode()
+        finally:
+            os.close(fd)
+    raise FunctionFileError(1, f"no such {what}: {path}")
+
+
 def _load_spec(ref: str) -> FunctionSpec:
     if ref.startswith("@"):
         try:
             return funcspec.builtin(ref)
         except KeyError as exc:
             raise FunctionFileError(1, str(exc)) from None
-    path = Path(ref)
-    if not path.is_file():
-        raise FunctionFileError(1, f"no such function file: {ref}")
-    return funcspec.parse_function_file(path.read_text())
+    return funcspec.parse_function_file(_read_input(ref, "function file"))
 
 
 def _parse_amplitudes(text: str) -> tuple[complex, ...]:
@@ -295,8 +317,17 @@ def _report_lines(report: AttackReport) -> list[str]:
 
 
 def _write_out(path: str | None, reports: Sequence[AttackReport]) -> None:
-    if path:
-        Path(path).write_text(render_report_document(reports))
+    """Write the report document to ``--out``, as UTF-8, from one open; a
+    path that cannot be written, the empty one included, raises OSError."""
+    if path is None:
+        return
+    data = memoryview(render_report_document(reports).encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:  # a short write leaves the rest for the next
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -440,10 +471,7 @@ def _certify_family(f: FunctionSpec):
 def cmd_certify(args) -> int:
     try:
         f = _load_spec(args.function)
-        povm_path = Path(args.povm)
-        if not povm_path.is_file():
-            raise FunctionFileError(1, f"no such POVM file: {args.povm}")
-        povm = parse_povm_file(povm_path.read_text())
+        povm = parse_povm_file(_read_input(args.povm, "POVM file"))
     except (FunctionFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

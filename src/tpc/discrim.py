@@ -154,16 +154,17 @@ def _honest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     other party's input j with the largest posterior weight,
     ``max_i sum_k max_j p(k|i,j) q_j``, the best of :func:`_basis_rates`.
     For one table ``p(k|i,j)`` indexed ``[k, j, i]``, or each of a stack
-    ``[t, k, j, i]``, under one validated prior ``q`` over ``j``."""
+    ``[t, k, j, i]``, under one validated prior ``q`` over ``j``; or for one
+    table under each of a stack of priors ``(F, 1, j)``."""
     return _basis_rates(p, q).max(axis=-1)
 
 
 def _basis_rates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Guess rate of the outcome-basis measurement for each honest input i,
-    ``sum_k max_j p(k|i,j) q_j``, of one table or a stack as for
-    :func:`_honest`: ``(..., i)``."""
+    ``sum_k max_j p(k|i,j) q_j``, of one table or a stack, under one prior
+    or a stack, as for :func:`_honest`: ``(..., i)``."""
     # one row per outcome k of max_j p(k|i,j) q_j, summed in outcome order
-    return sum((p * q[:, None]).max(axis=-2).swapaxes(0, -2))
+    return sum((p * q[..., None]).max(axis=-2).swapaxes(0, -2))
 
 
 def povm_success(family, prior: Sequence[float], povm: Povm) -> float:

@@ -175,14 +175,20 @@ def transpose(f: FunctionSpec) -> FunctionSpec:
 
 def validate_prior(weights: Sequence[float], n: int) -> np.ndarray:
     """Probability vector over one party's inputs."""
-    q = np.asarray([float(w) for w in weights], dtype=float)
-    if q.shape != (n,):
+    return _checked_priors(np.asarray([float(w) for w in weights], dtype=float), n)
+
+
+def _checked_priors(q: np.ndarray, n: int) -> np.ndarray:
+    """``q``, one prior ``(n,)`` or a stack of them ``(F, n)``, once every row
+    passes :func:`validate_prior`'s checks; a message names the first failing row."""
+    if q.shape[-1:] != (n,):
         raise ValueError(f"prior must have {n} entries, got {q.shape}")
     if q.min() < 0:
         raise ValueError("prior weights must be nonnegative")
-    # written so that a NaN sum fails too
-    if not abs(q.sum() - 1.0) <= active().trace:
-        raise ValueError(f"prior weights sum to {q.sum():.12g}, expected 1")
+    for total in q.sum(axis=-1, keepdims=True).flat:
+        # written so that a NaN sum fails too
+        if not abs(total - 1.0) <= active().trace:
+            raise ValueError(f"prior weights sum to {total:.12g}, expected 1")
     return q
 
 
@@ -405,15 +411,25 @@ _MAX_DECIMAL_POWER = 4300
 
 
 def _parse_fraction(ln: int, token: str) -> Fraction:
-    mantissa, _, exponent = token.lower().partition("e")
+    """One probability entry, exact.  An ASCII-digit ``n`` or ``n/d`` is read
+    as two integers, its range checked on them; any other token goes through
+    ``Fraction(token)``, which also reads signs, underscores, other scripts'
+    digits, decimals and exponents."""
+    num, slash, den = token.partition("/")
     try:
-        power = max(len(mantissa.partition(".")[2]), abs(int(exponent or 0)))
-        value = Fraction(token) if power <= _MAX_DECIMAL_POWER else None
+        if token.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            n, d = int(num), int(den) if slash else 1
+            value, in_range = Fraction(n, d), n <= d
+        else:
+            mantissa, _, exponent = token.lower().partition("e")
+            power = max(len(mantissa.partition(".")[2]), abs(int(exponent or 0)))
+            value = Fraction(token) if power <= _MAX_DECIMAL_POWER else None
+            in_range = value is not None and 0 <= value <= 1
     except (ValueError, ZeroDivisionError):
         raise FunctionFileError(ln, f"cannot parse probability {token!r}") from None
     if value is None:
         raise FunctionFileError(ln, f"decimal places or exponent beyond {_MAX_DECIMAL_POWER}")
-    if value < 0 or value > 1:
+    if not in_range:
         raise FunctionFileError(ln, f"probability {token} outside [0, 1]")
     return value
 
@@ -513,12 +529,23 @@ def parse_function_file(text: str) -> FunctionSpec:
             last_ln, f"only the final outcome block may be omitted; missing {missing}"
         )
     if missing:
-        rest = [[1 - sum(b[j][i] for b in blocks.values()) for i in range(alice_arity)]
-                for j in range(bob_arity)]
-        for j, i in itertools.product(range(bob_arity), range(alice_arity)):
-            if rest[j][i] < 0:
-                raise FunctionFileError(last_ln, f"probabilities at (i={i}, j={j}) exceed 1")
-        blocks[missing[0]] = [tuple(row) for row in rest]
+        # each cell's complement 1 - x - y - ... on integers over the running
+        # common denominator: (d - n)/d when one block is given
+        rest = []
+        for j in range(bob_arity):
+            row = []
+            for i in range(alice_arity):
+                num, den = 1, 1
+                for block in blocks.values():
+                    x = block[j][i]
+                    common = math.lcm(den, x.denominator)
+                    num = num * (common // den) - x.numerator * (common // x.denominator)
+                    den = common
+                if num < 0:
+                    raise FunctionFileError(last_ln, f"probabilities at (i={i}, j={j}) exceed 1")
+                row.append(Fraction(num, den))
+            rest.append(tuple(row))
+        blocks[missing[0]] = rest
     table = tuple(tuple(blocks[k]) for k in range(outcome_count))
     try:  # the constructor checks that every cell sums to 1
         return FunctionSpec(kind, sided, alice_arity, bob_arity, outcome_count, prob_table=table)

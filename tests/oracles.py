@@ -27,7 +27,7 @@ import numpy as np
 from tpc import discrim, qmat
 from tpc.blackbox import amplitude_vector
 from tpc.discrim import Povm, certify_optimal
-from tpc.funcspec import FunctionSpec, validate_prior
+from tpc.funcspec import _MAX_DECIMAL_POWER, FunctionFileError, FunctionSpec, validate_prior
 from tpc.tolerances import active
 
 
@@ -302,3 +302,20 @@ def fraction_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
         r = p10 * p01 + p00 * p11 - 2 * root
         total += (slope_a if a > 0 else -slope_a) + 2 * q0 * q1 * r / abs(a)
     return total
+
+
+def fraction_token(ln: int, token: str) -> Fraction:
+    """:func:`tpc.funcspec._parse_fraction` with every token read by
+    ``Fraction(token)``, its decimal places and exponent bounded first, and
+    the range checked on the value."""
+    mantissa, _, exponent = token.lower().partition("e")
+    try:
+        power = max(len(mantissa.partition(".")[2]), abs(int(exponent or 0)))
+        value = Fraction(token) if power <= _MAX_DECIMAL_POWER else None
+    except (ValueError, ZeroDivisionError):
+        raise FunctionFileError(ln, f"cannot parse probability {token!r}") from None
+    if value is None:
+        raise FunctionFileError(ln, f"decimal places or exponent beyond {_MAX_DECIMAL_POWER}")
+    if value < 0 or value > 1:
+        raise FunctionFileError(ln, f"probability {token} outside [0, 1]")
+    return value

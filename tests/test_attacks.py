@@ -240,6 +240,28 @@ class TestNondetTwoSided:
         assert report.prior == (0.5, 0.5)
         assert report.advantage < 0  # balanced-prior attack loses here
 
+    def test_stacked_baselines_equal_one_prior_at_a_time(self, monkeypatch):
+        # the sweep's honest baselines, from one pass over its prior rows, are
+        # the per-prior baselines bit for bit, on seeded tables and sweeps
+        measure, measured = attacks._measure, []
+
+        def spy(*args, **kwargs):
+            measured.append(args[4])  # p_honest, one per family
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "_measure", spy)
+        rng = np.random.default_rng(SEED + 2)
+        for n in range(40):
+            nums, dens = rng.integers(0, 13, (2, 2)).tolist(), rng.integers(13, 30, (2, 2)).tolist()
+            f = two_sided_binary([[Fraction(a, b) for a, b in zip(*row)] for row in zip(nums, dens)])
+            sweep = [0.0, 1.0, *rng.uniform(0, 1, n % 5).tolist()]
+            measured.clear()
+            report = attack_nondet_two_sided(f, q0_sweep=sweep)
+            p = f.probabilities()
+            loop = [float(discrim._honest(p, funcspec.validate_prior((q0, 1.0 - q0), 2))) for q0 in sweep]
+            assert measured == [loop]
+            assert report.p_honest == loop[sweep.index(report.prior[0])]
+
 
 class TestNondetOneSided:
     def test_deterministic_entries_give_zero_advantage(self):

@@ -213,6 +213,31 @@ class TestAnalyze:
         assert main(["analyze", "/nonexistent/path.fn"]) == EXIT_INPUT
         assert "no such function file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_files_read_as_lf(self, tmp_path, newline):
+        lf = (DATA / "two_state" / "two0.fn").read_bytes()
+        path = tmp_path / "two0.fn"
+        path.write_bytes(lf.replace(b"\n", newline.encode()))
+        assert b"\n" in lf and cli._load_spec(str(path)) == funcspec.parse_function_file(lf.decode())
+
+    def test_directory_is_no_function_file(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: line 1: no such function file: {tmp_path}\n")
+
+    def test_fifo_is_no_function_file_and_is_not_waited_on(self, tmp_path):
+        # the read opens the FIFO without waiting for a writer; a call that
+        # waited would run into the timeout
+        fifo = tmp_path / "table.fn"
+        os.mkfifo(fifo)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "tpc.cli", "analyze", str(fifo)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (EXIT_INPUT, "")
+        assert run.stderr == f"error: line 1: no such function file: {fifo}\n"
+
     def test_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.fn"
         path.write_bytes(b"type: deterministic\nsided: two\n\xff\n")
@@ -402,6 +427,13 @@ def test_out_into_a_missing_directory_exits_one(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["analyze", "@neq3"], ["sweep3x3"], ["ot-demo"]])
+def test_out_to_the_empty_path_exits_one(argv, capsys):
+    # the empty path is a path that cannot be written, not a missing --out
+    assert main(argv + ["--out", ""]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 # The two-state attacks' pinned outputs: tests/data/two_state/<case>.stdout
 # and .report, from these calls on the tables stored there.
 TWO_STATE_PINS = {
@@ -569,6 +601,20 @@ class TestCertify:
 
     def test_missing_povm_file_exits_one(self, capsys):
         assert main(["certify", "@ot", "--povm", "/nonexistent.txt"]) == EXIT_INPUT
+
+    def test_directory_is_no_povm_file(self, tmp_path, capsys):
+        assert main(["certify", "@ot", "--povm", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: line 1: no such POVM file: {tmp_path}\n")
+
+    def test_crlf_povm_file_reads_as_lf(self, tmp_path, capsys):
+        lf = (DATA / "certify" / "ot.povm").read_bytes()
+        results = []
+        for newline in (b"\n", b"\r\n"):
+            path = tmp_path / "ot.povm"
+            path.write_bytes(lf.replace(b"\n", newline))
+            results.append((main(["certify", "@ot", "--povm", str(path)]), capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == EXIT_OK and results[0][1].out == (DATA / "certify" / "ot.stdout").read_text()
 
     def test_zero_dimension_povm_exits_one_with_line(self, tmp_path, capsys):
         path = write(tmp_path, "dim0.txt", "dim: 0\n1+0i\n")

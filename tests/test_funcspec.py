@@ -25,7 +25,7 @@ from tpc.funcspec import (
     validate_prior,
 )
 
-from oracles import conditions_ok_flat, exact_prob, normalized_flat_tables
+from oracles import conditions_ok_flat, exact_prob, fraction_token, normalized_flat_tables
 
 SEED_PROBABILITIES = 5150
 
@@ -540,6 +540,31 @@ class TestParser:
         assert time.perf_counter() - start < 0.1
         assert err.value.line_no == 9
 
+    def test_entries_read_as_fraction_reads_them(self):
+        # ASCII n and n/d go the integer route, every other token through
+        # Fraction(token); on a fixed grid of tokens each gives the value, or
+        # the error text and line number, of Fraction(token) for every token
+        digits = funcspec._MAX_DECIMAL_POWER  # also Python's default limit on int(str)
+        parts = [
+            "0", "1", "01", "2", "3", "10", "1_0", "20", "\u0661", "\u0662", "+1", "-1", "",
+            "9" * digits, "9" * (digits + 1), "1" + "0" * (digits - 1), "1" + "0" * digits,
+        ]
+        tokens = parts + [f"{n}/{d}" for n, d in itertools.product(parts, repeat=2)] + [
+            "0.25", ".5", "1.", "0.3333", "1.0", "1.5", "-0.5", "1e-1", "2.5E-1", "1e0", "1e1",
+            f"1e-{digits}", f"1e-{digits + 1}", "0.1e1", "1/2e1", "nan", "inf", "\u00bd", "\u00b2",
+            "1//2", "1/2/3", " 1/2", "0x1", "1 /2",
+        ]
+        for token in tokens:
+            try:
+                expected = fraction_token(7, token)
+            except FunctionFileError as exc:
+                with pytest.raises(FunctionFileError) as err:
+                    funcspec._parse_fraction(7, token)
+                assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+            else:
+                value = funcspec._parse_fraction(7, token)
+                assert type(value) is Fraction and value == expected
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -608,6 +633,22 @@ class TestSpecHelpers:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="prior"):
                 validate_prior((bad, 0.5, 0.5), 3)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.5], [0.3, 0.8], [0.2, 0.9]], "prior weights sum to 1.1, expected 1"),
+            ([[0.5, 0.5], [float("nan"), 0.5]], "prior weights sum to nan, expected 1"),
+            ([[0.5, 0.5], [1.5, -0.5]], "prior weights must be nonnegative"),
+            ([[0.5, 0.5, 0.0]], r"prior must have 2 entries, got \(1, 3\)"),
+        ],
+    )
+    def test_a_stack_of_priors_is_checked_row_by_row(self, rows, message):
+        # validate_prior's checks and messages, the first failing row named
+        valid = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert funcspec._checked_priors(valid, 2) is valid
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            funcspec._checked_priors(np.array(rows), 2)
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
