@@ -28,6 +28,7 @@ states it is given: float64 for real families, complex128 otherwise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -50,7 +51,8 @@ class Povm:
 
     The constructor checks all elements at once: matrices with finite
     entries, one shared square shape, Hermiticity, PSD (one stacked
-    Cholesky of ``E + psd I``) and completeness.  Povms compare by identity.
+    Cholesky of ``E + psd I``) and completeness; then one integer label per
+    element.  Povms compare by identity.
     """
 
     elements: np.ndarray
@@ -68,7 +70,10 @@ class Povm:
             raise ValueError("POVM elements must share one square dimension")
         stack = np.array(self.elements, dtype=complex)
         _check_povm_stack(stack[None], qmat.ONE_FAMILY)
-        labels = tuple(int(x) for x in self.labels)
+        try:  # operator.index: never a float truncated, nor a string parsed
+            labels = tuple(map(operator.index, self.labels))
+        except TypeError:
+            raise ValueError(f"POVM labels must be integers, got {self.labels!r}") from None
         if len(labels) != len(stack):
             raise ValueError("need exactly one label per POVM element")
         stack.setflags(write=False)
@@ -337,55 +342,88 @@ def _fixed_point(
     """The fixed-point search ``--optimize`` runs on one family's outcome
     blocks: checked seed element blocks ``(K, m, b, b)``, the guessed states'
     blocks, their priors ``(m,)`` and the weighted family state blocks
-    ``(K, n, b, b)``.  Each sweep checks its bare iterate stack with
-    :func:`_check_povm_stack`, in the inputs' dtype, and never lowers the
-    value; ``p_upper`` (:func:`_lagrange`, counting ``d = K b``) bounds the
-    optimum.  It stops on a certified closed bracket or a stalled polish.
-    The Lagrange eigen-solve runs only on a polish sweep or one whose gap
-    operators pass :func:`_certificate_fails`: no other sweep can stop."""
+    ``(K, n, b, b)``.  Every sweep's bare iterate stack, in the inputs'
+    dtype, is checked and valued by :func:`_settled`, which never lets the
+    value fall; it settles each polish block's iterates at the block's end,
+    and the rest before any result or error leaves the search.  ``p_upper``
+    (:func:`_lagrange`, counting ``d = K b``) bounds the optimum.  It stops
+    on a certified closed bracket or a stalled polish.  The Lagrange
+    eigen-solve runs only on a polish sweep or one whose gap operators pass
+    :func:`_certificate_fails`: no other sweep can stop."""
     one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
     current = float(_success(elements, matrices, priors[None], one)[0])
     polish_block, last_residual, identity = 100, math.inf, qmat.identity(elements.shape[-1])
-    steps, stop_reason, residuals, gap, lowest = 0, "max_iters", None, None, None
-    while steps < max_iters:
-        sandwiched = weighted @ elements @ weighted
-        gram = sandwiched.sum(axis=1)
-        root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2, one)[:, None]
-        elements = root @ sandwiched @ root
-        elements = (elements + qmat.dagger(elements)) / 2
-        elements[:, kernel_slot] += identity - elements.sum(axis=1)
-        _check_povm_stack(elements, one)
-        value = float(_success(elements, matrices, priors[None], one)[0])
-        if value < current - 1e-12:
-            raise ArithmeticError(
-                f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
-            )
-        improved, current, residuals = value - current, value, None
-        steps += 1
-        gap, lowest = _gap(elements, weighted, family_weighted), None
-        polish = improved < _STEP_TOL and steps % polish_block == 0
-        # a polish block's certificate feeds the stall rule, so it always runs
-        if not polish and _certificate_fails(gap):
-            continue
-        lowest = _lagrange(gap, one)
-        closed = dim * max(-float(lowest[0]), 0.0) <= active().cert
-        if not polish and not closed:
-            continue
-        ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
-        residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
-        if (ok and closed) or (polish and residual >= 0.9 * last_residual):
-            stop_reason = "converged" if ok and closed else "stalled"
-            break
-        if polish:
-            last_residual = residual
+    steps, stop_reason, residuals, gap, lowest, pending = 0, "max_iters", None, None, None, []
+    try:
+        while steps < max_iters:
+            sandwiched = weighted @ elements @ weighted
+            gram = sandwiched.sum(axis=1)
+            root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2, one)[:, None]
+            elements = root @ sandwiched @ root
+            elements = (elements + qmat.dagger(elements)) / 2
+            elements[:, kernel_slot] += identity - elements.sum(axis=1)
+            pending.append(elements)
+            steps, residuals, polish = steps + 1, None, False
+            if steps % polish_block == 0:  # the polish rule reads this sweep's gain
+                block, pending = pending, []
+                improved, current = _settled(block, matrices, priors, current)
+                polish = improved < _STEP_TOL
+            gap, lowest = _gap(elements, weighted, family_weighted), None
+            # a polish block's certificate feeds the stall rule, so it always runs
+            if not polish and _certificate_fails(gap):
+                continue
+            lowest = _lagrange(gap, one)
+            closed = dim * max(-float(lowest[0]), 0.0) <= active().cert
+            if not polish and not closed:
+                continue
+            ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
+            residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
+            if (ok and closed) or (polish and residual >= 0.9 * last_residual):
+                stop_reason = "converged" if ok and closed else "stalled"
+                break
+            if polish:
+                last_residual = residual
+    finally:  # every iterate is checked before a result, or a later error, leaves
+        if pending:
+            current = _settled(pending, matrices, priors, current)[1]
     if residuals is None:  # the last sweep's operators, formed here if it had none
         gap = _gap(elements, weighted, family_weighted) if gap is None else gap
         lowest = _lagrange(gap, one) if lowest is None else lowest
         ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
     p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
     return _Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
+
+
+def _settled(
+    iterates: list[np.ndarray], matrices: np.ndarray, priors: np.ndarray, current: float
+) -> tuple[float, float]:
+    """Check and value a search's iterates ``(K, m, b, b)`` in sweep order,
+    after the value ``current``: one :func:`_check_povm_stack` and one
+    :func:`_success` over their concatenation, then the rule that no sweep
+    lowers the value by more than 1e-12.  Returns the last sweep's gain and
+    value.  If the stacked check fails, each iterate in turn is checked and
+    then valued, so the error names the first sweep that fails either test,
+    and that sweep's first defect."""
+    one, count = qmat.ONE_FAMILY, len(iterates)
+    stack, starts = np.concatenate(iterates), np.arange(count) * len(iterates[0])
+    try:
+        _check_povm_stack(stack, starts)
+    except ValueError:  # each sweep in turn: its check, then its value
+        values = (
+            _check_povm_stack(iterate, one) or float(_success(iterate, matrices, priors[None], one)[0])
+            for iterate in iterates
+        )
+    else:
+        values = _success(stack, np.concatenate([matrices] * count), priors[None], starts).tolist()
+    for value in values:
+        if value < current - 1e-12:
+            raise ArithmeticError(
+                f"fixed-point sweep decreased success {current:.17g} -> {value:.17g}"
+            )
+        improved, current = value - current, value
+    return improved, current
 
 
 class WeightedDifferenceEigenvalues(NamedTuple):

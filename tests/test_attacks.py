@@ -150,7 +150,7 @@ class TestDeterministic3x3:
 
     def test_optimize_seeds_the_search_from_the_checked_stack(self, monkeypatch):
         # the pretty-good elements are checked once, with their stack; after
-        # that only the search's iterates are checked, one Povm per sweep
+        # that only the search's iterates are checked, all in one stack
         checks, sweeps = [], []
         check, search = discrim._check_povm_stack, discrim._fixed_point
 
@@ -167,8 +167,8 @@ class TestDeterministic3x3:
         monkeypatch.setattr(discrim, "_fixed_point", counted_search)
         attack_deterministic_3x3(builtin("neq3"), optimize=True)
         assert len(sweeps) == 1 and sweeps[0] >= 1
-        # neq3 has two outcomes: two 3x3 blocks per state, for the stack and the search
-        assert checks == [(2, 3, 3, 3)] + [(2, 3, 3, 3)] * sweeps[0]
+        # neq3 has two outcomes: two 3x3 blocks per state and per iterate
+        assert checks == [(2, 3, 3, 3), (2 * sweeps[0], 3, 3, 3)]
 
     def test_invariant_advantage_definition(self):
         report = attack_deterministic_3x3(builtin("neq3"))

@@ -3,6 +3,8 @@ measurement, certification, and the fixed-point search."""
 
 import itertools
 import math
+import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -897,19 +899,76 @@ class TestOptimizePovm:
                 result = dense_search((r0, r1), (q0, 1 - q0), max_iters=max_iters)
                 assert result.p_upper >= target - 1e-12
 
+    @staticmethod
+    def scaled_search_error(monkeypatch, scale, family=None) -> Exception:
+        """The error of the dense search on ``family`` (by default neq3's
+        class) at the uniform prior when sweep ``k`` scales its inverse root
+        by ``scale(k)``.  Warnings are recorded, not raised: none may occur."""
+        if family is None:
+            family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
+        prior = (1 / 3, 1 / 3, 1 / 3)
+        seed = pretty_good_povm(family, prior)
+        true_root, sweeps = qmat._inv_sqrt, itertools.count(1)
+        monkeypatch.setattr(
+            discrim.qmat, "_inv_sqrt", lambda m, starts: scale(next(sweeps)) * true_root(m, starts)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises((ValueError, ArithmeticError)) as raised:
+                dense_search(family, prior, seed)
+        assert caught == []
+        return raised.value
+
     @pytest.mark.parametrize(
         "scale, message",
         [(math.nan, "matrix contains non-finite entries"),
          (2.0, "POVM element is not PSD within tolerance")],
     )
     def test_every_sweep_is_validated(self, monkeypatch, scale, message):
-        family = output_family(canonicalize_3x3(builtin("neq3")).base, uniform_superposition(3))
-        prior = (1 / 3, 1 / 3, 1 / 3)
-        seed = pretty_good_povm(family, prior)
-        true_root = qmat._inv_sqrt
-        monkeypatch.setattr(discrim.qmat, "_inv_sqrt", lambda m, starts: scale * true_root(m, starts))
-        with pytest.raises(ValueError, match=message):
-            dense_search(family, prior, seed)
+        error = self.scaled_search_error(monkeypatch, lambda sweep: scale)
+        assert type(error) is ValueError and str(error) == message
+
+    def test_every_sweep_keeps_the_value(self, monkeypatch):
+        # a halved inverse root quarters the first iterate's sandwiched
+        # elements, and the kernel slot takes up the rest of the identity
+        error = self.scaled_search_error(monkeypatch, lambda sweep: 0.5)
+        assert type(error) is ArithmeticError
+        assert str(error) == "fixed-point sweep decreased success 0.92592592592592626 -> 0.48148148148148162"
+
+    def test_an_earlier_bad_iterate_outranks_a_later_one(self, monkeypatch):
+        # the slow class runs on past a non-PSD iterate at sweep 2 (its
+        # inverse root scaled by 1.5) to a NaN one at sweep 4; the stacked
+        # check meets the NaN first, so the iterates are checked again one
+        # at a time, and sweep 2's defect wins
+        sizes, check = [], discrim._check_povm_stack
+
+        def recording_check(stack, starts):
+            sizes.append(len(starts))
+            return check(stack, starts)
+
+        monkeypatch.setattr(discrim, "_check_povm_stack", recording_check)
+        scales = {2: 1.5, 4: math.nan}
+        family = self.slow_class_family()
+        error = self.scaled_search_error(monkeypatch, lambda sweep: scales.get(sweep, 1.0), family)
+        assert type(error) is ValueError and str(error) == "POVM element is not PSD within tolerance"
+        # the seed's Povm, the search's stacked check, then sweeps 1 and 2 alone
+        assert sizes[0] == 1 and sizes[1] >= 4 and sizes[2:] == [1, 1]
+
+    @pytest.mark.parametrize("max_iters, sizes", [(150, [100, 50]), (10000, [100, 100])])
+    def test_no_check_holds_more_than_a_polish_block(self, monkeypatch, max_iters, sizes):
+        # the stalled seed polishes at sweeps 100 and 200; its iterates are
+        # checked in blocks of at most 100, every one of them exactly once
+        states = (pure_state([1.0, 0.0]), pure_state([0.0, 1.0]))
+        args = dense_inputs(states, (0.5, 0.5), Povm((np.eye(2), np.zeros((2, 2))), (0, 1)))
+        checked, check = [], discrim._check_povm_stack
+
+        def recording_check(stack, starts):
+            checked.append(len(starts))
+            return check(stack, starts)
+
+        monkeypatch.setattr(discrim, "_check_povm_stack", recording_check)
+        result = discrim._fixed_point(*args, max_iters)
+        assert checked == sizes and sum(sizes) == result.iterations
 
     def test_improves_on_seed_for_three_state_family(self):
         canon = canonicalize_3x3(builtin("neq3"))
@@ -948,8 +1007,8 @@ class TestOptimizePovm:
         searches, search = [], discrim._fixed_point
 
         def recording_search(*args):
-            searches.append(search(*args))
-            return searches[-1]
+            searches.append((args, search(*args)))
+            return searches[-1][1]
 
         monkeypatch.setattr(discrim, "_check_povm_stack", recording_check)
         monkeypatch.setattr(discrim, "_fixed_point", recording_search)
@@ -958,13 +1017,17 @@ class TestOptimizePovm:
             checked.clear()
             searches.clear()
             attacks.attack_deterministic_3x3(base, superposition, optimize=True)
-            # the seed's check with the measured stack, then one per sweep;
-            # the search ends on the last checked stack, the class's blocks
-            [result] = searches
-            assert len(checked) == 1 + result.iterations >= 2
+            # the seed's check with the measured stack, then the search's:
+            # its iterates, the class's blocks, stacked in sweep order
+            [(args, result)] = searches
+            seed_stack, *search_stacks = checked
+            assert seed_stack.shape == result.elements.shape == (base.outcome_count, 3, 3, 3)
+            assert result.iterations >= 2 and search_stacks
             assert all(stack.dtype == dtype for stack in checked)
-            assert checked[-1].shape == result.elements.shape == (base.outcome_count, 3, 3, 3)
-            assert np.array_equal(result.elements, checked[-1])
+            # sweep k's iterate is the last of a search stopped after k sweeps
+            iterates = [search(*args, k).elements for k in range(1, result.iterations + 1)]
+            assert np.array_equal(np.concatenate(search_stacks), np.concatenate(iterates))
+            assert np.array_equal(result.elements, search_stacks[-1][-base.outcome_count:])
 
     @pytest.mark.parametrize("max_iters", [0, 1, 10000])
     def test_each_search_builds_one_povm(self, monkeypatch, max_iters):
@@ -1039,14 +1102,15 @@ class TestCertificateScreen:
         assert len(calls) <= 31
 
     def test_the_18_searches_solve_for_the_bound_48_times(self, monkeypatch):
-        # one inverse root (eigh) and one POVM check (cholesky) per sweep;
-        # the Lagrange eigen-solve (eigvalsh) only on the 48 sweeps that
-        # pass the screen, of 167
+        # one inverse root (eigh) per sweep; one POVM check (cholesky) per
+        # search, on all its iterates, as none reaches a 100-sweep polish
+        # block; the Lagrange eigen-solve (eigvalsh) only on the 48 sweeps
+        # that pass the screen, of 167
         inputs = [class_search_inputs(f) for f in class_files()]
         calls = count_kernels(monkeypatch)
         for args in inputs:
             discrim._fixed_point(*args)
-        assert Counter(calls) == {"eigh": 167, "cholesky": 167, "eigvalsh": 48}
+        assert Counter(calls) == {"eigh": 167, "cholesky": 18, "eigvalsh": 48}
 
 
 class TestEagerOrder:
@@ -1225,6 +1289,16 @@ class TestPovmValidation:
         with pytest.raises(ValueError):
             povm.elements[0, 0, 0] = 0.0
         assert povm != Povm(povm.elements, povm.labels)  # compared by identity
+
+    @pytest.mark.parametrize("label", [1.7, 1.0, "1", None])
+    def test_rejects_a_label_that_is_not_an_integer(self, label):
+        # read with operator.index, so 1.7 is an error, not label 1
+        with pytest.raises(ValueError, match=re.escape(f"POVM labels must be integers, got (0, {label!r})")):
+            Povm((np.eye(2) / 2, np.eye(2) / 2), (0, label))
+
+    def test_integral_labels_read_as_int(self):
+        povm = Povm((np.eye(2) / 2, np.eye(2) / 2), (np.int64(0), np.uint8(1)))
+        assert povm.labels == (0, 1) and all(type(label) is int for label in povm.labels)
 
     def test_accepts_negative_eigenvalue_within_tolerance(self):
         slack = active().psd / 2
