@@ -155,43 +155,46 @@ def attack_deterministic_3x3(
     The cheater inputs the uniform three-term superposition (or
     ``superposition``) and measures with the pretty-good measurement under a
     uniform prior (or ``prior``); both index the rows and columns of ``f``
-    as given.  The canonical form only names the class (``function_id``)
-    and its ``a``/``b`` labels in the notes.  ``optimize=True`` additionally
-    runs the fixed-point search and reports in the notes its value, sweep
-    count, stop reason and dual bound ``p_upper``; the headline attack
-    number stays the pretty-good-measurement success.
+    as given.  The canonical form (:func:`funcspec._canonical_form`, which
+    also checks the conditions) only names the class (``function_id``) and
+    its ``a``/``b`` labels in the notes; the states have one outcome block
+    per label the table uses, whatever ``f.outcome_count`` declares.
+    ``optimize=True`` additionally runs the fixed-point search and reports
+    in the notes its value, sweep count, stop reason and dual bound
+    ``p_upper``; the headline attack number stays the
+    pretty-good-measurement success.
     """
-    tables = np.array(funcspec._labels_3x3(f))[:, None]
-    bases, _ = funcspec._canonical_forms(tables)
-    candidates = _det3x3_candidates(tables, bases, [f.outcome_count], superposition, prior)
+    labels = funcspec._labels_3x3(f)
+    base, _ = funcspec._canonical_form(labels)
+    # one outcome block per label the table uses, in ascending label order
+    rank = {x: r for r, x in enumerate(sorted(set(labels)))}
+    tables = np.array([rank[x] for x in labels])[:, None]
+    candidates = _det3x3_candidates(tables, [base], superposition, prior)
     return _measure("deterministic-3x3", *candidates, optimize=optimize)[0]
 
 
 def _det3x3_candidates(
-    tables: np.ndarray,
-    bases: np.ndarray,
-    outcome_counts: Sequence[int],
-    superposition=None,
-    prior=None,
+    tables: np.ndarray, bases: Sequence[Sequence[int]], superposition=None, prior=None
 ) -> tuple:
     """:func:`attack_deterministic_3x3`'s candidates for row-major label tables
-    ``(9, n)`` named by their canonical base tables ``(n, 9)``, as the
-    columns :func:`_measure` takes after its scenario: ``p(k|i,j)`` read off
-    the labels, zero-padded to the largest outcome count for one stacked
-    honest baseline, and the present outcomes' rows built as one block
-    stack by one family builder call, which is the stack measured."""
+    ``(9, n)``, each using every label from 0 to its largest, named by their
+    canonical base tables, one row-major 9-sequence each, as the columns
+    :func:`_measure` takes after its scenario: ``p(k|i,j)`` read off the
+    labels, zero-padded to the most labels any table uses for one stacked
+    honest baseline, and each table's rows built as one block stack by one
+    family builder call, which is the stack measured."""
     amps = (
         blackbox.uniform_superposition(3)
         if superposition is None
         else blackbox.amplitude_vector(superposition, 3)
     )
     q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
-    # (t, k, j, i), the rows of absent outcomes all zero; the baseline adds them as 0.0
+    counts = tables.max(axis=0) + 1
+    # (t, k, j, i), the padding rows all zero; the baseline adds them as 0.0
     labels = tables.T[:, None]  # (t, 1, cells)
-    p = (labels == np.arange(max(outcome_counts))[:, None]).reshape(len(labels), -1, 3, 3) * 1.0
-    present = np.arange(p.shape[1]) < np.array(outcome_counts)[:, None]
-    starts = np.cumsum([0] + list(outcome_counts[:-1]))
-    bases = bases.tolist()
+    p = (labels == np.arange(counts.max())[:, None]).reshape(len(labels), -1, 3, 3) * 1.0
+    present = np.arange(p.shape[1]) < counts[:, None]
+    starts = np.cumsum(counts) - counts
     return (
         blackbox._two_sided_families(p[present], amps, starts),
         starts,
@@ -447,8 +450,7 @@ def sweep_all_3x3() -> list[AttackReport]:
     anywhere raises :class:`SweepFailure` with the offending tables.
     """
     tables, bases = funcspec._class_tables()
-    counts = (tables.max(axis=0) + 1).tolist()
-    reports = _measure("deterministic-3x3", *_det3x3_candidates(tables, bases, counts))
+    reports = _measure("deterministic-3x3", *_det3x3_candidates(tables, bases.tolist()))
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= active().adv_min]
     if bad:

@@ -458,16 +458,6 @@ def cmd_ot_demo(args) -> int:
     return EXIT_OK
 
 
-def _certify_family(f: FunctionSpec):
-    """Default state family used by `certify`: the function as given, probed
-    with the uniform superposition (two-sided) or honest input 0 (one-sided)."""
-    if f == funcspec.builtin("ot"):
-        return blackbox.output_family(f, 0, role="bob")
-    if f.sided == "two":
-        return blackbox.output_family(f, blackbox.uniform_superposition(f.alice_arity))
-    return blackbox.output_family(f, 0)
-
-
 def cmd_certify(args) -> int:
     try:
         f = _load_spec(args.function)
@@ -476,12 +466,23 @@ def cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        family = _certify_family(f)
+        # the family: one state per input of the guessed party, from the
+        # uniform superposition (two-sided) or honest input 0 (one-sided);
+        # @ot's receiver cheats
+        if f == funcspec.builtin("ot"):
+            f = funcspec.transpose(f)
+        two_sided = f.sided == "two"
         prior = (
-            funcspec.validate_prior(_parse_floats(args.prior), len(family.states))
+            funcspec.validate_prior(_parse_floats(args.prior), f.bob_arity)
             if args.prior
-            else funcspec.uniform_prior(len(family.states))
+            else funcspec.uniform_prior(f.bob_arity)
         )
+        # the table fixes the states' dimension; compared before they are
+        # built, as a table can declare more outcomes than fit in memory
+        if povm.dim != (f.alice_arity if two_sided else 1) * f.outcome_count:
+            raise ValueError("POVM and family dimensions differ")
+        probe = blackbox.uniform_superposition(f.alice_arity) if two_sided else 0
+        family = blackbox.output_family(f, probe)
         ok, residuals = discrim.certify_optimal(family, prior, povm)
         success = discrim.povm_success(family, prior, povm)
     except ValueError as exc:

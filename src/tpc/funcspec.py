@@ -9,7 +9,8 @@ never masquerade as an attack advantage.
 The 3x3 classes are enumerated through the reference layout, which every
 valid table can be relabeled into (see :func:`enumerate_valid_3x3`), on
 arrays of tables with one orbit gather and base-4 keys; the full walk over
-all 11,051 normalized tables is kept as a test oracle.
+all 11,051 normalized tables is kept as a test oracle.  One table is
+canonicalized by one scalar pass over its 36 input permutations.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ _GATHER = np.array(
     [[3 * r + c for r in rp for c in cp] for rp, cp in itertools.product(_PERMS3, repeat=2)]
 ).T
 
+# The same 36 transforms as tuples, one per input permutation: the original
+# cell each cell of the transformed table reads.
+_PERMUTED_CELLS = tuple(map(tuple, _GATHER.T.tolist()))
+
 # Place values that read a table with labels 0-3 as one base-4 key, in tuple
 # order; int32 holds every key and halves the temporaries of the key sums.
 _KEY = np.array([4**p for p in range(8, -1, -1)], dtype=np.int32)
-
-# First appearance in this cell order gives the reference labels (0,0) -> 0, (2,0) -> 1.
-_REFERENCE_ORDER = [0, 6, 1, 2, 3, 4, 5, 7, 8]
-_REFERENCE_GATHER, _REFERENCE_KEY = _GATHER[_REFERENCE_ORDER], _KEY[_REFERENCE_ORDER]
 
 # Number of inequivalent 3x3 deterministic functions that are potentially
 # concealing and non-degenerate (frozen regression value; re-checked in the
@@ -252,15 +253,6 @@ class CanonicalForm3x3:
     outcome_relabel: tuple[tuple[int, int], ...]
 
 
-def _in_reference_layout(t: np.ndarray) -> np.ndarray:
-    """Which row-major 3x3 tables ``(9, ...)`` have first column (x, x, y)
-    and second column (a, b, b) with x != y, a != b, and a == x or b == x or
-    b == y; with x, y labelled 0, 1 this is the layout of
-    :class:`CanonicalForm3x3`."""
-    x, a, b, y = t[0], t[1], t[4], t[6]
-    return (t[3] == x) & (x != y) & (t[7] == b) & (a != b) & ((a == x) | (b == x) | (b == y))
-
-
 def _keys(t: np.ndarray, place: np.ndarray) -> np.ndarray:
     """``place @ labels`` for every column of ``t`` ``(cells, ...)``, its
     labels renumbered 0, 1, 2, ... in order of first appearance down the
@@ -285,11 +277,10 @@ def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
     the 36 input permutations only the outcome bijection that numbers the
     rest in first-appearance order is tried.  The identity permutations
     come first, so a table already in canonical form is returned unchanged.
-    This is the one-table case of :func:`_canonical_forms`.
+    :func:`_canonical_form` finds the base table and the permutations.
     """
     flat = _labels_3x3(f)
-    bases, best = _canonical_forms(np.array(flat)[:, None])
-    t, k = bases[0].tolist(), int(best[0])
+    t, k = _canonical_form(flat)
     return CanonicalForm3x3(
         base=deterministic((t[0:3], t[3:6], t[6:9]), sided=f.sided),
         a=t[1],
@@ -297,7 +288,7 @@ def canonicalize_3x3(f: FunctionSpec) -> CanonicalForm3x3:
         row_perm=_PERMS3[k // 6],
         col_perm=_PERMS3[k % 6],
         # each base cell reads the original cell the transform puts there
-        outcome_relabel=tuple(sorted({(flat[c], x) for c, x in zip(_GATHER[:, k].tolist(), t)})),
+        outcome_relabel=tuple(sorted({(flat[c], x) for c, x in zip(_PERMUTED_CELLS[k], t)})),
     )
 
 
@@ -308,27 +299,37 @@ def _labels_3x3(f: FunctionSpec) -> tuple[int, ...]:
     return sum(f.det_table, ())
 
 
-def _canonical_forms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`canonicalize_3x3` of row-major label tables ``(9, n)``, with its
-    checks, on one gather ``(9, 36, n)``: the base tables ``(n, 9)`` (cells 1
-    and 4 are ``a`` and ``b``) and the index of the input permutation reaching
-    each.  Each candidate base table is read as a base-4 key, so the smallest
-    is one ``argmin``, the first transform on a tie."""
-    # each cell labelled by the first cell holding its outcome, so labels stay below 9
-    tables = (tables[:, None] == tables).argmax(axis=0)
-    concealing, non_degenerate = _conditions(tables.reshape(3, 3, -1))
-    failed = np.flatnonzero(~(concealing & non_degenerate))
-    if failed.size:
-        n = failed[0]
-        raise ConditionError(ConditionCheck(bool(concealing[n]), bool(non_degenerate[n])))
-    # cell (0,0) is labelled 0 and cell (2,0) 1, the rest in first-appearance order;
-    # transforms out of the layout get a key above every table's
-    keys = _keys(tables[_REFERENCE_GATHER], _REFERENCE_KEY)
-    keys[~_in_reference_layout(tables[_GATHER])] = 4 * _KEY[0]
-    best, smallest = keys.argmin(axis=0), keys.min(axis=0)
-    if smallest.max() == 4 * _KEY[0]:
-        raise ValueError("function admits no canonical form; conditions violated")
-    return smallest[:, None] // _KEY % 4, best
+def _canonical_form(labels: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """:func:`canonicalize_3x3` of one row-major label table, with its checks,
+    in one pass over the 36 input permutations: the base table (cells 1 and
+    4 are ``a`` and ``b``) and the index in ``_PERMUTED_CELLS`` of the
+    permutation reaching it.
+
+    A permuted table is in the reference layout when its first column is
+    (x, x, y) and its second (a, b, b), with x != y, a != b, and a == x or
+    b == x or b == y.  Its base table labels x 0, y 1 and the rest in order
+    of first appearance, row by row; the smallest base table wins, the
+    first permutation on a tie; every valid table has one (a valid table
+    uses at most four labels, and the test suite checks every table of
+    labels 0-3).  Labels are only compared, so any integers do."""
+    rows = labels[0:3], labels[3:6], labels[6:9]
+    cols = labels[0::3], labels[1::3], labels[2::3]
+    # potentially concealing: every row and column repeats an element;
+    # non-degenerate: no two rows and no two columns are equal
+    concealing = all(len(set(line)) < 3 for line in rows + cols)
+    non_degenerate = len(set(rows)) == len(set(cols)) == 3
+    if not (concealing and non_degenerate):
+        raise ConditionError(ConditionCheck(concealing, non_degenerate))
+    best = None
+    for k, cells in enumerate(_PERMUTED_CELLS):
+        c0, c1, _, c3, c4, _, c6, c7, _ = cells
+        x, a, b, y = labels[c0], labels[c1], labels[c4], labels[c6]
+        if labels[c3] == x != y and labels[c7] == b != a and (a == x or b == x or b == y):
+            names = {x: 0, y: 1}
+            base = tuple([names.setdefault(labels[c], len(names)) for c in cells])
+            if best is None or base < best[0]:
+                best = base, k
+    return best
 
 
 def enumerate_valid_3x3() -> list[FunctionSpec]:
@@ -341,7 +342,7 @@ def enumerate_valid_3x3() -> list[FunctionSpec]:
 def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     """:func:`enumerate_valid_3x3` as row-major tables of labels ``(9, 18)``,
     and from the same pass each class's base table ``(18, 9)`` as
-    :func:`_canonical_forms` names it.
+    :func:`canonicalize_3x3` names it.
 
     Only tables in the reference layout and in its labels are checked.
     Every valid table has a relabeling in that layout (:func:`canonicalize_3x3`

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import mpmath
 import numpy as np
 
-from tpc import discrim, qmat
+from tpc import discrim, funcspec, qmat
 from tpc.blackbox import amplitude_vector
 from tpc.discrim import Povm, certify_optimal
 from tpc.funcspec import _MAX_DECIMAL_POWER, FunctionFileError, FunctionSpec, validate_prior
@@ -151,6 +151,48 @@ def normalized_flat_tables():
     for _ in range(9):
         out = [t + (v,) for t in out for v in range(min(max(t, default=-1) + 2, 4))]
     return out
+
+
+# First appearance in this cell order gives the reference labels (0,0) -> 0, (2,0) -> 1.
+REFERENCE_ORDER = [0, 6, 1, 2, 3, 4, 5, 7, 8]
+REFERENCE_GATHER = funcspec._GATHER[REFERENCE_ORDER]
+REFERENCE_KEY = funcspec._KEY[REFERENCE_ORDER]
+
+
+def in_reference_layout(t: np.ndarray) -> np.ndarray:
+    """Which row-major 3x3 tables ``(9, ...)`` have first column (x, x, y)
+    and second column (a, b, b) with x != y, a != b, and a == x or b == x or
+    b == y; with x, y labelled 0, 1 this is the layout of
+    :class:`tpc.funcspec.CanonicalForm3x3`."""
+    x, a, b, y = t[0], t[1], t[4], t[6]
+    return (t[3] == x) & (x != y) & (t[7] == b) & (a != b) & ((a == x) | (b == x) | (b == y))
+
+
+def canonical_forms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch oracle for :func:`tpc.funcspec._canonical_form` on row-major
+    label tables ``(9, n)``, with its checks, on one gather ``(9, 36, n)``:
+    the base tables ``(n, 9)`` (cells 1 and 4 are ``a`` and ``b``) and the
+    index of the input permutation reaching each.  Each candidate base
+    table is read as a base-4 key, so the smallest is one ``argmin``, the
+    first transform on a tie.  A failing table raises the
+    :class:`~tpc.funcspec.ConditionError` of the first one."""
+    # each cell labelled by the first cell holding its outcome, so labels stay below 9
+    tables = (tables[:, None] == tables).argmax(axis=0)
+    concealing, non_degenerate = funcspec._conditions(tables.reshape(3, 3, -1))
+    failed = np.flatnonzero(~(concealing & non_degenerate))
+    if failed.size:
+        n = failed[0]
+        raise funcspec.ConditionError(
+            funcspec.ConditionCheck(bool(concealing[n]), bool(non_degenerate[n]))
+        )
+    # cell (0,0) is labelled 0 and cell (2,0) 1, the rest in first-appearance order;
+    # transforms out of the layout get a key above every table's
+    keys = funcspec._keys(tables[REFERENCE_GATHER], REFERENCE_KEY)
+    keys[~in_reference_layout(tables[funcspec._GATHER])] = 4 * funcspec._KEY[0]
+    best, smallest = keys.argmin(axis=0), keys.min(axis=0)
+    if smallest.max() == 4 * funcspec._KEY[0]:
+        raise ValueError("function admits no canonical form; conditions violated")
+    return smallest[:, None] // funcspec._KEY % 4, best
 
 
 def honest_family_povm(a: int, b: int, outcome_dim: int, alphas: Sequence[float], input_dim: int = 3) -> Povm:

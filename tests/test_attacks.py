@@ -23,6 +23,7 @@ from tpc.funcspec import builtin, one_sided_binary, two_sided_binary
 from tpc.tolerances import active
 
 from oracles import (
+    canonical_forms,
     conditions_ok_flat,
     count_kernels,
     dense_search,
@@ -37,13 +38,13 @@ SEED = 8091
 
 
 def det3x3_candidates(tables, **kwargs):
-    """``attacks._det3x3_candidates`` on 3x3 function specs, whose labels,
-    canonical bases and outcome counts it takes as arrays, as
+    """``attacks._det3x3_candidates`` on 3x3 function specs, whose labels
+    it takes as one array and canonical bases as one 9-tuple each, as
     ``attack_deterministic_3x3`` does: the columns ``(states, starts,
     priors, p_honest, ids, inputs, notes)`` that ``attacks._measure`` takes."""
-    labels = np.array([funcspec._labels_3x3(f) for f in tables]).T
-    bases, _ = funcspec._canonical_forms(labels)
-    return attacks._det3x3_candidates(labels, bases, [f.outcome_count for f in tables], **kwargs)
+    labels = [funcspec._labels_3x3(f) for f in tables]
+    bases = [funcspec._canonical_form(t)[0] for t in labels]
+    return attacks._det3x3_candidates(np.array(labels).T, bases, **kwargs)
 
 
 def family_columns(candidates):
@@ -719,8 +720,8 @@ class TestSweep:
         reports = []
         for count, flats in sorted(by_count.items()):
             labels = np.array(flats).T
-            bases, _ = funcspec._canonical_forms(labels)
-            candidates = attacks._det3x3_candidates(labels, bases, [count] * len(flats))
+            bases, _ = canonical_forms(labels)
+            candidates = attacks._det3x3_candidates(labels, bases.tolist())
             reports += attacks._measure("deterministic-3x3", *candidates)
         assert len(reports) == 456
         assert {r.function_id for r in reports} == set(classes)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,15 +175,21 @@ class TestAnalyze:
         assert captured.err == f"out of scope: function is outside the attack's scope: {flags}\n"
 
     def test_3x3_conditions_are_checked_once(self, monkeypatch, capsys):
-        shapes, conditions = [], funcspec._conditions
+        # one scalar canonical form, which checks the conditions; the batch
+        # check the class enumeration uses is not run
+        calls, canonical_form = [], funcspec._canonical_form
 
-        def counted(t):
-            shapes.append(t.shape)
-            return conditions(t)
+        def counted(labels):
+            calls.append(labels)
+            return canonical_form(labels)
 
-        monkeypatch.setattr(funcspec, "_conditions", counted)
+        def batch(t):
+            raise AssertionError("the analyze path runs no batch condition check")
+
+        monkeypatch.setattr(funcspec, "_canonical_form", counted)
+        monkeypatch.setattr(funcspec, "_conditions", batch)
         assert main(["analyze", "@neq3", "--optimize"]) == EXIT_OK
-        assert shapes == [(3, 3, 1)]
+        assert calls == [sum(funcspec.builtin("neq3").det_table, ())]
 
     def test_parse_error_exits_one_with_line(self, tmp_path, capsys):
         path = write(tmp_path, "bad.fn", "type: deterministic\nsided: two\ninputs: x y\n")
@@ -495,6 +502,42 @@ class TestOptimizePins:
             assert fields[1:3] == (iterations, stop)
             assert (float(fields[0]), float(fields[3])) == (float(p), float(p_upper))
 
+    @pytest.mark.parametrize("n", range(funcspec.VALID_3X3_CLASS_COUNT))
+    def test_labels_the_table_never_uses_get_no_outcome_block(self, n, tmp_path, capsys):
+        # declaring nine outcomes used to add an all-zero block per unused label
+        # to the search's dual-bound dimension, which moved every class's
+        # p_upper and some classes' sweep counts
+        pins = DATA / "optimize3x3"
+        text = (pins / f"class{n:02d}.fn").read_text()
+        wide = re.sub(r"(?m)^outcomes: \d+$", "outcomes: 9", text)
+        assert wide != text
+        assert main(["analyze", write(tmp_path, "wide.fn", wide), "--optimize"]) == EXIT_OK
+        assert capsys.readouterr().out == (pins / f"class{n:02d}.stdout").read_text()
+
+    def test_spread_labels_in_the_same_order_print_the_pin(self, tmp_path, capsys):
+        # the blocks follow the labels' order, not their values
+        pins = DATA / "optimize3x3"
+        lines = (pins / "class03.fn").read_text().splitlines()
+        body = [" ".join(str(10**9 * int(x) + 7) for x in row.split()) for row in lines[4:]]
+        text = "\n".join(lines[:3] + ["outcomes: 4000000000"] + body) + "\n"
+        assert main(["analyze", write(tmp_path, "spread.fn", text), "--optimize"]) == EXIT_OK
+        assert capsys.readouterr().out == (pins / "class03.stdout").read_text()
+
+    def test_a_huge_declared_outcome_count_sizes_no_array(self, tmp_path, capsys):
+        text = (DATA / "certify" / "neq3.fn").read_text()
+        assert main(["analyze", write(tmp_path, "neq3.fn", text), "--optimize"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        huge = write(tmp_path, "huge.fn", text.replace("outcomes: 2", "outcomes: 200000"))
+        tracemalloc.start()
+        try:
+            code = main(["analyze", huge, "--optimize"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and capsys.readouterr().out == expected
+        # one block per declared label took about 584 MB
+        assert peak < 2**24, peak
+
 
 # ``tpc certify``'s pinned outputs: tests/data/certify/<case>.stdout, .stderr
 # and .exit, from these calls on the function and POVM files stored there.
@@ -598,6 +641,17 @@ class TestCertify:
         text = "dim: 2\n1+0i 0+0i\n0+0i 1+0i\n"
         path = write(tmp_path, "small.txt", text)
         assert main(["certify", "@ot", "--povm", path]) == EXIT_INPUT
+
+    def test_a_huge_declared_outcome_count_is_a_dimension_mismatch(self, tmp_path, capsys):
+        # the dense family of 200000 declared outcomes would need 7.86 TiB: the
+        # dimensions are compared before it is built
+        text = (DATA / "certify" / "neq3.fn").read_text().replace("outcomes: 2", "outcomes: 200000")
+        argv = ["certify", write(tmp_path, "huge.fn", text), "--povm", str(DATA / "certify" / "neq3.povm")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: POVM and family dimensions differ\n")
+        # a bad prior is still reported first
+        assert main(argv + ["--prior", "0.5,0.5"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: prior must have 3 entries, got (2,)\n")
 
     def test_missing_povm_file_exits_one(self, capsys):
         assert main(["certify", "@ot", "--povm", "/nonexistent.txt"]) == EXIT_INPUT

@@ -688,9 +688,9 @@ def class_search_inputs(f, superposition=None):
     ``f``, as :func:`attacks._measure` runs it: the outcome blocks
     :func:`attacks._det3x3_candidates` builds, seeded by their pretty-good
     element blocks."""
-    tables = np.array(funcspec._labels_3x3(f))[:, None]
-    bases = funcspec._canonical_forms(tables)[0]
-    blocks, _, priors, *_ = attacks._det3x3_candidates(tables, bases, [f.outcome_count], superposition)
+    labels = funcspec._labels_3x3(f)
+    bases = [funcspec._canonical_form(labels)[0]]
+    blocks, _, priors, *_ = attacks._det3x3_candidates(np.array(labels)[:, None], bases, superposition)
     q, one = priors[0], qmat.ONE_FAMILY
     seed = discrim._pretty_good(blocks, one, qmat._per_block(q[None], one, len(blocks)))
     return seed, blocks, q, q[:, None, None] * blocks

@@ -25,7 +25,13 @@ from tpc.funcspec import (
     validate_prior,
 )
 
-from oracles import conditions_ok_flat, exact_prob, fraction_token, normalized_flat_tables
+from oracles import (
+    canonical_forms,
+    conditions_ok_flat,
+    exact_prob,
+    fraction_token,
+    normalized_flat_tables,
+)
 
 SEED_PROBABILITIES = 5150
 
@@ -222,7 +228,7 @@ class TestCanonicalize:
             if conditions_ok_flat(t)
         ]
         assert len(valid) == 456
-        bases, best = funcspec._canonical_forms(label_array(valid))
+        bases, best = canonical_forms(label_array(valid))
         assert bases.shape == (len(valid), 9) and best.shape == (len(valid),)
         for f, base, k in zip(valid, bases.tolist(), best.tolist()):
             canon = canonicalize_3x3(f)
@@ -260,7 +266,7 @@ class TestCanonicalize:
             canonicalize_3x3(bad)
         classes = enumerate_valid_3x3()
         with pytest.raises(ValueError, match=pattern):
-            funcspec._canonical_forms(label_array(classes[:5] + [bad] + classes[5:]))
+            canonical_forms(label_array(classes[:5] + [bad] + classes[5:]))
 
     def test_batch_reports_its_first_invalid_table(self):
         degenerate = deterministic(((0, 0, 1), (0, 0, 1), (1, 1, 0)))
@@ -268,15 +274,64 @@ class TestCanonicalize:
         classes = enumerate_valid_3x3()
         for first, second in ((degenerate, latin), (latin, degenerate)):
             with pytest.raises(ValueError) as err:
-                funcspec._canonical_forms(
+                canonical_forms(
                     label_array(classes[:3] + [first] + classes[3:9] + [second])
                 )
             assert str(err.value).endswith(f"got {conditions(first)}")
 
 
+def every_label_table():
+    """All 4**9 row-major tables with labels 0-3, as one array ``(9, 4**9)``."""
+    return np.indices((4,) * 9).reshape(9, -1)
+
+
+def scalar_forms(tables):
+    """``funcspec._canonical_form`` of each table ``(9, n)``: the base table
+    and permutation index, or the flags of the ConditionError it raises."""
+    forms = []
+    for labels in tables.T.tolist():
+        try:
+            forms.append(funcspec._canonical_form(tuple(labels)))
+        except funcspec.ConditionError as exc:
+            forms.append(exc.check)
+    return forms
+
+
+class TestScalarCanonicalForm:
+    """The scalar one-table canonical form against the batch oracle, which
+    shares no code with it."""
+
+    def test_matches_batch_oracle_on_every_label_table(self):
+        tables = every_label_table()
+        forms = scalar_forms(tables)
+        concealing, non_degenerate = funcspec._conditions(tables.reshape(3, 3, -1))
+        valid = np.flatnonzero(concealing & non_degenerate)
+        assert (len(valid), len(forms) - len(valid)) == (9360, 252784)
+        for n in np.flatnonzero(~(concealing & non_degenerate)).tolist():
+            assert forms[n] == funcspec.ConditionCheck(bool(concealing[n]), bool(non_degenerate[n]))
+        for chunk in np.array_split(valid, 8):
+            bases, best = canonical_forms(tables[:, chunk])
+            expected = list(zip(map(tuple, bases.tolist()), best.tolist()))
+            assert [forms[n] for n in chunk.tolist()] == expected
+
+    def test_matches_batch_oracle_on_large_spread_labels(self):
+        # labels are only compared: any distinct integers name the same form
+        rng = np.random.default_rng(SEED_PROBABILITIES + 2)
+        tables = every_label_table()[:, rng.choice(4**9, size=4000, replace=False)]
+        codes = rng.choice(2**40, size=(4, tables.shape[1]), replace=False) * 3 + 10**15
+        spread = np.take_along_axis(codes, tables, axis=0)
+        assert scalar_forms(spread) == scalar_forms(tables)
+        concealing, non_degenerate = funcspec._conditions(spread.reshape(3, 3, -1))
+        valid = np.flatnonzero(concealing & non_degenerate)
+        assert valid.size > 100
+        bases, best = canonical_forms(spread[:, valid])
+        forms = scalar_forms(spread[:, valid])
+        assert forms == list(zip(map(tuple, bases.tolist()), best.tolist()))
+
+
 def label_array(fs):
     """Row-major outcome labels ``(9, n)`` of 3x3 deterministic specs, as
-    the attacks hand them to ``funcspec._canonical_forms``."""
+    the batch oracle ``canonical_forms`` takes them."""
     return np.array([funcspec._labels_3x3(f) for f in fs]).T
 
 
@@ -339,7 +394,7 @@ class TestEnumeration:
         # member, the base table the canonicalizer picks for the class
         tables, bases = funcspec._class_tables()
         assert tables.shape == (9, 18) and bases.shape == (18, 9)
-        assert np.array_equal(bases, funcspec._canonical_forms(tables)[0])
+        assert np.array_equal(bases, canonical_forms(tables)[0])
 
     def test_class_representative_matches_oracle(self):
         # enumerate_valid_3x3 keys each valid table by the smallest key of
