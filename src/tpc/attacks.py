@@ -38,7 +38,7 @@ import numpy as np
 from . import blackbox, discrim, funcspec, qmat
 from .discrim import CertificateResiduals
 from .funcspec import FunctionSpec
-from .tolerances import active
+from .tolerances import ADV_MIN
 
 DEFAULT_Q0_SWEEP = (1.0 - 1e-2, 1.0 - 1e-3, 1.0 - 1e-4)
 _SURD_BITS = 64  # the bits after the binary point of every surd bound
@@ -436,7 +436,7 @@ def verify_counterexample() -> AttackReport:
         "counterexample", states, qmat.ONE_FAMILY, np.array([prior]), [honest], ["counterexample"],
         [(1 + 0j, 0j)], [notes],
     )[0]
-    if report.advantage > active().adv_min:
+    if report.advantage > ADV_MIN:
         raise ArithmeticError(
             f"counterexample admits advantage {report.advantage:.3g} at input |0>"
         )
@@ -452,7 +452,7 @@ def sweep_all_3x3() -> list[AttackReport]:
     tables, bases = funcspec._class_tables()
     reports = _measure("deterministic-3x3", *_det3x3_candidates(tables, bases.tolist()))
     reports.sort(key=lambda r: r.function_id)
-    bad = [r for r in reports if r.advantage <= active().adv_min]
+    bad = [r for r in reports if r.advantage <= ADV_MIN]
     if bad:
         raise SweepFailure(bad)
     return reports

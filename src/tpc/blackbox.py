@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qmat
 from .funcspec import FunctionSpec, transpose
-from .tolerances import active
+from .tolerances import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,13 +47,12 @@ class StateFamily:
         stack = np.array(self.states, dtype=complex)
         if not np.isfinite(stack).all():
             raise ValueError("matrix contains non-finite entries")
-        tol = active()
         defects = np.abs(stack - qmat.dagger(stack)).max(axis=(-2, -1))
-        defects = defects[defects > tol.herm]
+        defects = defects[defects > TOL_HERM]
         if defects.size:
             raise ValueError(f"density matrix not Hermitian (defect {defects[0]:.3g})")
         lowest = np.linalg.eigvalsh(_unit_traces(stack)).min(axis=-1)
-        lowest = lowest[lowest < -tol.psd]
+        lowest = lowest[lowest < -TOL_PSD]
         if lowest.size:
             raise ValueError(f"density matrix has negative eigenvalue {lowest[0]:.3g}")
         object.__setattr__(self, "states", stack)
@@ -64,7 +63,7 @@ def amplitude_vector(amplitudes: Sequence[complex], n: int) -> np.ndarray:
     if a.shape != (n,):
         raise ValueError(f"expected {n} amplitudes, got {a.shape[0]}")
     norm = float(np.linalg.norm(a))
-    if not abs(norm - 1.0) <= active().trace:
+    if not abs(norm - 1.0) <= TOL_TRACE:
         raise ValueError(f"input superposition norm {norm:.12g} is not 1")
     return a
 
@@ -112,7 +111,7 @@ def _unit_traces(blocks: np.ndarray, starts: np.ndarray | None = None) -> np.nda
     traces = np.trace(blocks, axis1=-2, axis2=-1)
     if starts is not None:
         traces = np.add.reduceat(traces, starts)
-    failed = traces[np.abs(traces - 1.0) > active().trace]
+    failed = traces[np.abs(traces - 1.0) > TOL_TRACE]
     if failed.size:
         raise ValueError(f"density matrix trace {complex(failed[0]):.12g} is not 1")
     blocks.setflags(write=False)

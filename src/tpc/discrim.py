@@ -37,7 +37,7 @@ import numpy as np
 from . import qmat
 from .blackbox import StateFamily
 from .funcspec import FunctionSpec, validate_prior
-from .tolerances import active
+from .tolerances import CERT_TOL, TOL_HERM, TOL_PSD, TOL_RECON
 
 _STEP_TOL = 1e-12  # a polish sweep that gains less stalls unless its residual shrinks
 _BASIS_TOL = 1e-10  # the tolerance of basis_measurement_optimal's pairwise condition
@@ -97,21 +97,20 @@ def _check_povm_stack(stack: np.ndarray, starts: np.ndarray) -> None:
     the lower triangle."""
     if not np.isfinite(stack).all():
         raise ValueError("matrix contains non-finite entries")
-    tol = active()
     herm = np.abs(stack - qmat.dagger(stack))
-    if herm.max() > tol.herm:
+    if herm.max() > TOL_HERM:
         # each set's defect, as its dense check gives it
         herm = np.maximum.reduceat(herm.max(axis=(-2, -1)), starts)
-        herm = herm[herm > tol.herm]
-        raise ValueError(f"POVM element is not Hermitian (defect {herm[0]:.3g} > {tol.herm:.3g})")
+        herm = herm[herm > TOL_HERM]
+        raise ValueError(f"POVM element is not Hermitian (defect {herm[0]:.3g} > {TOL_HERM:.3g})")
     try:
-        np.linalg.cholesky(stack + tol.psd * qmat.identity(stack.shape[-1]))
+        np.linalg.cholesky(stack + TOL_PSD * qmat.identity(stack.shape[-1]))
     except np.linalg.LinAlgError:
         raise ValueError("POVM element is not PSD within tolerance") from None
     defect = np.abs(stack.sum(axis=-3) - qmat.identity(stack.shape[-1]))
-    if defect.max() > tol.recon:
+    if defect.max() > TOL_RECON:
         defect = np.maximum.reduceat(defect.max(axis=(-2, -1)), starts)
-        defect = defect[defect > tol.recon]
+        defect = defect[defect > TOL_RECON]
         raise ValueError(f"POVM elements sum to identity only within {defect[0]:.3g}")
 
 
@@ -207,20 +206,6 @@ def _lagrange(gap: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(lowest, starts)
 
 
-def _anti_hermitian(gap: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The certificate's anti-Hermitian residual of each family: half the
-    largest entry of ``gap - gap^dag`` over its :func:`_gap` blocks."""
-    return np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
-
-
-def _certificate_fails(gap: np.ndarray) -> bool:
-    """Whether :func:`_certify` must reject the one family whose
-    :func:`_gap` operators these are, without running it or solving for
-    their lowest eigenvalue: its anti-Hermitian residual, computed as
-    :func:`_certify` computes it, exceeds the certificate tolerance."""
-    return _anti_hermitian(gap, qmat.ONE_FAMILY)[0] > active().cert
-
-
 def _certify(
     elements: np.ndarray, weighted: np.ndarray, gap: np.ndarray, lowest: np.ndarray, starts: np.ndarray,
 ) -> list[tuple[bool, CertificateResiduals]]:
@@ -228,14 +213,13 @@ def _certify(
     state blocks ``w_e`` ``(N, m, b, b)``, given their :func:`_gap`
     operators and :func:`_lagrange` eigenvalues: one verdict per family,
     each residual the largest over the family's blocks."""
-    tol = active()
     # every pair (j, l) at once, each product associated as (E_j (w_j - w_l)) E_l
     differences = weighted[..., :, None, :, :] - weighted[..., None, :, :, :]
     products = elements[..., :, None, :, :] @ differences @ elements[..., None, :, :, :]
     pairwise = np.maximum.reduceat(np.abs(products).max(axis=(-4, -3, -2, -1)), starts)
-    anti = _anti_hermitian(gap, starts)
+    anti = np.maximum.reduceat(np.abs(gap - qmat.dagger(gap)).max(axis=(-3, -2, -1)), starts) / 2
     return [
-        (p <= tol.cert and e >= -tol.cert and a <= tol.cert, CertificateResiduals(p, e, a))
+        (p <= CERT_TOL and e >= -CERT_TOL and a <= CERT_TOL, CertificateResiduals(p, e, a))
         for p, e, a in zip(pairwise.tolist(), lowest.tolist(), anti.tolist())
     ]
 
@@ -323,13 +307,13 @@ def _measure_stack(
 
 
 class _Search(NamedTuple):
-    """:func:`_fixed_point`'s last iterate ``(K, m, b, b)``, its value and
-    certificate, sweeps, stop reason and dual bound ``p_upper``."""
+    """:func:`_fixed_point`'s last iterate ``(K, m, b, b)``, its value,
+    whether its dual bracket closed within ``CERT_TOL``, sweeps, stop reason
+    and dual bound ``p_upper``."""
 
     elements: np.ndarray
     success_probability: float
     certified_optimal: bool
-    residuals: CertificateResiduals
     iterations: int
     stop_reason: str
     p_upper: float
@@ -345,17 +329,17 @@ def _fixed_point(
     ``(K, n, b, b)``.  Every sweep's bare iterate stack, in the inputs'
     dtype, is checked and valued by :func:`_settled`, which never lets the
     value fall; it settles each polish block's iterates at the block's end,
-    and the rest before any result or error leaves the search.  ``p_upper``
-    (:func:`_lagrange`, counting ``d = K b``) bounds the optimum.  It stops
-    on a certified closed bracket or a stalled polish.  The Lagrange
-    eigen-solve runs only on a polish sweep or one whose gap operators pass
-    :func:`_certificate_fails`: no other sweep can stop."""
+    and the rest before any result or error leaves the search.  Every sweep
+    brackets the optimum by weak duality: ``p_upper = p + d * shift``
+    (:func:`_lagrange`, counting ``d = K b``) bounds every POVM.  The search
+    stops as soon as the bracket is no wider than ``CERT_TOL``, or when a
+    polish sweep's certificate residual stalls."""
     one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
     weighted = priors[:, None, None] * matrices
     kernel_slot = int(np.argmax(priors))
     current = float(_success(elements, matrices, priors[None], one)[0])
     polish_block, last_residual, identity = 100, math.inf, qmat.identity(elements.shape[-1])
-    steps, stop_reason, residuals, gap, lowest, pending = 0, "max_iters", None, None, None, []
+    steps, stop_reason, width, pending = 0, "max_iters", None, []
     try:
         while steps < max_iters:
             sandwiched = weighted @ elements @ weighted
@@ -365,35 +349,31 @@ def _fixed_point(
             elements = (elements + qmat.dagger(elements)) / 2
             elements[:, kernel_slot] += identity - elements.sum(axis=1)
             pending.append(elements)
-            steps, residuals, polish = steps + 1, None, False
+            steps, polish = steps + 1, False
             if steps % polish_block == 0:  # the polish rule reads this sweep's gain
                 block, pending = pending, []
                 improved, current = _settled(block, matrices, priors, current)
                 polish = improved < _STEP_TOL
-            gap, lowest = _gap(elements, weighted, family_weighted), None
-            # a polish block's certificate feeds the stall rule, so it always runs
-            if not polish and _certificate_fails(gap):
-                continue
+            gap = _gap(elements, weighted, family_weighted)
             lowest = _lagrange(gap, one)
-            closed = dim * max(-float(lowest[0]), 0.0) <= active().cert
-            if not polish and not closed:
-                continue
-            ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
-            residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
-            if (ok and closed) or (polish and residual >= 0.9 * last_residual):
-                stop_reason = "converged" if ok and closed else "stalled"
+            width = dim * max(-float(lowest[0]), 0.0)
+            if width <= CERT_TOL:
+                stop_reason = "bracket"
                 break
             if polish:
+                [(_, residuals)] = _certify(elements, weighted, gap, lowest, one)
+                residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
+                if residual >= 0.9 * last_residual:
+                    stop_reason = "stalled"
+                    break
                 last_residual = residual
     finally:  # every iterate is checked before a result, or a later error, leaves
         if pending:
             current = _settled(pending, matrices, priors, current)[1]
-    if residuals is None:  # the last sweep's operators, formed here if it had none
-        gap = _gap(elements, weighted, family_weighted) if gap is None else gap
-        lowest = _lagrange(gap, one) if lowest is None else lowest
-        ok, residuals = _certify(elements, weighted, gap, lowest, one)[0]
-    p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
-    return _Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
+    if width is None:  # no sweep ran: the seed's own bracket
+        lowest = _lagrange(_gap(elements, weighted, family_weighted), one)
+        width = dim * max(-float(lowest[0]), 0.0)
+    return _Search(elements, current, width <= CERT_TOL, steps, stop_reason, current + width)
 
 
 def _settled(

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tolerances import active
+from .tolerances import TOL_TRACE
 
 _PERMS3 = tuple(itertools.permutations(range(3)))
 
@@ -188,7 +188,7 @@ def _checked_priors(q: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("prior weights must be nonnegative")
     for total in q.sum(axis=-1, keepdims=True).flat:
         # written so that a NaN sum fails too
-        if not abs(total - 1.0) <= active().trace:
+        if not abs(total - 1.0) <= TOL_TRACE:
             raise ValueError(f"prior weights sum to {total:.12g}, expected 1")
     return q
 
@@ -435,6 +435,16 @@ def _parse_fraction(ln: int, token: str) -> Fraction:
     return value
 
 
+def _decimal(ln: int, key: str, token: str) -> int | None:
+    """A header's nonnegative decimal integer, or None if ``token`` is not
+    one; like an entry's, it may not have more digits than ``int`` reads."""
+    if not token.isdecimal():
+        return None
+    if len(token) > _MAX_DECIMAL_POWER:
+        raise FunctionFileError(ln, f"{key} has more than {_MAX_DECIMAL_POWER} digits")
+    return int(token)
+
+
 def _row(ln: int, text: str, n: int, parse: Callable[[int, str], object]) -> tuple:
     """One body row of a function or POVM file: ``n`` whitespace-separated
     entries, each read by ``parse(ln, token)``."""
@@ -466,16 +476,16 @@ def parse_function_file(text: str) -> FunctionSpec:
     if sided not in ("one", "two"):
         raise FunctionFileError(ln, f"sided must be one or two, got {sided!r}")
     ln, inputs = _header(lines, 2, "inputs")
-    parts = inputs.split()
-    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+    arities = [_decimal(ln, "inputs", part) for part in inputs.split()]
+    if len(arities) != 2 or None in arities:
         raise FunctionFileError(ln, f"inputs must be two integers, got {inputs!r}")
-    alice_arity, bob_arity = int(parts[0]), int(parts[1])
+    alice_arity, bob_arity = arities
     if alice_arity < 1 or bob_arity < 1:
         raise FunctionFileError(ln, "arities must be positive")
     ln, outcomes = _header(lines, 3, "outcomes")
-    if not outcomes.isdecimal() or int(outcomes) < 1:
+    outcome_count = _decimal(ln, "outcomes", outcomes)
+    if outcome_count is None or outcome_count < 1:
         raise FunctionFileError(ln, f"outcomes must be a positive integer, got {outcomes!r}")
-    outcome_count = int(outcomes)
 
     body = lines[4:]
     if kind == "deterministic":
@@ -504,9 +514,9 @@ def parse_function_file(text: str) -> FunctionSpec:
         if not sep or name.strip() != "k":
             raise FunctionFileError(ln, f"expected 'k: <label>' block header, got {s!r}")
         value = value.strip()
-        if not value.isdecimal() or not 0 <= int(value) < outcome_count:
+        label = _decimal(ln, "outcome label", value)
+        if label is None or label >= outcome_count:
             raise FunctionFileError(ln, f"outcome label {value!r} out of range [0, {outcome_count})")
-        label = int(value)
         if label in blocks:
             raise FunctionFileError(ln, f"duplicate block for outcome {label}")
         pos += 1

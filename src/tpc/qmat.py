@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .tolerances import active
+from .tolerances import RANK_TOL, TOL_PSD
 
 # ``starts`` of a stack that holds one family
 ONE_FAMILY = np.zeros(1, dtype=np.intp)
@@ -61,12 +61,11 @@ def _inv_sqrt(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     (:data:`ONE_FAMILY` for the whole stack or the one matrix,
     ``np.arange(N)`` for each matrix).  Hermiticity is the caller's to
     ensure; negative eigenvalues are checked in every matrix."""
-    tol = active()
     w, v = np.linalg.eigh(a)
-    if w[..., 0].min() < -tol.psd:
-        lowest = w[..., 0][w[..., 0] < -tol.psd]
+    if w[..., 0].min() < -TOL_PSD:
+        lowest = w[..., 0][w[..., 0] < -TOL_PSD]
         raise ValueError(f"matrix has negative eigenvalue {lowest[0]:.3g} beyond tolerance; not PSD")
     top = _per_block(np.maximum.reduceat(w[..., -1:], starts), starts, len(w))
     # off the support 1/sqrt(inf) is exactly 0
-    inv = 1.0 / np.sqrt(np.where(w > tol.rank * np.maximum(top, 0.0), w, np.inf))
+    inv = 1.0 / np.sqrt(np.where(w > RANK_TOL * np.maximum(top, 0.0), w, np.inf))
     return (v * inv[..., None, :]) @ dagger(v)

@@ -3,8 +3,9 @@
 None of these is called by ``src/tpc``; each rebuilds a number the library
 computes another way, except :func:`pretty_good_povm` and
 :func:`dense_search`, which run the library's own private stages on one
-dense family, :func:`eager_search`, which runs them in another order, and
-:func:`count_kernels`, which counts the linear-algebra kernels they run.
+dense family, :func:`unstopped_search`, which runs the search's update with
+no stop rule, and :func:`count_kernels`, which counts the linear-algebra
+kernels they run.
 
 States are plain density matrices; the oracles that split a matrix into
 subsystems take their dimensions explicitly.  The two-sided states have two
@@ -28,14 +29,14 @@ from tpc import discrim, funcspec, qmat
 from tpc.blackbox import amplitude_vector
 from tpc.discrim import Povm, certify_optimal
 from tpc.funcspec import _MAX_DECIMAL_POWER, FunctionFileError, FunctionSpec, validate_prior
-from tpc.tolerances import active
+from tpc.tolerances import TOL_PSD, TOL_TRACE
 
 
 def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
     """Rank-1 density matrix from a unit-norm amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= active().trace:  # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= TOL_TRACE:  # written so that a NaN norm fails too
         raise ValueError(f"amplitude vector norm {norm:.12g} is not 1")
     return np.outer(v, v.conj())
 
@@ -238,7 +239,7 @@ def count_kernels(monkeypatch) -> list[str]:
 def below_psd_tolerance(elements: np.ndarray) -> bool:
     """Whether some Hermitian element of a stack ``(..., b, b)`` has an
     eigenvalue below ``-TOL_PSD``, from its full spectrum (``eigvalsh``)."""
-    return bool(np.linalg.eigvalsh(elements).min() < -active().psd)
+    return bool(np.linalg.eigvalsh(elements).min() < -TOL_PSD)
 
 
 def pretty_good_povm(family, prior: Sequence[float]) -> Povm:
@@ -263,51 +264,24 @@ def dense_search(family, prior: Sequence[float], seed: Povm | None = None, max_i
     return discrim._fixed_point(*dense_inputs(family, prior, seed), max_iters)
 
 
-def eager_search(
-    elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray,
-    family_weighted: np.ndarray, max_iters: int = 10000, step_tol: float = 1e-12,
-):
-    """:func:`tpc.discrim._fixed_point` in its eager order: the Lagrange
-    eigen-solve on every sweep, and the certificate screen only after the
-    bracket test, on a sweep that closes it.  The sweeps, iterates and stop
-    rule are the library's own, so every field of the two searches must
-    agree bit for bit."""
-    one, dim = qmat.ONE_FAMILY, elements.shape[0] * elements.shape[-1]
-    weighted = priors[:, None, None] * matrices
-    kernel_slot = int(np.argmax(priors))
-    current = float(discrim._success(elements, matrices, priors[None], one)[0])
-    polish_block, last_residual, identity = 100, math.inf, qmat.identity(elements.shape[-1])
-    steps, stop_reason, residuals = 0, "max_iters", None
-    while steps < max_iters:
+def unstopped_search(
+    elements: np.ndarray, matrices: np.ndarray, priors: np.ndarray, sweeps: int
+) -> float:
+    """The update of :func:`tpc.discrim._fixed_point` on the same arguments,
+    run ``sweeps`` times with no stop rule and no checks: the value of its
+    last iterate.  The sweeps never lower the value, and weak duality bounds
+    every POVM, so run past a stopped search's last sweep, it lies inside
+    that search's bracket."""
+    one, weighted = qmat.ONE_FAMILY, priors[:, None, None] * matrices
+    kernel_slot, identity = int(np.argmax(priors)), qmat.identity(elements.shape[-1])
+    for _ in range(sweeps):
         sandwiched = weighted @ elements @ weighted
         gram = sandwiched.sum(axis=1)
         root = qmat._inv_sqrt((gram + qmat.dagger(gram)) / 2, one)[:, None]
         elements = root @ sandwiched @ root
         elements = (elements + qmat.dagger(elements)) / 2
         elements[:, kernel_slot] += identity - elements.sum(axis=1)
-        discrim._check_povm_stack(elements, one)
-        value = float(discrim._success(elements, matrices, priors[None], one)[0])
-        assert value >= current - 1e-12
-        improved, current, residuals = value - current, value, None
-        steps += 1
-        gap = discrim._gap(elements, weighted, family_weighted)
-        lowest = discrim._lagrange(gap, one)
-        closed = dim * max(-float(lowest[0]), 0.0) <= active().cert
-        polish = improved < step_tol and steps % polish_block == 0
-        if not polish and (not closed or discrim._certificate_fails(gap)):
-            continue
-        ok, residuals = discrim._certify(elements, weighted, gap, lowest, one)[0]
-        residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
-        if (ok and closed) or (polish and residual >= 0.9 * last_residual):
-            stop_reason = "converged" if ok and closed else "stalled"
-            break
-        if polish:
-            last_residual = residual
-    if residuals is None:
-        gap = discrim._gap(elements, weighted, family_weighted)
-        ok, residuals = discrim._certify(elements, weighted, gap, discrim._lagrange(gap, one), one)[0]
-    p_upper = current + dim * max(-residuals.min_eigenvalue, 0.0)
-    return discrim._Search(elements, current, ok, residuals, steps, stop_reason, p_upper)
+    return float(discrim._success(elements, matrices, priors[None], one)[0])
 
 
 def reference_helstrom(rho0: np.ndarray, rho1: np.ndarray, q0: float):

@@ -15,7 +15,7 @@ import pytest
 from tpc import attacks, blackbox, discrim, funcspec
 from tpc.blackbox import output_family, uniform_superposition
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, two_sided_binary
-from tpc.tolerances import active
+from tpc.tolerances import TOL_PSD, TOL_RECON, TOL_TRACE
 
 from oracles import (
     dense_search,
@@ -242,7 +242,6 @@ def test_criterion_6_honest_baseline_consistency(capsys):
 
 
 def test_criterion_7_numerical_core_properties(capsys):
-    tol = active()
     failures = []
 
     # partial-trace trace preservation (seed 1001, 200 instances)
@@ -257,7 +256,7 @@ def test_criterion_7_numerical_core_properties(capsys):
             rng.choice(len(dims), size=rng.integers(1, len(dims) + 1), replace=False)
         )
         reduced, _ = partial_trace(rho, dims, keep=keep)
-        if abs(np.trace(reduced) - 1.0) > tol.trace:
+        if abs(np.trace(reduced) - 1.0) > TOL_TRACE:
             failures.append("partial-trace trace drift")
 
     # POVM completeness / PSD on random pretty-good measurements (seed 1002)
@@ -273,10 +272,10 @@ def test_criterion_7_numerical_core_properties(capsys):
         w = rng.uniform(0.1, 1.0, size=count)
         povm = pretty_good_povm(states, tuple(w / w.sum()))
         total = sum(povm.elements)
-        if np.abs(total - np.eye(dim)).max() > tol.recon:
+        if np.abs(total - np.eye(dim)).max() > TOL_RECON:
             failures.append("POVM completeness")
         for e in povm.elements:
-            if np.linalg.eigvalsh(e).min() < -tol.psd:
+            if np.linalg.eigvalsh(e).min() < -TOL_PSD:
                 failures.append("POVM element PSD")
 
     # pretty-good measurement on rank-deficient sums (seed 1003)
@@ -291,7 +290,7 @@ def test_criterion_7_numerical_core_properties(capsys):
         w = rng.uniform(0.1, 1.0, size=count)
         povm = pretty_good_povm(states, tuple(w / w.sum()))
         total = sum(povm.elements)
-        if np.abs(total - np.eye(dim)).max() > tol.recon:
+        if np.abs(total - np.eye(dim)).max() > TOL_RECON:
             failures.append("rank-deficient completeness")
 
     # optimizer monotonicity (seed 1004; violations raise inside the sweep)
@@ -346,7 +345,7 @@ def test_criterion_7_numerical_core_properties(capsys):
         j = int(rng.integers(nb))
         direct = blackbox.output_family(f, a).states[j]
         oracle, _ = purified_reduced_state(f, a, j)
-        if np.abs(direct - oracle).max() > tol.recon:
+        if np.abs(direct - oracle).max() > TOL_RECON:
             failures.append("formula vs purification")
 
     with capsys.disabled():

@@ -11,7 +11,7 @@ import pytest
 from tpc import blackbox, cli, funcspec, qmat
 from tpc.blackbox import StateFamily, amplitude_vector, output_family, uniform_superposition
 from tpc.funcspec import builtin, canonicalize_3x3, deterministic, transpose
-from tpc.tolerances import active
+from tpc.tolerances import TOL_RECON, TOL_TRACE
 
 from oracles import exact_prob, partial_trace, purified_reduced_state
 
@@ -111,7 +111,6 @@ class TestTwoSidedStates:
 
     def test_outcome_marginal_matches_table_for_basis_input(self):
         rng = np.random.default_rng(SEED + 1)
-        tol = active()
         for _ in range(50):
             f = random_table(rng)
             i = int(rng.integers(f.alice_arity))
@@ -122,11 +121,10 @@ class TestTwoSidedStates:
             dims = (f.alice_arity, f.outcome_count)
             marginal = partial_trace(rho, dims, keep=[1])[0].diagonal().real
             expected = [float(exact_prob(f, k, i, j)) for k in range(f.outcome_count)]
-            assert np.abs(marginal - expected).max() <= tol.trace
+            assert np.abs(marginal - expected).max() <= TOL_TRACE
 
     def test_formula_matches_purification_oracle(self):
         rng = np.random.default_rng(SEED + 2)
-        tol = active()
         for _ in range(200):
             f = random_table(rng)
             amps = random_amplitudes(rng, f.alice_arity)
@@ -135,7 +133,7 @@ class TestTwoSidedStates:
             oracle, dims = purified_reduced_state(f, amps, j)
             assert dims == (f.alice_arity, f.outcome_count)
             assert direct.shape == oracle.shape
-            assert np.abs(direct - oracle).max() <= tol.recon
+            assert np.abs(direct - oracle).max() <= TOL_RECON
 
     def test_one_row_validation_rejects_bad_amplitudes(self):
         f = builtin("counterexample")
@@ -285,13 +283,12 @@ class TestStackedBuilder:
                     assert states.tobytes() == dense_scatter(f.probabilities(), a).astype(complex).tobytes()
 
     def test_stack_matches_purification_oracle(self):
-        tol = active()
         for tables, amps in self.stacks():
             for f, family in zip(tables, self.build(tables, amps)[1], strict=True):
                 for j, state in enumerate(blackbox._assemble(family)):
                     oracle, dims = purified_reduced_state(f, amps, j)
                     assert dims == (f.alice_arity, f.outcome_count)
-                    assert np.abs(state - oracle).max() <= tol.recon
+                    assert np.abs(state - oracle).max() <= TOL_RECON
 
     @pytest.mark.parametrize(
         "text, dtype",
@@ -357,7 +354,6 @@ class TestOneSidedStates:
 
     def test_outputs_are_pure(self):
         rng = np.random.default_rng(SEED + 3)
-        tol = active()
         for _ in range(50):
             rows = rng.uniform(0.0, 1.0, size=(2, 2))
             f = funcspec.one_sided_binary(rows)
@@ -365,7 +361,7 @@ class TestOneSidedStates:
             j = int(rng.integers(2))
             rho = output_family(f, i).states[j]
             purity = float(np.trace(rho @ rho).real)
-            assert abs(purity - 1.0) <= tol.recon
+            assert abs(purity - 1.0) <= TOL_RECON
 
     def test_stacked_builder_equals_one_state_bitwise(self):
         # _one_sided_families against the float64 outer product of

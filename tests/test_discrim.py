@@ -6,14 +6,13 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpc import attacks, blackbox, discrim, funcspec, qmat, tolerances
+from tpc import attacks, blackbox, discrim, funcspec, qmat
 from tpc.attacks import ot_explicit_povm
 from tpc.blackbox import output_family, uniform_superposition
 from tpc.discrim import (
@@ -24,20 +23,20 @@ from tpc.discrim import (
     povm_success,
 )
 from tpc.funcspec import builtin, canonicalize_3x3, one_sided_binary, transpose, two_sided_binary
-from tpc.tolerances import active
+from tpc.tolerances import CERT_TOL, TOL_PSD
 
 from oracles import (
     below_psd_tolerance,
     count_kernels,
     dense_inputs,
     dense_search,
-    eager_search,
     exact_prob,
     honest_family_povm,
     loop_honest_probability,
     pretty_good_povm,
     pure_state,
     reference_helstrom,
+    unstopped_search,
 )
 
 SEED = 424242
@@ -86,14 +85,14 @@ def reference_dual_gap(states, prior, labels, elements):
 
 def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
     """Independent oracle: the fixed-point search one element at a time,
-    with no POVM validated per sweep, stopping at the first certified
-    iterate whose bracket is no wider than the certificate tolerance or at
-    a polish block.  Returns the value, the elements, the sweeps run, the
-    stop reason, the final certificate flag and the bracket's upper end."""
+    with no POVM validated per sweep, stopping at the first iterate whose
+    dual bracket is no wider than the certificate tolerance, or at a polish
+    block whose certificate residual stalls.  Returns the value, the
+    elements, the sweeps run, the stop reason, whether the bracket closed
+    and the bracket's upper end."""
     labels = seed.labels
     weighted = [prior[lab] * states[lab] for lab in labels]
     kernel_slot = int(np.argmax([prior[lab] for lab in labels]))
-    cert_tol = active().cert
 
     def success(elements):
         return sum(
@@ -103,6 +102,7 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
 
     elements = list(seed.elements)
     current, last_residual, steps, reason = success(elements), math.inf, 0, "max_iters"
+    width = reference_dual_gap(states, prior, labels, elements)
     while steps < max_iters:
         gram = sum(w @ e @ w for e, w in zip(elements, weighted))
         root = qmat._inv_sqrt((gram + gram.conj().T) / 2, qmat.ONE_FAMILY)
@@ -113,23 +113,18 @@ def reference_fixed_point(states, prior, seed, max_iters=10000, step_tol=1e-12):
         value = success(updated)
         elements, improved, current = updated, value - current, value
         steps += 1
-        closed = reference_dual_gap(states, prior, labels, elements) <= cert_tol
-        polish = improved < step_tol and steps % 100 == 0
-        if not (closed or polish):
-            continue
-        ok, residuals = certify_optimal(states, prior, Povm(tuple(elements), labels))
-        if ok and closed:
-            reason = "converged"
+        width = reference_dual_gap(states, prior, labels, elements)
+        if width <= CERT_TOL:
+            reason = "bracket"
             break
-        if polish:
+        if improved < step_tol and steps % 100 == 0:
+            _, residuals = certify_optimal(states, prior, Povm(tuple(elements), labels))
             residual = max(residuals.pairwise_max, -residuals.min_eigenvalue)
             if residual >= 0.9 * last_residual:
                 reason = "stalled"
                 break
             last_residual = residual
-    ok, _ = certify_optimal(states, prior, Povm(tuple(elements), labels))
-    upper = current + reference_dual_gap(states, prior, labels, elements)
-    return current, elements, steps, reason, ok, upper
+    return current, elements, steps, reason, width <= CERT_TOL, current + width
 
 
 def reference_certificate(states, prior, povm):
@@ -278,14 +273,13 @@ class TestHelstrom:
 
     def test_certificate_holds_on_random_families(self):
         rng = np.random.default_rng(SEED)
-        tol = active()
         for _ in range(100):
             r0, r1 = random_mixed_pair(rng)
             q0 = float(rng.uniform(0, 1))
             result = helstrom(r0, r1, q0)
             assert result.certified_optimal
-            assert result.residuals.pairwise_max < tol.cert
-            assert result.residuals.min_eigenvalue > -tol.cert
+            assert result.residuals.pairwise_max < CERT_TOL
+            assert result.residuals.min_eigenvalue > -CERT_TOL
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="state dimensions differ: 2 vs 3"):
@@ -485,7 +479,7 @@ class TestBlockMeasurePath:
     @pytest.mark.parametrize("b", [2, 3, 6])
     def test_psd_verdict_matches_the_eigvalsh_oracle(self, b, complex_):
         # the lowest eigenvalue at 0 and just inside and just outside -TOL_PSD
-        psd = active().psd
+        psd = TOL_PSD
         rng = np.random.default_rng(SEED + 31 + b + 10 * complex_)
         verdicts = []
         for lowest in (0.0, -psd * (1 - 1e-3), -psd * (1 + 1e-3)):
@@ -638,7 +632,6 @@ class TestCertifyOptimal:
         prior = (1 / 3, 1 / 3, 1 / 3)
         amps = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-        tol = active()
         for f in funcspec.enumerate_valid_3x3():
             canon = canonicalize_3x3(f)
             family = output_family(canon.base, amps)
@@ -653,7 +646,7 @@ class TestCertifyOptimal:
                     violation = max(
                         residuals.pairwise_max, -residuals.min_eigenvalue
                     )
-                    assert violation > tol.cert
+                    assert violation > CERT_TOL
 
     def test_matches_reference_residuals_exactly(self):
         # same products in the same association, so the residuals agree bitwise
@@ -787,7 +780,7 @@ class TestOptimizePovm:
             self.assert_matches_reference(*random_mixed_family(rng, dim, count))
 
     # canonical class 002/020/122: its pretty-good seed is not optimal, and
-    # the reference search certifies it after 16 sweeps
+    # the reference search closes its bracket after 16 sweeps
     SLOW_CLASS = ((0, 0, 2), (0, 2, 0), (1, 2, 2))
     SLOW_CLASS_SWEEPS = 16
 
@@ -812,24 +805,27 @@ class TestOptimizePovm:
         assert "".join(lines) == (OPTIMIZE_PINS / "search.txt").read_text()
 
     def test_stop_reason_converged(self):
+        # a converged search stops on its closed bracket
         family, prior = self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3)
         seed = pretty_good_povm(family, prior)
         _, _, steps, reason, _, _ = reference_fixed_point(family.states, prior, seed)
-        assert (steps, reason) == (self.SLOW_CLASS_SWEEPS, "converged")
+        assert (steps, reason) == (self.SLOW_CLASS_SWEEPS, "bracket")
         # the dense search, and the --optimize search on the class's outcome blocks
         for result in (dense_search(family, prior), class_search(funcspec.deterministic(self.SLOW_CLASS))):
-            assert (result.iterations, result.stop_reason) == (self.SLOW_CLASS_SWEEPS, "converged")
+            assert (result.iterations, result.stop_reason) == (self.SLOW_CLASS_SWEEPS, "bracket")
             assert result.certified_optimal
 
     def test_stop_reason_max_iters(self):
         result = dense_search(self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3), max_iters=7)
         assert (result.iterations, result.stop_reason) == (7, "max_iters")
-        assert result.p_upper - result.success_probability > active().cert
+        assert result.p_upper - result.success_probability > CERT_TOL
 
     def test_max_iters_exit_reuses_the_last_sweeps_operators(self, monkeypatch):
-        # every sweep of the slow class passes the screen and solves for its
-        # lowest Lagrange eigenvalue, so a max_iters exit certifies that
-        # sweep's gap operators and eigenvalue, forming neither again
+        # every sweep forms its gap operators and solves for their lowest
+        # Lagrange eigenvalue once, after its one inverse root, so a
+        # max_iters exit bounds the optimum with that sweep's eigenvalue,
+        # forming neither again; with no sweep, the seed's bracket costs one
+        # of each and no inverse root
         args = dense_inputs(self.slow_class_family(), (1 / 3, 1 / 3, 1 / 3))
         gaps, gap = [], discrim._gap
 
@@ -839,12 +835,14 @@ class TestOptimizePovm:
 
         monkeypatch.setattr(discrim, "_gap", counted_gap)
         calls = count_kernels(monkeypatch)
-        for max_iters in range(1, self.SLOW_CLASS_SWEEPS):
+        for max_iters in range(self.SLOW_CLASS_SWEEPS):
             gaps.clear()
             calls.clear()
             result = discrim._fixed_point(*args, max_iters)
             assert (result.iterations, result.stop_reason) == (max_iters, "max_iters")
-            assert (calls.count("eigvalsh"), len(gaps)) == (max_iters, max_iters)
+            assert not result.certified_optimal
+            assert (calls.count("eigh"), calls.count("eigvalsh")) == (max_iters, max(max_iters, 1))
+            assert len(gaps) == max(max_iters, 1)
 
     def test_stop_reason_stalled(self):
         # a zero element stays zero under every sweep, so this seed is a
@@ -865,19 +863,23 @@ class TestOptimizePovm:
                 assert result.p_upper >= optimum.success_probability - 1e-12
 
     def test_converged_brackets_are_closed(self, searched_families):
-        tol = active()
         for _, _, result in searched_families:
-            assert result.stop_reason == "converged"
-            assert result.p_upper - result.success_probability <= tol.cert
+            assert (result.stop_reason, result.certified_optimal) == ("bracket", True)
+            assert result.p_upper - result.success_probability <= CERT_TOL
 
     def test_upper_bound_reads_the_certificate(self, searched_families):
-        # one Lagrange operator serves both: the bracket's width is d times
-        # the certificate's most negative eigenvalue, bit for bit
+        # the bracket's width is d times the most negative eigenvalue of the
+        # returned iterate's Lagrange operators, the certificate's PSD
+        # residual, bit for bit, at every exit
         for states, prior, optimum in searched_families:
-            results = [optimum] + [dense_search(states, prior, max_iters=k) for k in (0, 1, 3)]
-            for result in results:
-                shift = max(0.0, -result.residuals.min_eigenvalue)
+            args = dense_inputs(states, prior)
+            weighted = args[2][:, None, None] * args[1]
+            for k in (0, 1, 3, 10000):
+                result = optimum if k == 10000 else discrim._fixed_point(*args, k)
+                gap = discrim._gap(result.elements, weighted, args[3])
+                shift = max(0.0, -float(discrim._lagrange(gap, qmat.ONE_FAMILY)[0]))
                 assert result.p_upper == result.success_probability + len(states[0]) * shift
+                assert result.certified_optimal == (len(states[0]) * shift <= CERT_TOL)
 
     def test_upper_bound_covers_states_the_seed_never_guesses(self):
         # three orthogonal states are perfectly distinguishable, but this seed
@@ -937,9 +939,9 @@ class TestOptimizePovm:
 
     def test_an_earlier_bad_iterate_outranks_a_later_one(self, monkeypatch):
         # the slow class runs on past a non-PSD iterate at sweep 2 (its
-        # inverse root scaled by 1.5) to a NaN one at sweep 4; the stacked
-        # check meets the NaN first, so the iterates are checked again one
-        # at a time, and sweep 2's defect wins
+        # inverse root scaled by 1.001, which leaves its bracket open) to a
+        # NaN one at sweep 4; the stacked check meets the NaN first, so the
+        # iterates are checked again one at a time, and sweep 2's defect wins
         sizes, check = [], discrim._check_povm_stack
 
         def recording_check(stack, starts):
@@ -947,7 +949,7 @@ class TestOptimizePovm:
             return check(stack, starts)
 
         monkeypatch.setattr(discrim, "_check_povm_stack", recording_check)
-        scales = {2: 1.5, 4: math.nan}
+        scales = {2: 1.001, 4: math.nan}
         family = self.slow_class_family()
         error = self.scaled_search_error(monkeypatch, lambda sweep: scales.get(sweep, 1.0), family)
         assert type(error) is ValueError and str(error) == "POVM element is not PSD within tolerance"
@@ -1052,105 +1054,102 @@ class TestOptimizePovm:
         assert built == []
 
 
-class TestCertificateScreen:
-    """The search skips a certificate that provably fails: its
-    anti-Hermitian residual exceeds the tolerance."""
-
-    @pytest.mark.parametrize("tol", [tolerances.Tolerances(), replace(tolerances.Tolerances(), cert=1e-6, recon=1e-7)])
-    def test_every_skipped_certificate_fails(self, monkeypatch, searched_families, tol):
-        # the 18 classes and 50 random families, at the default tolerances
-        # and under a loosened certificate and completeness tolerance
-        monkeypatch.setattr(tolerances, "_ACTIVE", tol)
-        verdicts, screen, gap_of, last = [], discrim._certificate_fails, discrim._gap, []
-
-        def recording_gap(elements, weighted, *rest):
-            # the screen reads only the gap operators; certify their inputs too
-            last[:] = gap_of(elements, weighted, *rest), elements, weighted
-            return last[0]
-
-        def recording_screen(gap):
-            fails = screen(gap)
-            if fails:
-                made, elements, weighted = last
-                assert made is gap
-                lowest = discrim._lagrange(gap, qmat.ONE_FAMILY)
-                [(ok, _)] = discrim._certify(elements, weighted, gap, lowest, qmat.ONE_FAMILY)
-                verdicts.append(ok)
-            return fails
-
-        monkeypatch.setattr(discrim, "_gap", recording_gap)
-        monkeypatch.setattr(discrim, "_certificate_fails", recording_screen)
-        for states, prior, _ in searched_families:
-            dense_search(states, prior)
-        assert len(verdicts) >= 50 and not any(verdicts)
-
-    def test_the_18_searches_certify_at_most_31_times(self, monkeypatch):
-        # 74 certificates before the screen; the pinned search fields (and
-        # so every stop sweep) are unchanged, 167 sweeps in all
-        calls, certify = [], discrim._certify
-
-        def counted_certify(*args):
-            calls.append(args[0].shape)
-            return certify(*args)
-
-        monkeypatch.setattr(discrim, "_certify", counted_certify)
-        fields = [line.split()[1:3] for line in (OPTIMIZE_PINS / "search.txt").read_text().splitlines()]
-        for f, (iterations, stop_reason) in zip(class_files(), fields, strict=True):
-            result = class_search(f)
-            assert (str(result.iterations), result.stop_reason) == (iterations, stop_reason)
-        assert sum(int(iterations) for iterations, _ in fields) == 167
-        assert len(calls) <= 31
-
-    def test_the_18_searches_solve_for_the_bound_48_times(self, monkeypatch):
-        # one inverse root (eigh) per sweep; one POVM check (cholesky) per
-        # search, on all its iterates, as none reaches a 100-sweep polish
-        # block; the Lagrange eigen-solve (eigvalsh) only on the 48 sweeps
-        # that pass the screen, of 167
-        inputs = [class_search_inputs(f) for f in class_files()]
-        calls = count_kernels(monkeypatch)
-        for args in inputs:
-            discrim._fixed_point(*args)
-        assert Counter(calls) == {"eigh": 167, "cholesky": 18, "eigvalsh": 48}
+def criterion_7_families():
+    """The 200 seeded families of acceptance criterion 7's optimizer check
+    (seed 1004), with their priors."""
+    rng = np.random.default_rng(1004)
+    for _ in range(200):
+        dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        states = []
+        for _ in range(count):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = g @ g.conj().T
+            states.append(m / np.trace(m).real)
+        w = rng.uniform(0.1, 1.0, size=count)
+        yield states, tuple(w / w.sum())
 
 
 class TestEagerOrder:
-    """The search solves for the lowest Lagrange eigenvalue only on sweeps
-    that pass the certificate screen or polish; every field of its result
-    equals :func:`oracles.eager_search`'s, which solves on every sweep."""
+    """The search solves for its dual bound on every sweep and stops on the
+    first whose bracket is closed, so it runs in the eager order only.  Its
+    bracket holds: the same update run on with no stop rule
+    (:func:`oracles.unstopped_search`) never leaves it."""
 
     @staticmethod
-    def assert_same_search(args, max_iters=10000) -> str:
-        lazy, eager = discrim._fixed_point(*args, max_iters), eager_search(*args, max_iters)
-        assert lazy.elements.dtype == eager.elements.dtype
-        assert np.array_equal(lazy.elements, eager.elements)
-        assert lazy._replace(elements=None) == eager._replace(elements=None)
-        return lazy.stop_reason
+    def assert_bracket_holds(args, result) -> float:
+        """The unstopped run's value, 300 sweeps past ``result``'s, which
+        must lie inside ``result``'s ``[p, p_upper]``."""
+        limit = unstopped_search(*args[:3], result.iterations + 300)
+        assert result.success_probability - 1e-12 <= limit <= result.p_upper + 1e-12
+        return limit
 
     def test_the_18_class_searches_real_and_complex(self):
+        # every search stops on its closed bracket, and on half the searches
+        # or more (22 of the 36 here) the unstopped run climbs past the
+        # value at which it stopped
+        beyond = 0
         for base, real, phased in TestOptimizePovm.phased_classes():
             for superposition in (real, phased):
-                assert self.assert_same_search(class_search_inputs(base, superposition)) == "converged"
+                args = class_search_inputs(base, superposition)
+                result = discrim._fixed_point(*args)
+                assert (result.stop_reason, result.certified_optimal) == ("bracket", True)
+                beyond += self.assert_bracket_holds(args, result) > result.success_probability + 1e-10
+        assert beyond >= 18
 
     def test_searched_families(self, searched_families):
         # the 18 classes as dense families and 50 complex random families
-        for states, prior, _ in searched_families:
-            assert self.assert_same_search(dense_inputs(states, prior)) == "converged"
+        for states, prior, result in searched_families:
+            assert result.stop_reason == "bracket"
+            self.assert_bracket_holds(dense_inputs(states, prior), result)
 
     def test_max_iters_and_polish_exits(self, searched_families):
         reasons = set()
         for states, prior, _ in searched_families[::7]:
+            args = dense_inputs(states, prior)
             for max_iters in (0, 1, 3):
-                reasons.add(self.assert_same_search(dense_inputs(states, prior), max_iters))
-        # the slow class stops on max_iters at 7 and converges on its last
-        # allowed sweep at 16; the stalled seed polishes at sweeps 100 and
-        # 200 and stalls on the second
-        slow = TestOptimizePovm().slow_class_family()
-        for max_iters in (7, TestOptimizePovm.SLOW_CLASS_SWEEPS):
-            reasons.add(self.assert_same_search(dense_inputs(slow, (1 / 3, 1 / 3, 1 / 3)), max_iters))
+                result = discrim._fixed_point(*args, max_iters)
+                self.assert_bracket_holds(args, result)
+                reasons.add(result.stop_reason)
+        # the slow class stops on max_iters at 7 and closes its bracket on
+        # its last allowed sweep at 16; the stalled seed polishes at sweeps
+        # 100 and 200 and stalls on the second
+        slow = dense_inputs(TestOptimizePovm().slow_class_family(), (1 / 3, 1 / 3, 1 / 3))
         states = (pure_state([1.0, 0.0]), pure_state([0.0, 1.0]))
-        seed = Povm((np.eye(2), np.zeros((2, 2))), (0, 1))
-        reasons.add(self.assert_same_search(dense_inputs(states, (0.5, 0.5), seed)))
-        assert reasons == {"converged", "max_iters", "stalled"}
+        stalled = dense_inputs(states, (0.5, 0.5), Povm((np.eye(2), np.zeros((2, 2))), (0, 1)))
+        for args, max_iters in ((slow, 7), (slow, TestOptimizePovm.SLOW_CLASS_SWEEPS), (stalled, 10000)):
+            result = discrim._fixed_point(*args, max_iters)
+            self.assert_bracket_holds(args, result)
+            reasons.add(result.stop_reason)
+        assert reasons == {"bracket", "max_iters", "stalled"}
+
+    def test_criterion_7_families_all_stop_on_their_brackets(self):
+        # with no sweep cap, every one of the 200 families closes its
+        # bracket; a sweep that lowered the value would raise
+        for states, prior in criterion_7_families():
+            seed = pretty_good_povm(states, prior)
+            result = dense_search(states, prior, seed)
+            assert (result.stop_reason, result.certified_optimal) == ("bracket", True)
+            assert result.success_probability >= povm_success(states, prior, seed) - 1e-12
+
+    def test_the_18_searches_solve_for_the_bound_on_every_sweep(self, monkeypatch):
+        # one inverse root (eigh) and one Lagrange eigen-solve (eigvalsh) per
+        # sweep, 111 sweeps in all as search.txt pins them; one POVM check
+        # (cholesky) per search, on all its iterates, and no certificate, as
+        # none reaches a 100-sweep polish block
+        certified, certify = [], discrim._certify
+
+        def counted_certify(*args):
+            certified.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(discrim, "_certify", counted_certify)
+        inputs = [class_search_inputs(f) for f in class_files()]
+        calls = count_kernels(monkeypatch)
+        sweeps = sum(discrim._fixed_point(*args).iterations for args in inputs)
+        pinned = [int(line.split()[1]) for line in (OPTIMIZE_PINS / "search.txt").read_text().splitlines()]
+        assert sweeps == sum(pinned) == 111
+        assert Counter(calls) == {"eigh": 111, "cholesky": 18, "eigvalsh": 111}
+        assert certified == []
 
 
 class TestWeightedDifferenceEigenvalues:
@@ -1301,7 +1300,7 @@ class TestPovmValidation:
         assert povm.labels == (0, 1) and all(type(label) is int for label in povm.labels)
 
     def test_accepts_negative_eigenvalue_within_tolerance(self):
-        slack = active().psd / 2
+        slack = TOL_PSD / 2
         Povm((np.diag([1.0 + slack, 1.0]), np.diag([-slack, 0.0])), (0, 1))
 
     @pytest.mark.parametrize(

@@ -595,6 +595,35 @@ class TestParser:
         assert time.perf_counter() - start < 0.1
         assert err.value.line_no == 9
 
+    @pytest.mark.parametrize(
+        "header, line_no, key",
+        [
+            ("inputs: 2 {long}", 4, "inputs"),
+            ("inputs: {long} 2", 4, "inputs"),
+            ("outcomes: {long}", 5, "outcomes"),
+            ("k: {long}", 6, "outcome label"),
+        ],
+        ids=["inputs-bob", "inputs-alice", "outcomes", "block-label"],
+    )
+    def test_header_integer_beyond_bound_names_its_line(self, header, line_no, key):
+        # a header integer longer than int(str) reads is a typed error on its
+        # own line, not Python's bare digit-limit text; one at the bound is
+        # read, and the table then fails on its size or range
+        digits = funcspec._MAX_DECIMAL_POWER  # also Python's default limit on int(str)
+        lines = ["# a two-state table", "type: probabilistic", "sided: two", "inputs: 2 2", "outcomes: 2", "k: 0"]
+        at = line_no - 1
+
+        def parsed(count):
+            body = lines[:at] + [header.format(long="9" * count)] + lines[at + 1:]
+            return parse_function_file("\n".join(body) + "\n1/2 1/2\n1/4 3/4\n")
+
+        with pytest.raises(FunctionFileError) as err:
+            parsed(digits + 1)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {key} has more than {digits} digits")
+        with pytest.raises(FunctionFileError) as err:
+            parsed(digits)
+        assert "digits" not in str(err.value)
+
     def test_entries_read_as_fraction_reads_them(self):
         # ASCII n and n/d go the integer route, every other token through
         # Fraction(token); on a fixed grid of tokens each gives the value, or

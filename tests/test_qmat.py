@@ -7,7 +7,7 @@ import pytest
 
 from tpc import qmat
 from tpc.blackbox import StateFamily
-from tpc.tolerances import active
+from tpc.tolerances import RANK_TOL, TOL_HERM, TOL_PSD, TOL_RECON, TOL_TRACE
 
 from oracles import partial_trace, pretty_good_povm, pure_state
 
@@ -67,7 +67,6 @@ class TestPartialTrace:
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(SEED)
-        tol = active()
         for _ in range(200):
             dims = tuple(rng.integers(2, 4, size=rng.integers(2, 4)))
             rho = random_density(rng, dims)
@@ -75,21 +74,20 @@ class TestPartialTrace:
                 rng.choice(len(dims), size=rng.integers(1, len(dims) + 1), replace=False)
             )
             reduced, _ = partial_trace(rho, dims, keep=keep)
-            assert abs(np.trace(reduced) - 1.0) <= tol.trace
-            assert np.abs(reduced - qmat.dagger(reduced)).max() <= tol.herm
+            assert abs(np.trace(reduced) - 1.0) <= TOL_TRACE
+            assert np.abs(reduced - qmat.dagger(reduced)).max() <= TOL_HERM
             StateFamily((reduced,))  # and passes the full state check
 
     def test_tensor_then_trace_roundtrip(self):
         rng = np.random.default_rng(SEED + 1)
-        tol = active()
         for _ in range(200):
             rho_a = random_density(rng, (2,))
             rho_b = random_density(rng, (3,))
             joint = StateFamily((np.kron(rho_a, rho_b),)).states[0]
             back_a = partial_trace(joint, (2, 3), keep=[0])[0]
             back_b = partial_trace(joint, (2, 3), keep=[1])[0]
-            assert np.abs(back_a - rho_a).max() <= tol.recon
-            assert np.abs(back_b - rho_b).max() <= tol.recon
+            assert np.abs(back_a - rho_a).max() <= TOL_RECON
+            assert np.abs(back_b - rho_b).max() <= TOL_RECON
 
 
 class TestInvSqrtOnSupport:
@@ -104,7 +102,6 @@ class TestInvSqrtOnSupport:
 
     def test_projector_identity_oracle(self):
         rng = np.random.default_rng(SEED)
-        tol = active()
         for _ in range(200):
             n = int(rng.integers(2, 7))
             rank = int(rng.integers(1, n + 1))
@@ -112,10 +109,10 @@ class TestInvSqrtOnSupport:
             m = g @ g.conj().T
             root = qmat._inv_sqrt(m, qmat.ONE_FAMILY)
             w, v = np.linalg.eigh(m)
-            support = (v[:, w > tol.rank * w[-1]] @ v[:, w > tol.rank * w[-1]].conj().T)
-            assert np.abs(root @ m @ root - support).max() <= tol.recon
+            support = (v[:, w > RANK_TOL * w[-1]] @ v[:, w > RANK_TOL * w[-1]].conj().T)
+            assert np.abs(root @ m @ root - support).max() <= TOL_RECON
             # double application composed with m is the same projector
-            assert np.abs(root @ root @ m - support).max() <= tol.recon
+            assert np.abs(root @ root @ m - support).max() <= TOL_RECON
 
     def test_negative_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -222,8 +219,7 @@ class TestStateFamily:
         assert StateFamily(stack) != family  # families compare by identity
 
     def test_tolerances_bound_each_check(self):
-        tol = active()
         m = np.diag([0.5, 0.5]).astype(complex)
-        m[0, 1] = 0.5 * tol.herm  # a defect within tolerance passes
+        m[0, 1] = 0.5 * TOL_HERM  # a defect within tolerance passes
         StateFamily(good_states() + [m])
-        StateFamily(good_states() + [np.diag([1.0 + 0.5 * tol.psd, -0.5 * tol.psd])])
+        StateFamily(good_states() + [np.diag([1.0 + 0.5 * TOL_PSD, -0.5 * TOL_PSD])])
