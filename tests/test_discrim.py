@@ -1131,11 +1131,10 @@ class TestEagerOrder:
             assert (result.stop_reason, result.certified_optimal) == ("bracket", True)
             assert result.success_probability >= povm_success(states, prior, seed) - 1e-12
 
-    def test_the_18_searches_solve_for_the_bound_on_every_sweep(self, monkeypatch):
-        # one inverse root (eigh) and one Lagrange eigen-solve (eigvalsh) per
-        # sweep, 111 sweeps in all as search.txt pins them; one POVM check
-        # (cholesky) per search, on all its iterates, and no certificate, as
-        # none reaches a 100-sweep polish block
+    def test_the_18_searches_certify_no_sweep(self, monkeypatch):
+        # each search stops on the sweep and for the reason search.txt pins,
+        # 111 sweeps in all, and none reaches a 100-sweep polish block, so
+        # none computes a certificate
         certified, certify = [], discrim._certify
 
         def counted_certify(*args):
@@ -1143,13 +1142,22 @@ class TestEagerOrder:
             return certify(*args)
 
         monkeypatch.setattr(discrim, "_certify", counted_certify)
+        fields = [line.split()[1:3] for line in (OPTIMIZE_PINS / "search.txt").read_text().splitlines()]
+        for f, (iterations, stop_reason) in zip(class_files(), fields, strict=True):
+            result = class_search(f)
+            assert (str(result.iterations), result.stop_reason) == (iterations, stop_reason)
+        assert sum(int(iterations) for iterations, _ in fields) == 111
+        assert certified == []
+
+    def test_the_18_searches_solve_for_the_bound_on_every_sweep(self, monkeypatch):
+        # one inverse root (eigh) and one Lagrange eigen-solve (eigvalsh) per
+        # sweep, 111 sweeps in all; one POVM check (cholesky) per search, on
+        # all its iterates
         inputs = [class_search_inputs(f) for f in class_files()]
         calls = count_kernels(monkeypatch)
         sweeps = sum(discrim._fixed_point(*args).iterations for args in inputs)
-        pinned = [int(line.split()[1]) for line in (OPTIMIZE_PINS / "search.txt").read_text().splitlines()]
-        assert sweeps == sum(pinned) == 111
+        assert sweeps == 111
         assert Counter(calls) == {"eigh": 111, "cholesky": 18, "eigvalsh": 111}
-        assert certified == []
 
 
 class TestWeightedDifferenceEigenvalues:
