@@ -231,8 +231,8 @@ def parse_povm_file(text: str) -> discrim.Povm:
     name, sep, value = s.partition(":")
     if not sep or name.strip() != "dim":
         raise FunctionFileError(ln, f"expected 'dim: <d>' header, got {s!r}")
-    dim = int(value) if value.strip().isdecimal() else 0
-    if dim < 1:
+    dim = funcspec._decimal(ln, "dim", value.strip())
+    if dim is None or dim < 1:
         raise FunctionFileError(ln, f"dimension must be a positive integer, got {value!r}")
     body = rows[1:]
     if not body or len(body) % dim != 0:
@@ -246,9 +246,12 @@ def parse_povm_file(text: str) -> discrim.Povm:
 
 def _parse_entry(ln: int, token: str) -> complex:
     try:
-        return complex(token.replace("i", "j"))
+        value = complex(token.replace("i", "j"))
     except ValueError:
         raise FunctionFileError(ln, f"cannot parse complex entry {token!r}") from None
+    if not cmath.isfinite(value):
+        raise FunctionFileError(ln, f"complex entry {token!r} is not finite")
+    return value
 
 
 # --- shared helpers ---------------------------------------------------------

@@ -7,9 +7,11 @@ as exact rationals until states are built, so that parse-time rounding can
 never masquerade as an attack advantage.
 
 The 3x3 classes are enumerated through the reference layout, which every
-valid table can be relabeled into (see :func:`enumerate_valid_3x3`), on
-arrays of tables with one orbit gather and base-4 keys; the full walk over
-all 11,051 normalized tables is kept as a test oracle.  One table is
+valid table can be relabeled into (see :func:`enumerate_valid_3x3`): a
+walk that prunes each line as soon as it breaks a condition generates only
+the 44 valid tables in that layout, and one orbit gather with base-4 keys
+sorts them into classes; the full walk over all 11,051 normalized tables
+and the batch condition check are kept as test oracles.  One table is
 canonicalized by one scalar pass over its 36 input permutations.
 """
 
@@ -214,27 +216,6 @@ class ConditionError(ValueError):
         self.check = check
 
 
-def _conditions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concealment and degeneracy checks for deterministic outcome matrices
-    ``(rows, cols, ...)``, as two masks.
-
-    Potentially concealing: every row and every column contains a repeated
-    element (no input pins down the other party's input with certainty).
-    Non-degenerate: no two rows and no two columns are equal.
-    """
-    rows, cols = t.shape[:2]
-    same = t[:, :, None, None] == t[None, None]  # cell (r, c) against cell (r', c')
-    in_row = np.diagonal(same, axis1=0, axis2=2)  # (c, c', ..., r)
-    in_col = np.diagonal(same, axis1=1, axis2=3)  # (r, r', ..., c)
-    # a line repeats an element when some cell matches another cell, not only itself
-    concealing = (in_row.sum(axis=(0, 1)) > cols).all(axis=-1)
-    concealing &= (in_col.sum(axis=(0, 1)) > rows).all(axis=-1)
-    # two rows are equal when they match in every column; only a row equals itself
-    non_degenerate = in_col.all(axis=-1).sum(axis=(0, 1)) == rows
-    non_degenerate &= in_row.all(axis=-1).sum(axis=(0, 1)) == cols
-    return concealing, non_degenerate
-
-
 @dataclass(frozen=True)
 class CanonicalForm3x3:
     """A 3x3 outcome matrix in the reference layout.
@@ -344,33 +325,17 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     and from the same pass each class's base table ``(18, 9)`` as
     :func:`canonicalize_3x3` names it.
 
-    Only tables in the reference layout and in its labels are checked.
-    Every valid table has a relabeling in that layout (:func:`canonicalize_3x3`
-    relies on this too, and the test suite checks it against the full
-    walk), and the layout's labels number the outcomes in order of first
-    appearance in the reference cell order, from 0 and 1 in the first
-    column.  A valid table has at most 4 distinct outcomes: each row
-    repeats an element, and a fifth value would force some column to hold
-    three distinct entries.  So the five free cells, in reference cell
-    order, take labels 0-3, each at most one above every label before it:
-    264 candidates fit the layout, and every member of a class in the
-    reference layout, reference-labelled, is among them.  The 44 valid
-    ones are gathered under all 36 input permutations at once, each keyed
-    by the smallest base-4 key of its first-appearance forms; the 18
-    distinct keys, sorted, are the classes, each its orbit's smallest
-    table.  A class's base table is its smallest member, each member's key
-    read off its labels as they stand.
+    Every valid table has a relabeling in the reference layout and its
+    labels (:func:`canonicalize_3x3` relies on this too, and the test suite
+    checks it against the full walk), so the classes are the orbits of the
+    44 tables :func:`_layout_tables` generates.  These are gathered under
+    all 36 input permutations at once, each keyed by the smallest base-4
+    key of its first-appearance forms; the 18 distinct keys, sorted, are
+    the classes, each its orbit's smallest table.  A class's base table is
+    its smallest member, each member's key read off its labels as they
+    stand.
     """
-    free = np.indices((4,) * 5, dtype=np.int8).reshape(5, -1)  # a, (0,2), b, (1,2), (2,2)
-    # each label at most one above every label before it, the first column's 0 and 1
-    # included (so a < 3), and the layout's a != b with a == 0 or b in {0, 1}
-    seen = np.maximum(np.maximum.accumulate(free[:-1], axis=0), 1)
-    a, b = free[0], free[2]
-    fits = (free[1:] <= seen + 1).all(axis=0) & (a < 3) & (a != b) & ((a == 0) | (b < 2))
-    a, c02, b, c12, c22 = np.compress(fits, free, axis=1)
-    zero = np.zeros_like(a)
-    tables = np.stack([zero, a, c02, zero, b, c12, zero + 1, b, c22])
-    tables = np.compress(np.logical_and(*_conditions(tables.reshape(3, 3, -1))), tables, axis=1)
+    tables = _layout_tables()
     orbits = _keys(tables[_GATHER], _KEY).min(axis=0).tolist()
     bases = {}
     # each table is in reference labels already, so its key is its labels in cell order
@@ -382,6 +347,37 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
         np.array(classes) // _KEY[:, None] % 4,
         np.array([bases[c] for c in classes])[:, None] // _KEY % 4,
     )
+
+
+def _layout_tables() -> np.ndarray:
+    """The 44 valid tables in the reference layout and its labels, row-major,
+    as int8 cells first ``(9, 44)``, in increasing order of their free cells
+    a, (0,2), b, (1,2), (2,2).
+
+    The layout fixes column 0 to (0, 0, 1) and column 1 to (a, b, b), with
+    a != b and a == 0 or b < 2; its labels number the outcomes in order of
+    first appearance in that cell order, after column 0's 0 and 1, so each
+    free cell is at most one above every label before it.  The layout
+    itself makes columns 0 and 1 repeat an element and differ, and the rows
+    differ (rows 0 and 1 at a != b, row 2 in its 1).  So the walk prunes a
+    cell as soon as the line it completes breaks the rest of the conditions:
+    each row repeats an element, and column 2 repeats one and equals
+    neither column 0 nor column 1.  No label exceeds 3, as the base-4 keys
+    need: each row repeats an element, so a fifth outcome would force some
+    column to hold three distinct entries.
+    """
+    found = []
+    for a in range(3):
+        for c02 in range(3) if a == 0 else (0, a):  # row 0 (0, a, c02) repeats
+            top = max(a, c02, 1)  # the largest label so far
+            for b in range(a) if a else range(1, top + 2):  # b != a, and b < 2 unless a == 0
+                for c12 in (0, b) if b else range(top + 2):  # row 1 (0, b, c12) repeats
+                    # row 2 (1, b, c22) repeats
+                    for c22 in range(max(top, c12) + 2) if b == 1 else (1, b) if b else (0, 1):
+                        column = c02, c12, c22
+                        if (c12 == c22 or c02 in (c12, c22)) and column not in ((0, 0, 1), (a, b, b)):
+                            found += 0, a, c02, 0, b, c12, 1, b, c22
+    return np.array(found, dtype=np.int8).reshape(-1, 9).T.copy()
 
 
 # --- function-spec file format -------------------------------------------

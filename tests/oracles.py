@@ -145,6 +145,44 @@ def conditions_ok_flat(flat):
     return len(set(rows)) == 3 and len(set(cols)) == 3
 
 
+def condition_masks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch oracle for the conditions :func:`tpc.funcspec._canonical_form`
+    checks: concealment and degeneracy of deterministic outcome matrices
+    ``(rows, cols, ...)``, as two masks.
+
+    Potentially concealing: every row and every column contains a repeated
+    element (no input pins down the other party's input with certainty).
+    Non-degenerate: no two rows and no two columns are equal.
+    """
+    rows, cols = t.shape[:2]
+    same = t[:, :, None, None] == t[None, None]  # cell (r, c) against cell (r', c')
+    in_row = np.diagonal(same, axis1=0, axis2=2)  # (c, c', ..., r)
+    in_col = np.diagonal(same, axis1=1, axis2=3)  # (r, r', ..., c)
+    # a line repeats an element when some cell matches another cell, not only itself
+    concealing = (in_row.sum(axis=(0, 1)) > cols).all(axis=-1)
+    concealing &= (in_col.sum(axis=(0, 1)) > rows).all(axis=-1)
+    # two rows are equal when they match in every column; only a row equals itself
+    non_degenerate = in_col.all(axis=-1).sum(axis=(0, 1)) == rows
+    non_degenerate &= in_row.all(axis=-1).sum(axis=(0, 1)) == cols
+    return concealing, non_degenerate
+
+
+def layout_candidates() -> np.ndarray:
+    """The 264 row-major tables ``(9, 264)`` int8 in the reference layout and
+    its labels, valid or not, in increasing order of their free cells a,
+    (0,2), b, (1,2), (2,2): first column (0, 0, 1), second (a, b, b) with
+    a != b and a == 0 or b < 2, and each free cell at most one above every
+    label before it, the first column's included.  Filtered by
+    :func:`condition_masks`, they are :func:`tpc.funcspec._layout_tables`."""
+    free = np.indices((4,) * 5, dtype=np.int8).reshape(5, -1)
+    seen = np.maximum(np.maximum.accumulate(free[:-1], axis=0), 1)
+    a, b = free[0], free[2]
+    fits = (free[1:] <= seen + 1).all(axis=0) & (a < 3) & (a != b) & ((a == 0) | (b < 2))
+    a, c02, b, c12, c22 = np.compress(fits, free, axis=1)
+    zero = np.zeros_like(a)
+    return np.stack([zero, a, c02, zero, b, c12, zero + 1, b, c22])
+
+
 def normalized_flat_tables():
     """All 9-cell tables with labels in first-appearance order and at most
     4 distinct outcomes, built one cell per pass."""
@@ -179,7 +217,7 @@ def canonical_forms(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :class:`~tpc.funcspec.ConditionError` of the first one."""
     # each cell labelled by the first cell holding its outcome, so labels stay below 9
     tables = (tables[:, None] == tables).argmax(axis=0)
-    concealing, non_degenerate = funcspec._conditions(tables.reshape(3, 3, -1))
+    concealing, non_degenerate = condition_masks(tables.reshape(3, 3, -1))
     failed = np.flatnonzero(~(concealing & non_degenerate))
     if failed.size:
         n = failed[0]

@@ -175,19 +175,19 @@ class TestAnalyze:
         assert captured.err == f"out of scope: function is outside the attack's scope: {flags}\n"
 
     def test_3x3_conditions_are_checked_once(self, monkeypatch, capsys):
-        # one scalar canonical form, which checks the conditions; the batch
-        # check the class enumeration uses is not run
+        # one scalar canonical form, which checks the conditions; the class
+        # enumeration, which generates only valid tables, is not run
         calls, canonical_form = [], funcspec._canonical_form
 
         def counted(labels):
             calls.append(labels)
             return canonical_form(labels)
 
-        def batch(t):
-            raise AssertionError("the analyze path runs no batch condition check")
+        def enumeration():
+            raise AssertionError("the analyze path enumerates no classes")
 
         monkeypatch.setattr(funcspec, "_canonical_form", counted)
-        monkeypatch.setattr(funcspec, "_conditions", batch)
+        monkeypatch.setattr(funcspec, "_class_tables", enumeration)
         assert main(["analyze", "@neq3", "--optimize"]) == EXIT_OK
         assert calls == [sum(funcspec.builtin("neq3").det_table, ())]
 
@@ -675,6 +675,19 @@ class TestCertify:
         assert main(["certify", "@ot", "--povm", path]) == EXIT_INPUT
         assert "error: line 1: " in capsys.readouterr().err
 
+    def test_dimension_beyond_int_digits_exits_one_with_line(self, tmp_path, capsys):
+        # a dim: header longer than int(str) reads is a typed error on its own
+        # line, not Python's bare digit-limit text; one at the bound is read,
+        # and the file then fails on its row count
+        digits = funcspec._MAX_DECIMAL_POWER  # also Python's default limit on int(str)
+        path = write(tmp_path, "long.txt", f"dim: {'9' * (digits + 1)}\n1+0i\n")
+        assert main(["certify", "@ot", "--povm", path]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: line 1: dim has more than {digits} digits\n")
+        nines = "9" * digits
+        path = write(tmp_path, "long.txt", f"# bound\ndim: {nines}\n1+0i\n")
+        assert main(["certify", "@ot", "--povm", path]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: line 3: expected a multiple of {nines} matrix rows, got 1\n")
+
 
 class TestReportDocument:
     def test_round_trip_is_lossless(self):
@@ -783,6 +796,14 @@ class TestReportDocument:
             parse_povm_file("dim: 2\n1+0i\n")
         with pytest.raises(funcspec.FunctionFileError):
             parse_povm_file("size: 2\n")
+
+    @pytest.mark.parametrize("token", ["nan", "1e999", "-1e999+0i", "0+nani", "1e999i"])
+    def test_non_finite_povm_entry_names_its_line(self, token):
+        # read as a complex, it is rejected on its own line before the Povm
+        # sees the matrix
+        with pytest.raises(funcspec.FunctionFileError) as err:
+            parse_povm_file(f"dim: 2\n1+0i 0+0i\n\n0+0i {token}\n")
+        assert (err.value.line_no, str(err.value)) == (4, f"line 4: complex entry {token!r} is not finite")
 
 
 class TestUsageText:

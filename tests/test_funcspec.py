@@ -27,9 +27,11 @@ from tpc.funcspec import (
 
 from oracles import (
     canonical_forms,
+    condition_masks,
     conditions_ok_flat,
     exact_prob,
     fraction_token,
+    layout_candidates,
     normalized_flat_tables,
 )
 
@@ -105,8 +107,8 @@ def all_class_relabelings():
 
 
 def conditions(f):
-    """``funcspec._conditions`` of one deterministic table, as a ConditionCheck."""
-    concealing, non_degenerate = funcspec._conditions(np.array(f.det_table))
+    """The batch condition oracle on one deterministic table, as a ConditionCheck."""
+    concealing, non_degenerate = condition_masks(np.array(f.det_table))
     return funcspec.ConditionCheck(bool(concealing), bool(non_degenerate))
 
 
@@ -131,7 +133,7 @@ class TestConditions:
             canonicalize_3x3(builtin("counterexample"))
 
     def test_matches_set_oracle_on_random_shapes(self):
-        # the masks of _conditions against sets of rows and columns
+        # the oracle's masks against sets of rows and columns
         rng = np.random.default_rng(SEED_PROBABILITIES + 1)
         for _ in range(2000):
             rows, cols, count = (int(x) for x in rng.integers(1, 5, size=3))
@@ -304,7 +306,7 @@ class TestScalarCanonicalForm:
     def test_matches_batch_oracle_on_every_label_table(self):
         tables = every_label_table()
         forms = scalar_forms(tables)
-        concealing, non_degenerate = funcspec._conditions(tables.reshape(3, 3, -1))
+        concealing, non_degenerate = condition_masks(tables.reshape(3, 3, -1))
         valid = np.flatnonzero(concealing & non_degenerate)
         assert (len(valid), len(forms) - len(valid)) == (9360, 252784)
         for n in np.flatnonzero(~(concealing & non_degenerate)).tolist():
@@ -321,7 +323,7 @@ class TestScalarCanonicalForm:
         codes = rng.choice(2**40, size=(4, tables.shape[1]), replace=False) * 3 + 10**15
         spread = np.take_along_axis(codes, tables, axis=0)
         assert scalar_forms(spread) == scalar_forms(tables)
-        concealing, non_degenerate = funcspec._conditions(spread.reshape(3, 3, -1))
+        concealing, non_degenerate = condition_masks(spread.reshape(3, 3, -1))
         valid = np.flatnonzero(concealing & non_degenerate)
         assert valid.size > 100
         bases, best = canonical_forms(spread[:, valid])
@@ -388,6 +390,17 @@ class TestEnumeration:
 
     def test_layout_walk_matches_full_walk(self):
         assert enumerate_valid_3x3() == full_walk_classes()
+
+    def test_layout_walk_generates_the_valid_candidates(self):
+        # the pruned walk against the 264 reference-layout candidates that
+        # the batch condition oracle keeps: the same tables, column for
+        # column, in the same order and dtype
+        candidates = layout_candidates()
+        concealing, non_degenerate = condition_masks(candidates.reshape(3, 3, -1))
+        tables = funcspec._layout_tables()
+        assert candidates.shape == (9, 264) and tables.shape == (9, 44)
+        assert tables.dtype == candidates.dtype == np.int8
+        assert np.array_equal(tables, candidates[:, concealing & non_degenerate])
 
     def test_class_bases_are_the_canonical_forms(self):
         # the enumeration names each class by its least reference-labelled
