@@ -6,7 +6,6 @@ from .attacks import (
     attack_deterministic_3x3,
     attack_nondet_one_sided,
     attack_nondet_two_sided,
-    attack_oblivious_transfer,
     sweep_all_3x3,
     verify_counterexample,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "attack_deterministic_3x3",
     "attack_nondet_one_sided",
     "attack_nondet_two_sided",
-    "attack_oblivious_transfer",
     "canonicalize_3x3",
     "certify_optimal",
     "enumerate_valid_3x3",

@@ -12,18 +12,23 @@ Subcommands::
 Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
 3 sweep assertion failure, 4 certification negative.
 
-``--optimize`` acts on the 3x3 attacks only.  The two-state attacks (``@ot``,
-``@counterexample``, 2x2 tables) already use the optimal Helstrom
-measurement, so there it is a silent no-op.
+``--optimize`` acts on the 3x3 attacks only.  The two-state attacks (one-sided
+tables such as ``@ot``, ``@counterexample``, 2x2 tables) already use the
+optimal Helstrom measurement, so there it is a silent no-op.
 
-Options an attack cannot honour exit 1, naming the option: ``@ot`` rejects
-``--prior``, ``--q0``, ``--q0-sweep`` and ``--superposition``, a 3x3 table
-``--q0`` and ``--q0-sweep``, a one-sided table ``--superposition`` and
-``--q0-sweep``.  The other two-state tables (2x2 two-sided, binary one-sided)
-take the weight on input 0 from ``--q0`` or from a two-entry ``--prior``; an
+Tables are routed by shape, not identity: ``analyze`` (after ``--role``)
+and ``certify`` attack a one-sided table whose Bob has one input from Bob's
+side, so ``@ot`` runs the one-sided attack like any one-sided table.
+
+Options an attack cannot honour exit 1, naming the option: a 3x3 table
+rejects ``--q0`` and ``--q0-sweep``, a one-sided table ``--superposition``
+and ``--q0-sweep``.  The two-state tables (2x2 two-sided, one-sided) take
+the weight on input 0 from ``--q0`` or from a two-entry ``--prior``; an
 invalid ``--prior``, or a ``--q0`` that disagrees with it, exits 1.
 ``@counterexample`` is certified exactly only at the balanced prior with
-neither ``--superposition`` nor ``--q0-sweep``.
+neither ``--superposition`` nor ``--q0-sweep``.  ``ot-demo`` prints the
+closed-form receiver measurement of ``@ot``, its success and certificate,
+and fails unless they confirm the attack's optimum.
 
 Machine-readable output (``--out``) is a line-delimited text document with a
 ``schema_version: 1`` header; field names match the attack-report fields and
@@ -338,12 +343,9 @@ def _write_out(path: str | None, reports: Sequence[AttackReport]) -> None:
 def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if args.role not in ("alice", "bob"):
         raise ValueError(f"role must be alice or bob, got {args.role!r}")
-    if f == funcspec.builtin("ot"):
-        _reject(args, ("prior", "q0", "q0_sweep", "superposition"), "the oblivious-transfer"
-                " table: its attack fixes the balanced prior and the receiver's honest input 0")
-        return attacks.attack_oblivious_transfer()
     if args.role == "bob":
         f = funcspec.transpose(f)
+    f = _guessing_bob(f)
     superposition = _parse_amplitudes(args.superposition) if args.superposition else None
     prior = _parse_floats(args.prior) if args.prior else None
 
@@ -366,22 +368,14 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
                 f"non_degenerate={exc.check.non_degenerate}"
             ) from None
 
-    if f.outcome_count != 2:
+    if f.sided == "two" and (f.alice_arity, f.bob_arity, f.outcome_count) != (2, 2, 2):
         raise ScopeError(
-            "probabilistic functions with more than two outcomes (beyond the "
-            "built-in oblivious-transfer table) are conjecture territory: "
-            "conjectured insecure, not verified"
-        )
-    if f.sided == "two" and (f.alice_arity, f.bob_arity) != (2, 2):
-        raise ScopeError(
-            "only 2x2 binary two-sided tables are implemented; larger "
-            "alphabets: conjectured insecure, not verified"
+            "only 2x2 binary two-sided tables are implemented; larger alphabets"
+            " and more outcomes: conjectured insecure, not verified"
         )
     if f.sided == "one":
         if f.bob_arity != 2:
-            raise ScopeError(
-                "only binary one-sided tables with two partner inputs are implemented"
-            )
+            raise ScopeError("only one-sided tables with two partner inputs are implemented")
         _reject(args, ("q0_sweep", "superposition"), "one-sided tables: the receiver measures"
                 " after each honest input, under one prior weight from --q0 or --prior")
     q0 = _two_state_q0(args.q0, prior)
@@ -393,6 +387,12 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if q0 is not None:
         sweep = (q0,) + tuple(sweep or ())
     return attacks.attack_nondet_two_sided(f, q0_sweep=sweep, superposition=superposition)
+
+
+def _guessing_bob(f: FunctionSpec) -> FunctionSpec:
+    """``f``, or its transpose if it is one-sided and its Bob has a single
+    input, which leaves Alice nothing to guess."""
+    return funcspec.transpose(f) if f.sided == "one" and f.bob_arity == 1 else f
 
 
 def _reject(args, options: Sequence[str], reason: str) -> None:
@@ -449,12 +449,24 @@ def cmd_sweep3x3(args) -> int:
 
 
 def cmd_ot_demo(args) -> int:
-    report = attacks.attack_oblivious_transfer()
+    f = funcspec.transpose(funcspec.builtin("ot"))  # the receiver guesses the sender's bit
+    report = attacks.attack_nondet_one_sided(f, 0.5)
     povm = attacks.ot_explicit_povm()
+    family = blackbox.output_family(f, 0)
+    success = discrim.povm_success(family, report.prior, povm)
+    ok, residuals = discrim.certify_optimal(family, report.prior, povm)
+    if not (ok and abs(success - report.p_attack) <= 1e-10):
+        raise ArithmeticError(
+            f"closed-form measurement success {success:.17g} (certified={ok})"
+            f" does not confirm the spectral optimum {report.p_attack:.17g}"
+        )
     _print_lines([
         "oblivious transfer demo",
         "closed-form receiver measurement, first element (basis |0>, |1>, |?>):",
         *("  " + "  ".join(f"{z.real:+.12f}" for z in row) for row in povm.elements[0]),
+        f"closed-form measurement success={_fmt(success)} certified={ok}"
+        f" residuals=({residuals.pairwise_max:.3g}, {residuals.min_eigenvalue:.3g},"
+        f" {residuals.anti_hermitian_max:.3g})",
         *_report_lines(report),
     ])
     _write_out(args.out, [report])
@@ -470,10 +482,8 @@ def cmd_certify(args) -> int:
         return EXIT_INPUT
     try:
         # the family: one state per input of the guessed party, from the
-        # uniform superposition (two-sided) or honest input 0 (one-sided);
-        # @ot's receiver cheats
-        if f == funcspec.builtin("ot"):
-            f = funcspec.transpose(f)
+        # uniform superposition (two-sided) or honest input 0 (one-sided)
+        f = _guessing_bob(f)
         two_sided = f.sided == "two"
         prior = (
             funcspec.validate_prior(_parse_floats(args.prior), f.bob_arity)

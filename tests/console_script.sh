@@ -34,7 +34,14 @@ rc=0
 err=$(tpc certify huge.fn --povm "$data/certify/neq3.povm" 2>&1 > /dev/null) || rc=$?
 test "$rc" -eq 1
 test "$err" = "error: POVM and family dimensions differ"
-tpc ot-demo
+# ot-demo and @ot's analysis equal their pins byte for byte, and @ot's
+# transpose, a one-sided table whose Alice has one input, prints @ot's stdout
+tpc ot-demo > ot_demo.stdout
+diff ot_demo.stdout "$data/two_state/ot_demo.stdout"
+tpc analyze @ot > ot.stdout
+diff ot.stdout "$data/two_state/ot.stdout"
+tpc analyze "$data/two_state/ot_transposed.fn" > ot_transposed.stdout
+diff ot_transposed.stdout ot.stdout
 # the sweep's stdout and --out document equal their pins byte for byte
 tpc sweep3x3 --out sweep.report > sweep.stdout
 diff sweep.stdout "$data/sweep3x3.stdout"

@@ -338,6 +338,38 @@ def reference_helstrom(rho0: np.ndarray, rho1: np.ndarray, q0: float):
     return 0.5 * (1.0 + float(np.abs(w).sum())), povm.elements, ok, residuals
 
 
+def pure_state_helstrom(f: FunctionSpec, q0: float) -> float:
+    """The one-sided receiver's optimum from the closed form for two pure
+    states (Helstrom 1976), in 40-digit mpmath: the best over honest inputs
+    i of ``(1 + sqrt(1 - 4 q0 q1 F_i**2)) / 2``, with the overlap
+    ``F_i = sum_k sqrt(p(k|i,0) p(k|i,1))`` of the two outcome vectors."""
+
+    def root(x: Fraction) -> mpmath.mpf:
+        return mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator)
+
+    with mpmath.workdps(40):
+        weight = 4 * mpmath.mpf(q0) * (1 - mpmath.mpf(q0))
+        return float(max(
+            (1 + mpmath.sqrt(1 - weight * overlap**2)) / 2
+            for overlap in (
+                mpmath.fsum(root(exact_prob(f, k, i, 0) * exact_prob(f, k, i, 1))
+                            for k in range(f.outcome_count))
+                for i in range(f.alice_arity)
+            )
+        ))
+
+
+def fraction_basis_rate(f: FunctionSpec, q0: float) -> Fraction:
+    """The honest baseline ``max_i sum_k max_j p(k|i,j) q_j`` of a table with
+    two partner inputs, exactly, at the prior ``(q0, 1 - q0)`` read as the
+    exact value of the float ``q0``."""
+    q = (Fraction(q0), 1 - Fraction(q0))
+    return max(
+        sum(max(exact_prob(f, k, i, j) * q[j] for j in (0, 1)) for k in range(f.outcome_count))
+        for i in range(f.alice_arity)
+    )
+
+
 def fraction_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
     """:func:`tpc.attacks._endpoint_slope_bound` in ``Fraction`` arithmetic,
     term by term as its docstring states it: per outcome block k,

@@ -15,7 +15,6 @@ from tpc.attacks import (
     attack_deterministic_3x3,
     attack_nondet_one_sided,
     attack_nondet_two_sided,
-    attack_oblivious_transfer,
     sweep_all_3x3,
     verify_counterexample,
 )
@@ -27,14 +26,22 @@ from oracles import (
     conditions_ok_flat,
     count_kernels,
     dense_search,
+    fraction_basis_rate,
     fraction_slope_bound,
     loop_honest_probability,
     mp_pretty_good_success,
     normalized_flat_tables,
     pretty_good_povm,
+    pure_state_helstrom,
 )
 
 SEED = 8091
+
+
+def attack_ot(q0=0.5):
+    """``@ot``'s attack as the command line runs it: the one-sided attack on
+    the table seen from the receiver, whose Bob guesses the sender's bit."""
+    return attack_nondet_one_sided(funcspec.transpose(builtin("ot")), q0)
 
 
 def det3x3_candidates(tables, **kwargs):
@@ -299,19 +306,49 @@ class TestNondetOneSided:
         with pytest.raises(ValueError):
             attack_nondet_one_sided(builtin("counterexample"), 0.5)
 
+    def test_one_partner_input_rejected(self):
+        # @ot as stored: its Bob has one input, so there is nothing to guess
+        with pytest.raises(ValueError, match="two partner inputs"):
+            attack_nondet_one_sided(builtin("ot"), 0.5)
+
+    @pytest.mark.parametrize("q0", [0.15, 0.3, 0.5, 0.9])
+    def test_many_outcome_tables_match_the_pure_state_oracle(self, q0):
+        # seeded tables of 3 and 4 outcomes and 1 to 3 honest inputs, some
+        # entries 0: the attack is the pure-state Helstrom optimum, the
+        # honest baseline the exact basis rate
+        rng = np.random.default_rng(SEED + 31)
+        for _ in range(300):
+            outcomes, inputs = int(rng.integers(3, 5)), int(rng.integers(1, 4))
+            weights = rng.integers(0, 6, (outcomes, 2, inputs))  # [k, j, i]
+            weights[0] += weights.sum(axis=0) == 0  # every (i, j) gets a positive total
+            totals = weights.sum(axis=0).tolist()
+            table = tuple(
+                tuple(tuple(map(Fraction, row, den)) for row, den in zip(block, totals))
+                for block in weights.tolist()
+            )
+            f = funcspec.FunctionSpec("probabilistic", "one", inputs, 2, outcomes, prob_table=table)
+            report = attack_nondet_one_sided(f, q0)
+            assert abs(report.p_attack - pure_state_helstrom(f, q0)) <= 1e-12
+            assert abs(report.p_honest - float(fraction_basis_rate(f, q0))) <= 1e-12
+            assert report.certified
+            assert "basis_measurement_optimal" not in report.notes
+
 
 class TestObliviousTransfer:
     def test_honest_is_exactly_three_quarters(self):
-        assert attack_oblivious_transfer().p_honest == 0.75
+        assert attack_ot().p_honest == 0.75
 
     def test_attack_value(self):
-        report = attack_oblivious_transfer()
+        report = attack_ot()
         assert report.p_attack == pytest.approx(0.5 + math.sqrt(3) / 4, abs=1e-10)
 
     def test_explicit_matrix_certifies(self):
-        report = attack_oblivious_transfer()
+        report = attack_ot()
         assert report.certified
-        assert "certified=True" in report.notes
+        # the closed-form measurement certifies on the receiver's states
+        family = blackbox.output_family(builtin("ot"), 0, role="bob")
+        ok, _ = discrim.certify_optimal(family, report.prior, attacks.ot_explicit_povm())
+        assert ok
 
 
 class TestCounterexample:
@@ -544,9 +581,9 @@ ONE_OF_EACH_KERNEL = ["cholesky", "eigh", "eigvalsh"]
 
 class TestTwoStateArrays:
     def test_attacks_build_no_state_objects_after_parsing(self, monkeypatch):
-        # the two-state attacks carry the parsed table's states as arrays to
-        # the measurement; the oblivious-transfer attack checks its family
-        # once as a StateFamily, for the public closed-form cross-check
+        # the two-state attacks, @ot's included, carry the parsed table's
+        # states as arrays to the measurement; the counter is shown to work
+        # on @ot's family built the public way
         two = funcspec.parse_function_file(
             "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n2/9 1/2\n5/8 1/6\n"
         )
@@ -554,15 +591,16 @@ class TestTwoStateArrays:
             "type: probabilistic\nsided: one\ninputs: 2 2\noutcomes: 2\nk: 0\n1/6 3/14\n3/5 5/9\n"
         )
         builtin("counterexample")
-        builtin("ot")
+        ot = funcspec.transpose(builtin("ot"))
         calls = count_constructions(monkeypatch)
         attack_nondet_two_sided(two)
         attack_nondet_two_sided(two, q0_sweep=(0.3, 0.6), superposition=(0.6, 0.8j))
         attack_nondet_one_sided(one, 0.3)
+        attack_nondet_one_sided(ot, 0.5)
         verify_counterexample()
         assert calls == []
-        attack_oblivious_transfer()
-        assert calls == ["FunctionSpec.__post_init__", "StateFamily.__post_init__"]
+        blackbox.output_family(ot, 0)
+        assert calls == ["StateFamily.__post_init__"]
 
 
 class TestOneReportPerCandidate:
@@ -624,16 +662,14 @@ class TestArithmetic:
             lambda: attack_nondet_two_sided(TestArithmetic.TWO, superposition=(0.6, 0.8j)), np.complex128
         ),
         "one-sided": (lambda: attack_nondet_one_sided(TestArithmetic.ONE, 0.3), np.float64),
-        "oblivious transfer": (attack_oblivious_transfer, np.float64),
+        "oblivious transfer": (attack_ot, np.float64),
         "counterexample": (verify_counterexample, np.float64),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_builders_decide_the_arithmetic(self, case, monkeypatch):
         # inside measurement, every measurement, check and search stage sees
-        # the dtype the builders picked: no cast inside the pipeline (the
-        # public cross-check of the oblivious-transfer attack runs on its
-        # complex StateFamily)
+        # the dtype the builders picked: no cast inside the pipeline
         seen, inside = [], []
 
         def enter(name):

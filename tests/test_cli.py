@@ -48,6 +48,12 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def ot_report(q0=0.5):
+    """``@ot``'s report: the one-sided attack on the table seen from the
+    receiver, by default at the balanced prior."""
+    return attacks.attack_nondet_one_sided(funcspec.transpose(funcspec.builtin("ot")), q0)
+
+
 class TestAnalyze:
     @pytest.mark.parametrize("name", ["@ot", "@counterexample"])
     def test_optimize_is_a_no_op_on_two_state_attacks(self, name, capsys):
@@ -108,8 +114,20 @@ class TestAnalyze:
          ("--superposition", "1,2,3")],
     )
     def test_ot_rejects_options_it_cannot_honour(self, option, value, capsys):
-        assert main(["analyze", "@ot", option, value]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith(f"error: {option} does not apply")
+        # @ot is a one-sided table: it honours a prior weight, from --q0 or
+        # --prior, and rejects the options no one-sided table honours
+        code = main(["analyze", "@ot", option, value])
+        captured = capsys.readouterr()
+        if option in ("--q0-sweep", "--superposition"):
+            assert code == EXIT_INPUT
+            assert captured.err.startswith(f"error: {option} does not apply to one-sided tables")
+            return
+        assert (code, captured.err) == (EXIT_OK, "")
+        q0 = float(value.split(",")[0])
+        assert captured.out == "\n".join(cli._report_lines(ot_report(q0))) + "\n"
+        assert f"prior: {q0:.17g}, {1 - q0:.17g}\n" in captured.out
+        if option == "--q0":
+            assert "p_attack: 0.94440972086577935\n" in captured.out
 
     @pytest.mark.parametrize("option, value", [("--q0", "0.3"), ("--q0-sweep", "0.3,0.4")])
     def test_3x3_rejects_prior_weights_it_cannot_honour(self, option, value, capsys):
@@ -139,7 +157,35 @@ class TestAnalyze:
     def test_ot_file_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "ot.fn", funcspec._BUILTIN_TEXT["ot"])
         assert main(["analyze", path]) == EXIT_OK
-        assert "oblivious-transfer" in capsys.readouterr().out
+        assert capsys.readouterr().out == (DATA / "two_state" / "ot.stdout").read_text()
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    @pytest.mark.parametrize("source", ["builtin", "stored-text", "transposed"])
+    def test_ot_is_routed_by_shape_in_either_orientation(self, source, role, tmp_path, capsys):
+        # a one-sided table whose Bob has one input is attacked from Bob's
+        # side, after --role: @ot, its stored text and its transpose print one stdout
+        ref = {
+            "builtin": "@ot",
+            "stored-text": write(tmp_path, "ot.fn", funcspec._BUILTIN_TEXT["ot"]),
+            "transposed": str(DATA / "two_state" / "ot_transposed.fn"),
+        }[source]
+        assert main(["analyze", ref, "--role", role]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "two_state" / "ot.stdout").read_text()
+
+    def test_certify_routes_ot_by_shape(self, capsys):
+        povm = str(DATA / "certify" / "ot.povm")
+        for ref in ("@ot", str(DATA / "two_state" / "ot_transposed.fn")):
+            assert main(["certify", ref, "--povm", povm]) == EXIT_OK
+            assert capsys.readouterr().out == (DATA / "certify" / "ot.stdout").read_text()
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_one_sided_table_without_a_guess_is_out_of_scope(self, role, tmp_path, capsys):
+        # both parties have one input: either side has nothing to guess
+        text = "type: probabilistic\nsided: one\ninputs: 1 1\noutcomes: 2\nk: 0\n1/3\n"
+        assert main(["analyze", write(tmp_path, "one.fn", text), "--role", role]) == EXIT_SCOPE
+        assert capsys.readouterr() == (
+            "", "out of scope: only one-sided tables with two partner inputs are implemented\n"
+        )
 
     def test_larger_deterministic_alphabet_is_out_of_scope(self, tmp_path, capsys):
         text = (
@@ -588,9 +634,18 @@ class TestOtDemo:
         assert "p_honest: 0.75" in out
         assert "0.93301270189221" in out
         assert "closed-form receiver measurement" in out
+        assert "closed-form measurement success=0.93301270189221941 certified=True" in out
+
+    def test_a_wrong_closed_form_fails_loudly(self, monkeypatch, capsys):
+        # the demo cross-checks its closed form against the attack's optimum
+        basis = discrim.Povm((np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])), (0, 1))
+        monkeypatch.setattr(attacks, "ot_explicit_povm", lambda: basis)
+        with pytest.raises(ArithmeticError, match="does not confirm the spectral optimum"):
+            main(["ot-demo"])
+        assert capsys.readouterr().out == ""
 
     def test_explicit_matrix_matches_spectral_value(self):
-        report = attacks.attack_oblivious_transfer()
+        report = ot_report()
         family = blackbox.output_family(funcspec.builtin("ot"), 0, role="bob")
         explicit = discrim.povm_success(family, (0.5, 0.5), attacks.ot_explicit_povm())
         assert abs(explicit - report.p_attack) <= 1e-10
@@ -692,7 +747,7 @@ class TestCertify:
 class TestReportDocument:
     def test_round_trip_is_lossless(self):
         reports = [
-            attacks.attack_oblivious_transfer(),
+            ot_report(),
             attacks.attack_deterministic_3x3(funcspec.builtin("neq3")),
             attacks.attack_nondet_two_sided(
                 funcspec.two_sided_binary([["1/4", "1/4"], ["3/4", "3/4"]])
@@ -703,10 +758,18 @@ class TestReportDocument:
         assert "CERT_TOL=" in doc.environment
         assert list(doc.reports) == reports
 
+    def test_report_of_the_old_ot_scenario_round_trips(self):
+        # a schema-1 document written while @ot ran an attack of its own,
+        # under the scenario "oblivious-transfer", reads and writes back byte for byte
+        text = (DATA / "two_state" / "ot_legacy_scenario.report").read_text()
+        reports = parse_report_document(text).reports
+        assert [(r.function_id, r.scenario) for r in reports] == [("ot", "oblivious-transfer")]
+        assert render_report_document(reports) == text
+
     def test_notes_with_newlines_survive(self):
         report = attacks.AttackReport(
-            function_id="ot",
-            scenario="oblivious-transfer",
+            function_id="nondet1sided:1/2,0",
+            scenario="nondet-one-sided",
             prior=(0.5, 0.5),
             input_used=None,
             p_honest=0.5,
@@ -729,7 +792,7 @@ class TestReportDocument:
              "carriage-return", "line-separator", "vertical-tab", "padded"],
     )
     def test_notes_with_backslashes_survive(self, notes):
-        report = dataclasses.replace(attacks.attack_oblivious_transfer(), notes=notes)
+        report = dataclasses.replace(ot_report(), notes=notes)
         text = render_report_document([report])
         assert len(text.splitlines()) == 14
         assert parse_report_document(text).reports[0].notes == notes
@@ -738,7 +801,7 @@ class TestReportDocument:
         "value, escape", [("C:\\q", "\\q"), ("ends \\", "\\"), ("tab\\t", "\\t")]
     )
     def test_unknown_notes_escape_names_the_line(self, value, escape):
-        text = render_report_document([attacks.attack_oblivious_transfer()])
+        text = render_report_document([ot_report()])
         text = re.sub(r"^notes: .*$", lambda _: f"notes: {value}", text, count=1, flags=re.M)
         with pytest.raises(funcspec.FunctionFileError) as info:
             parse_report_document(text)
@@ -770,7 +833,7 @@ class TestReportDocument:
          ("input_used", "amps:nan+0j,1+0j", 8)],
     )
     def test_bad_header_value_names_the_line(self, key, value, line_no):
-        text = render_report_document([attacks.attack_oblivious_transfer()])
+        text = render_report_document([ot_report()])
         text = re.sub(rf"^{key}: .*$", f"{key}: {value}", text, count=1, flags=re.M)
         with pytest.raises(funcspec.FunctionFileError) as info:
             parse_report_document(text)
@@ -778,7 +841,7 @@ class TestReportDocument:
 
     @pytest.mark.parametrize("value", ["banana", "True"])
     def test_certified_is_true_or_false(self, value):
-        text = render_report_document([attacks.attack_oblivious_transfer()])
+        text = render_report_document([ot_report()])
         assert "\ncertified: true\n" in text
         with pytest.raises(funcspec.FunctionFileError, match="bad certified field") as info:
             parse_report_document(text.replace("\ncertified: true\n", f"\ncertified: {value}\n"))
