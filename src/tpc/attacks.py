@@ -79,15 +79,6 @@ class AttackReport:
                 raise ValueError(f"probability {p} outside [0, 1]")
 
 
-class SweepFailure(RuntimeError):
-    """Raised when an exhaustive sweep finds a non-positive advantage."""
-
-    def __init__(self, reports: list[AttackReport]):
-        self.reports = reports
-        dumped = "; ".join(f"{r.function_id} advantage={r.advantage:.3g}" for r in reports)
-        super().__init__(f"sweep found non-positive advantages: {dumped}")
-
-
 def det3x3_function_id(canon: funcspec.CanonicalForm3x3) -> str:
     return _det3x3_id(sum(canon.base.det_table, ()))
 
@@ -417,15 +408,19 @@ def verify_counterexample() -> AttackReport:
 def sweep_all_3x3() -> list[AttackReport]:
     """Run the deterministic attack over every valid 3x3 equivalence class.
 
-    Results are sorted by canonical identifier.  A non-positive advantage
-    anywhere raises :class:`SweepFailure` with the offending tables.
+    Results are sorted by canonical identifier.  A class whose advantage
+    is not above the minimum gain is a verification failure: this raises
+    :class:`ArithmeticError` with one line per such class.
     """
     tables, bases = funcspec._class_tables()
     reports = _measure("deterministic-3x3", *_det3x3_candidates(tables, bases.tolist()))
     reports.sort(key=lambda r: r.function_id)
     bad = [r for r in reports if r.advantage <= ADV_MIN]
     if bad:
-        raise SweepFailure(bad)
+        raise ArithmeticError(
+            f"sweep found no advantage above {ADV_MIN:g} in {len(bad)} of {len(reports)} classes:"
+            + "".join(f"\n  {r.function_id} advantage={r.advantage:.17g}" for r in bad)
+        )
     return reports
 
 
@@ -438,7 +433,7 @@ def summarize_sweep(reports: Sequence[AttackReport]) -> dict[str, float]:
         else 0.5 * (advantages[n // 2 - 1] + advantages[n // 2])
     )
     return {
-        "functions": float(n),
+        "functions": n,
         "min_adv": advantages[0],
         "median_adv": median,
         "max_adv": advantages[-1],

@@ -9,8 +9,10 @@ Subcommands::
     tpc ot-demo [--out <path>]
     tpc certify <file|@name> --povm <path> [--prior q0,q1,...]
 
-Exit codes: 0 success, 1 input error, 2 function outside implemented scope,
-3 sweep assertion failure, 4 certification negative.
+Exit codes, which :func:`main` alone maps from exceptions: 0 success, 1 input
+error, 2 function outside implemented scope, 3 verification failure (the sweep
+finds no strict gain, or a cross-check or certificate check on the program's
+own result fails), 4 certification negative.
 
 ``--optimize`` acts on the 3x3 attacks only.  The two-state attacks (one-sided
 tables such as ``@ot``, ``@counterexample``, 2x2 tables) already use the
@@ -28,7 +30,7 @@ invalid ``--prior``, or a ``--q0`` that disagrees with it, exits 1.
 ``@counterexample`` is certified exactly only at the balanced prior with
 neither ``--superposition`` nor ``--q0-sweep``.  ``ot-demo`` prints the
 closed-form receiver measurement of ``@ot``, its success and certificate,
-and fails unless they confirm the attack's optimum.
+and exits 3 unless they confirm the attack's optimum.
 
 Machine-readable output (``--out``) is a line-delimited text document with a
 ``schema_version: 1`` header; field names match the attack-report fields and
@@ -52,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from . import attacks, blackbox, discrim, funcspec
-from .attacks import AttackReport, SweepFailure
+from .attacks import AttackReport
 from .discrim import CertificateResiduals
 from .funcspec import FunctionFileError, FunctionSpec
 from .tolerances import environment_summary
@@ -62,7 +64,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SCOPE = 2
-EXIT_SWEEP = 3
+EXIT_VERIFY = 3
 EXIT_NOT_OPTIMAL = 4
 
 
@@ -414,31 +416,18 @@ def _two_state_q0(q0: float | None, prior: tuple[float, ...] | None) -> float | 
 
 
 def cmd_analyze(args) -> int:
-    try:
-        report = _dispatch_analyze(_load_spec(args.function), args)
-    except ScopeError as exc:
-        print(f"out of scope: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except ValueError as exc:  # a FunctionFileError, or a file that is not UTF-8
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = _dispatch_analyze(_load_spec(args.function), args)
     _print_lines(_report_lines(report))
     _write_out(args.out, [report])
     return EXIT_OK
 
 
 def cmd_sweep3x3(args) -> int:
-    try:
-        reports = attacks.sweep_all_3x3()
-    except SweepFailure as exc:
-        print(f"sweep failure: {exc}", file=sys.stderr)
-        for r in exc.reports:
-            print(f"  {r.function_id} advantage={_fmt(r.advantage)}", file=sys.stderr)
-        return EXIT_SWEEP
+    reports = attacks.sweep_all_3x3()
     summary = attacks.summarize_sweep(reports)
     lines = [f"{r.function_id} advantage={_fmt(r.advantage)} p_attack={_fmt(r.p_attack)}" for r in reports]
     lines.append(
-        f"functions={int(summary['functions'])}"
+        f"functions={summary['functions']}"
         f" min_adv={_fmt(summary['min_adv'])}"
         f" median_adv={_fmt(summary['median_adv'])}"
         f" max_adv={_fmt(summary['max_adv'])}"
@@ -474,33 +463,24 @@ def cmd_ot_demo(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        f = _load_spec(args.function)
-        povm = parse_povm_file(_read_input(args.povm, "POVM file"))
-    except (FunctionFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        # the family: one state per input of the guessed party, from the
-        # uniform superposition (two-sided) or honest input 0 (one-sided)
-        f = _guessing_bob(f)
-        two_sided = f.sided == "two"
-        prior = (
-            funcspec.validate_prior(_parse_floats(args.prior), f.bob_arity)
-            if args.prior
-            else funcspec.uniform_prior(f.bob_arity)
-        )
-        # the table fixes the states' dimension; compared before they are
-        # built, as a table can declare more outcomes than fit in memory
-        if povm.dim != (f.alice_arity if two_sided else 1) * f.outcome_count:
-            raise ValueError("POVM and family dimensions differ")
-        probe = blackbox.uniform_superposition(f.alice_arity) if two_sided else 0
-        family = blackbox.output_family(f, probe)
-        ok, residuals = discrim.certify_optimal(family, prior, povm)
-        success = discrim.povm_success(family, prior, povm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    f = _guessing_bob(_load_spec(args.function))
+    povm = parse_povm_file(_read_input(args.povm, "POVM file"))
+    # the family: one state per input of the guessed party, from the
+    # uniform superposition (two-sided) or honest input 0 (one-sided)
+    two_sided = f.sided == "two"
+    prior = (
+        funcspec.validate_prior(_parse_floats(args.prior), f.bob_arity)
+        if args.prior
+        else funcspec.uniform_prior(f.bob_arity)
+    )
+    # the table fixes the states' dimension; compared before they are
+    # built, as a table can declare more outcomes than fit in memory
+    if povm.dim != (f.alice_arity if two_sided else 1) * f.outcome_count:
+        raise ValueError("POVM and family dimensions differ")
+    probe = blackbox.uniform_superposition(f.alice_arity) if two_sided else 0
+    family = blackbox.output_family(f, probe)
+    ok, residuals = discrim.certify_optimal(family, prior, povm)
+    success = discrim.povm_success(family, prior, povm)
     _print_lines([
         f"success_probability: {_fmt(success)}",
         f"residuals: pairwise={_fmt(residuals.pairwise_max)}"
@@ -573,7 +553,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(tokens)
     try:
         return args.func(args)
-    except OSError as exc:  # an input file that cannot be read, an --out that cannot be written
+    except ScopeError as exc:
+        print(f"out of scope: {exc}", file=sys.stderr)
+        return EXIT_SCOPE
+    except ArithmeticError as exc:  # a check on the program's own result failed
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (OSError, ValueError) as exc:  # a file, an option or an --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

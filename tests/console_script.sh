@@ -68,6 +68,17 @@ rc=0
 err=$(tpc analyze @neq3 --no-such-option 2>&1 > /dev/null) || rc=$?
 test "$rc" -eq 2
 grep -q "tpc: error: unrecognized arguments" <<< "$err"
+# a table outside the implemented scope exits 2 with main's one message
+printf 'type: deterministic\nsided: two\ninputs: 4 4\noutcomes: 2\n0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 1\n' > big.fn
+rc=0
+err=$(tpc analyze big.fn 2>&1 > /dev/null) || rc=$?
+test "$rc" -eq 2
+test "$err" = "out of scope: only 3x3 deterministic functions are implemented; larger alphabets: conjectured insecure, not verified"
+# a POVM path that names no file is an input error
+rc=0
+err=$(tpc certify @ot --povm missing.povm 2>&1 > /dev/null) || rc=$?
+test "$rc" -eq 1
+test "$err" = "error: line 1: no such POVM file: missing.povm"
 # an unknown role is an input error
 rc=0
 tpc analyze @neq3 --role carol || rc=$?

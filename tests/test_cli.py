@@ -22,6 +22,7 @@ from tpc.cli import (
     EXIT_NOT_OPTIMAL,
     EXIT_OK,
     EXIT_SCOPE,
+    EXIT_VERIFY,
     main,
     parse_povm_file,
     parse_report_document,
@@ -487,6 +488,53 @@ def test_out_to_the_empty_path_exits_one(argv, capsys):
     assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
 
 
+def _sweep_failure() -> str:
+    """The stderr of a sweep whose every class falls short: each pinned
+    class and advantage, at 17 digits."""
+    pinned = (DATA / "sweep3x3.stdout").read_text().splitlines()[:-1]
+    return "sweep found no advantage above 1 in 18 of 18 classes:" + "".join(
+        "\n  " + line.rsplit(" ", 1)[0] for line in pinned
+    )
+
+
+def _counterexample_failure() -> str:
+    pinned = (DATA / "two_state" / "counterexample.stdout").read_text()
+    advantage = float(re.search(r"^advantage: (\S+)$", pinned, re.MULTILINE)[1])
+    return f"counterexample admits advantage {advantage:.3g} at input |0>"
+
+
+def _shifted_closed_form(monkeypatch):
+    real = discrim._weighted_difference
+
+    def shifted(p, q0):
+        ev = real(p, q0)
+        return ev._replace(lam_plus=ev.lam_plus + 0.5)
+
+    monkeypatch.setattr(discrim, "_weighted_difference", shifted)
+
+
+@pytest.mark.parametrize(
+    "argv, patch, message",
+    [
+        (["sweep3x3"], lambda mp: mp.setattr(attacks, "ADV_MIN", 1.0), _sweep_failure()),
+        (["analyze", "@counterexample", "--q0", "0.5"], lambda mp: mp.setattr(attacks, "ADV_MIN", -1.0),
+         _counterexample_failure()),
+        (["analyze", str(DATA / "two_state" / "two2.fn")], _shifted_closed_form,
+         "closed-form and spectral success disagree by 0.25 at q0=0.99"),
+    ],
+    ids=["sweep", "counterexample", "two-sided-closed-form"],
+)
+def test_a_failing_self_check_exits_three(argv, patch, message, tmp_path, monkeypatch, capsys):
+    # a check on the program's own result that fails is reported by main,
+    # with its own exit code, before anything is printed or written
+    patch(monkeypatch)
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"verification failed: {message}\n")
+    assert not out.exists()
+
+
 # The two-state attacks' pinned outputs: tests/data/two_state/<case>.stdout
 # and .report, from these calls on the tables stored there.
 TWO_STATE_PINS = {
@@ -640,9 +688,13 @@ class TestOtDemo:
         # the demo cross-checks its closed form against the attack's optimum
         basis = discrim.Povm((np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])), (0, 1))
         monkeypatch.setattr(attacks, "ot_explicit_povm", lambda: basis)
-        with pytest.raises(ArithmeticError, match="does not confirm the spectral optimum"):
-            main(["ot-demo"])
-        assert capsys.readouterr().out == ""
+        assert main(["ot-demo"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failed: closed-form measurement success 0.75000000000000022"
+            " (certified=False) does not confirm the spectral optimum 0.93301270189221941\n"
+        )
 
     def test_explicit_matrix_matches_spectral_value(self):
         report = ot_report()
