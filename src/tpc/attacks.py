@@ -177,11 +177,7 @@ def _det3x3_candidates(
     labels, zero-padded to the most labels any table uses for one stacked
     honest baseline, and each table's rows built as one block stack by one
     family builder call, which is the stack measured."""
-    amps = (
-        blackbox.uniform_superposition(3)
-        if superposition is None
-        else blackbox.amplitude_vector(superposition, 3)
-    )
+    amps = blackbox._input_amplitudes(superposition, 3)
     q = funcspec.uniform_prior(3) if prior is None else funcspec.validate_prior(prior, 3)
     counts = tables.max(axis=0) + 1
     # (t, k, j, i), the padding rows all zero; the baseline adds them as 0.0
@@ -228,8 +224,8 @@ def attack_nondet_two_sided(
             raise ValueError(f"sweep weight q0={q0} outside [0, 1]")
     function_id = f"nondet2x2:{_rational_id(f)}"
     p = f.probabilities()
-    # one prior row per sweep weight, checked and given its honest baseline at once
-    priors = funcspec._checked_priors(np.array([(q0, 1.0 - q0) for q0 in sweep], dtype=float), 2)
+    # one prior row per sweep weight, each given its honest baseline at once
+    priors = np.array([(q0, 1.0 - q0) for q0 in sweep], dtype=float)
     honest = discrim._honest(p, priors[:, None]).tolist()  # (F, 1, 2): each row across the outcomes
     if _two_sided_exception(f):
         return AttackReport(
@@ -244,11 +240,7 @@ def attack_nondet_two_sided(
             residuals=None,
             notes="effectively one-input: only one party's input matters; attack reduces to honest play",
         )
-    amps = (
-        blackbox.uniform_superposition(2)
-        if superposition is None
-        else blackbox.amplitude_vector(superposition, 2)
-    )
+    amps = blackbox._input_amplitudes(superposition, 2)
     blocks = blackbox._two_sided_families(p, amps)
     n = len(priors)  # one family per prior weight, each the same states
     reports = _measure(
@@ -281,9 +273,9 @@ def attack_nondet_one_sided(f: FunctionSpec, q0: float) -> AttackReport:
         raise ValueError("attack requires a table with two partner inputs")
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"prior weight q0={q0} outside [0, 1]")
-    prior = (q0, 1.0 - q0)
+    prior = np.array([q0, 1.0 - q0], dtype=float)
     p = f.probabilities()
-    rates = discrim._basis_rates(p, funcspec.validate_prior(prior, 2)).tolist()
+    rates = discrim._basis_rates(p, prior).tolist()
     p_honest = max(rates)
     families = blackbox._one_sided_families(p)  # one one-block family per honest input
     n = len(families)
@@ -337,14 +329,12 @@ def _endpoint_slope_bound(f: FunctionSpec, q0: Fraction) -> Fraction:
     Raises :class:`ArithmeticError` where some ``A_k`` is 0 and the slope
     has no closed form.
     """
-    den = math.lcm(q0.denominator, *(x.denominator for b in f.prob_table for r in b for x in r))
-    q0n = q0.numerator * (den // q0.denominator)  # q0, q1 and each p(k|i,j) as numerators over den
+    # q0, q1 and each p(k|i,j) as numerators over one den, the cells row-major (k, j, i)
+    den, (q0n, *cells) = funcspec._numerators([q0, *(x for b in f.prob_table for r in b for x in r)])
     q1n = den - q0n
     num, total_den = 0, 1
-    for k, block in enumerate(f.prob_table):
-        p00, p01, p10, p11 = (
-            block[j][i].numerator * (den // block[j][i].denominator) for i in (0, 1) for j in (0, 1)
-        )
+    for k in range(f.outcome_count):
+        p00, p10, p01, p11 = cells[4 * k : 4 * k + 4]  # pij = p(k|i,j)
         a = q0n * p00 - q1n * p01  # A_k and A_k' over den**2
         if a == 0:
             raise ArithmeticError(f"outcome {k} carries no weight difference at input |0>")
@@ -381,7 +371,7 @@ def verify_counterexample() -> AttackReport:
     by :func:`_measure`; the advantage must not exceed the minimum gain.
     """
     f = funcspec.builtin("counterexample")
-    prior = (0.5, 0.5)
+    prior = np.array([0.5, 0.5])
     bound = _endpoint_slope_bound(f, Fraction(1, 2))
     if not bound < 0:
         raise ArithmeticError(
@@ -392,10 +382,10 @@ def verify_counterexample() -> AttackReport:
         f" from |0> toward |1> <= {float(bound):.17g}; no superposition, real or complex, helps"
     )
     p = f.probabilities()
-    honest = float(discrim._honest(p, funcspec.validate_prior(prior, 2)))
-    states = blackbox._two_sided_families(p, (1.0, 0.0))
+    honest = float(discrim._honest(p, prior))
+    states = blackbox._two_sided_families(p, np.array([1.0, 0.0]))
     report = _measure(
-        "counterexample", states, qmat.ONE_FAMILY, np.array([prior]), [honest], ["counterexample"],
+        "counterexample", states, qmat.ONE_FAMILY, prior[None], [honest], ["counterexample"],
         [(1 + 0j, 0j)], [notes],
     )[0]
     if report.advantage > ADV_MIN:
@@ -423,18 +413,3 @@ def sweep_all_3x3() -> list[AttackReport]:
         )
     return reports
 
-
-def summarize_sweep(reports: Sequence[AttackReport]) -> dict[str, float]:
-    advantages = sorted(r.advantage for r in reports)
-    n = len(advantages)
-    median = (
-        advantages[n // 2]
-        if n % 2
-        else 0.5 * (advantages[n // 2 - 1] + advantages[n // 2])
-    )
-    return {
-        "functions": n,
-        "min_adv": advantages[0],
-        "median_adv": median,
-        "max_adv": advantages[-1],
-    }

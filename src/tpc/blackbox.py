@@ -15,6 +15,7 @@ Only :func:`output_family` assembles a dense ``(m, d, d)`` stack, in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,10 +60,11 @@ class StateFamily:
 
 
 def amplitude_vector(amplitudes: Sequence[complex], n: int) -> np.ndarray:
+    """A caller's superposition, checked where it enters: ``n`` amplitudes of norm 1."""
     a = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if a.shape != (n,):
         raise ValueError(f"expected {n} amplitudes, got {a.shape[0]}")
-    norm = float(np.linalg.norm(a))
+    norm = math.hypot(*np.abs(a))  # no sum of squares to overflow or underflow
     if not abs(norm - 1.0) <= TOL_TRACE:
         raise ValueError(f"input superposition norm {norm:.12g} is not 1")
     return a
@@ -72,10 +74,17 @@ def uniform_superposition(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
+def _input_amplitudes(superposition: Sequence[complex] | None, n: int) -> np.ndarray:
+    """An attack's input over ``n`` inputs: the uniform superposition, or
+    the caller's ``superposition`` once :func:`amplitude_vector` checks it."""
+    return uniform_superposition(n) if superposition is None else amplitude_vector(superposition, n)
+
+
 def _two_sided_families(
-    p: np.ndarray, amplitudes, starts: np.ndarray = qmat.ONE_FAMILY
+    p: np.ndarray, a: np.ndarray, starts: np.ndarray = qmat.ONE_FAMILY
 ) -> np.ndarray:
-    """Alice's reduced states after a superposed input, as outcome blocks:
+    """Alice's reduced states after the superposed input ``a``, an amplitude
+    array already checked (:func:`amplitude_vector`), as outcome blocks:
     ``p`` holds the rows ``p(k|i,j)``, indexed ``[k][j][i]``, of the
     outcomes of each table of a stack, table by table, and ``starts`` where
     each table's outcomes begin (one table by default).  Returns one
@@ -88,8 +97,7 @@ def _two_sided_families(
     its blocks' traces, is checked (:func:`_unit_traces`).  Float64 when no
     amplitude has an imaginary part, else complex128.
     """
-    a = amplitude_vector(amplitudes, p.shape[-1])
-    c = (a if a.imag.any() else a.real) * np.sqrt(p)
+    c = (a if np.imag(a).any() else np.real(a)) * np.sqrt(p)
     return _unit_traces(c[..., :, None] * c[..., None, :].conj(), starts)
 
 
@@ -143,7 +151,8 @@ def output_family(f: FunctionSpec, alice_input, role: str = "alice") -> StateFam
     elif role != "alice":
         raise ValueError(f"role must be 'alice' or 'bob', got {role!r}")
     if f.sided == "two":
-        return StateFamily(_assemble(_two_sided_families(f.probabilities(), alice_input)))
+        a = amplitude_vector(alice_input, f.alice_arity)
+        return StateFamily(_assemble(_two_sided_families(f.probabilities(), a)))
     i = int(alice_input)
     if not 0 <= i < f.alice_arity:
         raise ValueError(f"honest input {i} out of range [0, {f.alice_arity})")

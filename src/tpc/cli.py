@@ -47,6 +47,7 @@ import functools
 import os
 import re
 import stat
+import statistics
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,12 +91,13 @@ def _fmt_input(value) -> str:
     return "amps:" + ",".join(_fmt_complex(complex(z)) for z in value)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+def _parse_floats(text: str, convert=float) -> tuple:
+    """A comma list, each value read by ``convert``."""
+    return tuple(convert(t) for t in text.split(","))
 
 
 def _parse_finite(text: str, convert=float) -> tuple:
-    values = tuple(convert(t) for t in text.split(","))
+    values = _parse_floats(text, convert)
     if not all(map(cmath.isfinite, values)):
         raise ValueError(f"non-finite value in {text!r}")
     return values
@@ -295,10 +297,6 @@ def _load_spec(ref: str) -> FunctionSpec:
     return funcspec.parse_function_file(_read_input(ref, "function file"))
 
 
-def _parse_amplitudes(text: str) -> tuple[complex, ...]:
-    return tuple(complex(t) for t in text.split(","))
-
-
 def _print_lines(lines: Sequence[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")  # each command writes its stdout once
 
@@ -348,7 +346,7 @@ def _dispatch_analyze(f: FunctionSpec, args) -> AttackReport:
     if args.role == "bob":
         f = funcspec.transpose(f)
     f = _guessing_bob(f)
-    superposition = _parse_amplitudes(args.superposition) if args.superposition else None
+    superposition = _parse_floats(args.superposition, complex) if args.superposition else None
     prior = _parse_floats(args.prior) if args.prior else None
 
     if f.kind == "deterministic":
@@ -424,13 +422,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep3x3(args) -> int:
     reports = attacks.sweep_all_3x3()
-    summary = attacks.summarize_sweep(reports)
+    advantages = sorted(r.advantage for r in reports)
     lines = [f"{r.function_id} advantage={_fmt(r.advantage)} p_attack={_fmt(r.p_attack)}" for r in reports]
     lines.append(
-        f"functions={summary['functions']}"
-        f" min_adv={_fmt(summary['min_adv'])}"
-        f" median_adv={_fmt(summary['median_adv'])}"
-        f" max_adv={_fmt(summary['max_adv'])}"
+        f"functions={len(advantages)} min_adv={_fmt(advantages[0])}"
+        f" median_adv={_fmt(statistics.median(advantages))} max_adv={_fmt(advantages[-1])}"
     )
     _print_lines(lines)
     _write_out(args.out, reports)

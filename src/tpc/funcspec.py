@@ -109,11 +109,10 @@ class FunctionSpec:
                     len(r) != self.alice_arity for r in block
                 ):
                     raise ValueError("probability block shape does not match arities")
-            # range and sum on integer numerators over one common denominator
-            den = math.lcm(*(x.denominator for block in p for row in block for x in row))
+            # range and sum on each cell's integer numerators over their common denominator
             for j in range(self.bob_arity):
                 for i in range(self.alice_arity):
-                    col = [x.numerator * (den // x.denominator) for x in (b[j][i] for b in p)]
+                    den, col = _numerators([b[j][i] for b in p])
                     if any(x < 0 or x > den for x in col):
                         raise ValueError(f"probability out of [0,1] at (i={i}, j={j})")
                     if sum(col) != den:
@@ -176,22 +175,22 @@ def transpose(f: FunctionSpec) -> FunctionSpec:
     return replace(f, alice_arity=f.bob_arity, bob_arity=f.alice_arity, **table)
 
 
+def _numerators(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The fractions ``xs`` over their least common denominator: ``(den, numerators)``."""
+    den = math.lcm(*[x.denominator for x in xs])
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 def validate_prior(weights: Sequence[float], n: int) -> np.ndarray:
     """Probability vector over one party's inputs."""
-    return _checked_priors(np.asarray([float(w) for w in weights], dtype=float), n)
-
-
-def _checked_priors(q: np.ndarray, n: int) -> np.ndarray:
-    """``q``, one prior ``(n,)`` or a stack of them ``(F, n)``, once every row
-    passes :func:`validate_prior`'s checks; a message names the first failing row."""
-    if q.shape[-1:] != (n,):
+    q = np.asarray([float(w) for w in weights], dtype=float)
+    if q.shape != (n,):
         raise ValueError(f"prior must have {n} entries, got {q.shape}")
     if q.min() < 0:
         raise ValueError("prior weights must be nonnegative")
-    for total in q.sum(axis=-1, keepdims=True).flat:
-        # written so that a NaN sum fails too
-        if not abs(total - 1.0) <= TOL_TRACE:
-            raise ValueError(f"prior weights sum to {total:.12g}, expected 1")
+    total = q.sum()
+    if not abs(total - 1.0) <= TOL_TRACE:  # written so that a NaN sum fails too
+        raise ValueError(f"prior weights sum to {total:.12g}, expected 1")
     return q
 
 
@@ -203,9 +202,6 @@ def uniform_prior(n: int) -> np.ndarray:
 class ConditionCheck:
     potentially_concealing: bool
     non_degenerate: bool
-
-    def __bool__(self) -> bool:
-        return self.potentially_concealing and self.non_degenerate
 
 
 class ConditionError(ValueError):
@@ -536,21 +532,16 @@ def parse_function_file(text: str) -> FunctionSpec:
             last_ln, f"only the final outcome block may be omitted; missing {missing}"
         )
     if missing:
-        # each cell's complement 1 - x - y - ... on integers over the running
+        # each cell's complement 1 - x - y - ... on integers over the cell's
         # common denominator: (d - n)/d when one block is given
         rest = []
         for j in range(bob_arity):
             row = []
             for i in range(alice_arity):
-                num, den = 1, 1
-                for block in blocks.values():
-                    x = block[j][i]
-                    common = math.lcm(den, x.denominator)
-                    num = num * (common // den) - x.numerator * (common // x.denominator)
-                    den = common
-                if num < 0:
+                den, nums = _numerators([block[j][i] for block in blocks.values()])
+                if sum(nums) > den:
                     raise FunctionFileError(last_ln, f"probabilities at (i={i}, j={j}) exceed 1")
-                row.append(Fraction(num, den))
+                row.append(Fraction(den - sum(nums), den))
             rest.append(tuple(row))
         blocks[missing[0]] = rest
     table = tuple(tuple(blocks[k]) for k in range(outcome_count))

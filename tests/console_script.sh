@@ -51,6 +51,12 @@ tpc analyze "$data/two_state/two2.fn" --q0-sweep 0.25,0.5,0.9
 tpc analyze "$data/two_state/one0.fn" --q0 0.15
 # a value that starts with "-" is still the option's value
 tpc analyze @neq3 --superposition -0.6,0.8,0
+# a superposition at the end of the float range is an input error on one
+# stderr line, its norm taken without overflow and without a numpy warning
+rc=0
+err=$(tpc analyze @neq3 --superposition 1e308,1e308,0 2>&1 > /dev/null) || rc=$?
+test "$rc" -eq 1
+test "$err" = "error: input superposition norm 1.41421356237e+308 is not 1"
 rc=0
 tpc analyze "$data/two_state/two2.fn" --q0-sweep -0.5,0.3 || rc=$?
 test "$rc" -eq 1

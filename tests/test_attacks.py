@@ -4,12 +4,13 @@ import dataclasses
 import itertools
 import math
 import re
+import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tpc import attacks, blackbox, discrim, funcspec
+from tpc import attacks, blackbox, cli, discrim, funcspec
 from tpc.attacks import (
     DEFAULT_Q0_SWEEP,
     attack_deterministic_3x3,
@@ -893,8 +894,14 @@ class TestSweep:
         assert len(distances) == funcspec.VALID_3X3_CLASS_COUNT
         assert max(distances.values()) <= 8, distances
 
-    def test_summary_statistics(self):
+    def test_summary_statistics(self, capsys):
+        # the last line cmd_sweep3x3 prints, read back
         reports = sweep_all_3x3()
-        summary = attacks.summarize_sweep(reports)
+        assert cli.main(["sweep3x3"]) == cli.EXIT_OK
+        line = capsys.readouterr().out.splitlines()[-1]
+        summary = {key: float(value) for key, value in (f.split("=") for f in line.split())}
         assert summary["functions"] == len(reports)
         assert summary["min_adv"] <= summary["median_adv"] <= summary["max_adv"]
+        advantages = [r.advantage for r in reports]
+        assert summary["median_adv"] == statistics.median(advantages)
+        assert (summary["min_adv"], summary["max_adv"]) == (min(advantages), max(advantages))

@@ -297,7 +297,7 @@ class TestStackedBuilder:
     def test_dtype_follows_the_amplitudes(self, text, dtype):
         # float64 exactly when no amplitude (here as --superposition parses
         # it) has an imaginary part; output_family's public stack stays complex
-        amps = uniform_superposition(2) if text == "uniform" else cli._parse_amplitudes(text)
+        amps = uniform_superposition(2) if text == "uniform" else cli._parse_floats(text, complex)
         f = builtin("counterexample")
         stack = blackbox._two_sided_families(f.probabilities(), amps)
         assert stack.dtype == dtype

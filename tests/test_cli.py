@@ -110,6 +110,54 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: expected 2 amplitudes, got 3\n"
 
     @pytest.mark.parametrize(
+        "function, value, norm",
+        [("@neq3", "1e308,1e308,0", "1.41421356237e+308"), ("@counterexample", "1e-170,1e-170", "1.41421356237e-170")],
+        ids=["overflow", "underflow"],
+    )
+    def test_superposition_norm_at_the_float_range_ends(self, function, value, norm, capsys):
+        # the norm neither overflows nor underflows, and no numpy warning is raised
+        assert main(["analyze", function, "--superposition", value]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: input superposition norm {norm} is not 1\n")
+
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (["analyze", "@neq3", "--superposition", "0.6,0.8,0"], 1),
+            (["analyze", "@counterexample", "--superposition", "0.6,0.8j"], 1),
+            (["analyze", "two1.fn", "--superposition", "0.6,0.8j", "--q0-sweep", "0.3,0.7"], 1),
+            (["analyze", "@neq3"], 0),
+            (["analyze", "two2.fn"], 0),
+            (["analyze", "@counterexample", "--q0", "0.5"], 0),
+        ],
+    )
+    def test_amplitudes_are_checked_once_where_they_enter(self, argv, checks, monkeypatch, capsys):
+        # a caller's --superposition is checked once; the built-in uniform and |0> inputs are not
+        calls, check = [], blackbox.amplitude_vector
+
+        def counted(amplitudes, n):
+            calls.append(n)
+            return check(amplitudes, n)
+
+        monkeypatch.setattr(blackbox, "amplitude_vector", counted)
+        argv = [str(DATA / "two_state" / a) if a.endswith(".fn") else a for a in argv]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == checks
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "two2.fn"], ["analyze", "one0.fn", "--q0", "0.3"], ["analyze", "@counterexample", "--q0", "0.5"]],
+    )
+    def test_priors_the_attacks_build_are_not_rechecked(self, argv, monkeypatch, capsys):
+        # the two-state attacks build their (q0, 1 - q0) rows after a range check
+        def rejected(weights, n):
+            raise AssertionError(f"prior {weights!r} checked again")
+
+        monkeypatch.setattr(funcspec, "validate_prior", rejected)
+        monkeypatch.setattr(discrim, "validate_prior", rejected)
+        argv = [str(DATA / "two_state" / a) if a.endswith(".fn") else a for a in argv]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize(
         "option, value",
         [("--prior", "0.2,0.8"), ("--q0", "0.3"), ("--q0-sweep", "0.3"),
          ("--superposition", "1,2,3")],
@@ -547,6 +595,8 @@ TWO_STATE_PINS = {
     "one0": ["analyze", "one0.fn", "--q0", "0.15"],
     "one1": ["analyze", "one1.fn", "--q0", "0.5"],
     "one2": ["analyze", "one2.fn", "--q0", "0.8"],
+    # only Bob's input matters: the report has no residuals ("residuals: -")
+    "one_input": ["analyze", "one_input.fn"],
 }
 
 
@@ -891,6 +941,25 @@ class TestReportDocument:
             parse_report_document(text)
         assert info.value.line_no == line_no
 
+    @pytest.mark.parametrize(
+        "field, line, message",
+        [
+            ("function_id", "scenario: x", "line 5: expected 'function_id:' line, got 'scenario: x'"),
+            ("---", "--", "line 4: expected report separator, got '--'"),
+            (
+                "input_used",
+                "input_used: ampz:1+0j",
+                "line 8: bad input_used field: cannot parse input_used field 'ampz:1+0j'",
+            ),
+        ],
+    )
+    def test_malformed_line_message_is_exact(self, field, line, message):
+        text = render_report_document([ot_report()])
+        text = re.sub(rf"^{field}(: .*)?$", lambda _: line, text, count=1, flags=re.M)
+        with pytest.raises(funcspec.FunctionFileError) as info:
+            parse_report_document(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", ["banana", "True"])
     def test_certified_is_true_or_false(self, value):
         text = render_report_document([ot_report()])
@@ -911,6 +980,8 @@ class TestReportDocument:
             parse_povm_file("dim: 2\n1+0i\n")
         with pytest.raises(funcspec.FunctionFileError):
             parse_povm_file("size: 2\n")
+        with pytest.raises(funcspec.FunctionFileError, match="^line 1: empty POVM file$"):
+            parse_povm_file("# comment only\n")
 
     @pytest.mark.parametrize("token", ["nan", "1e999", "-1e999+0i", "0+nani", "1e999i"])
     def test_non_finite_povm_entry_names_its_line(self, token):

@@ -675,15 +675,33 @@ class TestParser:
                 "1/4 1/4\n# block 1\nk: 1\n1/2 3/4\n3/4 1/4\n# block 2 inferred\n",
                 "line 11: probabilities at (i=1, j=0) exceed 1",
             ),
+            ("# comment only\n\n", "line 1: empty function file"),
+            ("type: deterministic\nsided: two\n", "line 2: missing 'inputs:' header"),
+            ("type: quantum\n", "line 1: type must be deterministic or probabilistic, got 'quantum'"),
+            ("type: probabilistic\nsided: three\n", "line 2: sided must be one or two, got 'three'"),
+            (
+                "type: deterministic\nsided: two\ninputs: 3 3\noutcomes: 2\nx 1 1\n1 0 1\n1 1 0\n",
+                "line 5: cannot parse outcome label 'x'",
+            ),
+            (
+                "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\nk: 0\n1/2 1/2\n1/2 1/2\n"
+                "k: 0\n1/2 1/2\n1/2 1/2\n",
+                "line 8: duplicate block for outcome 0",
+            ),
         ],
-        ids=["every-block-given", "final-block-omitted"],
+        ids=[
+            "every-block-given", "final-block-omitted", "empty", "no-inputs-header", "bad-type",
+            "bad-sided", "bad-label", "duplicate-block",
+        ],
     )
     def test_cell_summing_to_five_quarters_reports_last_row(self, text, message):
         # one check per cell: the parser bounds each token, the constructor
-        # the sums, and its message comes back with the last row's line
+        # the sums, and its message comes back with the last row's line; the
+        # other parse errors name the line their message gives
         with pytest.raises(FunctionFileError) as err:
             parse_function_file(text)
-        assert (err.value.line_no, str(err.value)) == (11, message)
+        line_no = int(message.split(":")[0].removeprefix("line "))
+        assert (err.value.line_no, str(err.value)) == (line_no, message)
 
     def test_constructor_checks_sums_on_integer_numerators(self):
         blocks = ((("1/2", "1/3"),), (("1/2", "2/3"),))
@@ -698,6 +716,42 @@ class TestParser:
         with pytest.raises(ValueError, match=r"^probability out of \[0,1\] at \(i=0, j=0\)$"):
             funcspec.FunctionSpec("probabilistic", "two", 1, 1, 2, prob_table=((("3/2",),), (("-1/2",),)))
 
+    def test_inferred_block_is_one_minus_the_given_blocks(self, monkeypatch):
+        # each omitted final block's cell is 1 - sum of the given ones, as
+        # Fraction arithmetic gives it, computed from the cell's numerators
+        calls = []
+        numerators = funcspec._numerators
+
+        def recording(xs):
+            calls.append(list(xs))
+            return numerators(xs)
+
+        monkeypatch.setattr(funcspec, "_numerators", recording)
+        rng = np.random.default_rng(SEED_PROBABILITIES + 3)
+        grid = [Fraction(k, 97) for k in range(98)] + [Fraction(k, 3) for k in range(4)] + [Fraction(1, 2)]
+        for _ in range(200):
+            outcomes, n, m = (int(x) for x in rng.integers(1, 5, size=3))
+            scale = max(1, outcomes - 1) if rng.random() < 0.7 else 1  # most tables sum to at most 1
+            given = [
+                [[grid[g] / scale for g in rng.integers(0, len(grid), size=n)] for _ in range(m)]
+                for _ in range(outcomes - 1)
+            ]
+            lines = ["type: probabilistic", "sided: two", f"inputs: {n} {m}", f"outcomes: {outcomes}"]
+            for k, block in enumerate(given):
+                lines += [f"k: {k}"] + [" ".join(map(str, row)) for row in block]
+            complement = [[1 - sum(Fraction(b[j][i]) for b in given) for i in range(n)] for j in range(m)]
+            calls.clear()
+            try:
+                f = parse_function_file("\n".join(lines) + "\n")
+            except FunctionFileError as exc:
+                assert min(x for row in complement for x in row) < 0
+                assert str(exc).endswith("exceed 1")
+                continue
+            assert f.prob_table[-1] == tuple(map(tuple, complement))
+            for j in range(m):
+                for i in range(n):
+                    assert [b[j][i] for b in given] in calls
+
     def test_complement_must_be_nonnegative(self):
         text = (
             "type: probabilistic\nsided: two\ninputs: 2 2\noutcomes: 2\n"
@@ -705,6 +759,37 @@ class TestParser:
         )
         with pytest.raises(FunctionFileError):
             parse_function_file(text)
+
+
+class TestNumerators:
+    """``funcspec._numerators``: fractions over their least common
+    denominator, against Fraction arithmetic."""
+
+    @staticmethod
+    def check(xs):
+        den, nums = funcspec._numerators(xs)
+        assert [Fraction(n, den) for n in nums] == list(xs)
+        assert all(type(n) is int for n in nums)
+        # least: no den / p, p a prime factor of den, is a common denominator
+        for p in range(2, den + 1):
+            if den % p == 0 and all(p % q for q in range(2, p)):
+                assert any((x * (den // p)).denominator != 1 for x in xs)
+
+    def test_the_five_value_grid(self):
+        # every 2x2 table of p(0|i,j) in {0, 1/3, 1/2, 2/3, 1}, both blocks, after q0
+        values = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+        for q0 in (Fraction(1, 2), Fraction(1, 3)):
+            for cells in itertools.product(values, repeat=4):
+                f = two_sided_binary([cells[:2], cells[2:]])
+                self.check([q0, *(x for block in f.prob_table for row in block for x in row)])
+
+    def test_seeded_k_over_97_tables(self):
+        rng = np.random.default_rng(SEED_PROBABILITIES + 4)
+        for _ in range(300):
+            cells = [Fraction(int(k), 97) for k in rng.integers(0, 98, size=4)]
+            f = two_sided_binary([cells[:2], cells[2:]])
+            q0 = Fraction(int(rng.integers(1, 20)), 20)
+            self.check([q0, *(x for block in f.prob_table for row in block for x in row)])
 
 
 class TestSpecHelpers:
@@ -737,15 +822,17 @@ class TestSpecHelpers:
             ([[0.5, 0.5], [0.3, 0.8], [0.2, 0.9]], "prior weights sum to 1.1, expected 1"),
             ([[0.5, 0.5], [float("nan"), 0.5]], "prior weights sum to nan, expected 1"),
             ([[0.5, 0.5], [1.5, -0.5]], "prior weights must be nonnegative"),
-            ([[0.5, 0.5, 0.0]], r"prior must have 2 entries, got \(1, 3\)"),
+            ([[0.5, 0.5, 0.0]], r"prior must have 2 entries, got \(3,\)"),
         ],
     )
     def test_a_stack_of_priors_is_checked_row_by_row(self, rows, message):
-        # validate_prior's checks and messages, the first failing row named
+        # validate_prior's checks and messages, row by row: the first failing row raises
         valid = np.array([[0.5, 0.5], [0.25, 0.75]])
-        assert funcspec._checked_priors(valid, 2) is valid
+        for row in valid:
+            assert np.array_equal(validate_prior(row, 2), row)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            funcspec._checked_priors(np.array(rows), 2)
+            for row in rows:
+                validate_prior(row, 2)
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
